@@ -33,6 +33,7 @@ from .metrics import (
     SurrogateFeatures,
     compute_features,
     finite_difference_sensitivity,
+    ttc,
     ttc_sensitivity,
 )
 from .risk import (
@@ -55,8 +56,10 @@ from .safety_models import (
     Reg157Params,
     RssParams,
     cc_human_evaluate,
+    control_step,
     fsm_evaluate,
     idm_acceleration,
+    idm_evaluate,
     rba_decel,
     rba_is_safe,
     rba_velocity_update,
@@ -88,6 +91,7 @@ __all__ = [
     "SurrogateFeatures",
     "compute_features",
     "finite_difference_sensitivity",
+    "ttc",
     "ttc_sensitivity",
     "GaussianRisk",
     "ModelSummary",
@@ -106,8 +110,10 @@ __all__ = [
     "Reg157Params",
     "RssParams",
     "cc_human_evaluate",
+    "control_step",
     "fsm_evaluate",
     "idm_acceleration",
+    "idm_evaluate",
     "rba_decel",
     "rba_is_safe",
     "rba_velocity_update",

@@ -6,8 +6,7 @@
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 collision detected
 (one-case only, as a scriptable signal). Underscore spellings of the
-subcommands are accepted as aliases. The environment variable CUTIN_SEED
-overrides the config seed.
+subcommands are accepted as aliases.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ EXIT_COLLISION = 2
 
 def _load(path: str, model_override: str | None = None) -> config_mod.RunConfig:
     cfg = config_mod.load_config(path)
-    cfg = config_mod.apply_seed_env(cfg)
     if model_override is not None:
         if model_override not in config_mod.MODEL_NAMES:
             raise ConfigError(

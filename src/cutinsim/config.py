@@ -5,11 +5,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .engine import ClassifyThresholds, ScenarioParams, SweepGrid
+from .engine import ClassifyThresholds, ScenarioParams, SweepGrid, check_finite
 from .errors import ConfigError
 from .kinematics import VehicleDims
 from .safety_models import (
@@ -24,7 +23,6 @@ from .safety_models import (
 )
 
 SCHEMA_VERSION = 1
-SEED_ENV_VAR = "CUTIN_SEED"
 
 _SCENARIO_KEYS = {
     "kind": "kind",
@@ -70,38 +68,57 @@ class RunConfig:
     seed: int
 
 
-def _build_dataclass(cls, data: Mapping[str, Any], key_prefix: str):
+def _section(data: Any, key: str) -> Mapping[str, Any]:
+    if not isinstance(data, dict):
+        raise ConfigError(
+            f"{key} must be a JSON object, got {type(data).__name__}", key=key
+        )
+    return data
+
+
+def _number_list(data: Any, key: str) -> tuple[float, ...]:
+    if not isinstance(data, list):
+        raise ConfigError(f"{key} must be a list of numbers", key=key)
+    return tuple(float(check_finite(v, key)) for v in data)
+
+
+def _build_dataclass(cls, data: Any, key_prefix: str):
+    """Build a parameter record whose fields are all floats."""
     fields = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
-    for name, value in data.items():
+    for name, value in _section(data, key_prefix).items():
         if name not in fields:
             raise ConfigError(
                 f"unknown key {key_prefix}.{name!r}", key=f"{key_prefix}.{name}"
             )
-        kwargs[name] = value
+        kwargs[name] = check_finite(value, f"{key_prefix}.{name}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key_prefix}: {exc}", key=key_prefix) from exc
 
 
-def _parse_scenario(data: Mapping[str, Any]) -> ScenarioParams:
+def _parse_scenario(data: Any) -> ScenarioParams:
     kwargs: dict[str, Any] = {}
-    for name, value in data.items():
+    for name, value in _section(data, "scenario").items():
         if name not in _SCENARIO_KEYS:
             raise ConfigError(f"unknown key scenario.{name!r}", key=f"scenario.{name}")
         kwargs[_SCENARIO_KEYS[name]] = value
     if "other_speed_profile" in kwargs:
-        kwargs["other_speed_profile"] = tuple(
-            (float(t), float(v)) for t, v in kwargs["other_speed_profile"]
-        )
+        key = "scenario.other_speed_profile"
+        profile = kwargs["other_speed_profile"]
+        if not isinstance(profile, list) or not all(
+            isinstance(step, list) and len(step) == 2 for step in profile
+        ):
+            raise ConfigError(f"{key} must be a list of [t, v] pairs", key=key)
+        kwargs["other_speed_profile"] = tuple(_number_list(step, key) for step in profile)
     try:
         return ScenarioParams(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"scenario: {exc}", key="scenario") from exc
 
 
-def _parse_model_params(data: Mapping[str, Any], rba_overrides: Mapping[str, Any]) -> ModelParams:
+def _parse_model_params(data: Any, rba_overrides: Any) -> ModelParams:
     sections = {
         "rss": RssParams,
         "reg157": Reg157Params,
@@ -110,7 +127,7 @@ def _parse_model_params(data: Mapping[str, Any], rba_overrides: Mapping[str, Any
         "idm": IdmParams,
     }
     kwargs: dict[str, Any] = {}
-    for name, value in data.items():
+    for name, value in _section(data, "model_params").items():
         if name == "rba":
             raise ConfigError(
                 "rba overrides belong under the top-level 'rba' key", key="model_params.rba"
@@ -155,8 +172,8 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
     model_params = _parse_model_params(raw.get("model_params", {}), raw.get("rba", {}))
     classify = _build_dataclass(ClassifyThresholds, raw.get("classify", {}), "classify")
 
-    risk_raw = dict(raw.get("risk", {}))
-    ttc_crit_s = float(risk_raw.pop("ttc_crit_s", 2.0))
+    risk_raw = dict(_section(raw.get("risk", {}), "risk"))
+    ttc_crit_s = float(check_finite(risk_raw.pop("ttc_crit_s", 2.0), "risk.ttc_crit_s"))
     if risk_raw:
         raise ConfigError(
             f"unknown key risk.{next(iter(risk_raw))!r}", key="risk"
@@ -166,19 +183,18 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
 
     sweep = None
     if "sweep" in raw:
-        grid_raw = raw["sweep"]
         kwargs = {}
         names = {"v_e0": "v_e0_mps", "v_o0": "v_o0_mps", "d_x0": "d_x0_m", "d_y0": "d_y0_m"}
-        for name, value in grid_raw.items():
+        for name, value in _section(raw["sweep"], "sweep").items():
             if name not in names:
                 raise ConfigError(f"unknown key sweep.{name!r}", key=f"sweep.{name}")
-            kwargs[names[name]] = tuple(float(v) for v in value)
+            kwargs[names[name]] = _number_list(value, f"sweep.{name}")
         try:
             sweep = SweepGrid(**kwargs)
         except TypeError as exc:
             raise ConfigError(f"sweep: {exc}", key="sweep") from exc
 
-    dims_raw = raw.get("dims", {})
+    dims_raw = _section(raw.get("dims", {}), "dims")
     for name in dims_raw:
         if name not in ("ego", "other"):
             raise ConfigError(f"unknown key dims.{name!r}", key=f"dims.{name}")
@@ -223,18 +239,6 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object", key="config")
     return parse_config(raw)
-
-
-def apply_seed_env(config: RunConfig, env: Mapping[str, str] = os.environ) -> RunConfig:
-    """Override the config seed from the environment, when set."""
-    raw = env.get(SEED_ENV_VAR)
-    if raw is None:
-        return config
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}", key=SEED_ENV_VAR)
-    return dataclasses.replace(config, seed=seed)
 
 
 def resolved_dict(config: RunConfig) -> dict[str, Any]:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Any, Sequence
 
-from . import metrics, safety_models
+from . import metrics
 from .errors import ConfigError
 from .kinematics import (
     TraceSample,
@@ -18,13 +19,20 @@ from .kinematics import (
     gap_longitudinal,
     step_vehicle,
 )
-from .safety_models import ModelParams, rba_velocity_update
+from .safety_models import ModelParams, control_step
 
 SCENARIO_KINDS = ("cut_in", "cut_out", "car_following")
 CRITICAL = "critical"
 NON_CRITICAL = "non_critical"
 
 DEFAULT_DIMS = VehicleDims(width_m=2.0, length_m=5.0)
+
+
+def check_finite(value: Any, key: str) -> Any:
+    """Return value if it is a finite real number; otherwise a ConfigError naming key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}", key=key)
+    return value
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,14 @@ class ScenarioParams:
     other_speed_profile: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
+        for key, value in zip(
+            ("v_e0", "v_o0", "d_x0", "d_y0", "lc_start_s", "lc_duration_s", "duration_s", "dt_s"),
+            (self.v_e0_mps, self.v_o0_mps, self.d_x0_m, self.d_y0_m,
+             self.lc_start_s, self.lc_duration_s, self.duration_s, self.dt_s),
+        ):
+            check_finite(value, f"scenario.{key}")
+        for value in itertools.chain.from_iterable(self.other_speed_profile):
+            check_finite(value, "scenario.other_speed_profile")
         if self.kind not in SCENARIO_KINDS:
             raise ConfigError(
                 f"scenario.kind {self.kind!r} not one of {SCENARIO_KINDS}", key="scenario.kind"
@@ -146,15 +162,6 @@ class Scenario:
             return p.d_y0_m * (1.0 - s), -p.d_y0_m * rate
         return p.d_y0_m * s, p.d_y0_m * rate  # cut_out
 
-    def other_speed(self, t_s: float) -> float:
-        v = self.params.v_o0_mps
-        for t_change, v_new in self.params.other_speed_profile:
-            if t_s >= t_change:
-                v = v_new
-            else:
-                break
-        return v
-
     def other_state(self, t_s: float) -> VehicleState:
         p = self.params
         x = p.d_x0_m + (self.ego_dims.length_m + self.other_dims.length_m) / 2.0
@@ -213,11 +220,11 @@ def run_closed_loop(
     (and the collision flag latches) as soon as the footprints overlap.
     """
     scenario = build_scenario(p, ego_dims, other_dims)
-    model = safety_models.create_model(model_name, params, dt_s=p.dt_s)
-    model.reset()
+    dt = p.dt_s
+    params = replace(params, rba=replace(params.rba, step_freq_hz=1.0 / dt))
 
     ego = scenario.ego0
-    dt = p.dt_s
+    memory = 0
     n_steps = round(p.duration_s / dt)
     trace: list[TraceSample] = []
     collided = False
@@ -233,13 +240,14 @@ def run_closed_loop(
             )
             collided = True
             break
-        closing = ego.vel_long_mps - other.vel_long_mps
         if gap_long >= 0.0:
-            ttc = metrics.compute_features(gap_long, ego.vel_long_mps, closing).ttc_s
+            ttc = metrics.ttc(gap_long, ego.vel_long_mps - other.vel_long_mps)
         else:
             # longitudinally alongside but laterally separated: no closing course
             ttc = math.inf
-        decision, command = model.decide(ego, other, ego_dims, other_dims, ttc)
+        decision, accel, memory = control_step(
+            model_name, params, ego, other, ego_dims, other_dims, ttc, dt, memory
+        )
         trace.append(
             TraceSample(
                 t, ego, other, gap_long, gap_lat, ttc, decision.safe, decision.decel_cmd_mps2
@@ -247,11 +255,6 @@ def run_closed_loop(
         )
         if i == n_steps:
             break
-        if model.per_step_decrement:
-            v_next = rba_velocity_update(ego.vel_long_mps, command, model.params)
-            accel = (v_next - ego.vel_long_mps) / dt
-        else:
-            accel = command
         ego = step_vehicle(ego, accel, 0.0, dt)
 
     min_gap = min(s.gap_long_m for s in trace)

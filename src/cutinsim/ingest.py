@@ -16,6 +16,7 @@ from . import metrics
 from .engine import ScenarioParams
 from .errors import InvalidInputError, ParseError, SchemaError
 from .kinematics import LANE_WIDTH_M
+from .reports import fmt_float
 
 TRACKS_HEADER = ("frame", "id", "x", "y", "width", "height", "xVelocity", "yVelocity", "laneId")
 FEATURES_HEADER = ("frame", "dhw", "thw", "ttc", "ittc")
@@ -65,23 +66,15 @@ class CutInEvent:
     params: ScenarioParams
 
 
-def _fmt(value: float) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if math.isnan(value):
-        return "nan"
-    return f"{value:.6g}"
-
-
 def write_tracks_csv(path, rows) -> None:
     """Serialize track rows; floats at 6 significant digits, inf as "inf"."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACKS_HEADER) + "\n")
         for r in rows:
             fh.write(
-                f"{r.frame},{r.track_id},{_fmt(r.x_m)},{_fmt(r.y_m)},"
-                f"{_fmt(r.length_m)},{_fmt(r.width_m)},"
-                f"{_fmt(r.x_vel_mps)},{_fmt(r.y_vel_mps)},{r.lane_id}\n"
+                f"{r.frame},{r.track_id},{fmt_float(r.x_m)},{fmt_float(r.y_m)},"
+                f"{fmt_float(r.length_m)},{fmt_float(r.width_m)},"
+                f"{fmt_float(r.x_vel_mps)},{fmt_float(r.y_vel_mps)},{r.lane_id}\n"
             )
 
 
@@ -305,4 +298,6 @@ def write_features_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(FEATURES_HEADER) + "\n")
         for frame, dhw, thw, ttc, ittc in rows:
-            fh.write(f"{frame},{_fmt(dhw)},{_fmt(thw)},{_fmt(ttc)},{_fmt(ittc)}\n")
+            fh.write(
+                f"{frame},{fmt_float(dhw)},{fmt_float(thw)},{fmt_float(ttc)},{fmt_float(ittc)}\n"
+            )

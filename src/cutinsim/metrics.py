@@ -26,6 +26,17 @@ class SensitivityResult:
     s_rel_s2_per_m: float  # d TTC / d closing speed
 
 
+def ttc(gap_long_m: float, closing_mps: float) -> float:
+    """Time to collision, gap over closing speed: 0 once the longitudinal gap is
+    negative, otherwise inf when the pair is not closing (closing speed at or
+    below CLOSING_SPEED_FLOOR_MPS)."""
+    if gap_long_m < 0.0:
+        return 0.0
+    if closing_mps > CLOSING_SPEED_FLOOR_MPS:
+        return gap_long_m / closing_mps
+    return math.inf
+
+
 def compute_features(
     gap_long_m: float, follower_vel_mps: float, rel_vel_mps: float
 ) -> SurrogateFeatures:
@@ -49,13 +60,9 @@ def compute_features(
         thw = gap_long_m / follower_vel_mps
     else:
         thw = math.inf
-    if rel_vel_mps > CLOSING_SPEED_FLOOR_MPS:
-        ttc = gap_long_m / rel_vel_mps
-        ittc = 1.0 / ttc if ttc > 0.0 else math.inf
-    else:
-        ttc = math.inf
-        ittc = 0.0
-    return SurrogateFeatures(dhw_m=gap_long_m, thw_s=thw, ttc_s=ttc, ittc_per_s=ittc)
+    ttc_s = ttc(gap_long_m, rel_vel_mps)
+    ittc = 1.0 / ttc_s if ttc_s > 0.0 else math.inf  # 1 / inf == 0
+    return SurrogateFeatures(dhw_m=gap_long_m, thw_s=thw, ttc_s=ttc_s, ittc_per_s=ittc)
 
 
 def ttc_sensitivity(gap_long_m: float, rel_vel_mps: float) -> SensitivityResult:
@@ -87,9 +94,11 @@ def finite_difference_sensitivity(
             f"perturbation h={h} crosses the closing-speed floor at v_rel={rel_vel_mps}"
         )
 
-    def ttc(d: float, v: float) -> float:
+    # differentiates the bare ratio, not ttc(): its floor at a zero gap
+    # would bias the central difference at gap_long_m < h
+    def ratio(d: float, v: float) -> float:
         return d / v
 
-    s_long = (ttc(gap_long_m + h, rel_vel_mps) - ttc(gap_long_m - h, rel_vel_mps)) / (2.0 * h)
-    s_rel = (ttc(gap_long_m, rel_vel_mps + h) - ttc(gap_long_m, rel_vel_mps - h)) / (2.0 * h)
+    s_long = (ratio(gap_long_m + h, rel_vel_mps) - ratio(gap_long_m - h, rel_vel_mps)) / (2.0 * h)
+    s_rel = (ratio(gap_long_m, rel_vel_mps + h) - ratio(gap_long_m, rel_vel_mps - h)) / (2.0 * h)
     return SensitivityResult(s_long_s_per_m=s_long, s_rel_s2_per_m=s_rel)

@@ -1,4 +1,4 @@
-"""Safety decision models behind one small interface.
+"""Safety decision models behind one step function.
 
 The primary model ("rba") is a rules-based check: a lateral clearance gate
 combined with a longitudinal gate that accepts either a raw distance margin or
@@ -11,11 +11,11 @@ full-fidelity ports of those systems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError, InvalidInputError
 from .kinematics import VehicleDims, VehicleState, gap_lateral, gap_longitudinal
-from .metrics import CLOSING_SPEED_FLOOR_MPS
+from .metrics import CLOSING_SPEED_FLOOR_MPS, ttc
 
 MODEL_NAMES = ("rba", "rss", "reg157", "cc_human", "fsm", "idm", "none")
 
@@ -104,7 +104,7 @@ def rba_is_safe(
         # not closing: the stopping-time margin holds trivially
         return Decision(safe=True, rationale=RATIONALE_MARGIN_PASS)
     margin_s = dv / (2.0 * p.a_max_mps2) + p.t_react_s + p.time_margin_s
-    if long_gap / abs(dv) > margin_s:
+    if ttc(long_gap, dv) > margin_s:
         return Decision(safe=True, rationale=RATIONALE_MARGIN_PASS)
     return Decision(safe=False, rationale=RATIONALE_LONGITUDINAL_FAIL)
 
@@ -114,7 +114,8 @@ def rba_decel(gap_long_m: float, ttc_s: float, p: RbaParams) -> float:
 
     The decrement is the larger of the distance shortfall and the TTC shortfall
     (both normalized), scaled by a_max / step frequency, clamped to
-    [0, a_max]. An infinite TTC contributes -inf and never dominates.
+    [0, a_max / step frequency] so the implied deceleration never exceeds
+    a_max. An infinite TTC contributes -inf and never dominates.
     """
     denom = p.d_safe_m + p.safety_buffer_m
     shortfall_gap = (denom - gap_long_m) / denom
@@ -123,7 +124,7 @@ def rba_decel(gap_long_m: float, ttc_s: float, p: RbaParams) -> float:
     else:
         shortfall_ttc = -math.inf
     dv = max(shortfall_gap, shortfall_ttc) * p.a_max_mps2 / p.step_freq_hz
-    return min(max(dv, 0.0), p.a_max_mps2)
+    return min(max(dv, 0.0), p.a_max_mps2 / p.step_freq_hz)
 
 
 def rba_velocity_update(v_ego_mps: float, dv_dec_mps: float, p: RbaParams) -> float:
@@ -248,14 +249,8 @@ def cc_human_evaluate(
     """
     intrusion_m = -gap_lateral(ego, cut, ego_dims, cut_dims)
     gap = gap_longitudinal(ego, cut, ego_dims, cut_dims)
-    dv = ego.vel_long_mps - cut.vel_long_mps
-    if gap >= 0.0 and dv > CLOSING_SPEED_FLOOR_MPS:
-        ttc = gap / dv
-    elif gap < 0.0:
-        ttc = 0.0
-    else:
-        ttc = math.inf
-    perceived = intrusion_m > p.lat_intrusion_trigger_m and ttc < p.perception_ttc_s
+    ttc_s = ttc(gap, ego.vel_long_mps - cut.vel_long_mps)
+    perceived = intrusion_m > p.lat_intrusion_trigger_m and ttc_s < p.perception_ttc_s
     if not perceived:
         return Decision(safe=True), 0.0
     if timer_s >= p.reaction_delay_s:
@@ -302,14 +297,7 @@ def fsm_evaluate(
     if gap_lateral(ego, cut, ego_dims, cut_dims) > 0.0:
         return Decision(safe=True)
     gap = gap_longitudinal(ego, cut, ego_dims, cut_dims)
-    dv = ego.vel_long_mps - cut.vel_long_mps
-    if gap < 0.0:
-        ttc = 0.0
-    elif dv > CLOSING_SPEED_FLOOR_MPS:
-        ttc = gap / dv
-    else:
-        ttc = math.inf
-    risk = fsm_risk(gap, ttc, p)
+    risk = fsm_risk(gap, ttc(gap, ego.vel_long_mps - cut.vel_long_mps), p)
     if risk > 0.0:
         return Decision(
             safe=False,
@@ -356,6 +344,31 @@ def idm_acceleration(
     return max(a, -2.0 * p.b_comfort_mps2)
 
 
+def idm_evaluate(
+    ego: VehicleState,
+    cut: VehicleState,
+    ego_dims: VehicleDims,
+    cut_dims: VehicleDims,
+    p: IdmParams,
+) -> tuple[Decision, float]:
+    """IDM car following. Returns the decision plus the signed acceleration.
+
+    With nothing in the ego lane the ego accelerates freely toward the desired
+    speed; an overlapping gap commands the emergency floor -2 b.
+    """
+    if gap_lateral(ego, cut, ego_dims, cut_dims) > 0.0:
+        a = idm_acceleration(ego.vel_long_mps, math.inf, 0.0, p)
+    else:
+        gap = gap_longitudinal(ego, cut, ego_dims, cut_dims)
+        if gap <= 0.0:
+            a = -2.0 * p.b_comfort_mps2
+        else:
+            a = idm_acceleration(ego.vel_long_mps, gap, ego.vel_long_mps - cut.vel_long_mps, p)
+    if a >= 0.0:
+        return Decision(safe=True), a
+    return Decision(safe=False, decel_cmd_mps2=-a, rationale=RATIONALE_LONGITUDINAL_FAIL), a
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameter bundle holding one record per registered model."""
@@ -369,170 +382,65 @@ class ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# Engine-facing adapters
+# Engine-facing step function
 # ---------------------------------------------------------------------------
 
-
-class _Adapter:
-    """Per-run wrapper turning a model into a step function for the engine.
-
-    decide() returns (decision, command). For per_step_decrement adapters the
-    command is a velocity decrement in m/s per step; otherwise it is a signed
-    longitudinal acceleration in m/s^2.
-    """
-
-    name = "none"
-    per_step_decrement = False
-
-    def reset(self) -> None:
-        pass
-
-    def decide(
-        self,
-        ego: VehicleState,
-        cut: VehicleState,
-        ego_dims: VehicleDims,
-        cut_dims: VehicleDims,
-        ttc_s: float,
-    ) -> tuple[Decision, float]:
-        raise NotImplementedError
+RBA_SATURATION_STEPS = 5
 
 
-class NullModel(_Adapter):
-    """Uncontrolled ego: never brakes. Used as the collision baseline."""
+def control_step(
+    name: str,
+    params: ModelParams,
+    ego: VehicleState,
+    other: VehicleState,
+    ego_dims: VehicleDims,
+    other_dims: VehicleDims,
+    ttc_s: float,
+    dt_s: float,
+    memory: float,
+) -> tuple[Decision, float, float]:
+    """One control step of the named model: (decision, acceleration in m/s^2, memory).
 
-    name = "none"
-
-    def decide(self, ego, cut, ego_dims, cut_dims, ttc_s):
-        return Decision(safe=True), 0.0
-
-
-class RbaModel(_Adapter):
-    name = "rba"
-    per_step_decrement = True
-
-    def __init__(self, params: RbaParams, saturation_steps: int = 5):
-        self.params = params
-        self.saturation_steps = saturation_steps
-        self._saturated_run = 0
-
-    def reset(self) -> None:
-        self._saturated_run = 0
-
-    def decide(self, ego, cut, ego_dims, cut_dims, ttc_s):
-        checked = rba_is_safe(ego, cut, ego_dims, cut_dims, self.params)
-        if checked.safe:
-            self._saturated_run = 0
-            return checked, 0.0
-        gap = gap_longitudinal(ego, cut, ego_dims, cut_dims)
-        dv_step = rba_decel(gap, ttc_s, self.params)
-        decel = dv_step * self.params.step_freq_hz
-        # braking pinned at the physical limit for several consecutive steps
-        # means braking alone is not enough; advise an evasive lane change
-        if decel >= self.params.a_max_mps2 * (1.0 - 1e-9):
-            self._saturated_run += 1
-        else:
-            self._saturated_run = 0
-        rationale = checked.rationale
-        if self._saturated_run >= self.saturation_steps:
-            rationale = RATIONALE_LANE_CHANGE_ADVISED
-        return Decision(safe=False, decel_cmd_mps2=decel, rationale=rationale), dv_step
-
-
-class RssModel(_Adapter):
-    name = "rss"
-
-    def __init__(self, params: RssParams):
-        self.params = params
-
-    def decide(self, ego, cut, ego_dims, cut_dims, ttc_s):
-        d = rss_evaluate(ego, cut, ego_dims, cut_dims, self.params)
-        return d, -d.decel_cmd_mps2
-
-
-class Reg157Model(_Adapter):
-    name = "reg157"
-
-    def __init__(self, params: Reg157Params):
-        self.params = params
-
-    def decide(self, ego, cut, ego_dims, cut_dims, ttc_s):
-        d = reg157_evaluate(ego, cut, ego_dims, cut_dims, self.params)
-        return d, -d.decel_cmd_mps2
-
-
-class CcHumanModel(_Adapter):
-    name = "cc_human"
-
-    def __init__(self, params: CcHumanParams, dt_s: float):
-        self.params = params
-        self.dt_s = dt_s
-        self._timer_s = 0.0
-
-    def reset(self) -> None:
-        self._timer_s = 0.0
-
-    def decide(self, ego, cut, ego_dims, cut_dims, ttc_s):
-        d, self._timer_s = cc_human_evaluate(
-            ego, cut, ego_dims, cut_dims, self.params, self._timer_s, self.dt_s
-        )
-        return d, -d.decel_cmd_mps2
-
-
-class FsmModel(_Adapter):
-    name = "fsm"
-
-    def __init__(self, params: FsmParams):
-        self.params = params
-
-    def decide(self, ego, cut, ego_dims, cut_dims, ttc_s):
-        d = fsm_evaluate(ego, cut, ego_dims, cut_dims, self.params)
-        return d, -d.decel_cmd_mps2
-
-
-class IdmModel(_Adapter):
-    name = "idm"
-
-    def __init__(self, params: IdmParams):
-        self.params = params
-
-    def decide(self, ego, cut, ego_dims, cut_dims, ttc_s):
-        if gap_lateral(ego, cut, ego_dims, cut_dims) > 0.0:
-            # nothing in lane: free-flow acceleration toward the desired speed
-            a = idm_acceleration(ego.vel_long_mps, math.inf, 0.0, self.params)
-        else:
-            gap = gap_longitudinal(ego, cut, ego_dims, cut_dims)
-            dv = ego.vel_long_mps - cut.vel_long_mps
-            if gap <= 0.0:
-                a = -2.0 * self.params.b_comfort_mps2
-            else:
-                a = idm_acceleration(ego.vel_long_mps, gap, dv, self.params)
-        if a >= 0.0:
-            return Decision(safe=True), a
-        return (
-            Decision(safe=False, decel_cmd_mps2=-a, rationale=RATIONALE_LONGITUDINAL_FAIL),
-            a,
-        )
-
-
-def create_model(name: str, params: ModelParams, dt_s: float) -> _Adapter:
-    """Instantiate a model adapter by its canonical name.
-
-    The rba adapter runs with step_freq_hz pinned to 1/dt_s so the per-step
-    velocity decrement matches the simulation step.
+    memory is the model's per-run state, 0 at scenario start, fed back on the
+    next step: rba counts consecutive steps braking at a_max, cc_human carries
+    its perception timer in seconds, the other models return it unchanged.
+    params.rba.step_freq_hz must equal 1 / dt_s.
     """
     if name == "rba":
-        return RbaModel(replace(params.rba, step_freq_hz=1.0 / dt_s))
+        p = params.rba
+        checked = rba_is_safe(ego, other, ego_dims, other_dims, p)
+        if checked.safe:
+            decision, dv_step, memory = checked, 0.0, 0
+        else:
+            dv_step = rba_decel(gap_longitudinal(ego, other, ego_dims, other_dims), ttc_s, p)
+            decel = dv_step * p.step_freq_hz
+            # braking pinned at the physical limit for several consecutive steps
+            # means braking alone is not enough; advise an evasive lane change
+            memory = memory + 1 if decel >= p.a_max_mps2 * (1.0 - 1e-9) else 0
+            rationale = checked.rationale
+            if memory >= RBA_SATURATION_STEPS:
+                rationale = RATIONALE_LANE_CHANGE_ADVISED
+            decision = Decision(safe=False, decel_cmd_mps2=decel, rationale=rationale)
+        v = ego.vel_long_mps
+        return decision, (rba_velocity_update(v, dv_step, p) - v) / dt_s, memory
     if name == "rss":
-        return RssModel(params.rss)
-    if name == "reg157":
-        return Reg157Model(params.reg157)
-    if name == "cc_human":
-        return CcHumanModel(params.cc_human, dt_s)
-    if name == "fsm":
-        return FsmModel(params.fsm)
-    if name == "idm":
-        return IdmModel(params.idm)
-    if name == "none":
-        return NullModel()
-    raise ConfigError(f"unknown safety model {name!r}; expected one of {MODEL_NAMES}", key="model")
+        decision = rss_evaluate(ego, other, ego_dims, other_dims, params.rss)
+    elif name == "reg157":
+        decision = reg157_evaluate(ego, other, ego_dims, other_dims, params.reg157)
+    elif name == "cc_human":
+        decision, memory = cc_human_evaluate(
+            ego, other, ego_dims, other_dims, params.cc_human, memory, dt_s
+        )
+    elif name == "fsm":
+        decision = fsm_evaluate(ego, other, ego_dims, other_dims, params.fsm)
+    elif name == "idm":
+        decision, accel = idm_evaluate(ego, other, ego_dims, other_dims, params.idm)
+        return decision, accel, memory
+    elif name == "none":
+        # uncontrolled ego: never brakes; the collision baseline
+        return Decision(safe=True), 0.0, memory
+    else:
+        raise ConfigError(
+            f"unknown safety model {name!r}; expected one of {MODEL_NAMES}", key="model"
+        )
+    return decision, -decision.decel_cmd_mps2, memory

@@ -122,7 +122,7 @@ def test_criterion_02_braking_law_contract():
         dv = rba_decel(gaps[i], ttcs[i], p)
         gap_short = (p.d_safe_m + p.safety_buffer_m) - gaps[i]
         ttc_short = (p.ttc_safe_s - ttcs[i]) if math.isfinite(ttcs[i]) else -math.inf
-        ok = 0.0 <= dv <= p.a_max_mps2
+        ok = 0.0 <= dv <= p.a_max_mps2 / p.step_freq_hz
         if gap_short <= 0.0 and ttc_short <= 0.0:
             ok = ok and dv == 0.0
         v_next = rba_velocity_update(vels[i], dv, p)

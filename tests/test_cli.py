@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -76,6 +77,36 @@ def test_bad_config_key_names_the_offender(tmp_path, capsys):
     assert "extra_key" in capsys.readouterr().err
 
 
+SCENARIO = {"kind": "cut_in", "v_e0": 25.0, "v_o0": 20.0, "d_x0": 30.0, "d_y0": 3.75,
+            "lc_start_s": 0.0, "lc_duration_s": 1.0}
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"scenario": {**SCENARIO, "duration_s": math.inf}}, "scenario.duration_s"),
+        ({"scenario": []}, "scenario"),
+        ({"risk": {"ttc_crit_s": "x"}}, "risk.ttc_crit_s"),
+        ({"scenario": {**SCENARIO, "kind": "car_following", "d_y0": 0.0,
+                       "other_speed_profile": [[1]]}}, "scenario.other_speed_profile"),
+        ({"scenario": {**SCENARIO, "v_e0": math.nan}}, "scenario.v_e0"),
+        ({"rba": {"a_max_mps2": math.nan}}, "rba.a_max_mps2"),
+        ({"model_params": {"idm": {"delta": "4"}}}, "model_params.idm.delta"),
+        ({"classify": {"ttc_critical_s": -math.inf}}, "classify.ttc_critical_s"),
+        ({"dims": {"ego": [2.0, 5.0]}}, "dims.ego"),
+        ({"sweep": {"v_e0": 25.0}}, "sweep.v_e0"),
+        ({"sweep": {"d_x0": [20.0, math.nan]}}, "sweep.d_x0"),
+    ],
+)
+def test_malformed_config_is_a_config_error_naming_the_key(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path, **overrides)
+    code = main(["one-case", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert key in err
+    assert "Traceback" not in err
+
+
 def test_underscore_aliases_accepted(tmp_path):
     out = tmp_path / "out"
     code = main(["one_case", "--config", os.path.join(CONFIGS, "cutin.json"), "--out", str(out)])
@@ -138,15 +169,6 @@ def test_config_hash_changes_with_any_parameter(tmp_path):
     assert h1 != h2
 
 
-def test_seed_env_var_overrides_config(tmp_path, monkeypatch):
-    cfg = comparison_config(tmp_path)
-    out = tmp_path / "a"
-    monkeypatch.setenv("CUTIN_SEED", "12345")
-    main(["comparison", "--config", cfg, "--out", str(out)])
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 12345
-
-
 def test_post_process_outputs(tmp_path):
     cfg = comparison_config(tmp_path)
     out = tmp_path / "cmp"
@@ -188,14 +210,6 @@ def test_default_out_dir_is_hash_scoped(tmp_path, monkeypatch):
     children = list(out_root.iterdir())
     assert len(children) == 1
     assert (children[0] / "verdict.json").exists()
-
-
-def test_invalid_seed_env_is_a_config_error(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path)
-    monkeypatch.setenv("CUTIN_SEED", "not_a_number")
-    code = main(["one-case", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "CUTIN_SEED" in capsys.readouterr().err
 
 
 def test_comparison_requires_sweep_section(tmp_path, capsys):

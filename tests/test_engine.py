@@ -122,6 +122,17 @@ def test_rba_avoids_feasible_intercept():
     assert r.min_gap_long_m > 0.0
 
 
+@pytest.mark.parametrize("dt", (0.025, 0.05, 0.1))
+def test_rba_deceleration_never_exceeds_a_max(dt):
+    # the ego passes the cut vehicle while it merges from two lanes over: the
+    # gap goes negative and the normalised distance shortfall exceeds 1
+    r = run_closed_loop(cutin(v_e0=40.0, v_o0=15.0, d_x0=10.0, d_y0=7.5, dt=dt), "rba")
+    peak = max(s.decel_cmd_mps2 for s in r.trace)
+    assert peak == pytest.approx(6.0)
+    assert peak <= 6.0 * (1.0 + 1e-12)
+    assert not r.collided
+
+
 def test_velocity_stays_in_bounds_for_braking_models():
     for model in ("rba", "rss", "reg157", "cc_human", "fsm", "none"):
         r = run_closed_loop(cutin(v_e0=30.0, v_o0=15.0, d_x0=40.0), model)

@@ -5,8 +5,10 @@ import pytest
 
 from cutinsim.errors import InvalidInputError, UndefinedSensitivityError
 from cutinsim.metrics import (
+    CLOSING_SPEED_FLOOR_MPS,
     compute_features,
     finite_difference_sensitivity,
+    ttc,
     ttc_sensitivity,
 )
 
@@ -35,6 +37,17 @@ def test_stopped_follower_has_infinite_thw():
     f = compute_features(50.0, 0.0, 5.0)
     assert math.isinf(f.thw_s)
     assert f.ttc_s == 10.0
+
+
+def test_ttc_convention():
+    assert ttc(40.0, 10.0) == 4.0
+    assert ttc(0.0, 5.0) == 0.0
+    # not closing: infinite, including at the floor itself
+    for closing in (-5.0, 0.0, CLOSING_SPEED_FLOOR_MPS):
+        assert ttc(40.0, closing) == math.inf
+    # a negative gap is 0 whether or not the pair closes
+    for closing in (-5.0, 0.0, 5.0):
+        assert ttc(-0.1, closing) == 0.0
 
 
 def test_negative_gap_rejected():

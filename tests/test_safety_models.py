@@ -3,22 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from cutinsim.errors import InvalidInputError
+from cutinsim.errors import ConfigError, InvalidInputError
 from cutinsim.kinematics import VehicleDims, VehicleState
 from cutinsim.safety_models import (
     CcHumanParams,
     Decision,
     FsmParams,
     IdmParams,
+    ModelParams,
+    RATIONALE_LANE_CHANGE_ADVISED,
     RATIONALE_LATERAL_FAIL,
     RATIONALE_MARGIN_PASS,
     RbaParams,
     Reg157Params,
     RssParams,
     cc_human_evaluate,
+    control_step,
     fsm_evaluate,
     fsm_risk,
     idm_acceleration,
+    idm_evaluate,
     rba_decel,
     rba_is_safe,
     rba_velocity_update,
@@ -114,6 +118,9 @@ def test_braking_law_zero_at_boundary_and_saturation():
     p1 = RbaParams(d_safe_m=10.0, safety_buffer_m=2.0, ttc_safe_s=3.0,
                    a_max_mps2=6.0, step_freq_hz=1.0)
     assert rba_decel(0.0, 0.0, p1) == 6.0
+    # a negative gap doubles the distance shortfall; the decrement still stops
+    # at a_max / step frequency
+    assert rba_decel(-12.0, 0.0, p) == pytest.approx(0.6)
 
 
 def test_braking_law_bounds_and_exact_zero():
@@ -123,7 +130,7 @@ def test_braking_law_bounds_and_exact_zero():
         gap = rng.uniform(-50.0, 300.0)
         ttc = math.inf if rng.random() < 0.1 else rng.uniform(0.0, 20.0)
         dv = rba_decel(gap, ttc, p)
-        assert 0.0 <= dv <= p.a_max_mps2
+        assert 0.0 <= dv <= p.a_max_mps2 / p.step_freq_hz
         gap_short = (p.d_safe_m + p.safety_buffer_m - gap)
         ttc_short = (p.ttc_safe_s - ttc) if math.isfinite(ttc) else -math.inf
         if gap_short <= 0.0 and ttc_short <= 0.0:
@@ -292,20 +299,56 @@ def test_decision_invariants():
 
 
 def test_saturated_braking_advises_lane_change():
-    from cutinsim.safety_models import RATIONALE_LANE_CHANGE_ADVISED, RbaModel
-
-    model = RbaModel(RbaParams(step_freq_hz=20.0), saturation_steps=5)
-    model.reset()
+    params = ModelParams(rba=RbaParams(step_freq_hz=20.0))
     ego = veh(0, 0, 30.0)
     stuck = veh(4.0, 0.0, 10.0)  # gap -1 m, laterally overlapping, closing hard
     rationales = []
+    memory = 0
     for _ in range(6):
-        decision, _ = model.decide(ego, stuck, DIMS, DIMS, 0.0)
+        decision, _, memory = control_step(
+            "rba", params, ego, stuck, DIMS, DIMS, 0.0, 0.05, memory
+        )
         assert not decision.safe
         rationales.append(decision.rationale)
     assert RATIONALE_LANE_CHANGE_ADVISED not in rationales[:4]
     assert rationales[4] == RATIONALE_LANE_CHANGE_ADVISED
     assert rationales[5] == RATIONALE_LANE_CHANGE_ADVISED
-    model.reset()
-    decision, _ = model.decide(ego, veh(200.0, 3.75, 30.0), DIMS, DIMS, math.inf)
+    decision, _, _ = control_step(
+        "rba", params, ego, veh(200.0, 3.75, 30.0), DIMS, DIMS, math.inf, 0.05, 0
+    )
     assert decision.safe
+
+
+def test_control_step_dispatches_to_the_model_functions():
+    params = ModelParams()
+    dt = 1.0 / params.rba.step_freq_hz
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        ego = veh(0.0, 0.0, rng.uniform(0.0, 35.0))
+        other = veh(rng.uniform(-8.0, 60.0), rng.uniform(0.0, 4.0), rng.uniform(0.0, 35.0))
+        ttc_s = rng.uniform(0.0, 10.0)
+        for name, evaluate in (
+            ("rss", rss_evaluate), ("reg157", reg157_evaluate), ("fsm", fsm_evaluate)
+        ):
+            d, a, memory = control_step(name, params, ego, other, DIMS, DIMS, ttc_s, dt, 7)
+            assert d == evaluate(ego, other, DIMS, DIMS, getattr(params, name))
+            assert (a, memory) == (-d.decel_cmd_mps2, 7)
+        d, a, timer = control_step("cc_human", params, ego, other, DIMS, DIMS, ttc_s, dt, 0.5)
+        assert (d, timer) == cc_human_evaluate(ego, other, DIMS, DIMS, params.cc_human, 0.5, dt)
+        assert a == -d.decel_cmd_mps2
+        d, a, memory = control_step("idm", params, ego, other, DIMS, DIMS, ttc_s, dt, 7)
+        assert (d, a, memory) == (*idm_evaluate(ego, other, DIMS, DIMS, params.idm), 7)
+        assert control_step("none", params, ego, other, DIMS, DIMS, ttc_s, dt, 7) == (
+            Decision(safe=True), 0.0, 7
+        )
+        # rba: the per-step decrement comes back as an acceleration, never
+        # beyond a_max, and stopping at v_min only shortens it
+        d, a, _ = control_step("rba", params, ego, other, DIMS, DIMS, ttc_s, dt, 0)
+        assert d.decel_cmd_mps2 <= params.rba.a_max_mps2 * (1.0 + 1e-12)
+        assert a <= 0.0
+        assert -a == pytest.approx(min(d.decel_cmd_mps2, ego.vel_long_mps / dt), abs=1e-9)
+
+
+def test_control_step_rejects_unknown_model():
+    with pytest.raises(ConfigError, match="bogus"):
+        control_step("bogus", ModelParams(), veh(), veh(20.0), DIMS, DIMS, math.inf, 0.05, 0)

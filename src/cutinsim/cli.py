@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument("--config", required=True, help="JSON run configuration")
     p_cmp.add_argument("--out", help="output directory (default out/<config-hash>)")
-    p_cmp.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_cmp.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1 (capped at the CPU count)")
     p_cmp.set_defaults(func=cmd_comparison)
 
     p_post = sub.add_parser(

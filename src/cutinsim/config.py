@@ -168,6 +168,9 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
     if not isinstance(models_raw, (list, tuple)) or not models_raw:
         raise ConfigError("models must be a nonempty list", key="models")
     models = tuple(_check_model_name(m, "models") for m in models_raw)
+    for i, name in enumerate(models):
+        if name in models[:i]:
+            raise ConfigError(f"models lists {name!r} more than once", key="models")
 
     model_params = _parse_model_params(raw.get("model_params", {}), raw.get("rba", {}))
     classify = _build_dataclass(ClassifyThresholds, raw.get("classify", {}), "classify")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
@@ -26,6 +27,10 @@ CRITICAL = "critical"
 NON_CRITICAL = "non_critical"
 
 DEFAULT_DIMS = VehicleDims(width_m=2.0, length_m=5.0)
+
+# Upper bound on round(duration_s / dt_s), the steps of one run; a finer dt_s
+# than this allows is a config error rather than an unbounded loop.
+MAX_STEPS = 1_000_000
 
 
 def check_finite(value: Any, key: str) -> Any:
@@ -84,6 +89,12 @@ class ScenarioParams:
                 "scenario.duration_s must cover lc_start_s + lc_duration_s",
                 key="scenario.duration_s",
             )
+        steps = self.duration_s / self.dt_s
+        if math.isinf(steps) or round(steps) > MAX_STEPS:
+            raise ConfigError(
+                f"scenario.dt_s gives {steps:.3g} steps over duration_s; at most {MAX_STEPS}",
+                key="scenario.dt_s",
+            )
         if self.v_e0_mps < 0.0 or self.v_o0_mps < 0.0:
             raise ConfigError("scenario velocities must be >= 0", key="scenario.v_e0")
         if self.d_y0_m < 0.0:
@@ -114,10 +125,11 @@ class ScenarioParams:
 
 @dataclass(frozen=True)
 class SimResult:
-    trace: tuple[TraceSample, ...]
+    trace: tuple[TraceSample, ...]  # empty in sweep results
     collided: bool
     min_gap_long_m: float
     min_ttc_s: float  # math.inf when the pair never closes
+    peak_decel_mps2: float
     classification: str
     model_name: str
 
@@ -192,17 +204,16 @@ def build_scenario(
     return Scenario(params=p, ego0=ego0, ego_dims=ego_dims, other_dims=other_dims)
 
 
+def _classify(collided: bool, min_ttc_s: float, peak_decel: float, th: ClassifyThresholds) -> str:
+    if collided or min_ttc_s < th.ttc_critical_s or peak_decel > th.comfort_decel_mps2:
+        return CRITICAL
+    return NON_CRITICAL
+
+
 def classify_event(result: SimResult, thresholds: ClassifyThresholds) -> str:
     """Critical when the run collided, dipped under the TTC threshold, or braked
     harder than the comfort level; non-critical otherwise."""
-    peak_decel = max((s.decel_cmd_mps2 for s in result.trace), default=0.0)
-    if (
-        result.collided
-        or result.min_ttc_s < thresholds.ttc_critical_s
-        or peak_decel > thresholds.comfort_decel_mps2
-    ):
-        return CRITICAL
-    return NON_CRITICAL
+    return _classify(result.collided, result.min_ttc_s, result.peak_decel_mps2, thresholds)
 
 
 def run_closed_loop(
@@ -221,7 +232,6 @@ def run_closed_loop(
     """
     scenario = build_scenario(p, ego_dims, other_dims)
     dt = p.dt_s
-    params = replace(params, rba=replace(params.rba, step_freq_hz=1.0 / dt))
 
     ego = scenario.ego0
     memory = 0
@@ -258,17 +268,17 @@ def run_closed_loop(
         ego = step_vehicle(ego, accel, 0.0, dt)
 
     min_gap = min(s.gap_long_m for s in trace)
-    finite_ttcs = [s.ttc_s for s in trace if math.isfinite(s.ttc_s)]
-    min_ttc = min(finite_ttcs) if finite_ttcs else math.inf
-    result = SimResult(
+    min_ttc = min((s.ttc_s for s in trace if math.isfinite(s.ttc_s)), default=math.inf)
+    peak_decel = max(s.decel_cmd_mps2 for s in trace)
+    return SimResult(
         trace=tuple(trace),
         collided=collided,
         min_gap_long_m=min_gap,
         min_ttc_s=min_ttc,
-        classification="",
+        peak_decel_mps2=peak_decel,
+        classification=_classify(collided, min_ttc, peak_decel, thresholds),
         model_name=model_name,
     )
-    return replace(result, classification=classify_event(result, thresholds))
 
 
 @dataclass(frozen=True)
@@ -293,7 +303,8 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepItem:
-    """One grid point of a sweep: its coordinates plus the result or an error."""
+    """One grid point of a sweep: its coordinates plus the result or an error.
+    The result is the run's summary only; its trace is empty."""
 
     model_name: str
     grid_index: int
@@ -310,7 +321,7 @@ def _run_sweep_point(
     try:
         scenario = replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
         result = run_closed_loop(scenario, model_name, params, thresholds)
-        return SweepItem(model_name, index, point, result)
+        return SweepItem(model_name, index, point, replace(result, trace=()))
     except Exception as exc:  # recorded as an error row, never aborts the sweep
         return SweepItem(model_name, index, point, None, error=f"{type(exc).__name__}: {exc}")
 
@@ -326,18 +337,22 @@ def sweep(
     """Simulate the full grid for every model.
 
     Results come back ordered by (model, grid index) regardless of how many
-    worker processes execute them.
+    worker processes execute them. At most min(jobs, CPU count, number of runs)
+    workers start; with one, the runs execute in this process.
     """
     if not models:
         raise ConfigError("comparison needs at least one model", key="models")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}", key="jobs")
     points = grid.points()
     tasks = [
         (base, model_name, index, point, params, thresholds)
         for model_name in models
         for index, point in enumerate(points)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_sweep_point, tasks, chunksize=8))
     return [_run_sweep_point(task) for task in tasks]
 

@@ -114,6 +114,9 @@ def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet
                     y_vel_mps=float(fields[7]),
                     lane_id=int(fields[8]),
                 )
+                if not all(map(math.isfinite, (row.x_m, row.y_m, row.length_m, row.width_m,
+                                               row.x_vel_mps, row.y_vel_mps))):
+                    raise ValueError("non-finite position, size or velocity")
                 if row.width_m <= 0.0 or row.length_m <= 0.0:
                     raise ValueError("vehicle dimensions must be positive")
             except ValueError as exc:

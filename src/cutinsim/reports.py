@@ -104,37 +104,20 @@ def write_comparison_store(
         with open(os.path.join(out_dir, name), "w", newline="") as fh:
             fh.write(RESULTS_HEADER + "\n")
             for item in sorted(model_items, key=lambda it: it.grid_index):
-                v_e0, v_o0, d_x0, d_y0 = item.point
-                if item.result is not None:
-                    r = item.result
-                    peak = max((s.decel_cmd_mps2 for s in r.trace), default=0.0)
-                    fields = (
-                        str(item.grid_index),
-                        fmt_float(v_e0),
-                        fmt_float(v_o0),
-                        fmt_float(d_x0),
-                        fmt_float(d_y0),
+                r = item.result
+                if r is not None:
+                    outcome = (
                         "1" if r.collided else "0",
                         fmt_float(r.min_ttc_s),
                         fmt_float(r.min_gap_long_m),
-                        fmt_float(peak),
+                        fmt_float(r.peak_decel_mps2),
                         r.classification,
                         "",
                     )
                 else:
-                    fields = (
-                        str(item.grid_index),
-                        fmt_float(v_e0),
-                        fmt_float(v_o0),
-                        fmt_float(d_x0),
-                        fmt_float(d_y0),
-                        "",
-                        "",
-                        "",
-                        "",
-                        "",
-                        (item.error or "unknown error").replace(",", ";").replace("\n", " "),
-                    )
+                    error = (item.error or "unknown error").replace(",", ";").replace("\n", " ")
+                    outcome = ("", "", "", "", "", error)
+                fields = (str(item.grid_index), *map(fmt_float, item.point), *outcome)
                 fh.write(",".join(fields) + "\n")
     manifest = {
         "schema_version": 1,

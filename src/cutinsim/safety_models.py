@@ -48,9 +48,6 @@ class RbaParams:
     ttc_safe_s sets where proportional braking starts to engage: below ~5 s the
     controller cannot shed closing speeds above roughly 14 m/s in time, so the
     default is deliberately conservative.
-
-    step_freq_hz scales the per-step velocity decrement and must equal 1/dt of
-    the simulation loop; the engine enforces that.
     """
 
     d_lat_safe_m: float = 0.5
@@ -60,7 +57,6 @@ class RbaParams:
     v_min_mps: float = 0.0
     ttc_safe_s: float = 6.0
     safety_buffer_m: float = 2.0
-    step_freq_hz: float = 20.0
     time_margin_s: float = 0.1
     headway_gain_s: float = 0.0  # speed-proportional growth of the safe distance
 
@@ -69,8 +65,6 @@ class RbaParams:
             raise InvalidInputError("a_max_mps2 must be positive")
         if self.ttc_safe_s <= 0.0:
             raise InvalidInputError("ttc_safe_s must be positive")
-        if self.step_freq_hz <= 0.0:
-            raise InvalidInputError("step_freq_hz must be positive")
         if self.d_safe_m + self.safety_buffer_m <= 0.0:
             raise InvalidInputError("d_safe_m + safety_buffer_m must be positive")
         if self.v_min_mps < 0.0:
@@ -109,7 +103,7 @@ def rba_is_safe(
     return Decision(safe=False, rationale=RATIONALE_LONGITUDINAL_FAIL)
 
 
-def rba_decel(gap_long_m: float, ttc_s: float, p: RbaParams) -> float:
+def rba_decel(gap_long_m: float, ttc_s: float, p: RbaParams, step_freq_hz: float) -> float:
     """Per-step velocity decrement (m/s) commanded once the check reports unsafe.
 
     The decrement is the larger of the distance shortfall and the TTC shortfall
@@ -123,8 +117,8 @@ def rba_decel(gap_long_m: float, ttc_s: float, p: RbaParams) -> float:
         shortfall_ttc = (p.ttc_safe_s - ttc_s) / p.ttc_safe_s
     else:
         shortfall_ttc = -math.inf
-    dv = max(shortfall_gap, shortfall_ttc) * p.a_max_mps2 / p.step_freq_hz
-    return min(max(dv, 0.0), p.a_max_mps2 / p.step_freq_hz)
+    dv = max(shortfall_gap, shortfall_ttc) * p.a_max_mps2 / step_freq_hz
+    return min(max(dv, 0.0), p.a_max_mps2 / step_freq_hz)
 
 
 def rba_velocity_update(v_ego_mps: float, dv_dec_mps: float, p: RbaParams) -> float:
@@ -404,7 +398,6 @@ def control_step(
     memory is the model's per-run state, 0 at scenario start, fed back on the
     next step: rba counts consecutive steps braking at a_max, cc_human carries
     its perception timer in seconds, the other models return it unchanged.
-    params.rba.step_freq_hz must equal 1 / dt_s.
     """
     if name == "rba":
         p = params.rba
@@ -412,8 +405,10 @@ def control_step(
         if checked.safe:
             decision, dv_step, memory = checked, 0.0, 0
         else:
-            dv_step = rba_decel(gap_longitudinal(ego, other, ego_dims, other_dims), ttc_s, p)
-            decel = dv_step * p.step_freq_hz
+            step_freq_hz = 1.0 / dt_s
+            gap = gap_longitudinal(ego, other, ego_dims, other_dims)
+            dv_step = rba_decel(gap, ttc_s, p, step_freq_hz)
+            decel = dv_step * step_freq_hz
             # braking pinned at the physical limit for several consecutive steps
             # means braking alone is not enough; advise an evasive lane change
             memory = memory + 1 if decel >= p.a_max_mps2 * (1.0 - 1e-9) else 0

@@ -116,13 +116,14 @@ def test_criterion_02_braking_law_contract():
     inf_mask = rng.random(n) < 0.1
     ttcs[inf_mask] = math.inf
     vels = rng.uniform(0.0, 40.0, size=n)
+    step_freq_hz = 20.0
     violations = 0
     for i in range(n):
         p = params[i % len(params)]
-        dv = rba_decel(gaps[i], ttcs[i], p)
+        dv = rba_decel(gaps[i], ttcs[i], p, step_freq_hz)
         gap_short = (p.d_safe_m + p.safety_buffer_m) - gaps[i]
         ttc_short = (p.ttc_safe_s - ttcs[i]) if math.isfinite(ttcs[i]) else -math.inf
-        ok = 0.0 <= dv <= p.a_max_mps2 / p.step_freq_hz
+        ok = 0.0 <= dv <= p.a_max_mps2 / step_freq_hz
         if gap_short <= 0.0 and ttc_short <= 0.0:
             ok = ok and dv == 0.0
         v_next = rba_velocity_update(vels[i], dv, p)

@@ -96,6 +96,8 @@ SCENARIO = {"kind": "cut_in", "v_e0": 25.0, "v_o0": 20.0, "d_x0": 30.0, "d_y0": 
         ({"dims": {"ego": [2.0, 5.0]}}, "dims.ego"),
         ({"sweep": {"v_e0": 25.0}}, "sweep.v_e0"),
         ({"sweep": {"d_x0": [20.0, math.nan]}}, "sweep.d_x0"),
+        ({"models": ["rba", "rba", "none"]}, "models"),
+        ({"scenario": {**SCENARIO, "dt_s": 1e-9}}, "scenario.dt_s"),
     ],
 )
 def test_malformed_config_is_a_config_error_naming_the_key(tmp_path, capsys, overrides, key):
@@ -148,6 +150,17 @@ def test_comparison_jobs_flag_matches_serial(tmp_path):
     assert main(["comparison", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["comparison", "--config", cfg, "--out", str(out2), "--jobs", "2"]) == 0
     assert tree_digest(out1) == tree_digest(out2)
+
+
+@pytest.mark.parametrize("jobs", ("0", "-3"))
+def test_comparison_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    cfg = comparison_config(tmp_path)
+    out = tmp_path / "cmp"
+    assert main(["comparison", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert "jobs" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_config_hash_changes_with_any_parameter(tmp_path):

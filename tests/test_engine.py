@@ -1,9 +1,13 @@
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cutinsim.engine as engine
 from cutinsim.engine import (
+    MAX_STEPS,
     ClassifyThresholds,
     ScenarioParams,
     SimResult,
@@ -169,6 +173,9 @@ def test_scenario_validation():
         cutin(lc_start=10.0, lc_dur=3.0, duration=12.0)
     with pytest.raises(ConfigError, match="other_speed_profile"):
         cutin(profile=((1.0, 5.0),))
+    with pytest.raises(ConfigError, match="dt_s"):
+        cutin(dt=5e-324)  # duration / dt overflows to inf
+    cutin(duration=12.0, dt=12.0 / MAX_STEPS)  # exactly at the step bound
 
 
 def test_sweep_cardinality_order_and_determinism():
@@ -193,6 +200,54 @@ def test_sweep_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_sweep_items_carry_the_summary_without_the_trace():
+    grid = SweepGrid(v_e0_mps=(30.0,), v_o0_mps=(10.0, 15.0), d_x0_m=(25.0,), d_y0_m=(3.75,))
+    base = cutin()
+    items = sweep(grid, ["rba", "none"], base)
+    for it in items:
+        assert it.result.trace == ()
+        assert len(pickle.dumps(it, pickle.HIGHEST_PROTOCOL)) < 2048
+        v_e0, v_o0, d_x0, d_y0 = it.point
+        full = run_closed_loop(
+            replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0), it.model_name
+        )
+        assert full.trace
+        assert it.result == replace(full, trace=())
+        assert full.peak_decel_mps2 == max(s.decel_cmd_mps2 for s in full.trace)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, started",
+    [(100_000, 64, [6]), (100_000, 3, [3]), (2, 64, [2]), (100_000, None, []), (1, 64, [])],
+)
+def test_sweep_worker_count_is_bounded(monkeypatch, jobs, cpus, started):
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    grid = SweepGrid(v_e0_mps=(20.0, 30.0, 35.0), v_o0_mps=(10.0,), d_x0_m=(25.0,), d_y0_m=(3.75,))
+    items = sweep(grid, ["rba", "none"], cutin(), jobs=jobs)
+    assert RecordingPool.started == started
+    assert items == sweep(grid, ["rba", "none"], cutin())
+
+
 def test_sweep_records_error_rows_instead_of_aborting():
     grid = SweepGrid(v_e0_mps=(20.0,), v_o0_mps=(10.0,), d_x0_m=(20.0,), d_y0_m=(3.75,))
     base = cutin(kind="car_following", d_y0=0.0)  # grid d_y0 3.75 is invalid here
@@ -210,8 +265,13 @@ def test_classification_rules():
     assert math.isinf(quiet.min_ttc_s)
     assert classify_event(quiet, th) == "non_critical"
     shaved = SimResult(trace=quiet.trace, collided=False, min_gap_long_m=quiet.min_gap_long_m,
-                       min_ttc_s=1.5, classification="", model_name="none")
+                       min_ttc_s=1.5, peak_decel_mps2=0.0, classification="", model_name="none")
     assert classify_event(shaved, th) == "critical"
+    # the peak braking is read from the result, not rescanned from a trace
+    hard = SimResult(trace=(), collided=False, min_gap_long_m=quiet.min_gap_long_m,
+                     min_ttc_s=math.inf, peak_decel_mps2=3.6, classification="", model_name="rba")
+    assert classify_event(hard, th) == "critical"
+    assert classify_event(replace(hard, peak_decel_mps2=3.5), th) == "non_critical"
 
 
 def test_feasibility_bound_values():

@@ -68,17 +68,24 @@ def test_missing_column_is_a_schema_error(tmp_path):
 
 def test_malformed_row_strict_and_lenient(tmp_path):
     path = tmp_path / "rows.csv"
-    path.write_text(
-        ",".join(TRACKS_HEADER) + "\n"
-        "0,1,0.0,0.0,5.0,2.0,20.0,0.0,0\n"
-        "1,1,not_a_number,0.0,5.0,2.0,20.0,0.0,0\n"
-        "2,1,2.0,0.0,5.0,2.0,20.0,0.0,0\n"
-    )
-    with pytest.raises(ParseError, match="line 3"):
-        read_tracks_csv(path, FPS, strict=True)
-    with pytest.warns(UserWarning, match="line 3"):
-        ts = read_tracks_csv(path, FPS, strict=False)
-    assert [r.frame for r in ts.tracks[1].rows] == [0, 2]
+    for bad_row in (
+        "1,1,not_a_number,0.0,5.0,2.0,20.0,0.0,0",
+        "1,1,nan,0.0,5.0,2.0,20.0,0.0,0",
+        "1,1,1.0,0.0,5.0,nan,20.0,0.0,0",
+        "1,1,1.0,0.0,5.0,2.0,inf,0.0,0",
+        "1,1,1.0,-inf,5.0,2.0,20.0,0.0,0",
+    ):
+        path.write_text(
+            ",".join(TRACKS_HEADER) + "\n"
+            "0,1,0.0,0.0,5.0,2.0,20.0,0.0,0\n"
+            + bad_row + "\n"
+            "2,1,2.0,0.0,5.0,2.0,20.0,0.0,0\n"
+        )
+        with pytest.raises(ParseError, match="line 3"):
+            read_tracks_csv(path, FPS, strict=True)
+        with pytest.warns(UserWarning, match="line 3"):
+            ts = read_tracks_csv(path, FPS, strict=False)
+        assert [r.frame for r in ts.tracks[1].rows] == [0, 2]
 
 
 def test_no_events_when_lanes_never_merge(tmp_path):

@@ -105,32 +105,29 @@ def test_monotone_in_gaps_and_braking_authority():
 
 
 def test_braking_law_hand_transcription():
-    p = RbaParams(d_safe_m=10.0, safety_buffer_m=2.0, ttc_safe_s=3.0,
-                  a_max_mps2=6.0, step_freq_hz=10.0)
+    p = RbaParams(d_safe_m=10.0, safety_buffer_m=2.0, ttc_safe_s=3.0, a_max_mps2=6.0)
     # max((12-6)/12, (3-1.5)/3) * 6 / 10 = 0.3
-    assert rba_decel(6.0, 1.5, p) == pytest.approx(0.3)
+    assert rba_decel(6.0, 1.5, p, 10.0) == pytest.approx(0.3)
 
 
 def test_braking_law_zero_at_boundary_and_saturation():
-    p = RbaParams(d_safe_m=10.0, safety_buffer_m=2.0, ttc_safe_s=3.0,
-                  a_max_mps2=6.0, step_freq_hz=10.0)
-    assert rba_decel(12.0, 3.0, p) == 0.0
-    p1 = RbaParams(d_safe_m=10.0, safety_buffer_m=2.0, ttc_safe_s=3.0,
-                   a_max_mps2=6.0, step_freq_hz=1.0)
-    assert rba_decel(0.0, 0.0, p1) == 6.0
+    p = RbaParams(d_safe_m=10.0, safety_buffer_m=2.0, ttc_safe_s=3.0, a_max_mps2=6.0)
+    assert rba_decel(12.0, 3.0, p, 10.0) == 0.0
+    assert rba_decel(0.0, 0.0, p, 1.0) == 6.0
     # a negative gap doubles the distance shortfall; the decrement still stops
     # at a_max / step frequency
-    assert rba_decel(-12.0, 0.0, p) == pytest.approx(0.6)
+    assert rba_decel(-12.0, 0.0, p, 10.0) == pytest.approx(0.6)
 
 
 def test_braking_law_bounds_and_exact_zero():
     rng = np.random.default_rng(5)
     p = RbaParams()
+    step_freq_hz = 20.0
     for _ in range(2000):
         gap = rng.uniform(-50.0, 300.0)
         ttc = math.inf if rng.random() < 0.1 else rng.uniform(0.0, 20.0)
-        dv = rba_decel(gap, ttc, p)
-        assert 0.0 <= dv <= p.a_max_mps2 / p.step_freq_hz
+        dv = rba_decel(gap, ttc, p, step_freq_hz)
+        assert 0.0 <= dv <= p.a_max_mps2 / step_freq_hz
         gap_short = (p.d_safe_m + p.safety_buffer_m - gap)
         ttc_short = (p.ttc_safe_s - ttc) if math.isfinite(ttc) else -math.inf
         if gap_short <= 0.0 and ttc_short <= 0.0:
@@ -299,7 +296,7 @@ def test_decision_invariants():
 
 
 def test_saturated_braking_advises_lane_change():
-    params = ModelParams(rba=RbaParams(step_freq_hz=20.0))
+    params = ModelParams()
     ego = veh(0, 0, 30.0)
     stuck = veh(4.0, 0.0, 10.0)  # gap -1 m, laterally overlapping, closing hard
     rationales = []
@@ -321,7 +318,7 @@ def test_saturated_braking_advises_lane_change():
 
 def test_control_step_dispatches_to_the_model_functions():
     params = ModelParams()
-    dt = 1.0 / params.rba.step_freq_hz
+    dt = 0.05
     rng = np.random.default_rng(31)
     for _ in range(300):
         ego = veh(0.0, 0.0, rng.uniform(0.0, 35.0))

@@ -104,6 +104,7 @@ def cmd_post_process(args: argparse.Namespace) -> int:
         ttc_crit = args.ttc_crit
     else:
         ttc_crit = manifest.get("config", {}).get("risk", {}).get("ttc_crit_s", 2.0)
+    engine.check_finite(ttc_crit, "ttc-crit")
     if ttc_crit <= 0.0:
         raise ConfigError("ttc-crit must be positive", key="ttc-crit")
 

@@ -237,7 +237,7 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}", key="config")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ConfigError(f"config file {path} is not valid JSON: {exc}", key="config")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object", key="config")
@@ -245,8 +245,9 @@ def load_config(path: str) -> RunConfig:
 
 
 def resolved_dict(config: RunConfig) -> dict[str, Any]:
-    """Fully-materialized config as plain data; input to hashing and manifests."""
-    scenario = dataclasses.asdict(config.scenario)
+    """Fully-materialized config as plain data, in the keys parse_config reads;
+    input to hashing and manifests."""
+    scenario = {key: getattr(config.scenario, name) for key, name in _SCENARIO_KEYS.items()}
     scenario["other_speed_profile"] = [list(p) for p in config.scenario.other_speed_profile]
     out = {
         "schema_version": SCHEMA_VERSION,

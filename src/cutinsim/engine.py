@@ -35,7 +35,13 @@ MAX_STEPS = 1_000_000
 
 def check_finite(value: Any, key: str) -> Any:
     """Return value if it is a finite real number; otherwise a ConfigError naming key."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    try:
+        finite = (
+            not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+        )
+    except OverflowError:  # an integer beyond float range
+        finite = False
+    if not finite:
         raise ConfigError(f"{key} must be a finite number, got {value!r}", key=key)
     return value
 
@@ -95,8 +101,9 @@ class ScenarioParams:
                 f"scenario.dt_s gives {steps:.3g} steps over duration_s; at most {MAX_STEPS}",
                 key="scenario.dt_s",
             )
-        if self.v_e0_mps < 0.0 or self.v_o0_mps < 0.0:
-            raise ConfigError("scenario velocities must be >= 0", key="scenario.v_e0")
+        for key, value in (("v_e0", self.v_e0_mps), ("v_o0", self.v_o0_mps)):
+            if value < 0.0:
+                raise ConfigError(f"scenario.{key} must be >= 0", key=f"scenario.{key}")
         if self.d_y0_m < 0.0:
             raise ConfigError("scenario.d_y0 must be >= 0", key="scenario.d_y0")
         if self.kind == "car_following" and self.d_y0_m != 0.0:
@@ -256,7 +263,8 @@ def run_closed_loop(
             # longitudinally alongside but laterally separated: no closing course
             ttc = math.inf
         decision, accel, memory = control_step(
-            model_name, params, ego, other, ego_dims, other_dims, ttc, dt, memory
+            model_name, params, gap_long, gap_lat,
+            ego.vel_long_mps, other.vel_long_mps, ttc, dt, memory,
         )
         trace.append(
             TraceSample(

@@ -193,7 +193,6 @@ def _estimate_lane_change_window(
 
 def extract_cut_in_events(
     track_set: TrackSet,
-    lane_width_m: float = LANE_WIDTH_M,
     min_gap_m: float = 100.0,
 ) -> list[CutInEvent]:
     """Find lane transitions of one track into the lane of a track behind it.

@@ -145,7 +145,7 @@ def read_manifest(results_dir: str) -> dict[str, Any]:
             manifest = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"no manifest found in {results_dir}", key="results")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ConfigError(f"corrupt manifest in {results_dir}: {exc}", key="results")
     for key in ("config_hash", "files", "models"):
         if key not in manifest:

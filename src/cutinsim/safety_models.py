@@ -1,4 +1,4 @@
-"""Safety decision models behind one step function.
+"""Safety decision models over one step's gaps and speeds, behind one step function.
 
 The primary model ("rba") is a rules-based check: a lateral clearance gate
 combined with a longitudinal gate that accepts either a raw distance margin or
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, InvalidInputError
-from .kinematics import VehicleDims, VehicleState, gap_lateral, gap_longitudinal
 from .metrics import CLOSING_SPEED_FLOOR_MPS, ttc
 
 MODEL_NAMES = ("rba", "rss", "reg157", "cc_human", "fsm", "idm", "none")
@@ -72,11 +71,7 @@ class RbaParams:
 
 
 def rba_is_safe(
-    ego: VehicleState,
-    cut: VehicleState,
-    ego_dims: VehicleDims,
-    cut_dims: VehicleDims,
-    p: RbaParams,
+    gap_long_m: float, gap_lat_m: float, v_ego_mps: float, v_cut_mps: float, p: RbaParams
 ) -> Decision:
     """Rules-based safety check for an ego/cut-in pair.
 
@@ -86,19 +81,16 @@ def rba_is_safe(
     dv / (2 a_max) + reaction time + fixed time margin. Non-closing pairs pass
     the margin clause by definition.
     """
-    lat_gap = gap_lateral(ego, cut, ego_dims, cut_dims)
-    if not (lat_gap > p.d_lat_safe_m):
+    if not (gap_lat_m > p.d_lat_safe_m):
         return Decision(safe=False, rationale=RATIONALE_LATERAL_FAIL)
-    long_gap = gap_longitudinal(ego, cut, ego_dims, cut_dims)
-    d_safe_eff = p.d_safe_m + p.headway_gain_s * ego.vel_long_mps
-    if long_gap > d_safe_eff:
+    if gap_long_m > p.d_safe_m + p.headway_gain_s * v_ego_mps:
         return Decision(safe=True, rationale=RATIONALE_SAFE)
-    dv = ego.vel_long_mps - cut.vel_long_mps
+    dv = v_ego_mps - v_cut_mps
     if dv < CLOSING_SPEED_FLOOR_MPS:
         # not closing: the stopping-time margin holds trivially
         return Decision(safe=True, rationale=RATIONALE_MARGIN_PASS)
     margin_s = dv / (2.0 * p.a_max_mps2) + p.t_react_s + p.time_margin_s
-    if ttc(long_gap, dv) > margin_s:
+    if ttc(gap_long_m, dv) > margin_s:
         return Decision(safe=True, rationale=RATIONALE_MARGIN_PASS)
     return Decision(safe=False, rationale=RATIONALE_LONGITUDINAL_FAIL)
 
@@ -160,16 +152,11 @@ def rss_min_gap(v_ego_mps: float, v_cut_mps: float, p: RssParams) -> float:
 
 
 def rss_evaluate(
-    ego: VehicleState,
-    cut: VehicleState,
-    ego_dims: VehicleDims,
-    cut_dims: VehicleDims,
-    p: RssParams,
+    gap_long_m: float, gap_lat_m: float, v_ego_mps: float, v_cut_mps: float, p: RssParams
 ) -> Decision:
-    if gap_lateral(ego, cut, ego_dims, cut_dims) > 0.0:
+    if gap_lat_m > 0.0:
         return Decision(safe=True)
-    gap = gap_longitudinal(ego, cut, ego_dims, cut_dims)
-    if gap < rss_min_gap(ego.vel_long_mps, cut.vel_long_mps, p):
+    if gap_long_m < rss_min_gap(v_ego_mps, v_cut_mps, p):
         return Decision(
             safe=False,
             decel_cmd_mps2=p.ego_brake_min_mps2,
@@ -192,18 +179,12 @@ class Reg157Params:
 
 
 def reg157_evaluate(
-    ego: VehicleState,
-    cut: VehicleState,
-    ego_dims: VehicleDims,
-    cut_dims: VehicleDims,
-    p: Reg157Params,
+    gap_long_m: float, gap_lat_m: float, v_ego_mps: float, p: Reg157Params
 ) -> Decision:
     """Minimum following-distance threshold, a low-speed regulatory baseline."""
-    if gap_lateral(ego, cut, ego_dims, cut_dims) > 0.0:
+    if gap_lat_m > 0.0:
         return Decision(safe=True)
-    gap = gap_longitudinal(ego, cut, ego_dims, cut_dims)
-    threshold = max(p.min_standstill_gap_m, ego.vel_long_mps * p.min_time_gap_s)
-    if gap < threshold:
+    if gap_long_m < max(p.min_standstill_gap_m, v_ego_mps * p.min_time_gap_s):
         return Decision(
             safe=False, decel_cmd_mps2=p.brake_mps2, rationale=RATIONALE_LONGITUDINAL_FAIL
         )
@@ -225,10 +206,10 @@ class CcHumanParams:
 
 
 def cc_human_evaluate(
-    ego: VehicleState,
-    cut: VehicleState,
-    ego_dims: VehicleDims,
-    cut_dims: VehicleDims,
+    gap_long_m: float,
+    gap_lat_m: float,
+    v_ego_mps: float,
+    v_cut_mps: float,
     p: CcHumanParams,
     timer_s: float,
     dt_s: float,
@@ -241,10 +222,10 @@ def cc_human_evaluate(
     braking begins only once it reaches the reaction delay. Returns the
     decision plus the updated timer.
     """
-    intrusion_m = -gap_lateral(ego, cut, ego_dims, cut_dims)
-    gap = gap_longitudinal(ego, cut, ego_dims, cut_dims)
-    ttc_s = ttc(gap, ego.vel_long_mps - cut.vel_long_mps)
-    perceived = intrusion_m > p.lat_intrusion_trigger_m and ttc_s < p.perception_ttc_s
+    perceived = (
+        -gap_lat_m > p.lat_intrusion_trigger_m
+        and ttc(gap_long_m, v_ego_mps - v_cut_mps) < p.perception_ttc_s
+    )
     if not perceived:
         return Decision(safe=True), 0.0
     if timer_s >= p.reaction_delay_s:
@@ -282,16 +263,11 @@ def fsm_risk(gap_long_m: float, ttc_s: float, p: FsmParams) -> float:
 
 
 def fsm_evaluate(
-    ego: VehicleState,
-    cut: VehicleState,
-    ego_dims: VehicleDims,
-    cut_dims: VehicleDims,
-    p: FsmParams,
+    gap_long_m: float, gap_lat_m: float, v_ego_mps: float, v_cut_mps: float, p: FsmParams
 ) -> Decision:
-    if gap_lateral(ego, cut, ego_dims, cut_dims) > 0.0:
+    if gap_lat_m > 0.0:
         return Decision(safe=True)
-    gap = gap_longitudinal(ego, cut, ego_dims, cut_dims)
-    risk = fsm_risk(gap, ttc(gap, ego.vel_long_mps - cut.vel_long_mps), p)
+    risk = fsm_risk(gap_long_m, ttc(gap_long_m, v_ego_mps - v_cut_mps), p)
     if risk > 0.0:
         return Decision(
             safe=False,
@@ -339,25 +315,19 @@ def idm_acceleration(
 
 
 def idm_evaluate(
-    ego: VehicleState,
-    cut: VehicleState,
-    ego_dims: VehicleDims,
-    cut_dims: VehicleDims,
-    p: IdmParams,
+    gap_long_m: float, gap_lat_m: float, v_ego_mps: float, v_cut_mps: float, p: IdmParams
 ) -> tuple[Decision, float]:
     """IDM car following. Returns the decision plus the signed acceleration.
 
     With nothing in the ego lane the ego accelerates freely toward the desired
     speed; an overlapping gap commands the emergency floor -2 b.
     """
-    if gap_lateral(ego, cut, ego_dims, cut_dims) > 0.0:
-        a = idm_acceleration(ego.vel_long_mps, math.inf, 0.0, p)
+    if gap_lat_m > 0.0:
+        a = idm_acceleration(v_ego_mps, math.inf, 0.0, p)
+    elif gap_long_m <= 0.0:
+        a = -2.0 * p.b_comfort_mps2
     else:
-        gap = gap_longitudinal(ego, cut, ego_dims, cut_dims)
-        if gap <= 0.0:
-            a = -2.0 * p.b_comfort_mps2
-        else:
-            a = idm_acceleration(ego.vel_long_mps, gap, ego.vel_long_mps - cut.vel_long_mps, p)
+        a = idm_acceleration(v_ego_mps, gap_long_m, v_ego_mps - v_cut_mps, p)
     if a >= 0.0:
         return Decision(safe=True), a
     return Decision(safe=False, decel_cmd_mps2=-a, rationale=RATIONALE_LONGITUDINAL_FAIL), a
@@ -385,29 +355,30 @@ RBA_SATURATION_STEPS = 5
 def control_step(
     name: str,
     params: ModelParams,
-    ego: VehicleState,
-    other: VehicleState,
-    ego_dims: VehicleDims,
-    other_dims: VehicleDims,
+    gap_long_m: float,
+    gap_lat_m: float,
+    v_ego_mps: float,
+    v_other_mps: float,
     ttc_s: float,
     dt_s: float,
     memory: float,
 ) -> tuple[Decision, float, float]:
     """One control step of the named model: (decision, acceleration in m/s^2, memory).
 
-    memory is the model's per-run state, 0 at scenario start, fed back on the
-    next step: rba counts consecutive steps braking at a_max, cc_human carries
-    its perception timer in seconds, the other models return it unchanged.
+    The inputs are the features the engine records for the step; only the rba
+    braking law reads ttc_s. memory is the model's per-run state, 0 at
+    scenario start, fed back on the next step: rba counts consecutive steps
+    braking at a_max, cc_human carries its perception timer in seconds, the
+    other models return it unchanged.
     """
     if name == "rba":
         p = params.rba
-        checked = rba_is_safe(ego, other, ego_dims, other_dims, p)
+        checked = rba_is_safe(gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, p)
         if checked.safe:
             decision, dv_step, memory = checked, 0.0, 0
         else:
             step_freq_hz = 1.0 / dt_s
-            gap = gap_longitudinal(ego, other, ego_dims, other_dims)
-            dv_step = rba_decel(gap, ttc_s, p, step_freq_hz)
+            dv_step = rba_decel(gap_long_m, ttc_s, p, step_freq_hz)
             decel = dv_step * step_freq_hz
             # braking pinned at the physical limit for several consecutive steps
             # means braking alone is not enough; advise an evasive lane change
@@ -416,20 +387,20 @@ def control_step(
             if memory >= RBA_SATURATION_STEPS:
                 rationale = RATIONALE_LANE_CHANGE_ADVISED
             decision = Decision(safe=False, decel_cmd_mps2=decel, rationale=rationale)
-        v = ego.vel_long_mps
-        return decision, (rba_velocity_update(v, dv_step, p) - v) / dt_s, memory
+        accel = (rba_velocity_update(v_ego_mps, dv_step, p) - v_ego_mps) / dt_s
+        return decision, accel, memory
     if name == "rss":
-        decision = rss_evaluate(ego, other, ego_dims, other_dims, params.rss)
+        decision = rss_evaluate(gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, params.rss)
     elif name == "reg157":
-        decision = reg157_evaluate(ego, other, ego_dims, other_dims, params.reg157)
+        decision = reg157_evaluate(gap_long_m, gap_lat_m, v_ego_mps, params.reg157)
     elif name == "cc_human":
         decision, memory = cc_human_evaluate(
-            ego, other, ego_dims, other_dims, params.cc_human, memory, dt_s
+            gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, params.cc_human, memory, dt_s
         )
     elif name == "fsm":
-        decision = fsm_evaluate(ego, other, ego_dims, other_dims, params.fsm)
+        decision = fsm_evaluate(gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, params.fsm)
     elif name == "idm":
-        decision, accel = idm_evaluate(ego, other, ego_dims, other_dims, params.idm)
+        decision, accel = idm_evaluate(gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, params.idm)
         return decision, accel, memory
     elif name == "none":
         # uncontrolled ego: never brakes; the collision baseline

@@ -29,6 +29,7 @@ from cutinsim.kinematics import VehicleDims, VehicleState
 from cutinsim.metrics import finite_difference_sensitivity, ttc_sensitivity
 from cutinsim.risk import fit_gaussian, prob_below_threshold
 from cutinsim.safety_models import RbaParams, rba_decel, rba_is_safe, rba_velocity_update
+from step_features import step_features
 
 # Sweep scenario for criteria 5/6: an abrupt cut starting at t=0, so the
 # check's detection delay (~0.4 s of lateral travel) mirrors the reaction-time
@@ -92,7 +93,8 @@ def test_criterion_01_safety_check_oracle_equivalence():
     for gap_long, gap_lat, v_ego, v_cut in points:
         ego = VehicleState(0.0, 0.0, v_ego)
         cut = VehicleState(gap_long + 10.0, gap_lat + 4.0, v_cut)
-        if rba_is_safe(ego, cut, big, big, p).safe != eq1_literal(ego, cut, big, big, p):
+        expected = eq1_literal(ego, cut, big, big, p)
+        if rba_is_safe(*step_features(ego, cut, big, big), p).safe != expected:
             mismatches += 1
     elapsed = time.perf_counter() - start
     _report(
@@ -152,18 +154,18 @@ def test_criterion_03_no_safe_to_unsafe_flips():
         ego = VehicleState(0.0, 0.0, v_ego)
         big = VehicleDims(width_m=4.0, length_m=10.0)
         cut = VehicleState(gap_long + 10.0, gap_lat + 4.0, v_cut)
-        if not rba_is_safe(ego, cut, big, big, p).safe:
+        if not rba_is_safe(*step_features(ego, cut, big, big), p).safe:
             continue
         checked += 1
         for inc in increments:
             farther = VehicleState(gap_long + 10.0 + inc, gap_lat + 4.0, v_cut)
             wider = VehicleState(gap_long + 10.0, gap_lat + 4.0 + inc, v_cut)
             stronger = RbaParams(a_max_mps2=p.a_max_mps2 + inc)
-            if not rba_is_safe(ego, farther, big, big, p).safe:
+            if not rba_is_safe(*step_features(ego, farther, big, big), p).safe:
                 flips += 1
-            if not rba_is_safe(ego, wider, big, big, p).safe:
+            if not rba_is_safe(*step_features(ego, wider, big, big), p).safe:
                 flips += 1
-            if not rba_is_safe(ego, cut, big, big, stronger).safe:
+            if not rba_is_safe(*step_features(ego, cut, big, big), stronger).safe:
                 flips += 1
     _report(
         3,

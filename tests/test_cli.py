@@ -98,6 +98,8 @@ SCENARIO = {"kind": "cut_in", "v_e0": 25.0, "v_o0": 20.0, "d_x0": 30.0, "d_y0": 
         ({"sweep": {"d_x0": [20.0, math.nan]}}, "sweep.d_x0"),
         ({"models": ["rba", "rba", "none"]}, "models"),
         ({"scenario": {**SCENARIO, "dt_s": 1e-9}}, "scenario.dt_s"),
+        ({"scenario": {**SCENARIO, "v_o0": -1.0}}, "scenario.v_o0"),
+        ({"scenario": {**SCENARIO, "v_e0": 10**400}}, "scenario.v_e0"),
     ],
 )
 def test_malformed_config_is_a_config_error_naming_the_key(tmp_path, capsys, overrides, key):
@@ -106,6 +108,16 @@ def test_malformed_config_is_a_config_error_naming_the_key(tmp_path, capsys, ove
     err = capsys.readouterr().err
     assert code == 1
     assert key in err
+    assert "Traceback" not in err
+
+
+def test_integer_literal_too_long_to_read_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"schema_version": 1, "seed": ' + "9" * 5000 + "}")
+    code = main(["one-case", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "not valid JSON" in err
     assert "Traceback" not in err
 
 
@@ -205,6 +217,35 @@ def test_post_process_missing_manifest(tmp_path, capsys):
     code = main(["post-process", "--results", str(tmp_path)])
     assert code == 1
     assert "manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ("{", '{"config_hash": ' + "9" * 5000 + "}"))
+def test_post_process_unreadable_manifest_is_a_config_error(tmp_path, capsys, text):
+    (tmp_path / "manifest.json").write_text(text)
+    assert main(["post-process", "--results", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "corrupt manifest" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ("nan", "inf"))
+@pytest.mark.parametrize("source", ("flag", "manifest"))
+def test_post_process_rejects_a_non_finite_ttc_crit(tmp_path, capsys, value, source):
+    cfg = comparison_config(tmp_path)
+    out = tmp_path / "cmp"
+    assert main(["comparison", "--config", cfg, "--out", str(out)]) == 0
+    args = ["post-process", "--results", str(out)]
+    if source == "flag":
+        args += ["--ttc-crit", value]
+    else:
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["risk"]["ttc_crit_s"] = float(value)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "ttc-crit" in err
+    assert "Traceback" not in err
+    assert not (out / "summary.json").exists()
 
 
 def test_post_process_alias(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 from dataclasses import replace
@@ -8,6 +9,7 @@ import pytest
 import cutinsim.engine as engine
 from cutinsim.engine import (
     MAX_STEPS,
+    SCENARIO_KINDS,
     ClassifyThresholds,
     ScenarioParams,
     SimResult,
@@ -19,6 +21,7 @@ from cutinsim.engine import (
     sweep,
 )
 from cutinsim.errors import ConfigError
+from cutinsim.safety_models import MODEL_NAMES, ModelParams, control_step
 
 
 def cutin(v_e0=25.0, v_o0=20.0, d_x0=30.0, d_y0=3.75, lc_start=1.0, lc_dur=2.0,
@@ -135,6 +138,28 @@ def test_rba_deceleration_never_exceeds_a_max(dt):
     assert peak == pytest.approx(6.0)
     assert peak <= 6.0 * (1.0 + 1e-12)
     assert not r.collided
+
+
+def test_recorded_step_features_reproduce_each_decision():
+    # the model sees exactly what the trace records: replaying each sample's
+    # gaps, speeds and TTC through control_step gives back its decision
+    collided_runs = braking_steps = 0
+    for kind, d_x0 in itertools.product(SCENARIO_KINDS, (20.0, 45.0)):
+        d_y0 = 0.0 if kind == "car_following" else 3.75
+        p = cutin(v_e0=30.0, v_o0=10.0, d_x0=d_x0, d_y0=d_y0, lc_start=0.0, lc_dur=1.0,
+                  kind=kind)
+        for model in MODEL_NAMES:
+            r = run_closed_loop(p, model)
+            memory = 0
+            for s in r.trace[:-1] if r.collided else r.trace:
+                decision, _, memory = control_step(
+                    model, ModelParams(), s.gap_long_m, s.gap_lat_m,
+                    s.ego.vel_long_mps, s.other.vel_long_mps, s.ttc_s, p.dt_s, memory,
+                )
+                assert (decision.safe, decision.decel_cmd_mps2) == (s.safe, s.decel_cmd_mps2)
+                braking_steps += s.decel_cmd_mps2 > 0.0
+            collided_runs += r.collided
+    assert collided_runs > 0 and braking_steps > 0
 
 
 def test_velocity_stays_in_bounds_for_braking_models():

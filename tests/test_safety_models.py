@@ -30,6 +30,7 @@ from cutinsim.safety_models import (
     rss_evaluate,
     rss_min_gap,
 )
+from step_features import step_features
 
 DIMS = VehicleDims(width_m=2.0, length_m=5.0)
 
@@ -54,13 +55,13 @@ def eq1_oracle(ego, cut, ego_dims, cut_dims, p):
 
 def test_large_separation_is_safe():
     p = RbaParams()
-    d = rba_is_safe(veh(0, 0, 20), veh(200, 3.75, 20), DIMS, DIMS, p)
+    d = rba_is_safe(*step_features(veh(0, 0, 20), veh(200, 3.75, 20), DIMS, DIMS), p)
     assert d.safe and d.decel_cmd_mps2 == 0.0
 
 
 def test_lateral_overlap_forces_unsafe():
     p = RbaParams()
-    d = rba_is_safe(veh(0, 0, 20), veh(40, 0.5, 18), DIMS, DIMS, p)
+    d = rba_is_safe(*step_features(veh(0, 0, 20), veh(40, 0.5, 18), DIMS, DIMS), p)
     assert not d.safe
     assert d.rationale == RATIONALE_LATERAL_FAIL
 
@@ -69,7 +70,7 @@ def test_margin_clause_passes_short_gap():
     # gap_long 8 <= d_safe 10, but 8/2 = 4.0 beats 2/12 + 0.5 + 0.1
     p = RbaParams(a_max_mps2=6.0, t_react_s=0.5)
     ego, cut = veh(0, 0, 20), veh(13, 3.0, 18)
-    d = rba_is_safe(ego, cut, DIMS, DIMS, p)
+    d = rba_is_safe(*step_features(ego, cut, DIMS, DIMS), p)
     assert d.safe
     assert d.rationale == RATIONALE_MARGIN_PASS
     assert eq1_oracle(ego, cut, DIMS, DIMS, p)
@@ -84,7 +85,8 @@ def test_check_agrees_with_literal_oracle_on_random_states():
         gap_lat = rng.uniform(-3.0, 5.0)
         ego = veh(0.0, 0.0, rng.uniform(0, 40))
         cut = veh(gap_long + 10.0, gap_lat + 4.0, rng.uniform(0, 40))
-        assert rba_is_safe(ego, cut, big, big, p).safe == eq1_oracle(ego, cut, big, big, p)
+        expected = eq1_oracle(ego, cut, big, big, p)
+        assert rba_is_safe(*step_features(ego, cut, big, big), p).safe == expected
 
 
 def test_monotone_in_gaps_and_braking_authority():
@@ -95,13 +97,15 @@ def test_monotone_in_gaps_and_braking_authority():
         y = rng.uniform(0, 6)
         cut = veh(x, y, rng.uniform(0, 40))
         p = RbaParams()
-        if not rba_is_safe(ego, cut, DIMS, DIMS, p).safe:
+        if not rba_is_safe(*step_features(ego, cut, DIMS, DIMS), p).safe:
             continue
         for bump in (0.5, 2.0, 10.0):
-            assert rba_is_safe(ego, veh(x + bump, y, cut.vel_long_mps), DIMS, DIMS, p).safe
-            assert rba_is_safe(ego, veh(x, y + bump, cut.vel_long_mps), DIMS, DIMS, p).safe
+            farther = veh(x + bump, y, cut.vel_long_mps)
+            wider = veh(x, y + bump, cut.vel_long_mps)
+            assert rba_is_safe(*step_features(ego, farther, DIMS, DIMS), p).safe
+            assert rba_is_safe(*step_features(ego, wider, DIMS, DIMS), p).safe
             stronger = RbaParams(a_max_mps2=p.a_max_mps2 + bump)
-            assert rba_is_safe(ego, cut, DIMS, DIMS, stronger).safe
+            assert rba_is_safe(*step_features(ego, cut, DIMS, DIMS), stronger).safe
 
 
 def test_braking_law_hand_transcription():
@@ -153,7 +157,7 @@ def test_rss_hand_evaluated_envelope():
     assert d_min == pytest.approx(expected)
     assert expected == pytest.approx(40.01, abs=0.01)
     # gap 60 > d_min: safe even when laterally overlapping
-    d = rss_evaluate(veh(0, 0, 20), veh(65, 0, 20), DIMS, DIMS, p)
+    d = rss_evaluate(*step_features(veh(0, 0, 20), veh(65, 0, 20), DIMS, DIMS), p)
     assert d.safe
 
 
@@ -162,10 +166,10 @@ def test_rss_standstill_and_lateral_gate():
     # at standstill only the response-time acceleration terms remain
     residual = 0.5 * 2.0 * 0.75**2 + (0.75 * 2.0) ** 2 / 8.0
     assert rss_min_gap(0.0, 0.0, p) == pytest.approx(residual)
-    d = rss_evaluate(veh(0, 0, 0), veh(5.0 + residual + 0.1, 0, 0), DIMS, DIMS, p)
+    d = rss_evaluate(*step_features(veh(0, 0, 0), veh(5.0 + residual + 0.1, 0, 0), DIMS, DIMS), p)
     assert d.safe
     # laterally separated: safe regardless of longitudinal gap
-    d2 = rss_evaluate(veh(0, 0, 30), veh(6, 3.75, 0), DIMS, DIMS, p)
+    d2 = rss_evaluate(*step_features(veh(0, 0, 30), veh(6, 3.75, 0), DIMS, DIMS), p)
     assert d2.safe
 
 
@@ -180,11 +184,11 @@ def test_rss_envelope_monotone_in_speeds():
 
 def test_reg157_threshold():
     p = Reg157Params(min_time_gap_s=1.0, min_standstill_gap_m=2.0)
-    d = reg157_evaluate(veh(0, 0, 16.67), veh(25.0, 0, 16.67), DIMS, DIMS, p)
+    d = reg157_evaluate(*step_features(veh(0, 0, 16.67), veh(25.0, 0, 16.67), DIMS, DIMS)[:3], p)
     assert d.safe  # gap 20 > 16.67
-    d2 = reg157_evaluate(veh(0, 0, 0.0), veh(6.9, 0, 0.0), DIMS, DIMS, p)
+    d2 = reg157_evaluate(*step_features(veh(0, 0, 0.0), veh(6.9, 0, 0.0), DIMS, DIMS)[:3], p)
     assert not d2.safe  # gap 1.9 < standstill floor 2
-    d3 = reg157_evaluate(veh(0, 0, 30.0), veh(6.9, 3.75, 0.0), DIMS, DIMS, p)
+    d3 = reg157_evaluate(*step_features(veh(0, 0, 30.0), veh(6.9, 3.75, 0.0), DIMS, DIMS)[:3], p)
     assert d3.safe  # lateral gate
 
 
@@ -195,14 +199,14 @@ def test_cc_human_delay_window():
     intruder = veh(20.0, 1.5, 10)  # intrusion 0.5 m, ttc 1.5 s
     no_risk = veh(20.0, 3.75, 10)
 
-    d, timer = cc_human_evaluate(ego, no_risk, DIMS, DIMS, p, 0.0, 0.1)
+    d, timer = cc_human_evaluate(*step_features(ego, no_risk, DIMS, DIMS), p, 0.0, 0.1)
     assert d.safe and timer == 0.0
 
-    d, timer = cc_human_evaluate(ego, intruder, DIMS, DIMS, p, 0.3, 0.1)
+    d, timer = cc_human_evaluate(*step_features(ego, intruder, DIMS, DIMS), p, 0.3, 0.1)
     assert not d.safe and d.decel_cmd_mps2 == 0.0  # still reacting
     assert timer == pytest.approx(0.4)
 
-    d, timer = cc_human_evaluate(ego, intruder, DIMS, DIMS, p, 0.8, 0.1)
+    d, timer = cc_human_evaluate(*step_features(ego, intruder, DIMS, DIMS), p, 0.8, 0.1)
     assert not d.safe and d.decel_cmd_mps2 == 6.0
 
 
@@ -213,7 +217,7 @@ def test_cc_human_timer_crosses_boundary_in_scripted_trace():
     timer = 0.0
     braked_at = []
     for step in range(5):
-        d, timer = cc_human_evaluate(ego, intruder, DIMS, DIMS, p, timer, 0.3)
+        d, timer = cc_human_evaluate(*step_features(ego, intruder, DIMS, DIMS), p, timer, 0.3)
         if d.decel_cmd_mps2 > 0:
             braked_at.append(step)
     # perception accumulates 0.3 s per step; braking allowed once >= 0.75 s
@@ -229,7 +233,7 @@ def test_cc_human_never_brakes_before_delay():
         ego = veh(0, 0, 25)
         intruder = veh(rng.uniform(8, 30), rng.uniform(0.0, 1.8), 10)
         for _ in range(40):
-            d, timer = cc_human_evaluate(ego, intruder, DIMS, DIMS, p, timer, dt)
+            d, timer = cc_human_evaluate(*step_features(ego, intruder, DIMS, DIMS), p, timer, dt)
             if d.decel_cmd_mps2 > 0.0:
                 assert elapsed >= p.reaction_delay_s - 1e-12
             if not d.safe:
@@ -243,7 +247,7 @@ def test_fsm_risk_regions():
     assert fsm_risk(25.0, 4.0, p) == 0.0
     assert fsm_risk(10.0, 3.0, p) == pytest.approx(0.5)
     assert fsm_risk(0.0, 0.5, p) == 1.0
-    d = fsm_evaluate(veh(0, 0, 20), veh(15.0, 0, 14.0), DIMS, DIMS, p)
+    d = fsm_evaluate(*step_features(veh(0, 0, 20), veh(15.0, 0, 14.0), DIMS, DIMS), p)
     # gap 10 = half scale, ttc 10/6 -> urgency (3-10/6)/3 ~ 0.444 -> proximity dominates
     assert not d.safe
     assert d.decel_cmd_mps2 == pytest.approx(0.5 * 1.0 * 6.0)
@@ -303,16 +307,15 @@ def test_saturated_braking_advises_lane_change():
     memory = 0
     for _ in range(6):
         decision, _, memory = control_step(
-            "rba", params, ego, stuck, DIMS, DIMS, 0.0, 0.05, memory
+            "rba", params, *step_features(ego, stuck, DIMS, DIMS), 0.0, 0.05, memory
         )
         assert not decision.safe
         rationales.append(decision.rationale)
     assert RATIONALE_LANE_CHANGE_ADVISED not in rationales[:4]
     assert rationales[4] == RATIONALE_LANE_CHANGE_ADVISED
     assert rationales[5] == RATIONALE_LANE_CHANGE_ADVISED
-    decision, _, _ = control_step(
-        "rba", params, ego, veh(200.0, 3.75, 30.0), DIMS, DIMS, math.inf, 0.05, 0
-    )
+    far = step_features(ego, veh(200.0, 3.75, 30.0), DIMS, DIMS)
+    decision, _, _ = control_step("rba", params, *far, math.inf, 0.05, 0)
     assert decision.safe
 
 
@@ -324,23 +327,22 @@ def test_control_step_dispatches_to_the_model_functions():
         ego = veh(0.0, 0.0, rng.uniform(0.0, 35.0))
         other = veh(rng.uniform(-8.0, 60.0), rng.uniform(0.0, 4.0), rng.uniform(0.0, 35.0))
         ttc_s = rng.uniform(0.0, 10.0)
-        for name, evaluate in (
-            ("rss", rss_evaluate), ("reg157", reg157_evaluate), ("fsm", fsm_evaluate)
+        f = step_features(ego, other, DIMS, DIMS)
+        for name, evaluate, n_features in (
+            ("rss", rss_evaluate, 4), ("reg157", reg157_evaluate, 3), ("fsm", fsm_evaluate, 4)
         ):
-            d, a, memory = control_step(name, params, ego, other, DIMS, DIMS, ttc_s, dt, 7)
-            assert d == evaluate(ego, other, DIMS, DIMS, getattr(params, name))
+            d, a, memory = control_step(name, params, *f, ttc_s, dt, 7)
+            assert d == evaluate(*f[:n_features], getattr(params, name))
             assert (a, memory) == (-d.decel_cmd_mps2, 7)
-        d, a, timer = control_step("cc_human", params, ego, other, DIMS, DIMS, ttc_s, dt, 0.5)
-        assert (d, timer) == cc_human_evaluate(ego, other, DIMS, DIMS, params.cc_human, 0.5, dt)
+        d, a, timer = control_step("cc_human", params, *f, ttc_s, dt, 0.5)
+        assert (d, timer) == cc_human_evaluate(*f, params.cc_human, 0.5, dt)
         assert a == -d.decel_cmd_mps2
-        d, a, memory = control_step("idm", params, ego, other, DIMS, DIMS, ttc_s, dt, 7)
-        assert (d, a, memory) == (*idm_evaluate(ego, other, DIMS, DIMS, params.idm), 7)
-        assert control_step("none", params, ego, other, DIMS, DIMS, ttc_s, dt, 7) == (
-            Decision(safe=True), 0.0, 7
-        )
+        d, a, memory = control_step("idm", params, *f, ttc_s, dt, 7)
+        assert (d, a, memory) == (*idm_evaluate(*f, params.idm), 7)
+        assert control_step("none", params, *f, ttc_s, dt, 7) == (Decision(safe=True), 0.0, 7)
         # rba: the per-step decrement comes back as an acceleration, never
         # beyond a_max, and stopping at v_min only shortens it
-        d, a, _ = control_step("rba", params, ego, other, DIMS, DIMS, ttc_s, dt, 0)
+        d, a, _ = control_step("rba", params, *f, ttc_s, dt, 0)
         assert d.decel_cmd_mps2 <= params.rba.a_max_mps2 * (1.0 + 1e-12)
         assert a <= 0.0
         assert -a == pytest.approx(min(d.decel_cmd_mps2, ego.vel_long_mps / dt), abs=1e-9)
@@ -348,4 +350,6 @@ def test_control_step_dispatches_to_the_model_functions():
 
 def test_control_step_rejects_unknown_model():
     with pytest.raises(ConfigError, match="bogus"):
-        control_step("bogus", ModelParams(), veh(), veh(20.0), DIMS, DIMS, math.inf, 0.05, 0)
+        control_step(
+            "bogus", ModelParams(), *step_features(veh(), veh(20.0), DIMS, DIMS), math.inf, 0.05, 0
+        )

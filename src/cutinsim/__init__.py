@@ -12,7 +12,6 @@ from .engine import (
     ScenarioParams,
     SimResult,
     SweepGrid,
-    build_scenario,
     classify_event,
     feasibility_bound,
     run_closed_loop,
@@ -74,7 +73,6 @@ __all__ = [
     "ScenarioParams",
     "SimResult",
     "SweepGrid",
-    "build_scenario",
     "classify_event",
     "feasibility_bound",
     "run_closed_loop",

@@ -53,14 +53,7 @@ def cmd_one_case(args: argparse.Namespace) -> int:
     out_dir = _out_dir(cfg, args.out, cfg_hash)
     os.makedirs(out_dir, exist_ok=True)
 
-    result = engine.run_closed_loop(
-        cfg.scenario,
-        cfg.model,
-        cfg.model_params,
-        cfg.classify,
-        cfg.ego_dims,
-        cfg.other_dims,
-    )
+    result = engine.run_closed_loop(cfg.scenario, cfg.model, cfg.model_params, cfg.classify)
     trace_path = os.path.join(out_dir, "trace.csv")
     verdict_path = os.path.join(out_dir, "verdict.json")
     reports.write_trace_csv(trace_path, result)

@@ -37,6 +37,8 @@ _SCENARIO_KEYS = {
     "other_speed_profile": "other_speed_profile",
 }
 
+_SWEEP_KEYS = {"v_e0": "v_e0_mps", "v_o0": "v_o0_mps", "d_x0": "d_x0_m", "d_y0": "d_y0_m"}
+
 _TOP_LEVEL_KEYS = {
     "schema_version",
     "seed",
@@ -62,8 +64,6 @@ class RunConfig:
     classify: ClassifyThresholds
     ttc_crit_s: float
     sweep: SweepGrid | None
-    ego_dims: VehicleDims
-    other_dims: VehicleDims
     out_dir: str | None
     seed: int
 
@@ -98,7 +98,17 @@ def _build_dataclass(cls, data: Any, key_prefix: str):
         raise ConfigError(f"{key_prefix}: {exc}", key=key_prefix) from exc
 
 
-def _parse_scenario(data: Any) -> ScenarioParams:
+def _parse_dims(data: Any) -> dict[str, VehicleDims]:
+    """Footprints given in the dims section, as ScenarioParams keyword arguments."""
+    dims = {}
+    for name, value in _section(data, "dims").items():
+        if name not in ("ego", "other"):
+            raise ConfigError(f"unknown key dims.{name!r}", key=f"dims.{name}")
+        dims[f"{name}_dims"] = _build_dataclass(VehicleDims, value, f"dims.{name}")
+    return dims
+
+
+def _parse_scenario(data: Any, dims: Any) -> ScenarioParams:
     kwargs: dict[str, Any] = {}
     for name, value in _section(data, "scenario").items():
         if name not in _SCENARIO_KEYS:
@@ -112,6 +122,7 @@ def _parse_scenario(data: Any) -> ScenarioParams:
         ):
             raise ConfigError(f"{key} must be a list of [t, v] pairs", key=key)
         kwargs["other_speed_profile"] = tuple(_number_list(step, key) for step in profile)
+    kwargs.update(_parse_dims(dims))
     try:
         return ScenarioParams(**kwargs)
     except TypeError as exc:
@@ -161,7 +172,7 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
         )
     if "scenario" not in raw:
         raise ConfigError("missing required key 'scenario'", key="scenario")
-    scenario = _parse_scenario(raw["scenario"])
+    scenario = _parse_scenario(raw["scenario"], raw.get("dims", {}))
 
     model = _check_model_name(raw.get("model", "rba"), "model")
     models_raw = raw.get("models", [model])
@@ -186,27 +197,15 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
 
     sweep = None
     if "sweep" in raw:
-        kwargs = {}
-        names = {"v_e0": "v_e0_mps", "v_o0": "v_o0_mps", "d_x0": "d_x0_m", "d_y0": "d_y0_m"}
+        axes = {}
         for name, value in _section(raw["sweep"], "sweep").items():
-            if name not in names:
+            if name not in _SWEEP_KEYS:
                 raise ConfigError(f"unknown key sweep.{name!r}", key=f"sweep.{name}")
-            kwargs[names[name]] = _number_list(value, f"sweep.{name}")
-        try:
-            sweep = SweepGrid(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"sweep: {exc}", key="sweep") from exc
-
-    dims_raw = _section(raw.get("dims", {}), "dims")
-    for name in dims_raw:
-        if name not in ("ego", "other"):
-            raise ConfigError(f"unknown key dims.{name!r}", key=f"dims.{name}")
-    ego_dims = _build_dataclass(
-        VehicleDims, dims_raw.get("ego", {"width_m": 2.0, "length_m": 5.0}), "dims.ego"
-    )
-    other_dims = _build_dataclass(
-        VehicleDims, dims_raw.get("other", {"width_m": 2.0, "length_m": 5.0}), "dims.other"
-    )
+            axes[_SWEEP_KEYS[name]] = _number_list(value, f"sweep.{name}")
+        for name, field in _SWEEP_KEYS.items():
+            if field not in axes:
+                raise ConfigError(f"missing required key 'sweep.{name}'", key=f"sweep.{name}")
+        sweep = SweepGrid(**axes)
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -224,8 +223,6 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
         classify=classify,
         ttc_crit_s=ttc_crit_s,
         sweep=sweep,
-        ego_dims=ego_dims,
-        other_dims=other_dims,
         out_dir=out_dir,
         seed=seed,
     )
@@ -263,16 +260,13 @@ def resolved_dict(config: RunConfig) -> dict[str, Any]:
         "classify": dataclasses.asdict(config.classify),
         "risk": {"ttc_crit_s": config.ttc_crit_s},
         "dims": {
-            "ego": dataclasses.asdict(config.ego_dims),
-            "other": dataclasses.asdict(config.other_dims),
+            "ego": dataclasses.asdict(config.scenario.ego_dims),
+            "other": dataclasses.asdict(config.scenario.other_dims),
         },
     }
     if config.sweep is not None:
         out["sweep"] = {
-            "v_e0": list(config.sweep.v_e0_mps),
-            "v_o0": list(config.sweep.v_o0_mps),
-            "d_x0": list(config.sweep.d_x0_m),
-            "d_y0": list(config.sweep.d_y0_m),
+            key: list(getattr(config.sweep, name)) for key, name in _SWEEP_KEYS.items()
         }
     return out
 

@@ -1,4 +1,4 @@
-"""Scenario construction, closed-loop simulation, parameter sweeps, classification."""
+"""Scenario records, closed-loop simulation, parameter sweeps, classification."""
 
 from __future__ import annotations
 
@@ -55,7 +55,9 @@ class ScenarioParams:
     from the adjacent lane into the ego lane over
     [lc_start_s, lc_start_s + lc_duration_s]; cut_out mirrors that in time;
     car_following keeps both vehicles in lane (d_y0_m must be 0) and allows a
-    piecewise-constant speed profile for the other vehicle.
+    piecewise-constant speed profile for the other vehicle. ego_dims and
+    other_dims are the two footprints that every gap is measured between.
+    The ego starts at the origin of its lane.
     """
 
     kind: str
@@ -68,6 +70,8 @@ class ScenarioParams:
     duration_s: float = 12.0
     dt_s: float = 0.05
     other_speed_profile: tuple[tuple[float, float], ...] = ()
+    ego_dims: VehicleDims = DEFAULT_DIMS
+    other_dims: VehicleDims = DEFAULT_DIMS
 
     def __post_init__(self) -> None:
         for key, value in zip(
@@ -129,6 +133,36 @@ class ScenarioParams:
                 )
             last_t = t
 
+    def lateral_offset(self, t_s: float) -> tuple[float, float]:
+        """Lateral position of the other vehicle and its rate at time t."""
+        if self.kind == "car_following":
+            return 0.0, 0.0
+        u = (t_s - self.lc_start_s) / self.lc_duration_s
+        if u <= 0.0:
+            s, rate = 0.0, 0.0
+        elif u >= 1.0:
+            s, rate = 1.0, 0.0
+        else:
+            s = _smoothstep(u)
+            rate = _smoothstep_rate(u) / self.lc_duration_s
+        if self.kind == "cut_in":
+            return self.d_y0_m * (1.0 - s), -self.d_y0_m * rate
+        return self.d_y0_m * s, self.d_y0_m * rate  # cut_out
+
+    def other_state(self, t_s: float) -> VehicleState:
+        """The other vehicle's closed-form motion plan: d_x0 (bumper gap) ahead
+        of the ego at t = 0, lateral offset per the scenario kind."""
+        x = self.d_x0_m + (self.ego_dims.length_m + self.other_dims.length_m) / 2.0
+        t_prev, v = 0.0, self.v_o0_mps
+        for t_change, v_new in self.other_speed_profile:
+            if t_s < t_change:
+                break
+            x += v * (t_change - t_prev)
+            t_prev, v = t_change, v_new
+        x += v * (t_s - t_prev)
+        y, vy = self.lateral_offset(t_s)
+        return VehicleState(pos_long_m=x, pos_lat_m=y, vel_long_mps=v, vel_lat_mps=vy)
+
 
 @dataclass(frozen=True)
 class SimResult:
@@ -155,62 +189,6 @@ def _smoothstep_rate(u: float) -> float:
     return 6.0 * u * (1.0 - u)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Initial ego state plus the closed-form motion plan of the other vehicle."""
-
-    params: ScenarioParams
-    ego0: VehicleState
-    ego_dims: VehicleDims
-    other_dims: VehicleDims
-
-    def lateral_offset(self, t_s: float) -> tuple[float, float]:
-        """Lateral position of the other vehicle and its rate at time t."""
-        p = self.params
-        if p.kind == "car_following":
-            return 0.0, 0.0
-        u = (t_s - p.lc_start_s) / p.lc_duration_s
-        if u <= 0.0:
-            s, rate = 0.0, 0.0
-        elif u >= 1.0:
-            s, rate = 1.0, 0.0
-        else:
-            s = _smoothstep(u)
-            rate = _smoothstep_rate(u) / p.lc_duration_s
-        if p.kind == "cut_in":
-            return p.d_y0_m * (1.0 - s), -p.d_y0_m * rate
-        return p.d_y0_m * s, p.d_y0_m * rate  # cut_out
-
-    def other_state(self, t_s: float) -> VehicleState:
-        p = self.params
-        x = p.d_x0_m + (self.ego_dims.length_m + self.other_dims.length_m) / 2.0
-        t_prev, v = 0.0, p.v_o0_mps
-        for t_change, v_new in p.other_speed_profile:
-            if t_s < t_change:
-                break
-            x += v * (t_change - t_prev)
-            t_prev, v = t_change, v_new
-        x += v * (t_s - t_prev)
-        y, vy = self.lateral_offset(t_s)
-        return VehicleState(pos_long_m=x, pos_lat_m=y, vel_long_mps=v, vel_lat_mps=vy)
-
-
-def build_scenario(
-    p: ScenarioParams,
-    ego_dims: VehicleDims = DEFAULT_DIMS,
-    other_dims: VehicleDims = DEFAULT_DIMS,
-) -> Scenario:
-    """Initial states and other-vehicle motion plan for one scenario.
-
-    The ego starts at the origin of its lane; the other vehicle starts d_x0
-    (bumper gap) ahead with lateral offset per the scenario kind.
-    """
-    ego0 = VehicleState(
-        pos_long_m=0.0, pos_lat_m=0.0, vel_long_mps=p.v_e0_mps, vel_lat_mps=0.0
-    )
-    return Scenario(params=p, ego0=ego0, ego_dims=ego_dims, other_dims=other_dims)
-
-
 def _classify(collided: bool, min_ttc_s: float, peak_decel: float, th: ClassifyThresholds) -> str:
     if collided or min_ttc_s < th.ttc_critical_s or peak_decel > th.comfort_decel_mps2:
         return CRITICAL
@@ -228,8 +206,6 @@ def run_closed_loop(
     model_name: str,
     params: ModelParams = ModelParams(),
     thresholds: ClassifyThresholds = ClassifyThresholds(),
-    ego_dims: VehicleDims = DEFAULT_DIMS,
-    other_dims: VehicleDims = DEFAULT_DIMS,
 ) -> SimResult:
     """Simulate one scenario under one safety model.
 
@@ -237,10 +213,9 @@ def run_closed_loop(
     commanded deceleration to the ego, advance both vehicles. Stepping stops
     (and the collision flag latches) as soon as the footprints overlap.
     """
-    scenario = build_scenario(p, ego_dims, other_dims)
     dt = p.dt_s
-
-    ego = scenario.ego0
+    ego_dims, other_dims = p.ego_dims, p.other_dims
+    ego = VehicleState(pos_long_m=0.0, pos_lat_m=0.0, vel_long_mps=p.v_e0_mps)
     memory = 0
     n_steps = round(p.duration_s / dt)
     trace: list[TraceSample] = []
@@ -248,7 +223,7 @@ def run_closed_loop(
 
     for i in range(n_steps + 1):
         t = i * dt
-        other = scenario.other_state(t)
+        other = p.other_state(t)
         gap_long = gap_longitudinal(ego, other, ego_dims, other_dims)
         gap_lat = gap_lateral(ego, other, ego_dims, other_dims)
         if gap_long < 0.0 and gap_lat < 0.0:
@@ -299,9 +274,10 @@ class SweepGrid:
     d_y0_m: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for key in ("v_e0_mps", "v_o0_mps", "d_x0_m", "d_y0_m"):
-            if not getattr(self, key):
-                raise ConfigError(f"sweep.{key} must be nonempty", key=f"sweep.{key}")
+        for field in ("v_e0_mps", "v_o0_mps", "d_x0_m", "d_y0_m"):
+            if not getattr(self, field):
+                key = "sweep." + field.rsplit("_", 1)[0]  # the input key, without the unit
+                raise ConfigError(f"{key} must be nonempty", key=key)
 
     def points(self) -> list[tuple[float, float, float, float]]:
         return list(

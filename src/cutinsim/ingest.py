@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import metrics
 from .engine import ScenarioParams
 from .errors import InvalidInputError, ParseError, SchemaError
-from .kinematics import LANE_WIDTH_M
+from .kinematics import LANE_WIDTH_M, VehicleDims
 from .reports import fmt_float
 
 TRACKS_HEADER = ("frame", "id", "x", "y", "width", "height", "xVelocity", "yVelocity", "laneId")
@@ -199,9 +199,9 @@ def extract_cut_in_events(
 
     An event is emitted at the first frame where the cut track's lane id
     becomes the ego track's lane id while it is ahead of the ego within
-    min_gap_m (bumper to bumper). Scenario parameters are reconstructed from
-    the states at the pair's first common frame, which for recorded data is the
-    closest observable stand-in for the scenario start.
+    min_gap_m (bumper to bumper). Scenario parameters, footprints included, are
+    reconstructed from the rows at the pair's first common frame, which for
+    recorded data is the closest observable stand-in for the scenario start.
     """
     if len(track_set.tracks) < 2:
         return []
@@ -253,6 +253,8 @@ def extract_cut_in_events(
                     lc_duration_s=lc_duration,
                     duration_s=duration,
                     dt_s=dt_s,
+                    ego_dims=VehicleDims(ego0.width_m, ego0.length_m),
+                    other_dims=VehicleDims(cut0.width_m, cut0.length_m),
                 )
             except Exception:
                 continue  # degenerate geometry, not a usable event

@@ -147,14 +147,27 @@ def read_manifest(results_dir: str) -> dict[str, Any]:
         raise ConfigError(f"no manifest found in {results_dir}", key="results")
     except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ConfigError(f"corrupt manifest in {results_dir}: {exc}", key="results")
+
+    def corrupt(problem: str) -> ConfigError:
+        return ConfigError(f"corrupt manifest in {results_dir}: {problem}", key="results")
+
+    if not isinstance(manifest, dict):
+        raise corrupt("the root is not a JSON object")
     for key in ("config_hash", "files", "models"):
         if key not in manifest:
-            raise ConfigError(f"corrupt manifest: missing {key!r}", key="results")
+            raise corrupt(f"missing {key!r}")
+    files = manifest["files"]
+    if not isinstance(files, dict) or not all(isinstance(name, str) for name in files.values()):
+        raise corrupt("'files' is not an object of file names")
+    config = manifest.get("config", {})
+    if not isinstance(config, dict) or not isinstance(config.get("risk", {}), dict):
+        raise corrupt("'config' or 'config.risk' is not a JSON object")
     return manifest
 
 
 def read_comparison_store(results_dir: str) -> tuple[dict[str, Any], dict[str, list[RunRecord]]]:
     manifest = read_manifest(results_dir)
+    n_fields = len(RESULTS_HEADER.split(","))
     records: dict[str, list[RunRecord]] = {}
     for model, filename in manifest["files"].items():
         rows: list[RunRecord] = []
@@ -164,13 +177,23 @@ def read_comparison_store(results_dir: str) -> tuple[dict[str, Any], dict[str, l
                 raise ConfigError(
                     f"unexpected results header in {filename}", key="results"
                 )
-            for line in fh:
+            for line_no, line in enumerate(fh, start=2):
                 fields = line.rstrip("\n").split(",")
+                where = f"{filename} line {line_no}"
+                if len(fields) != n_fields:
+                    raise ConfigError(
+                        f"{where}: {len(fields)} fields where the header has {n_fields}",
+                        key="results",
+                    )
                 if fields[-1]:
                     continue  # error row: no outcome to summarize
-                rows.append(
-                    RunRecord(min_ttc_s=float(fields[6]), classification=fields[9])
-                )
+                try:
+                    min_ttc = float(fields[6])
+                except ValueError:
+                    min_ttc = math.nan
+                if math.isnan(min_ttc):
+                    raise ConfigError(f"{where}: min_ttc {fields[6]!r} is not a number", key="results")
+                rows.append(RunRecord(min_ttc_s=min_ttc, classification=fields[9]))
         records[model] = rows
     return manifest, records
 

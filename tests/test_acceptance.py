@@ -19,7 +19,6 @@ from cutinsim.cli import main as cli_main
 from cutinsim.engine import (
     ScenarioParams,
     SweepGrid,
-    build_scenario,
     feasibility_bound,
     run_closed_loop,
     sweep,
@@ -67,11 +66,10 @@ def eq1_literal(ego, cut, ego_dims, cut_dims, p):
 def smoothstep_crossing_time(p: ScenarioParams, clearance_m: float) -> float:
     """Bisection oracle for the first time the lateral offset dips below
     clearance_m in a cut_in scenario."""
-    scenario = build_scenario(p)
     lo, hi = p.lc_start_s, p.lc_start_s + p.lc_duration_s
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        if scenario.lateral_offset(mid)[0] > clearance_m:
+        if p.lateral_offset(mid)[0] > clearance_m:
             lo = mid
         else:
             hi = mid

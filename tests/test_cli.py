@@ -2,10 +2,18 @@ import hashlib
 import json
 import math
 import os
+import re
+import shutil
+from dataclasses import replace
 
 import pytest
 
 from cutinsim.cli import main
+from cutinsim.config import parse_config
+from cutinsim.engine import run_closed_loop
+from cutinsim.errors import ConfigError
+from cutinsim.kinematics import VehicleDims
+from cutinsim.reports import fmt_float, read_comparison_store
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -100,6 +108,8 @@ SCENARIO = {"kind": "cut_in", "v_e0": 25.0, "v_o0": 20.0, "d_x0": 30.0, "d_y0": 
         ({"scenario": {**SCENARIO, "dt_s": 1e-9}}, "scenario.dt_s"),
         ({"scenario": {**SCENARIO, "v_o0": -1.0}}, "scenario.v_o0"),
         ({"scenario": {**SCENARIO, "v_e0": 10**400}}, "scenario.v_e0"),
+        ({"sweep": {"v_e0": [], "v_o0": [15.0], "d_x0": [20.0], "d_y0": [3.75]}}, "sweep.v_e0"),
+        ({"sweep": {"v_e0": [20.0]}}, "sweep.v_o0"),
     ],
 )
 def test_malformed_config_is_a_config_error_naming_the_key(tmp_path, capsys, overrides, key):
@@ -107,7 +117,8 @@ def test_malformed_config_is_a_config_error_naming_the_key(tmp_path, capsys, ove
     code = main(["one-case", "--config", cfg, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 1
-    assert key in err
+    # the input key itself, not a longer name such as a dataclass field
+    assert re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", err), err
     assert "Traceback" not in err
 
 
@@ -271,3 +282,88 @@ def test_comparison_requires_sweep_section(tmp_path, capsys):
     code = main(["comparison", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 1
     assert "sweep" in capsys.readouterr().err
+
+
+def test_comparison_uses_the_configured_footprints(tmp_path):
+    with open(os.path.join(CONFIGS, "comparison.json")) as fh:
+        raw = json.load(fh)
+    raw["dims"] = {"ego": {"width_m": 2.0, "length_m": 12.0},
+                   "other": {"width_m": 2.5, "length_m": 16.0}}
+    path = tmp_path / "cmp.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "cmp"
+    assert main(["comparison", "--config", str(path), "--out", str(out)]) == 0
+    cfg = parse_config(raw)
+    assert cfg.scenario.ego_dims == VehicleDims(2.0, 12.0)
+    assert cfg.scenario.other_dims == VehicleDims(2.5, 16.0)
+    points = cfg.sweep.points()
+    for model in cfg.models:
+        rows = (out / f"results_{model}.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(points)
+        for row in rows:
+            fields = row.split(",")
+            v_e0, v_o0, d_x0, d_y0 = points[int(fields[0])]
+            p = replace(cfg.scenario, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
+            r = run_closed_loop(p, model, cfg.model_params, cfg.classify)
+            assert (fields[5], fields[6], fields[9]) == (
+                "1" if r.collided else "0", fmt_float(r.min_ttc_s), r.classification
+            ), (model, fields[0])
+
+
+@pytest.fixture(scope="module")
+def comparison_store(tmp_path_factory):
+    root = tmp_path_factory.mktemp("store")
+    out = root / "cmp"
+    assert main(["comparison", "--config", comparison_config(root), "--out", str(out)]) == 0
+    return out
+
+
+def _edit_manifest(edit):
+    def corrupt(out):
+        path = out / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return corrupt
+
+
+def _edit_rba_results(edit):
+    def corrupt(out):
+        path = out / "results_rba.csv"
+        path.write_text(edit(path.read_text()))
+    return corrupt
+
+
+def _replace_min_ttc(value):
+    def edit(text):
+        lines = text.splitlines()
+        fields = lines[2].split(",")
+        fields[6] = value
+        lines[2] = ",".join(fields)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_edit_manifest(lambda m: 5), "manifest"),
+        (_edit_manifest(lambda m: {**m, "config": "x"}), "manifest"),
+        (_edit_manifest(lambda m: {**m, "config": {**m["config"], "risk": [1]}}), "manifest"),
+        (_edit_manifest(lambda m: {**m, "files": ["a"]}), "manifest"),
+        (_edit_rba_results(lambda text: text + "5,1,2\n"), "results_rba.csv line 6"),
+        (_edit_rba_results(_replace_min_ttc("x")), "results_rba.csv line 3"),
+        (_edit_rba_results(_replace_min_ttc("nan")), "results_rba.csv line 3"),
+    ],
+    ids=["root", "config", "risk", "files", "short-row", "min-ttc", "nan-min-ttc"],
+)
+def test_post_process_rejects_a_malformed_store(tmp_path, capsys, comparison_store, corrupt, message):
+    out = tmp_path / "cmp"
+    shutil.copytree(comparison_store, out)
+    corrupt(out)
+    with pytest.raises(ConfigError) as exc:
+        read_comparison_store(str(out))
+    assert exc.value.key == "results"
+    assert main(["post-process", "--results", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (out / "summary.json").exists()

@@ -4,7 +4,7 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutinsim.config import load_config, parse_config, resolved_dict
@@ -72,8 +72,24 @@ def _merge(config, path, value):
     node[path[-1]] = value
 
 
+# every key the config format defines: the resolved form spells out all of them
+RESOLVED = resolved_dict(load_config(os.path.join(CONFIGS, "comparison.json")))
+DEFINED_KEYS = {key for path in _key_paths(RESOLVED) for key in path} | {"out_dir"}
+
+
+def _input_keys(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from key.split(".")
+            yield from _input_keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _input_keys(value)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(key_paths, json_values), min_size=1, max_size=3))
+@example([(("sweep", "v_e0"), [])])
 def test_parse_config_raises_only_config_errors_naming_a_key(overrides):
     raw = copy.deepcopy(BASE)
     for path, value in overrides:
@@ -81,7 +97,9 @@ def test_parse_config_raises_only_config_errors_naming_a_key(overrides):
     try:
         cfg = parse_config(raw)
     except ConfigError as exc:
-        assert exc.key
+        # each part of the key is one the format defines or one the input holds
+        known = DEFINED_KEYS | set(_input_keys(raw))
+        assert exc.key and all(part in known for part in exc.key.split(".")), exc.key
         return
     # an accepted config survives the manifest round trip (out_dir is not recorded)
     resolved = json.loads(json.dumps(resolved_dict(cfg)))

@@ -14,7 +14,6 @@ from cutinsim.engine import (
     ScenarioParams,
     SimResult,
     SweepGrid,
-    build_scenario,
     classify_event,
     feasibility_bound,
     run_closed_loop,
@@ -36,10 +35,8 @@ def cutin(v_e0=25.0, v_o0=20.0, d_x0=30.0, d_y0=3.75, lc_start=1.0, lc_dur=2.0,
 def lateral_overlap_onset(p: ScenarioParams, clearance_m: float) -> float:
     """Bisection oracle: first time the cut vehicle's lateral offset drops
     below clearance_m (cut_in only)."""
-    scenario = build_scenario(p)
-
     def offset(t):
-        return scenario.lateral_offset(t)[0]
+        return p.lateral_offset(t)[0]
 
     lo, hi = p.lc_start_s, p.lc_start_s + p.lc_duration_s
     assert offset(lo) > clearance_m >= offset(hi)
@@ -54,45 +51,41 @@ def lateral_overlap_onset(p: ScenarioParams, clearance_m: float) -> float:
 
 def test_cut_in_lateral_profile_endpoints():
     p = cutin(lc_start=1.0, lc_dur=2.0)
-    s = build_scenario(p)
-    assert s.lateral_offset(0.0)[0] == 3.75
-    assert s.lateral_offset(1.0)[0] == 3.75
-    assert s.lateral_offset(3.0)[0] == 0.0
-    assert s.lateral_offset(12.0)[0] == 0.0
-    offsets = [s.lateral_offset(t)[0] for t in np.linspace(1.01, 2.99, 100)]
+    assert p.lateral_offset(0.0)[0] == 3.75
+    assert p.lateral_offset(1.0)[0] == 3.75
+    assert p.lateral_offset(3.0)[0] == 0.0
+    assert p.lateral_offset(12.0)[0] == 0.0
+    offsets = [p.lateral_offset(t)[0] for t in np.linspace(1.01, 2.99, 100)]
     assert all(b < a for a, b in zip(offsets, offsets[1:]))
 
 
 def test_cut_out_is_time_mirror():
     p = cutin(kind="cut_out", lc_start=1.0, lc_dur=2.0)
-    s = build_scenario(p)
-    assert s.lateral_offset(0.5)[0] == 0.0
-    assert s.lateral_offset(3.0)[0] == 3.75
-    assert s.lateral_offset(10.0)[0] == 3.75
+    assert p.lateral_offset(0.5)[0] == 0.0
+    assert p.lateral_offset(3.0)[0] == 3.75
+    assert p.lateral_offset(10.0)[0] == 3.75
 
 
 def test_car_following_stays_in_lane():
     p = cutin(kind="car_following", d_y0=0.0)
-    s = build_scenario(p)
     for t in np.linspace(0, 12, 25):
-        assert s.lateral_offset(t) == (0.0, 0.0)
+        assert p.lateral_offset(t) == (0.0, 0.0)
 
 
 def test_car_following_speed_profile():
     p = cutin(kind="car_following", d_y0=0.0, v_o0=20.0, profile=((4.0, 5.0),))
-    s = build_scenario(p)
-    assert s.other_state(3.9).vel_long_mps == 20.0
-    assert s.other_state(4.0).vel_long_mps == 5.0
+    assert p.other_state(3.9).vel_long_mps == 20.0
+    assert p.other_state(4.0).vel_long_mps == 5.0
     # position continuous across the speed change
-    x_before = s.other_state(4.0 - 1e-9).pos_long_m
-    assert s.other_state(4.0).pos_long_m == pytest.approx(x_before, abs=1e-6)
+    x_before = p.other_state(4.0 - 1e-9).pos_long_m
+    assert p.other_state(4.0).pos_long_m == pytest.approx(x_before, abs=1e-6)
 
 
 def test_initial_bumper_gap_matches_d_x0():
     p = cutin(d_x0=30.0)
-    s = build_scenario(p)
-    other0 = s.other_state(0.0)
-    assert other0.pos_long_m - s.ego0.pos_long_m - 5.0 == pytest.approx(30.0)
+    first = run_closed_loop(p, "none").trace[0]
+    assert first.other == p.other_state(0.0)
+    assert first.other.pos_long_m - first.ego.pos_long_m - 5.0 == pytest.approx(30.0)
 
 
 def test_equal_speeds_never_collide():

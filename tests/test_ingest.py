@@ -210,3 +210,19 @@ def test_extraction_is_reproducible(tmp_path):
     _, _, path = make_fixture(tmp_path)
     ts = read_tracks_csv(path, FPS)
     assert extract_cut_in_events(ts) == extract_cut_in_events(ts)
+
+
+def test_extracted_event_replays_with_the_recorded_footprints(tmp_path):
+    truck = VehicleDims(width_m=2.5, length_m=12.0)
+    p = ScenarioParams(
+        kind="cut_in", v_e0_mps=25.0, v_o0_mps=20.0, d_x0_m=30.0, d_y0_m=3.75,
+        lc_start_s=1.0, lc_duration_s=2.0, duration_s=8.0, dt_s=1.0 / FPS, other_dims=truck,
+    )
+    source = run_closed_loop(p, "none")
+    path = tmp_path / "truck.csv"
+    write_tracks_csv(path, trace_to_track_rows(source.trace, p.ego_dims, p.other_dims))
+    (event,) = extract_cut_in_events(read_tracks_csv(path, FPS))
+    assert (event.params.ego_dims, event.params.other_dims) == (DIMS, truck)
+    replay = run_closed_loop(event.params, "none")
+    assert replay.trace[0].gap_long_m == pytest.approx(source.trace[0].gap_long_m, abs=1e-6)
+    assert replay.trace[0].gap_lat_m == pytest.approx(source.trace[0].gap_lat_m, abs=1e-6)

@@ -12,6 +12,7 @@ from .engine import (
     ScenarioParams,
     SimResult,
     SweepGrid,
+    Trace,
     classify_event,
     feasibility_bound,
     run_closed_loop,
@@ -19,7 +20,6 @@ from .engine import (
 )
 from .kinematics import (
     LANE_WIDTH_M,
-    TraceSample,
     VehicleDims,
     VehicleState,
     gap_lateral,
@@ -73,12 +73,12 @@ __all__ = [
     "ScenarioParams",
     "SimResult",
     "SweepGrid",
+    "Trace",
     "classify_event",
     "feasibility_bound",
     "run_closed_loop",
     "sweep",
     "LANE_WIDTH_M",
-    "TraceSample",
     "VehicleDims",
     "VehicleState",
     "gap_lateral",

@@ -7,19 +7,12 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Sequence
 
 from . import metrics
 from .errors import ConfigError
-from .kinematics import (
-    TraceSample,
-    VehicleDims,
-    VehicleState,
-    gap_lateral,
-    gap_longitudinal,
-    step_vehicle,
-)
+from .kinematics import VehicleDims, VehicleState, advance_axis, axis_gap, require_finite
 from .safety_models import ModelParams, control_step
 
 SCENARIO_KINDS = ("cut_in", "cut_out", "car_following")
@@ -149,9 +142,10 @@ class ScenarioParams:
             return self.d_y0_m * (1.0 - s), -self.d_y0_m * rate
         return self.d_y0_m * s, self.d_y0_m * rate  # cut_out
 
-    def other_state(self, t_s: float) -> VehicleState:
-        """The other vehicle's closed-form motion plan: d_x0 (bumper gap) ahead
-        of the ego at t = 0, lateral offset per the scenario kind."""
+    def other_motion(self, t_s: float) -> tuple[float, float, float, float]:
+        """The other vehicle's closed-form motion plan at time t as
+        (x, y, vx, vy): d_x0 (bumper gap) ahead of the ego at t = 0, lateral
+        offset per the scenario kind."""
         x = self.d_x0_m + (self.ego_dims.length_m + self.other_dims.length_m) / 2.0
         t_prev, v = 0.0, self.v_o0_mps
         for t_change, v_new in self.other_speed_profile:
@@ -161,12 +155,37 @@ class ScenarioParams:
             t_prev, v = t_change, v_new
         x += v * (t_s - t_prev)
         y, vy = self.lateral_offset(t_s)
-        return VehicleState(pos_long_m=x, pos_lat_m=y, vel_long_mps=v, vel_lat_mps=vy)
+        return x, y, v, vy
+
+    def other_state(self, t_s: float) -> VehicleState:
+        """other_motion(t) as a VehicleState."""
+        return VehicleState(*self.other_motion(t_s))
+
+
+@dataclass(frozen=True)
+class Trace:
+    """A run's per-step record as columns: one tuple per quantity, one entry
+    per step. The ego holds its lane center (y = 0, no lateral speed), so it
+    has no lateral columns. A collision step records ttc 0, unsafe and no
+    braking, and ends the trace."""
+
+    t_s: tuple[float, ...]
+    ego_x_m: tuple[float, ...]
+    ego_v_mps: tuple[float, ...]
+    other_x_m: tuple[float, ...]
+    other_y_m: tuple[float, ...]
+    other_v_mps: tuple[float, ...]
+    other_vy_mps: tuple[float, ...]
+    gap_long_m: tuple[float, ...]
+    gap_lat_m: tuple[float, ...]
+    ttc_s: tuple[float, ...]  # math.inf when not on a closing course
+    safe: tuple[bool, ...]
+    decel_cmd_mps2: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class SimResult:
-    trace: tuple[TraceSample, ...]  # empty in sweep results
+    trace: Trace | None  # None in sweep results
     collided: bool
     min_gap_long_m: float
     min_ttc_s: float  # math.inf when the pair never closes
@@ -210,53 +229,66 @@ def run_closed_loop(
     """Simulate one scenario under one safety model.
 
     Each step: compute gaps and TTC, ask the model for a decision, apply the
-    commanded deceleration to the ego, advance both vehicles. Stepping stops
+    commanded acceleration to the ego, advance both vehicles. Stepping stops
     (and the collision flag latches) as soon as the footprints overlap.
     """
     dt = p.dt_s
-    ego_dims, other_dims = p.ego_dims, p.other_dims
-    ego = VehicleState(pos_long_m=0.0, pos_lat_m=0.0, vel_long_mps=p.v_e0_mps)
+    ego_len, other_len = p.ego_dims.length_m, p.other_dims.length_m
+    ego_width, other_width = p.ego_dims.width_m, p.other_dims.width_m
+    x, v = 0.0, p.v_e0_mps  # the ego, at the origin of its lane
     memory = 0
     n_steps = round(p.duration_s / dt)
-    trace: list[TraceSample] = []
+    columns = tuple([] for _ in fields(Trace))
+    (t_col, ego_x, ego_v, other_x, other_y, other_v, other_vy,
+     gap_long_col, gap_lat_col, ttc_col, safe_col, decel_col) = columns
     collided = False
 
     for i in range(n_steps + 1):
         t = i * dt
-        other = p.other_state(t)
-        gap_long = gap_longitudinal(ego, other, ego_dims, other_dims)
-        gap_lat = gap_lateral(ego, other, ego_dims, other_dims)
-        if gap_long < 0.0 and gap_lat < 0.0:
-            trace.append(
-                TraceSample(t, ego, other, gap_long, gap_lat, 0.0, False, 0.0)
-            )
-            collided = True
-            break
-        if gap_long >= 0.0:
-            ttc = metrics.ttc(gap_long, ego.vel_long_mps - other.vel_long_mps)
+        ox, oy, ov, ovy = p.other_motion(t)
+        # one sum screens all four values; only a non-finite one (or an
+        # overflowing sum) pays for the named check
+        if not math.isfinite(ox + oy + ov + ovy):
+            require_finite(pos_long_m=ox, pos_lat_m=oy, vel_long_mps=ov, vel_lat_mps=ovy)
+        gap_long = axis_gap(x, ox, ego_len, other_len)
+        gap_lat = axis_gap(0.0, oy, ego_width, other_width)
+        collided = gap_long < 0.0 and gap_lat < 0.0
+        if collided:
+            ttc, safe, decel = 0.0, False, 0.0
         else:
-            # longitudinally alongside but laterally separated: no closing course
-            ttc = math.inf
-        decision, accel, memory = control_step(
-            model_name, params, gap_long, gap_lat,
-            ego.vel_long_mps, other.vel_long_mps, ttc, dt, memory,
-        )
-        trace.append(
-            TraceSample(
-                t, ego, other, gap_long, gap_lat, ttc, decision.safe, decision.decel_cmd_mps2
+            if gap_long >= 0.0:
+                ttc = metrics.ttc(gap_long, v - ov)
+            else:
+                # longitudinally alongside but laterally separated: no closing course
+                ttc = math.inf
+            decision, accel, memory = control_step(
+                model_name, params, gap_long, gap_lat, v, ov, ttc, dt, memory
             )
-        )
-        if i == n_steps:
+            safe, decel = decision.safe, decision.decel_cmd_mps2
+        t_col.append(t)
+        ego_x.append(x)
+        ego_v.append(v)
+        other_x.append(ox)
+        other_y.append(oy)
+        other_v.append(ov)
+        other_vy.append(ovy)
+        gap_long_col.append(gap_long)
+        gap_lat_col.append(gap_lat)
+        ttc_col.append(ttc)
+        safe_col.append(safe)
+        decel_col.append(decel)
+        if collided or i == n_steps:
             break
-        ego = step_vehicle(ego, accel, 0.0, dt)
+        x, v = advance_axis(x, v, accel, dt, True)
+        if not math.isfinite(accel + x + v):
+            require_finite(accel_long_mps2=accel, pos_long_m=x, vel_long_mps=v)
 
-    min_gap = min(s.gap_long_m for s in trace)
-    min_ttc = min((s.ttc_s for s in trace if math.isfinite(s.ttc_s)), default=math.inf)
-    peak_decel = max(s.decel_cmd_mps2 for s in trace)
+    min_ttc = min(filter(math.isfinite, ttc_col), default=math.inf)
+    peak_decel = max(decel_col)
     return SimResult(
-        trace=tuple(trace),
+        trace=Trace(*map(tuple, columns)),
         collided=collided,
-        min_gap_long_m=min_gap,
+        min_gap_long_m=min(gap_long_col),
         min_ttc_s=min_ttc,
         peak_decel_mps2=peak_decel,
         classification=_classify(collided, min_ttc, peak_decel, thresholds),
@@ -288,7 +320,7 @@ class SweepGrid:
 @dataclass(frozen=True)
 class SweepItem:
     """One grid point of a sweep: its coordinates plus the result or an error.
-    The result is the run's summary only; its trace is empty."""
+    The result is the run's summary only; its trace is None."""
 
     model_name: str
     grid_index: int
@@ -305,7 +337,7 @@ def _run_sweep_point(
     try:
         scenario = replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
         result = run_closed_loop(scenario, model_name, params, thresholds)
-        return SweepItem(model_name, index, point, replace(result, trace=()))
+        return SweepItem(model_name, index, point, replace(result, trace=None))
     except Exception as exc:  # recorded as an error row, never aborts the sweep
         return SweepItem(model_name, index, point, None, error=f"{type(exc).__name__}: {exc}")
 

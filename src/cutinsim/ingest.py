@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import metrics
 from .engine import ScenarioParams
 from .errors import InvalidInputError, ParseError, SchemaError
-from .kinematics import LANE_WIDTH_M, VehicleDims
+from .kinematics import LANE_WIDTH_M, VehicleDims, axis_gap
 from .reports import fmt_float
 
 TRACKS_HEADER = ("frame", "id", "x", "y", "width", "height", "xVelocity", "yVelocity", "laneId")
@@ -135,41 +135,45 @@ def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet
 
 
 def trace_to_track_rows(trace, ego_dims, other_dims, lane_width_m: float = LANE_WIDTH_M):
-    """Convert an engine trace into two tracks (ego id 1, other id 2).
+    """Convert an engine trace into two tracks (ego id 1, other id 2), one
+    frame per step.
 
     Lane ids are derived from lateral position against lane centers at
-    k * lane_width.
+    k * lane_width. The ego holds its lane center at y = 0.
     """
 
     def lane_of(y: float) -> int:
         return int(round(y / lane_width_m))
 
     rows = []
-    for i, s in enumerate(trace):
+    for frame, (ego_x, ego_v, x, y, v, vy) in enumerate(zip(
+        trace.ego_x_m, trace.ego_v_mps,
+        trace.other_x_m, trace.other_y_m, trace.other_v_mps, trace.other_vy_mps,
+    )):
         rows.append(
             TrackRow(
-                frame=i,
+                frame=frame,
                 track_id=1,
-                x_m=s.ego.pos_long_m,
-                y_m=s.ego.pos_lat_m,
+                x_m=ego_x,
+                y_m=0.0,
                 width_m=ego_dims.width_m,
                 length_m=ego_dims.length_m,
-                x_vel_mps=s.ego.vel_long_mps,
-                y_vel_mps=s.ego.vel_lat_mps,
-                lane_id=lane_of(s.ego.pos_lat_m),
+                x_vel_mps=ego_v,
+                y_vel_mps=0.0,
+                lane_id=lane_of(0.0),
             )
         )
         rows.append(
             TrackRow(
-                frame=i,
+                frame=frame,
                 track_id=2,
-                x_m=s.other.pos_long_m,
-                y_m=s.other.pos_lat_m,
+                x_m=x,
+                y_m=y,
                 width_m=other_dims.width_m,
                 length_m=other_dims.length_m,
-                x_vel_mps=s.other.vel_long_mps,
-                y_vel_mps=s.other.vel_lat_mps,
-                lane_id=lane_of(s.other.pos_lat_m),
+                x_vel_mps=v,
+                y_vel_mps=vy,
+                lane_id=lane_of(y),
             )
         )
     return rows
@@ -208,38 +212,42 @@ def extract_cut_in_events(
     dt_s = 1.0 / track_set.frame_rate_hz
     events: list[CutInEvent] = []
     ids = sorted(track_set.tracks)
+    by_frame = {i: {r.frame: r for r in track_set.tracks[i].rows} for i in ids}
+    # a track that keeps one lane id never makes a lane transition
+    cut_ids = [i for i in ids if len({r.lane_id for r in track_set.tracks[i].rows}) > 1]
     for ego_id in ids:
-        for cut_id in ids:
+        ego_rows = by_frame[ego_id]
+        for cut_id in cut_ids:
             if ego_id == cut_id:
                 continue
-            ego = track_set.tracks[ego_id]
-            cut = track_set.tracks[cut_id]
-            common = sorted(set(r.frame for r in ego.rows) & set(r.frame for r in cut.rows))
+            cut_rows = by_frame[cut_id]
+            common = sorted(ego_rows.keys() & cut_rows.keys())
             if len(common) < 2:
                 continue
             transition = None
             for prev_f, f in zip(common, common[1:]):
-                ego_row = ego.row_at(f)
-                cut_prev = cut.row_at(prev_f)
-                cut_row = cut.row_at(f)
-                if cut_row.lane_id == cut_prev.lane_id:
+                ego_row = ego_rows[f]
+                cut_row = cut_rows[f]
+                if cut_row.lane_id == cut_rows[prev_f].lane_id:
                     continue
                 if cut_row.lane_id != ego_row.lane_id:
                     continue
                 if cut_row.x_m <= ego_row.x_m:
                     continue  # only cut-ins ahead of the ego
-                gap = (cut_row.x_m - ego_row.x_m) - (cut_row.length_m + ego_row.length_m) / 2.0
-                if gap > min_gap_m:
+                if axis_gap(cut_row.x_m, ego_row.x_m, cut_row.length_m, ego_row.length_m) > min_gap_m:
                     continue
                 transition = f
                 break
             if transition is None:
                 continue
             f0 = common[0]
-            ego0 = ego.row_at(f0)
-            cut0 = cut.row_at(f0)
-            d_x0 = (cut0.x_m - ego0.x_m) - (cut0.length_m + ego0.length_m) / 2.0
+            ego0 = ego_rows[f0]
+            cut0 = cut_rows[f0]
+            if cut0.x_m <= ego0.x_m:
+                continue  # the cutter starts level with or behind the ego: no d_x0 > 0
+            d_x0 = axis_gap(cut0.x_m, ego0.x_m, cut0.length_m, ego0.length_m)
             d_y0 = abs(cut0.y_m - ego0.y_m)
+            cut = track_set.tracks[cut_id]
             lc_start, lc_duration = _estimate_lane_change_window(cut, common, dt_s)
             duration = max((common[-1] - f0) * dt_s, lc_start + lc_duration)
             try:
@@ -288,7 +296,7 @@ def export_features(event: CutInEvent, track_set: TrackSet):
     for f in common:
         e = ego.row_at(f)
         c = cut.row_at(f)
-        gap = abs(c.x_m - e.x_m) - (c.length_m + e.length_m) / 2.0
+        gap = axis_gap(c.x_m, e.x_m, c.length_m, e.length_m)
         if gap < 0.0:
             rows.append((f, gap, math.nan, math.nan, math.nan))
             flagged.append(f)

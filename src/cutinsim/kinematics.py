@@ -1,5 +1,9 @@
 """Vehicle states, constant-acceleration stepping and rectangle gap/overlap tests.
 
+The float functions `advance_axis` and `axis_gap` hold the motion and gap
+formulas; the engine steps plain floats through them, and the `VehicleState`
+forms (`step_vehicle`, `gap_longitudinal`, `gap_lateral`) delegate to them.
+
 Conventions: longitudinal x grows in the travel direction, lateral y grows
 leftward, positions refer to vehicle centers. Lane centers sit at
 y = k * LANE_WIDTH_M.
@@ -15,7 +19,8 @@ from .errors import InvalidInputError
 LANE_WIDTH_M = 3.75  # default highway lane width
 
 
-def _require_finite(**values: float) -> None:
+def require_finite(**values: float) -> None:
+    """Raise InvalidInputError naming the first value that is not finite."""
     for name, value in values.items():
         if not math.isfinite(value):
             raise InvalidInputError(f"{name} must be finite, got {value!r}")
@@ -29,7 +34,7 @@ class VehicleDims:
     length_m: float
 
     def __post_init__(self) -> None:
-        _require_finite(width_m=self.width_m, length_m=self.length_m)
+        require_finite(width_m=self.width_m, length_m=self.length_m)
         if self.width_m <= 0.0 or self.length_m <= 0.0:
             raise InvalidInputError("vehicle dimensions must be positive")
 
@@ -44,7 +49,7 @@ class VehicleState:
     vel_lat_mps: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(
+        require_finite(
             pos_long_m=self.pos_long_m,
             pos_lat_m=self.pos_lat_m,
             vel_long_mps=self.vel_long_mps,
@@ -54,21 +59,7 @@ class VehicleState:
             raise InvalidInputError("vehicles do not reverse: vel_long_mps must be >= 0")
 
 
-@dataclass(frozen=True)
-class TraceSample:
-    """One step of a scenario trace, as recorded by the simulation engine."""
-
-    t_s: float
-    ego: VehicleState
-    other: VehicleState
-    gap_long_m: float
-    gap_lat_m: float
-    ttc_s: float  # math.inf when not on a closing course
-    safe: bool
-    decel_cmd_mps2: float
-
-
-def _advance_axis(
+def advance_axis(
     pos: float, vel: float, accel: float, dt: float, clamp_at_zero: bool
 ) -> tuple[float, float]:
     """One constant-acceleration update of a single axis.
@@ -94,14 +85,20 @@ def step_vehicle(
     The longitudinal axis never reaches negative velocity; the lateral axis is
     unconstrained in sign (lane changes go both ways).
     """
-    _require_finite(
+    require_finite(
         accel_long_mps2=accel_long_mps2, accel_lat_mps2=accel_lat_mps2, dt_s=dt_s
     )
     if dt_s <= 0.0:
         raise InvalidInputError(f"dt_s must be positive, got {dt_s}")
-    x, vx = _advance_axis(state.pos_long_m, state.vel_long_mps, accel_long_mps2, dt_s, True)
-    y, vy = _advance_axis(state.pos_lat_m, state.vel_lat_mps, accel_lat_mps2, dt_s, False)
+    x, vx = advance_axis(state.pos_long_m, state.vel_long_mps, accel_long_mps2, dt_s, True)
+    y, vy = advance_axis(state.pos_lat_m, state.vel_lat_mps, accel_lat_mps2, dt_s, False)
     return VehicleState(pos_long_m=x, pos_lat_m=y, vel_long_mps=vx, vel_lat_mps=vy)
+
+
+def axis_gap(center_a: float, center_b: float, extent_a: float, extent_b: float) -> float:
+    """Gap between two footprints along one axis, from their centers and their
+    extents on that axis; negative when they overlap on it."""
+    return abs(center_a - center_b) - (extent_a + extent_b) / 2.0
 
 
 def gap_longitudinal(
@@ -111,7 +108,7 @@ def gap_longitudinal(
     other_dims: VehicleDims,
 ) -> float:
     """Bumper-to-bumper longitudinal gap; negative when the footprints overlap in x."""
-    return abs(ego.pos_long_m - other.pos_long_m) - (ego_dims.length_m + other_dims.length_m) / 2.0
+    return axis_gap(ego.pos_long_m, other.pos_long_m, ego_dims.length_m, other_dims.length_m)
 
 
 def gap_lateral(
@@ -121,7 +118,7 @@ def gap_lateral(
     other_dims: VehicleDims,
 ) -> float:
     """Side-to-side lateral gap; negative when the footprints overlap in y."""
-    return abs(ego.pos_lat_m - other.pos_lat_m) - (ego_dims.width_m + other_dims.width_m) / 2.0
+    return axis_gap(ego.pos_lat_m, other.pos_lat_m, ego_dims.width_m, other_dims.width_m)
 
 
 def overlaps(

@@ -49,24 +49,25 @@ def _dump_json(path: str, payload: Any) -> None:
 
 
 def write_trace_csv(path: str, result: SimResult) -> None:
+    tr = result.trace
+    ego_lateral = [fmt_float(0.0)] * len(tr.t_s)  # the ego holds its lane center
+    columns = (
+        map(fmt_float, tr.t_s),
+        map(fmt_float, tr.ego_x_m),
+        ego_lateral,
+        map(fmt_float, tr.ego_v_mps),
+        map(fmt_float, tr.other_x_m),
+        map(fmt_float, tr.other_y_m),
+        map(fmt_float, tr.other_v_mps),
+        map(fmt_float, tr.gap_long_m),
+        map(fmt_float, tr.gap_lat_m),
+        map(fmt_float, tr.ttc_s),
+        ("1" if safe else "0" for safe in tr.safe),
+        map(fmt_float, tr.decel_cmd_mps2),
+    )
     with open(path, "w", newline="") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for s in result.trace:
-            fields = (
-                fmt_float(s.t_s),
-                fmt_float(s.ego.pos_long_m),
-                fmt_float(s.ego.pos_lat_m),
-                fmt_float(s.ego.vel_long_mps),
-                fmt_float(s.other.pos_long_m),
-                fmt_float(s.other.pos_lat_m),
-                fmt_float(s.other.vel_long_mps),
-                fmt_float(s.gap_long_m),
-                fmt_float(s.gap_lat_m),
-                fmt_float(s.ttc_s),
-                "1" if s.safe else "0",
-                fmt_float(s.decel_cmd_mps2),
-            )
-            fh.write(",".join(fields) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def write_verdict_json(path: str, result: SimResult) -> None:

@@ -248,6 +248,8 @@ class FsmParams:
     def __post_init__(self) -> None:
         if self.proximity_scale_m <= 0.0 or self.ttc_scale_s <= 0.0:
             raise InvalidInputError("fsm scales must be positive")
+        if self.braking_gain < 0.0:
+            raise InvalidInputError("braking_gain must be >= 0")
         if self.a_max_mps2 <= 0.0:
             raise InvalidInputError("a_max_mps2 must be positive")
 
@@ -291,6 +293,8 @@ class IdmParams:
             raise InvalidInputError("idm desired speed and headway must be positive")
         if self.a_max_mps2 <= 0.0 or self.b_comfort_mps2 <= 0.0:
             raise InvalidInputError("idm acceleration bounds must be positive")
+        if not self.delta > 0.0:
+            raise InvalidInputError("delta must be positive")
 
 
 def idm_acceleration(

@@ -287,7 +287,7 @@ def test_criterion_06_null_controller_intercept_timing():
         assert result.collided, (kind, v_e0, v_o0, d_x0)
         t_gap = d_x0 / (v_e0 - v_o0)
         t_expected = t_gap if kind == "car_following" else max(t_gap, smoothstep_crossing_time(p, 2.0))
-        worst = max(worst, abs(result.trace[-1].t_s - t_expected))
+        worst = max(worst, abs(result.trace.t_s[-1] - t_expected))
     _report(
         6,
         "intercept timing matches the uniform-motion closed form",

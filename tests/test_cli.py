@@ -110,6 +110,8 @@ SCENARIO = {"kind": "cut_in", "v_e0": 25.0, "v_o0": 20.0, "d_x0": 30.0, "d_y0": 
         ({"scenario": {**SCENARIO, "v_e0": 10**400}}, "scenario.v_e0"),
         ({"sweep": {"v_e0": [], "v_o0": [15.0], "d_x0": [20.0], "d_y0": [3.75]}}, "sweep.v_e0"),
         ({"sweep": {"v_e0": [20.0]}}, "sweep.v_o0"),
+        ({"model_params": {"fsm": {"braking_gain": -1.0}}}, "model_params.fsm"),
+        ({"model_params": {"idm": {"delta": -4.0}}}, "model_params.idm"),
     ],
 )
 def test_malformed_config_is_a_config_error_naming_the_key(tmp_path, capsys, overrides, key):
@@ -308,6 +310,41 @@ def test_comparison_uses_the_configured_footprints(tmp_path):
             assert (fields[5], fields[6], fields[9]) == (
                 "1" if r.collided else "0", fmt_float(r.min_ttc_s), r.classification
             ), (model, fields[0])
+
+
+# The other vehicle's plan, or the ego's own state, overflows to x = inf.
+OVERFLOWING = {
+    "other": {**SCENARIO, "v_e0": 0.0, "v_o0": 1e308},
+    "ego": {**SCENARIO, "v_e0": 1e308, "v_o0": 0.0},
+}
+
+
+@pytest.mark.parametrize("model", ("none", "rba"))
+@pytest.mark.parametrize("vehicle", OVERFLOWING)
+def test_one_case_with_a_non_finite_state_is_an_input_error(tmp_path, capsys, vehicle, model):
+    cfg = write_config(tmp_path, scenario=OVERFLOWING[vehicle], model=model)
+    code = main(["one-case", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_point_with_a_non_finite_state_is_an_error_row(tmp_path):
+    cfg = write_config(
+        tmp_path, models=["none", "rba"],
+        sweep={"v_e0": [0.0, 25.0], "v_o0": [1e308, 20.0], "d_x0": [30.0], "d_y0": [3.75]},
+    )
+    out = tmp_path / "cmp"
+    assert main(["comparison", "--config", cfg, "--out", str(out)]) == 0
+    for model in ("none", "rba"):
+        rows = [line.split(",") for line in (out / f"results_{model}.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 4
+        for row in rows:
+            if row[2] == "1e+308":  # no inf or nan summary: the run is an error row
+                assert row[5:10] == [""] * 5 and "must be finite" in row[10], row
+            else:
+                assert row[10] == "" and "nan" not in row, row
 
 
 @pytest.fixture(scope="module")

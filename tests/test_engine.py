@@ -1,7 +1,7 @@
 import itertools
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -79,13 +79,17 @@ def test_car_following_speed_profile():
     # position continuous across the speed change
     x_before = p.other_state(4.0 - 1e-9).pos_long_m
     assert p.other_state(4.0).pos_long_m == pytest.approx(x_before, abs=1e-6)
+    # the state form is the float plan, field for field
+    for t in (0.0, 3.9, 4.0, 7.5):
+        assert astuple(p.other_state(t)) == p.other_motion(t)
 
 
 def test_initial_bumper_gap_matches_d_x0():
     p = cutin(d_x0=30.0)
-    first = run_closed_loop(p, "none").trace[0]
-    assert first.other == p.other_state(0.0)
-    assert first.other.pos_long_m - first.ego.pos_long_m - 5.0 == pytest.approx(30.0)
+    tr = run_closed_loop(p, "none").trace
+    first_other = (tr.other_x_m[0], tr.other_y_m[0], tr.other_v_mps[0], tr.other_vy_mps[0])
+    assert first_other == p.other_motion(0.0)
+    assert tr.other_x_m[0] - tr.ego_x_m[0] - 5.0 == pytest.approx(30.0)
 
 
 def test_equal_speeds_never_collide():
@@ -101,17 +105,17 @@ def test_null_controller_intercept_time_matches_closed_form():
     t_gap = 20.0 / 20.0
     t_lat = lateral_overlap_onset(p, 2.0)
     expected = max(t_gap, t_lat)
-    assert abs(r.trace[-1].t_s - expected) <= 2 * p.dt_s
+    assert abs(r.trace.t_s[-1] - expected) <= 2 * p.dt_s
 
 
 def test_collision_latch_stops_the_trace():
     p = cutin(v_e0=30.0, v_o0=10.0, d_x0=20.0, lc_start=0.0, lc_dur=1.0)
     r = run_closed_loop(p, "none")
     assert r.collided
-    last = r.trace[-1]
-    assert last.gap_long_m < 0 and last.gap_lat_m < 0
-    assert all(not (s.gap_long_m < 0 and s.gap_lat_m < 0) for s in r.trace[:-1])
-    assert last.t_s < p.duration_s
+    gaps = list(zip(r.trace.gap_long_m, r.trace.gap_lat_m))
+    assert gaps[-1][0] < 0 and gaps[-1][1] < 0
+    assert all(not (gap_long < 0 and gap_lat < 0) for gap_long, gap_lat in gaps[:-1])
+    assert r.trace.t_s[-1] < p.duration_s
 
 
 def test_rba_avoids_feasible_intercept():
@@ -127,7 +131,7 @@ def test_rba_deceleration_never_exceeds_a_max(dt):
     # the ego passes the cut vehicle while it merges from two lanes over: the
     # gap goes negative and the normalised distance shortfall exceeds 1
     r = run_closed_loop(cutin(v_e0=40.0, v_o0=15.0, d_x0=10.0, d_y0=7.5, dt=dt), "rba")
-    peak = max(s.decel_cmd_mps2 for s in r.trace)
+    peak = max(r.trace.decel_cmd_mps2)
     assert peak == pytest.approx(6.0)
     assert peak <= 6.0 * (1.0 + 1e-12)
     assert not r.collided
@@ -144,13 +148,17 @@ def test_recorded_step_features_reproduce_each_decision():
         for model in MODEL_NAMES:
             r = run_closed_loop(p, model)
             memory = 0
-            for s in r.trace[:-1] if r.collided else r.trace:
+            tr = r.trace
+            steps = zip(tr.gap_long_m, tr.gap_lat_m, tr.ego_v_mps, tr.other_v_mps, tr.ttc_s,
+                        tr.safe, tr.decel_cmd_mps2)
+            for gap_long, gap_lat, v_ego, v_other, ttc, safe, decel in (
+                list(steps)[:-1] if r.collided else steps
+            ):
                 decision, _, memory = control_step(
-                    model, ModelParams(), s.gap_long_m, s.gap_lat_m,
-                    s.ego.vel_long_mps, s.other.vel_long_mps, s.ttc_s, p.dt_s, memory,
+                    model, ModelParams(), gap_long, gap_lat, v_ego, v_other, ttc, p.dt_s, memory,
                 )
-                assert (decision.safe, decision.decel_cmd_mps2) == (s.safe, s.decel_cmd_mps2)
-                braking_steps += s.decel_cmd_mps2 > 0.0
+                assert (decision.safe, decision.decel_cmd_mps2) == (safe, decel)
+                braking_steps += decel > 0.0
             collided_runs += r.collided
     assert collided_runs > 0 and braking_steps > 0
 
@@ -158,14 +166,14 @@ def test_recorded_step_features_reproduce_each_decision():
 def test_velocity_stays_in_bounds_for_braking_models():
     for model in ("rba", "rss", "reg157", "cc_human", "fsm", "none"):
         r = run_closed_loop(cutin(v_e0=30.0, v_o0=15.0, d_x0=40.0), model)
-        vels = [s.ego.vel_long_mps for s in r.trace]
+        vels = r.trace.ego_v_mps
         assert all(v >= 0.0 for v in vels)
         assert all(v <= 30.0 + 1e-9 for v in vels), model
 
 
 def test_idm_can_accelerate_toward_desired_speed():
     r = run_closed_loop(cutin(v_e0=20.0, v_o0=20.0, d_x0=150.0), "idm")
-    assert max(s.ego.vel_long_mps for s in r.trace) > 20.0
+    assert max(r.trace.ego_v_mps) > 20.0
 
 
 def test_scenario_determinism():
@@ -223,15 +231,15 @@ def test_sweep_items_carry_the_summary_without_the_trace():
     base = cutin()
     items = sweep(grid, ["rba", "none"], base)
     for it in items:
-        assert it.result.trace == ()
+        assert it.result.trace is None
         assert len(pickle.dumps(it, pickle.HIGHEST_PROTOCOL)) < 2048
         v_e0, v_o0, d_x0, d_y0 = it.point
         full = run_closed_loop(
             replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0), it.model_name
         )
-        assert full.trace
-        assert it.result == replace(full, trace=())
-        assert full.peak_decel_mps2 == max(s.decel_cmd_mps2 for s in full.trace)
+        assert full.trace.t_s
+        assert it.result == replace(full, trace=None)
+        assert full.peak_decel_mps2 == max(full.trace.decel_cmd_mps2)
 
 
 class RecordingPool:
@@ -286,7 +294,7 @@ def test_classification_rules():
                        min_ttc_s=1.5, peak_decel_mps2=0.0, classification="", model_name="none")
     assert classify_event(shaved, th) == "critical"
     # the peak braking is read from the result, not rescanned from a trace
-    hard = SimResult(trace=(), collided=False, min_gap_long_m=quiet.min_gap_long_m,
+    hard = SimResult(trace=None, collided=False, min_gap_long_m=quiet.min_gap_long_m,
                      min_ttc_s=math.inf, peak_decel_mps2=3.6, classification="", model_name="rba")
     assert classify_event(hard, th) == "critical"
     assert classify_event(replace(hard, peak_decel_mps2=3.5), th) == "non_critical"

@@ -224,5 +224,5 @@ def test_extracted_event_replays_with_the_recorded_footprints(tmp_path):
     (event,) = extract_cut_in_events(read_tracks_csv(path, FPS))
     assert (event.params.ego_dims, event.params.other_dims) == (DIMS, truck)
     replay = run_closed_loop(event.params, "none")
-    assert replay.trace[0].gap_long_m == pytest.approx(source.trace[0].gap_long_m, abs=1e-6)
-    assert replay.trace[0].gap_lat_m == pytest.approx(source.trace[0].gap_lat_m, abs=1e-6)
+    assert replay.trace.gap_long_m[0] == pytest.approx(source.trace.gap_long_m[0], abs=1e-6)
+    assert replay.trace.gap_lat_m[0] == pytest.approx(source.trace.gap_lat_m[0], abs=1e-6)

@@ -56,6 +56,7 @@ from .safety_models import (
     RssParams,
     cc_human_evaluate,
     control_step,
+    control_step_array,
     fsm_evaluate,
     idm_acceleration,
     idm_evaluate,
@@ -109,6 +110,7 @@ __all__ = [
     "RssParams",
     "cc_human_evaluate",
     "control_step",
+    "control_step_array",
     "fsm_evaluate",
     "idm_acceleration",
     "idm_evaluate",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -10,10 +11,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Any, Sequence
 
+import numpy as np
+
 from . import metrics
-from .errors import ConfigError
-from .kinematics import VehicleDims, VehicleState, advance_axis, axis_gap, require_finite
-from .safety_models import ModelParams, control_step
+from .errors import ConfigError, CutinSimError
+from .kinematics import (
+    VehicleDims,
+    VehicleState,
+    advance_axis,
+    advance_axis_array,
+    axis_gap,
+    require_finite,
+)
+from .safety_models import ModelParams, control_step, control_step_array
 
 SCENARIO_KINDS = ("cut_in", "cut_out", "car_following")
 CRITICAL = "critical"
@@ -128,34 +138,13 @@ class ScenarioParams:
 
     def lateral_offset(self, t_s: float) -> tuple[float, float]:
         """Lateral position of the other vehicle and its rate at time t."""
-        if self.kind == "car_following":
-            return 0.0, 0.0
-        u = (t_s - self.lc_start_s) / self.lc_duration_s
-        if u <= 0.0:
-            s, rate = 0.0, 0.0
-        elif u >= 1.0:
-            s, rate = 1.0, 0.0
-        else:
-            s = _smoothstep(u)
-            rate = _smoothstep_rate(u) / self.lc_duration_s
-        if self.kind == "cut_in":
-            return self.d_y0_m * (1.0 - s), -self.d_y0_m * rate
-        return self.d_y0_m * s, self.d_y0_m * rate  # cut_out
+        return _lateral_offset(self, t_s, self.d_y0_m)
 
     def other_motion(self, t_s: float) -> tuple[float, float, float, float]:
         """The other vehicle's closed-form motion plan at time t as
         (x, y, vx, vy): d_x0 (bumper gap) ahead of the ego at t = 0, lateral
         offset per the scenario kind."""
-        x = self.d_x0_m + (self.ego_dims.length_m + self.other_dims.length_m) / 2.0
-        t_prev, v = 0.0, self.v_o0_mps
-        for t_change, v_new in self.other_speed_profile:
-            if t_s < t_change:
-                break
-            x += v * (t_change - t_prev)
-            t_prev, v = t_change, v_new
-        x += v * (t_s - t_prev)
-        y, vy = self.lateral_offset(t_s)
-        return x, y, v, vy
+        return _other_motion(self, t_s, self.d_x0_m, self.v_o0_mps, self.d_y0_m)
 
     def other_state(self, t_s: float) -> VehicleState:
         """other_motion(t) as a VehicleState."""
@@ -198,6 +187,40 @@ class SimResult:
 class ClassifyThresholds:
     ttc_critical_s: float = 2.0
     comfort_decel_mps2: float = 3.5
+
+
+# The other vehicle's plan under p's kind, lane change, speed profile and
+# footprints, from the three scalars that a sweep varies per run. Those may be
+# floats or arrays with one entry per run, in the same float operations.
+
+
+def _lateral_offset(p: ScenarioParams, t_s: float, d_y0):
+    if p.kind == "car_following":
+        return 0.0, 0.0
+    u = (t_s - p.lc_start_s) / p.lc_duration_s
+    if u <= 0.0:
+        s, rate = 0.0, 0.0
+    elif u >= 1.0:
+        s, rate = 1.0, 0.0
+    else:
+        s = _smoothstep(u)
+        rate = _smoothstep_rate(u) / p.lc_duration_s
+    if p.kind == "cut_in":
+        return d_y0 * (1.0 - s), -d_y0 * rate
+    return d_y0 * s, d_y0 * rate  # cut_out
+
+
+def _other_motion(p: ScenarioParams, t_s: float, d_x0, v_o0, d_y0):
+    x = d_x0 + (p.ego_dims.length_m + p.other_dims.length_m) / 2.0
+    t_prev, v = 0.0, v_o0
+    for t_change, v_new in p.other_speed_profile:
+        if t_s < t_change:
+            break
+        x = x + v * (t_change - t_prev)
+        t_prev, v = t_change, v_new
+    x = x + v * (t_s - t_prev)
+    y, vy = _lateral_offset(p, t_s, d_y0)
+    return x, y, v, vy
 
 
 def _smoothstep(u: float) -> float:
@@ -329,17 +352,158 @@ class SweepItem:
     error: str | None = None
 
 
-def _run_sweep_point(
-    args: tuple[ScenarioParams, str, int, tuple[float, float, float, float], ModelParams, ClassifyThresholds]
-) -> SweepItem:
-    base, model_name, index, point, params, thresholds = args
-    v_e0, v_o0, d_x0, d_y0 = point
-    try:
-        scenario = replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
-        result = run_closed_loop(scenario, model_name, params, thresholds)
-        return SweepItem(model_name, index, point, replace(result, trace=None))
-    except Exception as exc:  # recorded as an error row, never aborts the sweep
-        return SweepItem(model_name, index, point, None, error=f"{type(exc).__name__}: {exc}")
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+class _Lanes:
+    """Per-run state of a batched sweep, one array entry per run still
+    stepping. keep(mask) drops the finished runs from every array at once."""
+
+    def __init__(self, **arrays: np.ndarray) -> None:
+        self.__dict__.update(arrays)
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.__dict__.update({name: a[mask] for name, a in vars(self).items()})
+
+
+def _raising(candidates: np.ndarray, check) -> dict[int, str]:
+    """Run check(j) for each candidate lane j; the error text of those that raise."""
+    errors = {}
+    for j in np.flatnonzero(candidates).tolist():
+        try:
+            check(j)
+        except Exception as exc:  # recorded as an error row, never aborts the sweep
+            errors[j] = _error_text(exc)
+    return errors
+
+
+def _run_lanes(
+    lanes: Sequence[tuple[str, int, tuple[float, float, float, float]]],
+    base: ScenarioParams,
+    params: ModelParams,
+    thresholds: ClassifyThresholds,
+) -> list[SweepItem]:
+    """run_closed_loop for many runs at once, summaries only: one float64
+    array entry (lane) per (model, grid index, point) of lanes, which come
+    grouped by model and with points valid over base.
+
+    Each step does run_closed_loop's step in the same float operations, so
+    every summary and error row equals the scalar loop's. Each model steps its
+    own contiguous slice through control_step_array. A lane whose step raises
+    in the scalar loop (a non-finite state, or an error of its model's step)
+    is found through the scalar check on its own floats, which gives the
+    scalar message; it becomes an error row, the lanes are compacted and the
+    step is redone for the others. A lane that collides or reaches the end
+    finishes; the lanes are compacted then too.
+    """
+    n = len(lanes)
+    models = list(dict.fromkeys(name for name, _, _ in lanes))
+    model_of = {name: m for m, name in enumerate(models)}
+    v_e0, v_o0, d_x0, d_y0 = np.array([pt for _, _, pt in lanes], dtype=float).reshape(n, 4).T
+    state = _Lanes(
+        lane=np.arange(n), model=np.array([model_of[name] for name, _, _ in lanes], dtype=int),
+        v_o0=v_o0, d_x0=d_x0, d_y0=d_y0, x=np.zeros(n), v=v_e0, memory=np.zeros(n),
+        min_gap=np.full(n, math.inf), min_ttc=np.full(n, math.inf),
+        peak_decel=np.full(n, -math.inf),
+    )
+    items: list[SweepItem | None] = [None] * n
+
+    def drop(errors: dict[int, str]) -> None:
+        for j, text in errors.items():
+            lane = int(state.lane[j])
+            name, index, point = lanes[lane]
+            items[lane] = SweepItem(name, index, point, None, error=text)
+        mask = np.ones(state.lane.size, dtype=bool)
+        mask[list(errors)] = False
+        state.keep(mask)
+
+    dt = base.dt_s
+    n_steps = round(base.duration_s / dt)
+    ego_len, other_len = base.ego_dims.length_m, base.other_dims.length_m
+    ego_width, other_width = base.ego_dims.width_m, base.other_dims.width_m
+    i = 0
+    with np.errstate(all="ignore"):
+        while i <= n_steps and state.lane.size:
+            t = i * dt
+            shape = state.lane.shape
+            ox, oy, ov, ovy = (  # a value shared by every lane becomes one entry each
+                c if isinstance(c, np.ndarray) else np.full(shape, c)
+                for c in _other_motion(base, t, state.d_x0, state.v_o0, state.d_y0)
+            )
+            errors = _raising(
+                ~np.isfinite(ox + oy + ov + ovy),
+                lambda j: require_finite(pos_long_m=float(ox[j]), pos_lat_m=float(oy[j]),
+                                         vel_long_mps=float(ov[j]), vel_lat_mps=float(ovy[j])),
+            )
+            if errors:
+                drop(errors)
+                continue
+            x, v = state.x, state.v
+            gap_long = axis_gap(x, ox, ego_len, other_len)
+            gap_lat = axis_gap(0.0, oy, ego_width, other_width)
+            collided = (gap_long < 0.0) & (gap_lat < 0.0)
+            # longitudinally alongside but laterally separated: no closing course
+            ttc = np.where(gap_long >= 0.0, metrics.ttc_array(gap_long, v - ov), math.inf)
+            decel, accel, memory = np.zeros(shape), np.zeros(shape), state.memory.copy()
+            bounds = np.searchsorted(state.model, np.arange(len(models) + 1)).tolist()
+            for m, name in enumerate(models):
+                s = slice(bounds[m], bounds[m + 1])
+                features = (gap_long[s], gap_lat[s], v[s], ov[s], ttc[s])
+                try:
+                    decel[s], accel[s], memory[s] = control_step_array(
+                        name, params, *features, dt, state.memory[s]
+                    )
+                except (CutinSimError, ArithmeticError):
+                    # some lane's step raises: step the slice through the scalar
+                    # control_step, which names the lanes and their errors
+                    for j in range(s.start, s.stop):
+                        if collided[j]:
+                            continue
+                        try:
+                            decision, accel[j], memory[j] = control_step(
+                                name, params, *(float(f[j]) for f in (gap_long, gap_lat, v, ov, ttc)),
+                                dt, float(state.memory[j]),
+                            )
+                            decel[j] = decision.decel_cmd_mps2
+                        except Exception as exc:  # an error row
+                            errors[j] = _error_text(exc)
+            if errors:
+                drop(errors)
+                continue
+            # a collision step records ttc 0 and no braking, and ends the run
+            ttc = np.where(collided, 0.0, ttc)
+            decel = np.where(collided, 0.0, decel)
+            x, v = advance_axis_array(x, v, accel, dt)
+            done = collided | (i == n_steps)
+            errors = _raising(
+                ~done & ~np.isfinite(accel + x + v),
+                lambda j: require_finite(accel_long_mps2=float(accel[j]), pos_long_m=float(x[j]),
+                                         vel_long_mps=float(v[j])),
+            )
+            if errors:
+                drop(errors)
+                continue
+            # running summaries, with min's and max's tie rules
+            state.min_gap = np.where(gap_long < state.min_gap, gap_long, state.min_gap)
+            state.min_ttc = np.where(np.isfinite(ttc) & (ttc < state.min_ttc), ttc, state.min_ttc)
+            state.peak_decel = np.where(decel > state.peak_decel, decel, state.peak_decel)
+            state.x, state.v, state.memory = x, v, memory
+            for lane, hit, min_gap, min_ttc, peak in zip(
+                *(a[done].tolist() for a in
+                  (state.lane, collided, state.min_gap, state.min_ttc, state.peak_decel))
+            ):
+                name, index, point = lanes[lane]
+                result = SimResult(
+                    trace=None, collided=hit, min_gap_long_m=min_gap, min_ttc_s=min_ttc,
+                    peak_decel_mps2=peak, classification=_classify(hit, min_ttc, peak, thresholds),
+                    model_name=name,
+                )
+                items[lane] = SweepItem(name, index, point, result)
+            if done.any():
+                state.keep(~done)
+            i += 1
+    return items
 
 
 def sweep(
@@ -350,27 +514,46 @@ def sweep(
     thresholds: ClassifyThresholds = ClassifyThresholds(),
     jobs: int = 1,
 ) -> list[SweepItem]:
-    """Simulate the full grid for every model.
+    """Simulate the full grid for every model, all runs stepped together.
 
-    Results come back ordered by (model, grid index) regardless of how many
-    worker processes execute them. At most min(jobs, CPU count, number of runs)
-    workers start; with one, the runs execute in this process.
+    Each item's result equals run_closed_loop's summary (its trace is None),
+    and a grid point whose scenario or run raises is an error row. Results
+    come back ordered by (model, grid index). The runs split into at most
+    min(jobs, CPU count, number of runs) contiguous chunks, one per worker
+    process; with one, they run in this process.
     """
     if not models:
         raise ConfigError("comparison needs at least one model", key="models")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}", key="jobs")
     points = grid.points()
-    tasks = [
-        (base, model_name, index, point, params, thresholds)
+    invalid = {}
+    for index, (v_e0, v_o0, d_x0, d_y0) in enumerate(points):
+        try:  # each grid point's scenario is validated once, for every model
+            replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
+        except Exception as exc:  # recorded as an error row, never aborts the sweep
+            invalid[index] = _error_text(exc)
+    lanes = [
+        (model_name, index, point)
+        for model_name in models
+        for index, point in enumerate(points)
+        if index not in invalid
+    ]
+    run = functools.partial(_run_lanes, base=base, params=params, thresholds=thresholds)
+    workers = min(jobs, os.cpu_count() or 1, len(lanes))
+    if workers > 1:
+        chunks = [lanes[k * len(lanes) // workers:(k + 1) * len(lanes) // workers]
+                  for k in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = iter([item for chunk in pool.map(run, chunks) for item in chunk])
+    else:
+        done = iter(run(lanes))
+    return [
+        SweepItem(model_name, index, point, None, error=invalid[index])
+        if index in invalid else next(done)
         for model_name in models
         for index, point in enumerate(points)
     ]
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_sweep_point, tasks, chunksize=8))
-    return [_run_sweep_point(task) for task in tasks]
 
 
 def feasibility_bound(

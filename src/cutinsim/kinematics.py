@@ -3,6 +3,8 @@
 The float functions `advance_axis` and `axis_gap` hold the motion and gap
 formulas; the engine steps plain floats through them, and the `VehicleState`
 forms (`step_vehicle`, `gap_longitudinal`, `gap_lateral`) delegate to them.
+`axis_gap` also takes arrays; `advance_axis_array` is `advance_axis` with the
+stop clamp over arrays, for the batched sweep.
 
 Conventions: longitudinal x grows in the travel direction, lateral y grows
 leftward, positions refer to vehicle centers. Lane centers sit at
@@ -13,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidInputError
 
@@ -72,6 +76,23 @@ def advance_axis(
         t_stop = vel / -accel if accel < 0.0 else 0.0
         return pos + vel * t_stop + 0.5 * accel * t_stop * t_stop, 0.0
     return pos + vel * dt + 0.5 * accel * dt * dt, v_end
+
+
+def advance_axis_array(
+    pos: np.ndarray, vel: np.ndarray, accel: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """advance_axis(pos, vel, accel, dt, True) entry by entry over arrays, in
+    the same float operations. Both branches are computed everywhere, so run
+    it under np.errstate(all="ignore")."""
+    v_end = vel + accel * dt
+    t_stop = np.where(accel < 0.0, vel / -accel, 0.0)
+    stopped = v_end < 0.0
+    pos = np.where(
+        stopped,
+        pos + vel * t_stop + 0.5 * accel * t_stop * t_stop,
+        pos + vel * dt + 0.5 * accel * dt * dt,
+    )
+    return pos, np.where(stopped, 0.0, v_end)
 
 
 def step_vehicle(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInputError, UndefinedSensitivityError
 
 # Closing speeds below this floor are treated as non-closing; keeps TTC
@@ -35,6 +37,16 @@ def ttc(gap_long_m: float, closing_mps: float) -> float:
     if closing_mps > CLOSING_SPEED_FLOOR_MPS:
         return gap_long_m / closing_mps
     return math.inf
+
+
+def ttc_array(gap_long_m: np.ndarray, closing_mps: np.ndarray) -> np.ndarray:
+    """ttc entry by entry over arrays, with the same values. Both branches are
+    computed everywhere, so run it under np.errstate(all="ignore")."""
+    return np.where(
+        gap_long_m < 0.0,
+        0.0,
+        np.where(closing_mps > CLOSING_SPEED_FLOOR_MPS, gap_long_m / closing_mps, math.inf),
+    )
 
 
 def compute_features(

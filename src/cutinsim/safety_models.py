@@ -6,6 +6,9 @@ a stopping-time margin, plus a proportional braking law driven by distance and
 TTC shortfalls. The baselines (rss, reg157, cc_human, fsm, idm) are compact
 parameterized stand-ins for the systems they are named after, not
 full-fidelity ports of those systems.
+
+`control_step` steps one run; `control_step_array` steps many runs at once,
+one array entry per run, with the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, InvalidInputError
-from .metrics import CLOSING_SPEED_FLOOR_MPS, ttc
+from .metrics import CLOSING_SPEED_FLOOR_MPS, ttc, ttc_array
 
 MODEL_NAMES = ("rba", "rss", "reg157", "cc_human", "fsm", "idm", "none")
 
@@ -142,10 +147,14 @@ class RssParams:
 def rss_min_gap(v_ego_mps: float, v_cut_mps: float, p: RssParams) -> float:
     """Minimum longitudinal distance of the responsibility-sensitive envelope."""
     rho = p.response_time_s
+    try:
+        reach = (v_ego_mps + rho * p.accel_max_response_mps2) ** 2
+    except OverflowError:
+        raise InvalidInputError(f"rss minimum gap overflows at v_ego_mps={v_ego_mps!r}") from None
     d = (
         v_ego_mps * rho
         + 0.5 * p.accel_max_response_mps2 * rho * rho
-        + (v_ego_mps + rho * p.accel_max_response_mps2) ** 2 / (2.0 * p.ego_brake_min_mps2)
+        + reach / (2.0 * p.ego_brake_min_mps2)
         - v_cut_mps * v_cut_mps / (2.0 * p.other_brake_max_mps2)
     )
     return max(d, 0.0)
@@ -303,7 +312,8 @@ def idm_acceleration(
     """Intelligent-driver-model acceleration; rel_vel_mps positive when closing.
 
     Clamped below at -2 b (emergency braking floor); gap_m may be math.inf for
-    free flow but must be positive.
+    free flow but must be positive. A speed (or gap) for which either power
+    overflows is an InvalidInputError naming v_mps.
     """
     if not gap_m > 0.0:
         raise InvalidInputError(f"gap_m must be > 0, got {gap_m}")
@@ -312,9 +322,14 @@ def idm_acceleration(
         + v_mps * p.time_headway_s
         + v_mps * rel_vel_mps / (2.0 * math.sqrt(p.a_max_mps2 * p.b_comfort_mps2))
     )
-    a = p.a_max_mps2 * (
-        1.0 - (v_mps / p.v_desired_mps) ** p.delta - (s_star / gap_m) ** 2
-    )
+    try:
+        free_road = (v_mps / p.v_desired_mps) ** p.delta
+        interaction = (s_star / gap_m) ** 2
+    except OverflowError:
+        raise InvalidInputError(
+            f"idm acceleration overflows at v_mps={v_mps!r}, gap_m={gap_m!r}"
+        ) from None
+    a = p.a_max_mps2 * (1.0 - free_road - interaction)
     return max(a, -2.0 * p.b_comfort_mps2)
 
 
@@ -414,3 +429,140 @@ def control_step(
             f"unknown safety model {name!r}; expected one of {MODEL_NAMES}", key="model"
         )
     return decision, -decision.decel_cmd_mps2, memory
+
+
+# ---------------------------------------------------------------------------
+# Array step: control_step over many runs at once
+# ---------------------------------------------------------------------------
+
+
+def _pick_max(a, b):
+    """Python's max(a, b) entry by entry: a unless b > a, so of equal values
+    (0.0 and -0.0) the first is kept, as it is by max."""
+    return np.where(b > a, b, a)
+
+
+def _pick_min(a, b):
+    """Python's min(a, b) entry by entry: a unless b < a."""
+    return np.where(b < a, b, a)
+
+
+def _py_pow(base: np.ndarray, exponent: float, where: np.ndarray) -> np.ndarray:
+    """base ** exponent with Python's float power at the entries where `where`
+    holds, 0 elsewhere. numpy's power differs from it in the last bit for
+    some inputs; Python's raises OverflowError where the scalar model does."""
+    out = np.zeros(base.shape)
+    out[where] = [b ** exponent for b in base[where].tolist()]
+    return out
+
+
+def control_step_array(
+    name: str,
+    params: ModelParams,
+    gap_long_m: np.ndarray,
+    gap_lat_m: np.ndarray,
+    v_ego_mps: np.ndarray,
+    v_other_mps: np.ndarray,
+    ttc_s: np.ndarray,
+    dt_s: float,
+    memory: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """control_step over float64 arrays, one entry per run:
+    (decel_cmd_mps2, accel_mps2, memory) arrays.
+
+    Each entry equals control_step's decision.decel_cmd_mps2, acceleration
+    and memory bit for bit: the same IEEE operations in the same order,
+    Python's tie rules for max and min, and the idm and rss powers through
+    Python's ** entry by entry. Every branch is computed for every entry and
+    the taken one selected, so run it under np.errstate(all="ignore"). Where
+    control_step raises for some entry this raises too, though not always
+    with the same exception; control_step on that entry's floats gives it.
+    """
+    if name == "rba":
+        p = params.rba
+        dv = v_ego_mps - v_other_mps
+        margin_s = dv / (2.0 * p.a_max_mps2) + p.t_react_s + p.time_margin_s
+        safe = (gap_lat_m > p.d_lat_safe_m) & (
+            (gap_long_m > p.d_safe_m + p.headway_gain_s * v_ego_mps)
+            | (dv < CLOSING_SPEED_FLOOR_MPS)
+            | (ttc_array(gap_long_m, dv) > margin_s)
+        )
+        step_freq_hz = 1.0 / dt_s
+        denom = p.d_safe_m + p.safety_buffer_m
+        shortfall_gap = (denom - gap_long_m) / denom
+        shortfall_ttc = np.where(
+            np.isfinite(ttc_s), (p.ttc_safe_s - ttc_s) / p.ttc_safe_s, -math.inf
+        )
+        dv_step = _pick_max(shortfall_gap, shortfall_ttc) * p.a_max_mps2 / step_freq_hz
+        dv_step = _pick_min(_pick_max(dv_step, 0.0), p.a_max_mps2 / step_freq_hz)
+        dv_step = np.where(safe, 0.0, dv_step)
+        decel = np.where(safe, 0.0, dv_step * step_freq_hz)
+        saturated = ~safe & (decel >= p.a_max_mps2 * (1.0 - 1e-9))
+        memory = np.where(saturated, memory + 1, 0.0)
+        accel = (_pick_max(v_ego_mps - dv_step, p.v_min_mps) - v_ego_mps) / dt_s
+        return decel, accel, memory
+    if name == "rss":
+        p = params.rss
+        rho = p.response_time_s
+        checked = ~(gap_lat_m > 0.0)
+        reach = _py_pow(v_ego_mps + rho * p.accel_max_response_mps2, 2, checked)
+        min_gap = (
+            v_ego_mps * rho
+            + 0.5 * p.accel_max_response_mps2 * rho * rho
+            + reach / (2.0 * p.ego_brake_min_mps2)
+            - v_other_mps * v_other_mps / (2.0 * p.other_brake_max_mps2)
+        )
+        unsafe = checked & (gap_long_m < _pick_max(min_gap, 0.0))
+        decel = np.where(unsafe, p.ego_brake_min_mps2, 0.0)
+    elif name == "reg157":
+        p = params.reg157
+        threshold = _pick_max(p.min_standstill_gap_m, v_ego_mps * p.min_time_gap_s)
+        unsafe = ~(gap_lat_m > 0.0) & (gap_long_m < threshold)
+        decel = np.where(unsafe, p.brake_mps2, 0.0)
+    elif name == "cc_human":
+        p = params.cc_human
+        perceived = (-gap_lat_m > p.lat_intrusion_trigger_m) & (
+            ttc_array(gap_long_m, v_ego_mps - v_other_mps) < p.perception_ttc_s
+        )
+        decel = np.where(perceived & (memory >= p.reaction_delay_s), p.brake_mps2, 0.0)
+        memory = np.where(perceived, memory + dt_s, 0.0)
+    elif name == "fsm":
+        p = params.fsm
+        urgency_ttc = ttc_array(gap_long_m, v_ego_mps - v_other_mps)
+        u_d = (p.proximity_scale_m - gap_long_m) / p.proximity_scale_m
+        u_t = np.where(
+            np.isfinite(urgency_ttc), (p.ttc_scale_s - urgency_ttc) / p.ttc_scale_s, -math.inf
+        )
+        risk = _pick_max(
+            _pick_min(_pick_max(u_d, 0.0), 1.0), _pick_min(_pick_max(u_t, 0.0), 1.0)
+        )
+        unsafe = ~(gap_lat_m > 0.0) & (risk > 0.0)
+        decel = np.where(unsafe, risk * p.braking_gain * p.a_max_mps2, 0.0)
+    elif name == "idm":
+        p = params.idm
+        floor = -2.0 * p.b_comfort_mps2
+        free_road = gap_lat_m > 0.0
+        # the entries for which idm_evaluate calls idm_acceleration
+        calls = free_road | ~(gap_long_m <= 0.0)
+        gap = np.where(free_road, math.inf, gap_long_m)
+        rel = np.where(free_road, 0.0, v_ego_mps - v_other_mps)
+        sqrt_ab2 = 2.0 * math.sqrt(p.a_max_mps2 * p.b_comfort_mps2)
+        if calls.any() and (sqrt_ab2 == 0.0 or not (gap[calls] > 0.0).all()):
+            # idm_acceleration raises: 2 sqrt(a b) underflowed to 0 (a Python
+            # division by zero) or a gap is not positive
+            raise InvalidInputError("idm acceleration is undefined for some entry")
+        s_star = p.min_spacing_m + v_ego_mps * p.time_headway_s + v_ego_mps * rel / sqrt_ab2
+        free = _py_pow(v_ego_mps / p.v_desired_mps, p.delta, calls)
+        interaction = _py_pow(s_star / gap, 2, calls)
+        accel = np.where(
+            calls, _pick_max(p.a_max_mps2 * (1.0 - free - interaction), floor), floor
+        )
+        return np.where(accel >= 0.0, 0.0, -accel), accel, memory
+    elif name == "none":
+        # uncontrolled ego: never brakes; the collision baseline
+        return np.zeros(v_ego_mps.shape), np.zeros(v_ego_mps.shape), memory
+    else:
+        raise ConfigError(
+            f"unknown safety model {name!r}; expected one of {MODEL_NAMES}", key="model"
+        )
+    return decel, -decel, memory

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shutil
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from cutinsim.cli import main
 from cutinsim.config import parse_config
 from cutinsim.engine import run_closed_loop
-from cutinsim.errors import ConfigError
+from cutinsim.errors import ConfigError, InvalidInputError
 from cutinsim.kinematics import VehicleDims
 from cutinsim.reports import fmt_float, read_comparison_store
 
@@ -336,7 +337,9 @@ def test_sweep_point_with_a_non_finite_state_is_an_error_row(tmp_path):
         sweep={"v_e0": [0.0, 25.0], "v_o0": [1e308, 20.0], "d_x0": [30.0], "d_y0": [3.75]},
     )
     out = tmp_path / "cmp"
-    assert main(["comparison", "--config", cfg, "--out", str(out)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow to inf raises no numpy warning
+        assert main(["comparison", "--config", cfg, "--out", str(out)]) == 0
     for model in ("none", "rba"):
         rows = [line.split(",") for line in (out / f"results_{model}.csv").read_text().splitlines()[1:]]
         assert len(rows) == 4
@@ -345,6 +348,38 @@ def test_sweep_point_with_a_non_finite_state_is_an_error_row(tmp_path):
                 assert row[5:10] == [""] * 5 and "must be finite" in row[10], row
             else:
                 assert row[10] == "" and "nan" not in row, row
+
+
+# A speed at which a model's power overflows: idm's (v / v_desired) ** delta,
+# rss's (v + rho a) ** 2.
+OVERFLOWING_STEP = {"idm": "v_mps=1e+306", "rss": "v_ego_mps=1e+306"}
+
+
+@pytest.mark.parametrize("model", OVERFLOWING_STEP)
+def test_one_case_with_an_overflowing_model_step_is_an_input_error(tmp_path, capsys, model):
+    cfg = write_config(tmp_path, scenario={**SCENARIO, "v_e0": 1e306}, model=model)
+    code = main(["one-case", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "overflows" in err and OVERFLOWING_STEP[model] in err
+    assert "Traceback" not in err
+
+
+def test_sweep_point_with_an_overflowing_model_step_is_the_scalar_error_row(tmp_path):
+    cfg = write_config(
+        tmp_path, models=list(OVERFLOWING_STEP),
+        sweep={"v_e0": [1e306, 25.0], "v_o0": [20.0], "d_x0": [30.0], "d_y0": [3.75]},
+    )
+    out = tmp_path / "cmp"
+    assert main(["comparison", "--config", cfg, "--out", str(out)]) == 0
+    run_cfg = parse_config(json.loads(open(cfg).read()))
+    for model in OVERFLOWING_STEP:
+        rows = [line.split(",") for line in (out / f"results_{model}.csv").read_text().splitlines()[1:]]
+        with pytest.raises(InvalidInputError) as exc:
+            run_closed_loop(replace(run_cfg.scenario, v_e0_mps=1e306), model)
+        scalar = f"InvalidInputError: {exc.value}".replace(",", ";")
+        assert rows[0][10] == scalar and OVERFLOWING_STEP[model] in scalar
+        assert rows[1][10] == ""
 
 
 @pytest.fixture(scope="module")

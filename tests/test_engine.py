@@ -1,12 +1,16 @@
 import itertools
 import math
+import os
 import pickle
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cutinsim.engine as engine
+from cutinsim.config import load_config
 from cutinsim.engine import (
     MAX_STEPS,
     SCENARIO_KINDS,
@@ -14,13 +18,24 @@ from cutinsim.engine import (
     ScenarioParams,
     SimResult,
     SweepGrid,
+    SweepItem,
     classify_event,
     feasibility_bound,
     run_closed_loop,
     sweep,
 )
 from cutinsim.errors import ConfigError
-from cutinsim.safety_models import MODEL_NAMES, ModelParams, control_step
+from cutinsim.kinematics import VehicleDims
+from cutinsim.safety_models import (
+    MODEL_NAMES,
+    CcHumanParams,
+    IdmParams,
+    ModelParams,
+    RbaParams,
+    control_step,
+)
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def cutin(v_e0=25.0, v_o0=20.0, d_x0=30.0, d_y0=3.75, lc_start=1.0, lc_dur=2.0,
@@ -281,6 +296,158 @@ def test_sweep_records_error_rows_instead_of_aborting():
     assert len(items) == 1
     assert items[0].result is None
     assert "d_y0" in items[0].error
+
+
+def at_point(base, point):
+    v_e0, v_o0, d_x0, d_y0 = point
+    return replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
+
+
+def scalar_item(base, model, index, point, params, thresholds=ClassifyThresholds()):
+    """One sweep item through the scalar loop: the reference for the batched sweep."""
+    try:
+        result = run_closed_loop(at_point(base, point), model, params, thresholds)
+    except Exception as exc:
+        return SweepItem(model, index, point, None, error=f"{type(exc).__name__}: {exc}")
+    return SweepItem(model, index, point, replace(result, trace=None))
+
+
+def scalar_sweep(grid, models, base, params):
+    return [
+        scalar_item(base, model, index, point, params)
+        for model in models
+        for index, point in enumerate(grid.points())
+    ]
+
+
+def reprs(items):
+    # repr shows every field, so -0.0 against 0.0 and error texts count
+    return [repr(item) for item in items]
+
+
+@st.composite
+def sweep_cases(draw):
+    """A small grid over every kind, with points that collide, stop (a lead
+    that stops, slow egos) or raise (an invalid point, a non-finite other
+    vehicle, an overflowing idm or rss step)."""
+    kind = draw(st.sampled_from(SCENARIO_KINDS))
+    lc_start = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    lc_duration = draw(st.sampled_from((0.5, 1.0, 2.5)))
+    duration = lc_start + lc_duration + draw(st.sampled_from((0.0, 1.5, 3.0)))
+    profile = ()
+    if kind == "car_following":
+        changes = st.tuples(st.floats(0.0, duration), st.sampled_from((0.0, 4.0, 25.0)))
+        profile = tuple(sorted(draw(st.lists(changes, max_size=2))))
+    ego, other = (VehicleDims(*draw(st.sampled_from(((2.0, 5.0), (1.8, 4.2), (2.5, 16.0)))))
+                  for _ in range(2))
+    base = ScenarioParams(
+        kind=kind, v_e0_mps=20.0, v_o0_mps=10.0, d_x0_m=30.0,
+        d_y0_m=0.0 if kind == "car_following" else 3.75,
+        lc_start_s=lc_start, lc_duration_s=lc_duration, duration_s=duration,
+        dt_s=draw(st.sampled_from((0.025, 0.05, 0.1, 0.2))),
+        other_speed_profile=profile, ego_dims=ego, other_dims=other,
+    )
+
+    def axis(values):
+        return tuple(draw(st.lists(values, min_size=1, max_size=2, unique=True)))
+
+    grid = SweepGrid(
+        v_e0_mps=axis(st.one_of(st.floats(0.0, 40.0), st.sampled_from((-0.0, 1e306)))),
+        v_o0_mps=axis(st.one_of(st.floats(0.0, 30.0), st.just(1e308))),
+        d_x0_m=axis(st.one_of(st.floats(0.5, 60.0), st.just(0.0))),
+        d_y0_m=axis(st.sampled_from((0.0, 1.0, 3.75, 7.5))),
+    )
+    params = ModelParams(
+        rba=RbaParams(v_min_mps=draw(st.sampled_from((0.0, 3.0))),
+                      headway_gain_s=draw(st.sampled_from((0.0, 0.8)))),
+        cc_human=CcHumanParams(reaction_delay_s=draw(st.sampled_from((0.0, 0.75)))),
+        idm=IdmParams(delta=draw(st.sampled_from((4.0, 2.7)))),
+    )
+    return grid, base, params
+
+
+def valid(base, point):
+    try:
+        at_point(base, point)
+    except ConfigError:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_cases(), st.data())
+def test_batched_sweep_equals_the_scalar_loop(case, data):
+    grid, base, params = case
+    items = sweep(grid, MODEL_NAMES, base, params)
+    assert reprs(items) == reprs(scalar_sweep(grid, MODEL_NAMES, base, params))
+    # a lane's result does not depend on the batch it runs in
+    ran = [it for it in items if valid(base, it.point)]
+    start = data.draw(st.integers(0, len(ran)))
+    stop = data.draw(st.integers(start, len(ran)))
+    chunk = [(it.model_name, it.grid_index, it.point) for it in ran[start:stop]]
+    alone = engine._run_lanes(chunk, base, params, ClassifyThresholds())
+    assert reprs(alone) == reprs(ran[start:stop])
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_batched_sweep_equals_the_scalar_loop_where_runs_collide_stop_and_raise(kind):
+    base = cutin(kind=kind, d_y0=0.0 if kind == "car_following" else 3.75,
+                 lc_start=0.0, lc_dur=1.0, duration=6.0,
+                 profile=((3.0, 0.0),) if kind == "car_following" else ())
+    grid = SweepGrid(v_e0_mps=(0.0, 10.0, 30.0, 1e306), v_o0_mps=(10.0, 1e308),
+                     d_x0_m=(5.0, 40.0), d_y0_m=(0.0, 3.75))
+    items = sweep(grid, MODEL_NAMES, base)
+    assert reprs(items) == reprs(scalar_sweep(grid, MODEL_NAMES, base, ModelParams()))
+    errors = [it.error for it in items if it.error]
+    for message in (
+        "InvalidInputError: pos_long_m must be finite",  # the other vehicle, or the ego
+        "InvalidInputError: idm acceleration overflows",
+        "InvalidInputError: rss minimum gap overflows",
+    ):
+        assert any(error.startswith(message) for error in errors), message
+    assert any(it.result and it.result.collided for it in items)
+    if kind == "car_following":  # the lead stops at 3 s; reg157 brakes the ego to a standstill
+        run = run_closed_loop(at_point(base, (10.0, 10.0, 5.0, 0.0)), "reg157")
+        assert not run.collided and run.trace.ego_v_mps[-1] == 0.0
+
+
+def test_batched_sweep_equals_the_scalar_loop_where_idm_divides_by_zero():
+    # 2 sqrt(a b) underflows to 0: every idm_acceleration call divides by zero
+    params = ModelParams(idm=IdmParams(a_max_mps2=1e-170, b_comfort_mps2=1e-170))
+    grid = SweepGrid(v_e0_mps=(30.0,), v_o0_mps=(10.0,), d_x0_m=(1.0, 40.0), d_y0_m=(0.0, 3.75))
+    base = cutin(lc_start=0.0, lc_dur=1.0)
+    items = sweep(grid, ["idm"], base, params)
+    assert reprs(items) == reprs(scalar_sweep(grid, ["idm"], base, params))
+    assert any(it.error == "ZeroDivisionError: float division by zero" for it in items)
+
+
+# The braking each model declares as its most: the cap of its peak_decel_mps2.
+DECEL_CAPS = {
+    "rba": lambda p: p.rba.a_max_mps2,
+    "rss": lambda p: p.rss.ego_brake_min_mps2,
+    "reg157": lambda p: p.reg157.brake_mps2,
+    "cc_human": lambda p: p.cc_human.brake_mps2,
+    "fsm": lambda p: p.fsm.braking_gain * p.fsm.a_max_mps2,
+    "idm": lambda p: 2.0 * p.idm.b_comfort_mps2,
+    "none": lambda p: 0.0,
+}
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_no_sweep_run_brakes_harder_than_its_model_declares(kind):
+    cfg = load_config(os.path.join(CONFIGS, "comparison.json"))
+    grid, base = cfg.sweep, cfg.scenario
+    if kind == "cut_out":
+        base = replace(base, kind=kind)
+    elif kind == "car_following":  # the lead stops at 2 s and pulls away at 6 s
+        grid = replace(grid, d_y0_m=(0.0,))
+        base = replace(base, kind=kind, d_y0_m=0.0, other_speed_profile=((2.0, 0.0), (6.0, 15.0)))
+    items = sweep(grid, cfg.models, base, cfg.model_params, cfg.classify)
+    assert len(items) == len(grid.points()) * len(MODEL_NAMES)
+    for it in items:
+        assert it.error is None, it
+        assert it.result.peak_decel_mps2 <= DECEL_CAPS[it.model_name](cfg.model_params), it
+    assert any(it.result.peak_decel_mps2 > 0.0 for it in items if it.model_name == "idm")
 
 
 def test_classification_rules():

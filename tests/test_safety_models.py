@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutinsim.errors import ConfigError, InvalidInputError
 from cutinsim.kinematics import VehicleDims, VehicleState
@@ -18,7 +20,9 @@ from cutinsim.safety_models import (
     Reg157Params,
     RssParams,
     cc_human_evaluate,
+    MODEL_NAMES,
     control_step,
+    control_step_array,
     fsm_evaluate,
     fsm_risk,
     idm_acceleration,
@@ -353,3 +357,42 @@ def test_control_step_rejects_unknown_model():
         control_step(
             "bogus", ModelParams(), *step_features(veh(), veh(20.0), DIMS, DIMS), math.inf, 0.05, 0
         )
+
+
+# Step features around every gate: exact zeros of both signs, overlaps,
+# stopped and huge speeds, an infinite TTC.
+edge_gaps = st.one_of(st.floats(-20.0, 80.0), st.sampled_from((0.0, -0.0, 0.5, 10.0, 12.0)))
+feature_rows = st.tuples(
+    edge_gaps,
+    st.one_of(st.floats(-3.0, 5.0), st.sampled_from((0.0, -0.0, 0.3, 0.5))),
+    st.one_of(st.floats(0.0, 45.0), st.sampled_from((0.0, -0.0, 1e80))),
+    st.one_of(st.floats(0.0, 35.0), st.just(0.0)),
+    st.one_of(st.floats(0.0, 20.0), st.sampled_from((0.0, math.inf))),
+    st.one_of(st.integers(0, 7).map(float), st.floats(0.0, 2.0)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODEL_NAMES), st.sampled_from((0.025, 0.05, 0.2)),
+       st.lists(feature_rows, min_size=1, max_size=12))
+def test_array_step_equals_the_scalar_step_entry_by_entry(name, dt, rows):
+    """control_step_array is control_step over arrays: the same decel, accel
+    and memory bit for bit, or an error where any entry's scalar step raises."""
+    scalar, raised = [], False
+    for gap_long, gap_lat, v_ego, v_other, ttc_s, memory in rows:
+        try:
+            decision, accel, memory = control_step(
+                name, ModelParams(), gap_long, gap_lat, v_ego, v_other, ttc_s, dt, memory
+            )
+        except InvalidInputError:
+            raised = True
+            continue
+        scalar.append(repr((float(decision.decel_cmd_mps2), float(accel), float(memory))))
+    columns = [np.array(column, dtype=float) for column in zip(*rows)]
+    with np.errstate(all="ignore"):
+        if raised:
+            with pytest.raises((InvalidInputError, ArithmeticError)):
+                control_step_array(name, ModelParams(), *columns[:5], dt, columns[5])
+            return
+        decel, accel, memory = control_step_array(name, ModelParams(), *columns[:5], dt, columns[5])
+    assert [repr(entry) for entry in zip(decel.tolist(), accel.tolist(), memory.tolist())] == scalar

@@ -28,13 +28,9 @@ EXIT_COLLISION = 2
 def _load(path: str, model_override: str | None = None) -> config_mod.RunConfig:
     cfg = config_mod.load_config(path)
     if model_override is not None:
-        if model_override not in config_mod.MODEL_NAMES:
-            raise ConfigError(
-                f"model: {model_override!r} is not a registered model "
-                f"(choose from {config_mod.MODEL_NAMES})",
-                key="model",
-            )
-        cfg = dataclasses.replace(cfg, model=model_override)
+        cfg = dataclasses.replace(
+            cfg, model=config_mod._check_model_name(model_override, "model")
+        )
     return cfg
 
 

@@ -91,7 +91,7 @@ def _build_dataclass(cls, data: Any, key_prefix: str):
             raise ConfigError(
                 f"unknown key {key_prefix}.{name!r}", key=f"{key_prefix}.{name}"
             )
-        kwargs[name] = check_finite(value, f"{key_prefix}.{name}")
+        kwargs[name] = float(check_finite(value, f"{key_prefix}.{name}"))
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

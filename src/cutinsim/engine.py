@@ -367,15 +367,22 @@ class _Lanes:
         self.__dict__.update({name: a[mask] for name, a in vars(self).items()})
 
 
-def _raising(candidates: np.ndarray, check) -> dict[int, str]:
-    """Run check(j) for each candidate lane j; the error text of those that raise."""
-    errors = {}
-    for j in np.flatnonzero(candidates).tolist():
-        try:
-            check(j)
-        except Exception as exc:  # recorded as an error row, never aborts the sweep
-            errors[j] = _error_text(exc)
-    return errors
+def _scalar_item(
+    lane: tuple[str, int, tuple[float, float, float, float]],
+    base: ScenarioParams,
+    params: ModelParams,
+    thresholds: ClassifyThresholds,
+) -> SweepItem:
+    """The sweep item of one lane through run_closed_loop on its grid point:
+    the summary without the trace, or the error row of what the run raises."""
+    name, index, point = lane
+    v_e0, v_o0, d_x0, d_y0 = point
+    p = replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
+    try:
+        result = run_closed_loop(p, name, params, thresholds)
+    except Exception as exc:  # recorded as an error row, never aborts the sweep
+        return SweepItem(name, index, point, None, error=_error_text(exc))
+    return SweepItem(name, index, point, replace(result, trace=None))
 
 
 def _run_lanes(
@@ -389,13 +396,13 @@ def _run_lanes(
     grouped by model and with points valid over base.
 
     Each step does run_closed_loop's step in the same float operations, so
-    every summary and error row equals the scalar loop's. Each model steps its
-    own contiguous slice through control_step_array. A lane whose step raises
-    in the scalar loop (a non-finite state, or an error of its model's step)
-    is found through the scalar check on its own floats, which gives the
-    scalar message; it becomes an error row, the lanes are compacted and the
-    step is redone for the others. A lane that collides or reaches the end
-    finishes; the lanes are compacted then too.
+    every summary equals the scalar loop's. Each model steps its own
+    contiguous slice through control_step_array. A lane whose step may raise
+    leaves the arrays, and its item comes from run_closed_loop on its grid
+    point: one whose other vehicle's plan is non-finite, every lane of a
+    model slice whose control_step_array raised, and one whose next state is
+    non-finite. A lane that collides or reaches the end finishes. The lanes
+    are compacted whenever some finish or leave.
     """
     n = len(lanes)
     models = list(dict.fromkeys(name for name, _, _ in lanes))
@@ -408,37 +415,21 @@ def _run_lanes(
         peak_decel=np.full(n, -math.inf),
     )
     items: list[SweepItem | None] = [None] * n
-
-    def drop(errors: dict[int, str]) -> None:
-        for j, text in errors.items():
-            lane = int(state.lane[j])
-            name, index, point = lanes[lane]
-            items[lane] = SweepItem(name, index, point, None, error=text)
-        mask = np.ones(state.lane.size, dtype=bool)
-        mask[list(errors)] = False
-        state.keep(mask)
-
     dt = base.dt_s
     n_steps = round(base.duration_s / dt)
     ego_len, other_len = base.ego_dims.length_m, base.other_dims.length_m
     ego_width, other_width = base.ego_dims.width_m, base.other_dims.width_m
-    i = 0
     with np.errstate(all="ignore"):
-        while i <= n_steps and state.lane.size:
+        for i in range(n_steps + 1):
+            if not state.lane.size:
+                break
             t = i * dt
             shape = state.lane.shape
             ox, oy, ov, ovy = (  # a value shared by every lane becomes one entry each
                 c if isinstance(c, np.ndarray) else np.full(shape, c)
                 for c in _other_motion(base, t, state.d_x0, state.v_o0, state.d_y0)
             )
-            errors = _raising(
-                ~np.isfinite(ox + oy + ov + ovy),
-                lambda j: require_finite(pos_long_m=float(ox[j]), pos_lat_m=float(oy[j]),
-                                         vel_long_mps=float(ov[j]), vel_lat_mps=float(ovy[j])),
-            )
-            if errors:
-                drop(errors)
-                continue
+            leave = ~np.isfinite(ox + oy + ov + ovy)
             x, v = state.x, state.v
             gap_long = axis_gap(x, ox, ego_len, other_len)
             gap_lat = axis_gap(0.0, oy, ego_width, other_width)
@@ -455,35 +446,14 @@ def _run_lanes(
                         name, params, *features, dt, state.memory[s]
                     )
                 except (CutinSimError, ArithmeticError):
-                    # some lane's step raises: step the slice through the scalar
-                    # control_step, which names the lanes and their errors
-                    for j in range(s.start, s.stop):
-                        if collided[j]:
-                            continue
-                        try:
-                            decision, accel[j], memory[j] = control_step(
-                                name, params, *(float(f[j]) for f in (gap_long, gap_lat, v, ov, ttc)),
-                                dt, float(state.memory[j]),
-                            )
-                            decel[j] = decision.decel_cmd_mps2
-                        except Exception as exc:  # an error row
-                            errors[j] = _error_text(exc)
-            if errors:
-                drop(errors)
-                continue
+                    leave[s] = True
             # a collision step records ttc 0 and no braking, and ends the run
             ttc = np.where(collided, 0.0, ttc)
             decel = np.where(collided, 0.0, decel)
             x, v = advance_axis_array(x, v, accel, dt)
             done = collided | (i == n_steps)
-            errors = _raising(
-                ~done & ~np.isfinite(accel + x + v),
-                lambda j: require_finite(accel_long_mps2=float(accel[j]), pos_long_m=float(x[j]),
-                                         vel_long_mps=float(v[j])),
-            )
-            if errors:
-                drop(errors)
-                continue
+            leave |= ~done & ~np.isfinite(accel + x + v)
+            done &= ~leave
             # running summaries, with min's and max's tie rules
             state.min_gap = np.where(gap_long < state.min_gap, gap_long, state.min_gap)
             state.min_ttc = np.where(np.isfinite(ttc) & (ttc < state.min_ttc), ttc, state.min_ttc)
@@ -500,9 +470,10 @@ def _run_lanes(
                     model_name=name,
                 )
                 items[lane] = SweepItem(name, index, point, result)
-            if done.any():
-                state.keep(~done)
-            i += 1
+            for lane in state.lane[leave].tolist():
+                items[lane] = _scalar_item(lanes[lane], base, params, thresholds)
+            if (done | leave).any():
+                state.keep(~(done | leave))
     return items
 
 

@@ -83,8 +83,10 @@ def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet
 
     strict mode raises on the first malformed row; lenient mode skips the row
     and emits a warning carrying its line number. A header-only file yields an
-    empty track set.
+    empty track set. frame_rate_hz must be finite and > 0.
     """
+    if not (math.isfinite(frame_rate_hz) and frame_rate_hz > 0.0):
+        raise InvalidInputError(f"frame_rate_hz must be finite and > 0, got {frame_rate_hz!r}")
     by_track: dict[int, list[TrackRow]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -475,8 +475,10 @@ def control_step_array(
     Python's tie rules for max and min, and the idm and rss powers through
     Python's ** entry by entry. Every branch is computed for every entry and
     the taken one selected, so run it under np.errstate(all="ignore"). Where
-    control_step raises for some entry this raises too, though not always
-    with the same exception; control_step on that entry's floats gives it.
+    control_step raises for some entry this raises a CutinSimError or an
+    ArithmeticError, not always the one control_step raises, and names no
+    entry; engine.sweep reruns every run of the call through run_closed_loop
+    for the scalar error.
     """
     if name == "rba":
         p = params.rba

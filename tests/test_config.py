@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutinsim.config import load_config, parse_config, resolved_dict
+from cutinsim.engine import run_closed_loop, sweep
 from cutinsim.errors import ConfigError
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -105,3 +106,20 @@ def test_parse_config_raises_only_config_errors_naming_a_key(overrides):
     resolved = json.loads(json.dumps(resolved_dict(cfg)))
     assert parse_config(resolved) == dataclasses.replace(cfg, out_dir=None)
 
+
+
+def test_integer_model_parameters_give_the_sweep_and_the_scalar_loop_equal_items():
+    raw = copy.deepcopy(BASE)
+    raw["model_params"] = {"rss": {"ego_brake_min_mps2": 4}}
+    cfg = parse_config(raw)
+    assert type(cfg.model_params.rss.ego_brake_min_mps2) is float
+    models = ("rss", "reg157")
+    items = sweep(cfg.sweep, models, cfg.scenario, cfg.model_params, cfg.classify)
+    assert len(items) == 54
+    for it in items:
+        v_e0, v_o0, d_x0, d_y0 = it.point
+        p = dataclasses.replace(cfg.scenario, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0,
+                                d_y0_m=d_y0)
+        run = run_closed_loop(p, it.model_name, cfg.model_params, cfg.classify)
+        # repr tells 4 from 4.0
+        assert repr(it.result) == repr(dataclasses.replace(run, trace=None))

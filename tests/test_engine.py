@@ -234,11 +234,14 @@ def test_sweep_cardinality_order_and_determinism():
 
 
 def test_sweep_parallel_matches_serial():
-    grid = SweepGrid(v_e0_mps=(20.0, 30.0), v_o0_mps=(10.0, 15.0), d_x0_m=(25.0,), d_y0_m=(3.75,))
+    # 1e306 overflows idm's power: an error row made inside a worker
+    grid = SweepGrid(v_e0_mps=(20.0, 30.0, 1e306), v_o0_mps=(10.0, 15.0), d_x0_m=(25.0,),
+                     d_y0_m=(3.75,))
     base = cutin()
-    serial = sweep(grid, ["rba", "none"], base, jobs=1)
-    parallel = sweep(grid, ["rba", "none"], base, jobs=2)
+    serial = sweep(grid, ["rba", "idm", "none"], base, jobs=1)
+    parallel = sweep(grid, ["rba", "idm", "none"], base, jobs=2)
     assert serial == parallel
+    assert any(it.error for it in serial)
 
 
 def test_sweep_items_carry_the_summary_without_the_trace():
@@ -421,6 +424,19 @@ def test_batched_sweep_equals_the_scalar_loop_where_idm_divides_by_zero():
     assert any(it.error == "ZeroDivisionError: float division by zero" for it in items)
 
 
+def test_batched_sweep_equals_the_scalar_loop_where_the_ego_position_overflows():
+    # at 1.7e308 m/s the ego's position passes float range within the run,
+    # before rss sees the other vehicle in its lane; idm's power overflows first
+    grid = SweepGrid(v_e0_mps=(20.0, 1.7e308), v_o0_mps=(10.0,), d_x0_m=(25.0,), d_y0_m=(3.75,))
+    base = cutin()
+    items = sweep(grid, MODEL_NAMES, base)
+    assert reprs(items) == reprs(scalar_sweep(grid, MODEL_NAMES, base, ModelParams()))
+    for it in items:
+        assert (it.error is None) == (it.point[0] == 20.0), it
+        if it.error and it.model_name != "idm":
+            assert it.error == "InvalidInputError: pos_long_m must be finite, got inf"
+
+
 # The braking each model declares as its most: the cap of its peak_decel_mps2.
 DECEL_CAPS = {
     "rba": lambda p: p.rba.a_max_mps2,
@@ -447,6 +463,12 @@ def test_no_sweep_run_brakes_harder_than_its_model_declares(kind):
     for it in items:
         assert it.error is None, it
         assert it.result.peak_decel_mps2 <= DECEL_CAPS[it.model_name](cfg.model_params), it
+        # and no run drives the ego backwards, nor rba under its speed floor
+        run = run_closed_loop(at_point(base, it.point), it.model_name, cfg.model_params,
+                              cfg.classify)
+        assert it.result == replace(run, trace=None)
+        floor = cfg.model_params.rba.v_min_mps if it.model_name == "rba" else 0.0
+        assert min(run.trace.ego_v_mps) >= floor, it
     assert any(it.result.peak_decel_mps2 > 0.0 for it in items if it.model_name == "idm")
 
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from cutinsim.engine import ScenarioParams, run_closed_loop
-from cutinsim.errors import ParseError, SchemaError
+from cutinsim.errors import InvalidInputError, ParseError, SchemaError
 from cutinsim.ingest import (
     TRACKS_HEADER,
     TrackRow,
@@ -86,6 +86,14 @@ def test_malformed_row_strict_and_lenient(tmp_path):
         with pytest.warns(UserWarning, match="line 3"):
             ts = read_tracks_csv(path, FPS, strict=False)
         assert [r.frame for r in ts.tracks[1].rows] == [0, 2]
+
+
+@pytest.mark.parametrize("rate", (0.0, -25.0, math.nan, math.inf))
+def test_frame_rate_must_be_finite_and_positive(tmp_path, rate):
+    _, _, path = make_fixture(tmp_path)  # a file that holds a cut-in at 25 Hz
+    assert len(extract_cut_in_events(read_tracks_csv(path, FPS))) == 1
+    with pytest.raises(InvalidInputError, match="frame_rate_hz"):
+        read_tracks_csv(path, rate)
 
 
 def test_no_events_when_lanes_never_merge(tmp_path):

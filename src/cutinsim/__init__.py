@@ -54,17 +54,8 @@ from .safety_models import (
     RbaParams,
     Reg157Params,
     RssParams,
-    cc_human_evaluate,
     control_step,
     control_step_array,
-    fsm_evaluate,
-    idm_acceleration,
-    idm_evaluate,
-    rba_decel,
-    rba_is_safe,
-    rba_velocity_update,
-    reg157_evaluate,
-    rss_evaluate,
 )
 
 __version__ = "0.1.0"
@@ -108,16 +99,7 @@ __all__ = [
     "RbaParams",
     "Reg157Params",
     "RssParams",
-    "cc_human_evaluate",
     "control_step",
     "control_step_array",
-    "fsm_evaluate",
-    "idm_acceleration",
-    "idm_evaluate",
-    "rba_decel",
-    "rba_is_safe",
-    "rba_velocity_update",
-    "reg157_evaluate",
-    "rss_evaluate",
     "__version__",
 ]

@@ -442,7 +442,7 @@ def _run_lanes(
                 s = slice(bounds[m], bounds[m + 1])
                 features = (gap_long[s], gap_lat[s], v[s], ov[s], ttc[s])
                 try:
-                    decel[s], accel[s], memory[s] = control_step_array(
+                    _, decel[s], accel[s], memory[s] = control_step_array(
                         name, params, *features, dt, state.memory[s]
                     )
                 except (CutinSimError, ArithmeticError):

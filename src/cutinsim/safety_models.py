@@ -7,14 +7,18 @@ TTC shortfalls. The baselines (rss, reg157, cc_human, fsm, idm) are compact
 parameterized stand-ins for the systems they are named after, not
 full-fidelity ports of those systems.
 
-`control_step` steps one run; `control_step_array` steps many runs at once,
-one array entry per run, with the same values bit for bit.
+Each model is written once, in `_step`, over a small namespace of operations
+that work on floats or on float64 arrays. `control_step` runs it on floats for
+one run; `control_step_array` runs it on arrays for many runs at once, one
+entry per run, with the same values bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,6 +32,16 @@ RATIONALE_MARGIN_PASS = "margin-pass"
 RATIONALE_LATERAL_FAIL = "lateral-fail"
 RATIONALE_LONGITUDINAL_FAIL = "longitudinal-fail"
 RATIONALE_LANE_CHANGE_ADVISED = "lane-change-advised"
+
+# A step's rationale code indexes RATIONALES; the first two codes are the safe ones.
+RATIONALES = (
+    RATIONALE_SAFE,
+    RATIONALE_MARGIN_PASS,
+    RATIONALE_LATERAL_FAIL,
+    RATIONALE_LONGITUDINAL_FAIL,
+    RATIONALE_LANE_CHANGE_ADVISED,
+)
+_SAFE, _MARGIN_PASS, _LATERAL_FAIL, _LONGITUDINAL_FAIL, _LANE_CHANGE_ADVISED = range(5)
 
 
 @dataclass(frozen=True)
@@ -75,61 +89,6 @@ class RbaParams:
             raise InvalidInputError("v_min_mps must be >= 0")
 
 
-def rba_is_safe(
-    gap_long_m: float, gap_lat_m: float, v_ego_mps: float, v_cut_mps: float, p: RbaParams
-) -> Decision:
-    """Rules-based safety check for an ego/cut-in pair.
-
-    Safe requires the lateral clearance gate AND the longitudinal gate, where
-    the longitudinal gate accepts either a raw gap above the (speed-adjusted)
-    safe distance or a stopping-time margin: gap / |dv| must exceed
-    dv / (2 a_max) + reaction time + fixed time margin. Non-closing pairs pass
-    the margin clause by definition.
-    """
-    if not (gap_lat_m > p.d_lat_safe_m):
-        return Decision(safe=False, rationale=RATIONALE_LATERAL_FAIL)
-    if gap_long_m > p.d_safe_m + p.headway_gain_s * v_ego_mps:
-        return Decision(safe=True, rationale=RATIONALE_SAFE)
-    dv = v_ego_mps - v_cut_mps
-    if dv < CLOSING_SPEED_FLOOR_MPS:
-        # not closing: the stopping-time margin holds trivially
-        return Decision(safe=True, rationale=RATIONALE_MARGIN_PASS)
-    margin_s = dv / (2.0 * p.a_max_mps2) + p.t_react_s + p.time_margin_s
-    if ttc(gap_long_m, dv) > margin_s:
-        return Decision(safe=True, rationale=RATIONALE_MARGIN_PASS)
-    return Decision(safe=False, rationale=RATIONALE_LONGITUDINAL_FAIL)
-
-
-def rba_decel(gap_long_m: float, ttc_s: float, p: RbaParams, step_freq_hz: float) -> float:
-    """Per-step velocity decrement (m/s) commanded once the check reports unsafe.
-
-    The decrement is the larger of the distance shortfall and the TTC shortfall
-    (both normalized), scaled by a_max / step frequency, clamped to
-    [0, a_max / step frequency] so the implied deceleration never exceeds
-    a_max. An infinite TTC contributes -inf and never dominates.
-    """
-    denom = p.d_safe_m + p.safety_buffer_m
-    shortfall_gap = (denom - gap_long_m) / denom
-    if math.isfinite(ttc_s):
-        shortfall_ttc = (p.ttc_safe_s - ttc_s) / p.ttc_safe_s
-    else:
-        shortfall_ttc = -math.inf
-    dv = max(shortfall_gap, shortfall_ttc) * p.a_max_mps2 / step_freq_hz
-    return min(max(dv, 0.0), p.a_max_mps2 / step_freq_hz)
-
-
-def rba_velocity_update(v_ego_mps: float, dv_dec_mps: float, p: RbaParams) -> float:
-    """Apply one braking decrement, never dropping below the configured floor."""
-    if dv_dec_mps < 0.0:
-        raise InvalidInputError("dv_dec_mps must be >= 0")
-    return max(v_ego_mps - dv_dec_mps, p.v_min_mps)
-
-
-# ---------------------------------------------------------------------------
-# Baseline models (simplified stand-ins; each is a few lines by design)
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class RssParams:
     response_time_s: float = 0.75
@@ -142,36 +101,6 @@ class RssParams:
             raise InvalidInputError("response_time_s must be positive")
         if self.ego_brake_min_mps2 <= 0.0 or self.other_brake_max_mps2 <= 0.0:
             raise InvalidInputError("braking levels must be positive")
-
-
-def rss_min_gap(v_ego_mps: float, v_cut_mps: float, p: RssParams) -> float:
-    """Minimum longitudinal distance of the responsibility-sensitive envelope."""
-    rho = p.response_time_s
-    try:
-        reach = (v_ego_mps + rho * p.accel_max_response_mps2) ** 2
-    except OverflowError:
-        raise InvalidInputError(f"rss minimum gap overflows at v_ego_mps={v_ego_mps!r}") from None
-    d = (
-        v_ego_mps * rho
-        + 0.5 * p.accel_max_response_mps2 * rho * rho
-        + reach / (2.0 * p.ego_brake_min_mps2)
-        - v_cut_mps * v_cut_mps / (2.0 * p.other_brake_max_mps2)
-    )
-    return max(d, 0.0)
-
-
-def rss_evaluate(
-    gap_long_m: float, gap_lat_m: float, v_ego_mps: float, v_cut_mps: float, p: RssParams
-) -> Decision:
-    if gap_lat_m > 0.0:
-        return Decision(safe=True)
-    if gap_long_m < rss_min_gap(v_ego_mps, v_cut_mps, p):
-        return Decision(
-            safe=False,
-            decel_cmd_mps2=p.ego_brake_min_mps2,
-            rationale=RATIONALE_LONGITUDINAL_FAIL,
-        )
-    return Decision(safe=True)
 
 
 @dataclass(frozen=True)
@@ -187,19 +116,6 @@ class Reg157Params:
             raise InvalidInputError("brake_mps2 must be positive")
 
 
-def reg157_evaluate(
-    gap_long_m: float, gap_lat_m: float, v_ego_mps: float, p: Reg157Params
-) -> Decision:
-    """Minimum following-distance threshold, a low-speed regulatory baseline."""
-    if gap_lat_m > 0.0:
-        return Decision(safe=True)
-    if gap_long_m < max(p.min_standstill_gap_m, v_ego_mps * p.min_time_gap_s):
-        return Decision(
-            safe=False, decel_cmd_mps2=p.brake_mps2, rationale=RATIONALE_LONGITUDINAL_FAIL
-        )
-    return Decision(safe=True)
-
-
 @dataclass(frozen=True)
 class CcHumanParams:
     lat_intrusion_trigger_m: float = 0.3
@@ -212,39 +128,6 @@ class CcHumanParams:
             raise InvalidInputError("cc_human time constants must be positive")
         if self.brake_mps2 <= 0.0:
             raise InvalidInputError("brake_mps2 must be positive")
-
-
-def cc_human_evaluate(
-    gap_long_m: float,
-    gap_lat_m: float,
-    v_ego_mps: float,
-    v_cut_mps: float,
-    p: CcHumanParams,
-    timer_s: float,
-    dt_s: float,
-) -> tuple[Decision, float]:
-    """One step of the cautious-driver state machine.
-
-    Risk is perceived while the cut vehicle intrudes laterally beyond the
-    trigger AND the TTC is below the perception threshold. timer_s is the time
-    already spent perceiving (0 at scenario start, or when perception lapses);
-    braking begins only once it reaches the reaction delay. Returns the
-    decision plus the updated timer.
-    """
-    perceived = (
-        -gap_lat_m > p.lat_intrusion_trigger_m
-        and ttc(gap_long_m, v_ego_mps - v_cut_mps) < p.perception_ttc_s
-    )
-    if not perceived:
-        return Decision(safe=True), 0.0
-    if timer_s >= p.reaction_delay_s:
-        decision = Decision(
-            safe=False, decel_cmd_mps2=p.brake_mps2, rationale=RATIONALE_LONGITUDINAL_FAIL
-        )
-    else:
-        # still within the reaction delay: risk is seen but no braking yet
-        decision = Decision(safe=False, rationale=RATIONALE_LONGITUDINAL_FAIL)
-    return decision, timer_s + dt_s
 
 
 @dataclass(frozen=True)
@@ -263,31 +146,6 @@ class FsmParams:
             raise InvalidInputError("a_max_mps2 must be positive")
 
 
-def fsm_risk(gap_long_m: float, ttc_s: float, p: FsmParams) -> float:
-    """Unitless risk in [0, 1]: max of proximity and urgency indicators."""
-    u_d = (p.proximity_scale_m - gap_long_m) / p.proximity_scale_m
-    if math.isfinite(ttc_s):
-        u_t = (p.ttc_scale_s - ttc_s) / p.ttc_scale_s
-    else:
-        u_t = -math.inf
-    return max(min(max(u_d, 0.0), 1.0), min(max(u_t, 0.0), 1.0))
-
-
-def fsm_evaluate(
-    gap_long_m: float, gap_lat_m: float, v_ego_mps: float, v_cut_mps: float, p: FsmParams
-) -> Decision:
-    if gap_lat_m > 0.0:
-        return Decision(safe=True)
-    risk = fsm_risk(gap_long_m, ttc(gap_long_m, v_ego_mps - v_cut_mps), p)
-    if risk > 0.0:
-        return Decision(
-            safe=False,
-            decel_cmd_mps2=risk * p.braking_gain * p.a_max_mps2,
-            rationale=RATIONALE_LONGITUDINAL_FAIL,
-        )
-    return Decision(safe=True)
-
-
 @dataclass(frozen=True)
 class IdmParams:
     v_desired_mps: float = 30.0
@@ -302,54 +160,11 @@ class IdmParams:
             raise InvalidInputError("idm desired speed and headway must be positive")
         if self.a_max_mps2 <= 0.0 or self.b_comfort_mps2 <= 0.0:
             raise InvalidInputError("idm acceleration bounds must be positive")
+        if not self.a_max_mps2 * self.b_comfort_mps2 > 0.0:
+            # 2 sqrt(a_max b) divides the law's closing-speed term
+            raise InvalidInputError("idm a_max_mps2 * b_comfort_mps2 underflows to 0")
         if not self.delta > 0.0:
             raise InvalidInputError("delta must be positive")
-
-
-def idm_acceleration(
-    v_mps: float, gap_m: float, rel_vel_mps: float, p: IdmParams
-) -> float:
-    """Intelligent-driver-model acceleration; rel_vel_mps positive when closing.
-
-    Clamped below at -2 b (emergency braking floor); gap_m may be math.inf for
-    free flow but must be positive. A speed (or gap) for which either power
-    overflows is an InvalidInputError naming v_mps.
-    """
-    if not gap_m > 0.0:
-        raise InvalidInputError(f"gap_m must be > 0, got {gap_m}")
-    s_star = (
-        p.min_spacing_m
-        + v_mps * p.time_headway_s
-        + v_mps * rel_vel_mps / (2.0 * math.sqrt(p.a_max_mps2 * p.b_comfort_mps2))
-    )
-    try:
-        free_road = (v_mps / p.v_desired_mps) ** p.delta
-        interaction = (s_star / gap_m) ** 2
-    except OverflowError:
-        raise InvalidInputError(
-            f"idm acceleration overflows at v_mps={v_mps!r}, gap_m={gap_m!r}"
-        ) from None
-    a = p.a_max_mps2 * (1.0 - free_road - interaction)
-    return max(a, -2.0 * p.b_comfort_mps2)
-
-
-def idm_evaluate(
-    gap_long_m: float, gap_lat_m: float, v_ego_mps: float, v_cut_mps: float, p: IdmParams
-) -> tuple[Decision, float]:
-    """IDM car following. Returns the decision plus the signed acceleration.
-
-    With nothing in the ego lane the ego accelerates freely toward the desired
-    speed; an overlapping gap commands the emergency floor -2 b.
-    """
-    if gap_lat_m > 0.0:
-        a = idm_acceleration(v_ego_mps, math.inf, 0.0, p)
-    elif gap_long_m <= 0.0:
-        a = -2.0 * p.b_comfort_mps2
-    else:
-        a = idm_acceleration(v_ego_mps, gap_long_m, v_ego_mps - v_cut_mps, p)
-    if a >= 0.0:
-        return Decision(safe=True), a
-    return Decision(safe=False, decel_cmd_mps2=-a, rationale=RATIONALE_LONGITUDINAL_FAIL), a
 
 
 @dataclass(frozen=True)
@@ -365,10 +180,190 @@ class ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# Engine-facing step function
+# The step: each model written once, over floats or arrays
 # ---------------------------------------------------------------------------
 
 RBA_SATURATION_STEPS = 5
+
+
+def _pick_max(a, b):
+    """Python's max(a, b) entry by entry: a unless b > a, so of equal values
+    (0.0 and -0.0) the first is kept, as it is by max."""
+    return np.where(b > a, b, a)
+
+
+def _pick_min(a, b):
+    """Python's min(a, b) entry by entry: a unless b < a."""
+    return np.where(b < a, b, a)
+
+
+def _py_pow(base: np.ndarray, exponent: float, where: np.ndarray) -> np.ndarray:
+    """base ** exponent with Python's float power at the entries where `where`
+    holds, 0 elsewhere. numpy's power differs from it in the last bit for
+    some inputs; Python's raises OverflowError where the float step does."""
+    out = np.zeros(base.shape)
+    out[where] = [b ** exponent for b in base[where].tolist()]
+    return out
+
+
+# The operations _step is written in: `where(c, a, b)` selects, `not_`
+# negates a bool, `pow(base, exponent, where)` takes Python's power only where
+# `where` holds (0 elsewhere), `zeros(like, kind)` is a 0 of type kind (int or
+# float) in the shape of like.
+_FLOATS = SimpleNamespace(
+    where=lambda c, a, b: a if c else b,
+    not_=operator.not_,
+    # max(a, b) and min(a, b), which keep a on a tie, without the builtins' call cost
+    pick_max=lambda a, b: b if b > a else a,
+    pick_min=lambda a, b: b if b < a else a,
+    ttc=ttc,
+    pow=lambda base, exponent, where: base ** exponent if where else 0.0,
+    zeros=lambda like, kind: kind(),
+)
+_ARRAYS = SimpleNamespace(
+    where=np.where,
+    not_=np.logical_not,
+    pick_max=_pick_max,
+    pick_min=_pick_min,
+    ttc=ttc_array,
+    pow=_py_pow,
+    zeros=lambda like, kind: np.zeros(like.shape, kind),
+)
+
+
+def _step(xp, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s, dt_s, memory):
+    """One control step of the named model over the operations xp (_FLOATS or
+    _ARRAYS): (rationale code, decel_cmd_mps2, accel_mps2, memory).
+
+    Every branch is computed and the taken one selected by xp.where, so both
+    forms do the same IEEE operations in the same order. No branch may raise
+    where it is not taken: every divisor is a parameter validated positive,
+    dt_s or its inverse, or idm's gap, which is 1.0 where its law does not
+    run; and a power is taken only where xp.pow's mask holds. & and | act on
+    the bools of both forms; ~ does not, so a negation is xp.not_.
+    """
+    where, pick_max, pick_min = xp.where, xp.pick_max, xp.pick_min
+    if name == "rba":
+        p = params.rba
+        # the check: lateral clearance AND (a gap over the speed-adjusted safe
+        # distance OR a stopping-time margin: gap / dv over dv / (2 a_max) +
+        # reaction time + time margin); a non-closing pair passes the margin
+        dv = v_ego_mps - v_other_mps
+        margin_s = dv / (2.0 * p.a_max_mps2) + p.t_react_s + p.time_margin_s
+        margin_pass = (dv < CLOSING_SPEED_FLOOR_MPS) | (xp.ttc(gap_long_m, dv) > margin_s)
+        code = where(
+            gap_lat_m > p.d_lat_safe_m,
+            where(
+                gap_long_m > p.d_safe_m + p.headway_gain_s * v_ego_mps,
+                _SAFE,
+                where(margin_pass, _MARGIN_PASS, _LONGITUDINAL_FAIL),
+            ),
+            _LATERAL_FAIL,
+        )
+        safe = code <= _MARGIN_PASS
+        # the braking law, once unsafe: a per-step velocity decrement, the
+        # larger normalized distance or TTC shortfall (an infinite TTC gives
+        # -inf) times a_max / step frequency, clamped to [0, a_max / step
+        # frequency] so the deceleration never exceeds a_max
+        step_freq_hz = 1.0 / dt_s
+        denom = p.d_safe_m + p.safety_buffer_m
+        shortfall = pick_max((denom - gap_long_m) / denom, (p.ttc_safe_s - ttc_s) / p.ttc_safe_s)
+        dv_step = pick_min(
+            pick_max(shortfall * p.a_max_mps2 / step_freq_hz, 0.0), p.a_max_mps2 / step_freq_hz
+        )
+        dv_step = where(safe, 0.0, dv_step)
+        decel = where(safe, 0.0, dv_step * step_freq_hz)
+        # braking pinned at the physical limit for several consecutive steps
+        # means braking alone is not enough; advise an evasive lane change (a
+        # safe step brakes 0, so it resets the count)
+        memory = where(decel >= p.a_max_mps2 * (1.0 - 1e-9), memory + 1, 0)
+        code = where(memory >= RBA_SATURATION_STEPS, _LANE_CHANGE_ADVISED, code)
+        accel = (pick_max(v_ego_mps - dv_step, p.v_min_mps) - v_ego_mps) / dt_s
+        return code, decel, accel, memory
+    if name == "none":
+        # uncontrolled ego: never brakes; the collision baseline (code 0 is _SAFE)
+        zeros = xp.zeros
+        return zeros(v_ego_mps, int), zeros(v_ego_mps, float), zeros(v_ego_mps, float), memory
+
+    # the baselines' lateral gate
+    lateral_clear = gap_lat_m > 0.0
+    in_lane = xp.not_(lateral_clear)
+    if name == "rss":
+        # the responsibility-sensitive envelope's minimum longitudinal gap
+        p = params.rss
+        rho = p.response_time_s
+        try:
+            reach = xp.pow(v_ego_mps + rho * p.accel_max_response_mps2, 2, in_lane)
+        except OverflowError:
+            raise InvalidInputError(
+                f"rss minimum gap overflows at v_ego_mps={v_ego_mps!r}"
+            ) from None
+        min_gap = (
+            v_ego_mps * rho
+            + 0.5 * p.accel_max_response_mps2 * rho * rho
+            + reach / (2.0 * p.ego_brake_min_mps2)
+            - v_other_mps * v_other_mps / (2.0 * p.other_brake_max_mps2)
+        )
+        unsafe = in_lane & (gap_long_m < pick_max(min_gap, 0.0))
+        decel = where(unsafe, p.ego_brake_min_mps2, 0.0)
+    elif name == "reg157":
+        # a minimum following distance, a low-speed regulatory baseline
+        p = params.reg157
+        threshold = pick_max(p.min_standstill_gap_m, v_ego_mps * p.min_time_gap_s)
+        unsafe = in_lane & (gap_long_m < threshold)
+        decel = where(unsafe, p.brake_mps2, 0.0)
+    elif name == "cc_human":
+        # a cautious driver: risk is perceived while the other vehicle intrudes
+        # beyond the trigger AND the TTC is below the perception threshold;
+        # memory is the time spent perceiving, and braking waits for it to
+        # reach the reaction delay
+        p = params.cc_human
+        unsafe = (-gap_lat_m > p.lat_intrusion_trigger_m) & (
+            xp.ttc(gap_long_m, v_ego_mps - v_other_mps) < p.perception_ttc_s
+        )
+        decel = where(unsafe & (memory >= p.reaction_delay_s), p.brake_mps2, 0.0)
+        memory = where(unsafe, memory + dt_s, 0.0)
+    elif name == "fsm":
+        # risk in [0, 1], the larger of a proximity and an urgency indicator
+        # (an infinite TTC gives -inf urgency), brakes in proportion
+        p = params.fsm
+        u_d = (p.proximity_scale_m - gap_long_m) / p.proximity_scale_m
+        u_t = (p.ttc_scale_s - xp.ttc(gap_long_m, v_ego_mps - v_other_mps)) / p.ttc_scale_s
+        risk = pick_max(pick_min(pick_max(u_d, 0.0), 1.0), pick_min(pick_max(u_t, 0.0), 1.0))
+        unsafe = in_lane & (risk > 0.0)
+        decel = where(unsafe, risk * p.braking_gain * p.a_max_mps2, 0.0)
+    elif name == "idm":
+        # intelligent-driver-model car following: the law on a free road (gap
+        # inf, no closing speed) and behind a positive gap, clamped below at
+        # the emergency floor -2 b that an overlapping gap commands
+        p = params.idm
+        floor = -2.0 * p.b_comfort_mps2
+        law = lateral_clear | (gap_long_m > 0.0)
+        gap = where(lateral_clear, math.inf, where(law, gap_long_m, 1.0))
+        rel = where(lateral_clear, 0.0, v_ego_mps - v_other_mps)
+        s_star = (
+            p.min_spacing_m
+            + v_ego_mps * p.time_headway_s
+            + v_ego_mps * rel / (2.0 * math.sqrt(p.a_max_mps2 * p.b_comfort_mps2))
+        )
+        try:
+            free_road = xp.pow(v_ego_mps / p.v_desired_mps, p.delta, law)
+            interaction = xp.pow(s_star / gap, 2, law)
+        except OverflowError:
+            raise InvalidInputError(
+                f"idm acceleration overflows at v_mps={v_ego_mps!r}, gap_m={gap!r}"
+            ) from None
+        a = p.a_max_mps2 * (1.0 - free_road - interaction)
+        accel = where(law, pick_max(a, floor), floor)
+        coasting = accel >= 0.0
+        return (
+            where(coasting, _SAFE, _LONGITUDINAL_FAIL), where(coasting, 0.0, -accel), accel, memory
+        )
+    else:
+        raise ConfigError(
+            f"unknown safety model {name!r}; expected one of {MODEL_NAMES}", key="model"
+        )
+    return where(unsafe, _LONGITUDINAL_FAIL, _SAFE), decel, -decel, memory
 
 
 def control_step(
@@ -390,70 +385,10 @@ def control_step(
     braking at a_max, cc_human carries its perception timer in seconds, the
     other models return it unchanged.
     """
-    if name == "rba":
-        p = params.rba
-        checked = rba_is_safe(gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, p)
-        if checked.safe:
-            decision, dv_step, memory = checked, 0.0, 0
-        else:
-            step_freq_hz = 1.0 / dt_s
-            dv_step = rba_decel(gap_long_m, ttc_s, p, step_freq_hz)
-            decel = dv_step * step_freq_hz
-            # braking pinned at the physical limit for several consecutive steps
-            # means braking alone is not enough; advise an evasive lane change
-            memory = memory + 1 if decel >= p.a_max_mps2 * (1.0 - 1e-9) else 0
-            rationale = checked.rationale
-            if memory >= RBA_SATURATION_STEPS:
-                rationale = RATIONALE_LANE_CHANGE_ADVISED
-            decision = Decision(safe=False, decel_cmd_mps2=decel, rationale=rationale)
-        accel = (rba_velocity_update(v_ego_mps, dv_step, p) - v_ego_mps) / dt_s
-        return decision, accel, memory
-    if name == "rss":
-        decision = rss_evaluate(gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, params.rss)
-    elif name == "reg157":
-        decision = reg157_evaluate(gap_long_m, gap_lat_m, v_ego_mps, params.reg157)
-    elif name == "cc_human":
-        decision, memory = cc_human_evaluate(
-            gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, params.cc_human, memory, dt_s
-        )
-    elif name == "fsm":
-        decision = fsm_evaluate(gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, params.fsm)
-    elif name == "idm":
-        decision, accel = idm_evaluate(gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, params.idm)
-        return decision, accel, memory
-    elif name == "none":
-        # uncontrolled ego: never brakes; the collision baseline
-        return Decision(safe=True), 0.0, memory
-    else:
-        raise ConfigError(
-            f"unknown safety model {name!r}; expected one of {MODEL_NAMES}", key="model"
-        )
-    return decision, -decision.decel_cmd_mps2, memory
-
-
-# ---------------------------------------------------------------------------
-# Array step: control_step over many runs at once
-# ---------------------------------------------------------------------------
-
-
-def _pick_max(a, b):
-    """Python's max(a, b) entry by entry: a unless b > a, so of equal values
-    (0.0 and -0.0) the first is kept, as it is by max."""
-    return np.where(b > a, b, a)
-
-
-def _pick_min(a, b):
-    """Python's min(a, b) entry by entry: a unless b < a."""
-    return np.where(b < a, b, a)
-
-
-def _py_pow(base: np.ndarray, exponent: float, where: np.ndarray) -> np.ndarray:
-    """base ** exponent with Python's float power at the entries where `where`
-    holds, 0 elsewhere. numpy's power differs from it in the last bit for
-    some inputs; Python's raises OverflowError where the scalar model does."""
-    out = np.zeros(base.shape)
-    out[where] = [b ** exponent for b in base[where].tolist()]
-    return out
+    code, decel, accel, memory = _step(
+        _FLOATS, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s, dt_s, memory
+    )
+    return Decision(code <= _MARGIN_PASS, decel, RATIONALES[code]), accel, memory
 
 
 def control_step_array(
@@ -466,105 +401,19 @@ def control_step_array(
     ttc_s: np.ndarray,
     dt_s: float,
     memory: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """control_step over float64 arrays, one entry per run:
-    (decel_cmd_mps2, accel_mps2, memory) arrays.
+    (rationale code, decel_cmd_mps2, accel_mps2, memory) arrays.
 
-    Each entry equals control_step's decision.decel_cmd_mps2, acceleration
-    and memory bit for bit: the same IEEE operations in the same order,
-    Python's tie rules for max and min, and the idm and rss powers through
-    Python's ** entry by entry. Every branch is computed for every entry and
-    the taken one selected, so run it under np.errstate(all="ignore"). Where
-    control_step raises for some entry this raises a CutinSimError or an
-    ArithmeticError, not always the one control_step raises, and names no
-    entry; engine.sweep reruns every run of the call through run_closed_loop
-    for the scalar error.
+    Each entry equals control_step's values bit for bit, with the decision
+    as its code: RATIONALES[code] is the rationale, and the decision is safe
+    for the codes of safe and margin-pass. Both run the one definition,
+    whose powers go through Python's ** entry by entry. Every branch is
+    computed for every entry, so run it under np.errstate(all="ignore").
+    Where control_step raises for some entry this raises a CutinSimError
+    that does not say which entry; engine.sweep reruns every run of the call
+    through run_closed_loop for the scalar error.
     """
-    if name == "rba":
-        p = params.rba
-        dv = v_ego_mps - v_other_mps
-        margin_s = dv / (2.0 * p.a_max_mps2) + p.t_react_s + p.time_margin_s
-        safe = (gap_lat_m > p.d_lat_safe_m) & (
-            (gap_long_m > p.d_safe_m + p.headway_gain_s * v_ego_mps)
-            | (dv < CLOSING_SPEED_FLOOR_MPS)
-            | (ttc_array(gap_long_m, dv) > margin_s)
-        )
-        step_freq_hz = 1.0 / dt_s
-        denom = p.d_safe_m + p.safety_buffer_m
-        shortfall_gap = (denom - gap_long_m) / denom
-        shortfall_ttc = np.where(
-            np.isfinite(ttc_s), (p.ttc_safe_s - ttc_s) / p.ttc_safe_s, -math.inf
-        )
-        dv_step = _pick_max(shortfall_gap, shortfall_ttc) * p.a_max_mps2 / step_freq_hz
-        dv_step = _pick_min(_pick_max(dv_step, 0.0), p.a_max_mps2 / step_freq_hz)
-        dv_step = np.where(safe, 0.0, dv_step)
-        decel = np.where(safe, 0.0, dv_step * step_freq_hz)
-        saturated = ~safe & (decel >= p.a_max_mps2 * (1.0 - 1e-9))
-        memory = np.where(saturated, memory + 1, 0.0)
-        accel = (_pick_max(v_ego_mps - dv_step, p.v_min_mps) - v_ego_mps) / dt_s
-        return decel, accel, memory
-    if name == "rss":
-        p = params.rss
-        rho = p.response_time_s
-        checked = ~(gap_lat_m > 0.0)
-        reach = _py_pow(v_ego_mps + rho * p.accel_max_response_mps2, 2, checked)
-        min_gap = (
-            v_ego_mps * rho
-            + 0.5 * p.accel_max_response_mps2 * rho * rho
-            + reach / (2.0 * p.ego_brake_min_mps2)
-            - v_other_mps * v_other_mps / (2.0 * p.other_brake_max_mps2)
-        )
-        unsafe = checked & (gap_long_m < _pick_max(min_gap, 0.0))
-        decel = np.where(unsafe, p.ego_brake_min_mps2, 0.0)
-    elif name == "reg157":
-        p = params.reg157
-        threshold = _pick_max(p.min_standstill_gap_m, v_ego_mps * p.min_time_gap_s)
-        unsafe = ~(gap_lat_m > 0.0) & (gap_long_m < threshold)
-        decel = np.where(unsafe, p.brake_mps2, 0.0)
-    elif name == "cc_human":
-        p = params.cc_human
-        perceived = (-gap_lat_m > p.lat_intrusion_trigger_m) & (
-            ttc_array(gap_long_m, v_ego_mps - v_other_mps) < p.perception_ttc_s
-        )
-        decel = np.where(perceived & (memory >= p.reaction_delay_s), p.brake_mps2, 0.0)
-        memory = np.where(perceived, memory + dt_s, 0.0)
-    elif name == "fsm":
-        p = params.fsm
-        urgency_ttc = ttc_array(gap_long_m, v_ego_mps - v_other_mps)
-        u_d = (p.proximity_scale_m - gap_long_m) / p.proximity_scale_m
-        u_t = np.where(
-            np.isfinite(urgency_ttc), (p.ttc_scale_s - urgency_ttc) / p.ttc_scale_s, -math.inf
-        )
-        risk = _pick_max(
-            _pick_min(_pick_max(u_d, 0.0), 1.0), _pick_min(_pick_max(u_t, 0.0), 1.0)
-        )
-        unsafe = ~(gap_lat_m > 0.0) & (risk > 0.0)
-        decel = np.where(unsafe, risk * p.braking_gain * p.a_max_mps2, 0.0)
-    elif name == "idm":
-        p = params.idm
-        floor = -2.0 * p.b_comfort_mps2
-        free_road = gap_lat_m > 0.0
-        # the entries for which idm_evaluate calls idm_acceleration
-        calls = free_road | ~(gap_long_m <= 0.0)
-        gap = np.where(free_road, math.inf, gap_long_m)
-        rel = np.where(free_road, 0.0, v_ego_mps - v_other_mps)
-        sqrt_ab2 = 2.0 * math.sqrt(p.a_max_mps2 * p.b_comfort_mps2)
-        if calls.any() and (sqrt_ab2 == 0.0 or not (gap[calls] > 0.0).all()):
-            # idm_acceleration raises: 2 sqrt(a b) underflowed to 0 (a Python
-            # division by zero) or a gap is not positive
-            raise InvalidInputError("idm acceleration is undefined for some entry")
-        s_star = p.min_spacing_m + v_ego_mps * p.time_headway_s + v_ego_mps * rel / sqrt_ab2
-        free = _py_pow(v_ego_mps / p.v_desired_mps, p.delta, calls)
-        interaction = _py_pow(s_star / gap, 2, calls)
-        accel = np.where(
-            calls, _pick_max(p.a_max_mps2 * (1.0 - free - interaction), floor), floor
-        )
-        return np.where(accel >= 0.0, 0.0, -accel), accel, memory
-    elif name == "none":
-        # uncontrolled ego: never brakes; the collision baseline
-        return np.zeros(v_ego_mps.shape), np.zeros(v_ego_mps.shape), memory
-    else:
-        raise ConfigError(
-            f"unknown safety model {name!r}; expected one of {MODEL_NAMES}", key="model"
-        )
-    return decel, -decel, memory
+    return _step(
+        _ARRAYS, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s, dt_s, memory
+    )

@@ -24,10 +24,10 @@ from cutinsim.engine import (
     sweep,
 )
 from cutinsim.ingest import extract_cut_in_events, read_tracks_csv, trace_to_track_rows, write_tracks_csv
-from cutinsim.kinematics import VehicleDims, VehicleState
+from cutinsim.kinematics import VehicleDims, VehicleState, advance_axis
 from cutinsim.metrics import finite_difference_sensitivity, ttc_sensitivity
 from cutinsim.risk import fit_gaussian, prob_below_threshold
-from cutinsim.safety_models import RbaParams, rba_decel, rba_is_safe, rba_velocity_update
+from cutinsim.safety_models import ModelParams, RbaParams, control_step
 from step_features import step_features
 
 # Sweep scenario for criteria 5/6: an abrupt cut starting at t=0, so the
@@ -63,6 +63,13 @@ def eq1_literal(ego, cut, ego_dims, cut_dims, p):
     return (lat > p.d_lat_safe_m) and (lon > d_safe_eff or ratio_clause)
 
 
+def rba_safe(ego, cut, dims, p):
+    """The rba check's verdict for a pair of vehicle states, through control_step."""
+    features = step_features(ego, cut, dims, dims)
+    decision, _, _ = control_step("rba", ModelParams(rba=p), *features, math.inf, SWEEP_DT_S, 0)
+    return decision.safe
+
+
 def smoothstep_crossing_time(p: ScenarioParams, clearance_m: float) -> float:
     """Bisection oracle for the first time the lateral offset dips below
     clearance_m in a cut_in scenario."""
@@ -92,7 +99,7 @@ def test_criterion_01_safety_check_oracle_equivalence():
         ego = VehicleState(0.0, 0.0, v_ego)
         cut = VehicleState(gap_long + 10.0, gap_lat + 4.0, v_cut)
         expected = eq1_literal(ego, cut, big, big, p)
-        if rba_is_safe(*step_features(ego, cut, big, big), p).safe != expected:
+        if rba_safe(ego, cut, big, p) != expected:
             mismatches += 1
     elapsed = time.perf_counter() - start
     _report(
@@ -117,16 +124,23 @@ def test_criterion_02_braking_law_contract():
     ttcs[inf_mask] = math.inf
     vels = rng.uniform(0.0, 40.0, size=n)
     step_freq_hz = 20.0
+    dt = 1.0 / step_freq_hz
     violations = 0
     for i in range(n):
         p = params[i % len(params)]
-        dv = rba_decel(gaps[i], ttcs[i], p, step_freq_hz)
+        # the other vehicle overlaps laterally, so the check fails and the
+        # braking law sets the step: decel is its decrement times the step
+        # frequency, and accel takes the speed down by it, or to v_min
+        decision, accel, _ = control_step(
+            "rba", ModelParams(rba=p), gaps[i], 0.0, vels[i], vels[i], ttcs[i], dt, 0
+        )
+        decel = decision.decel_cmd_mps2
         gap_short = (p.d_safe_m + p.safety_buffer_m) - gaps[i]
         ttc_short = (p.ttc_safe_s - ttcs[i]) if math.isfinite(ttcs[i]) else -math.inf
-        ok = 0.0 <= dv <= p.a_max_mps2 / step_freq_hz
+        ok = not decision.safe and 0.0 <= decel <= p.a_max_mps2
         if gap_short <= 0.0 and ttc_short <= 0.0:
-            ok = ok and dv == 0.0
-        v_next = rba_velocity_update(vels[i], dv, p)
+            ok = ok and decel == 0.0
+        v_next = advance_axis(0.0, vels[i], accel, dt, True)[1]
         ok = ok and v_next >= p.v_min_mps
         if not ok:
             violations += 1
@@ -152,18 +166,18 @@ def test_criterion_03_no_safe_to_unsafe_flips():
         ego = VehicleState(0.0, 0.0, v_ego)
         big = VehicleDims(width_m=4.0, length_m=10.0)
         cut = VehicleState(gap_long + 10.0, gap_lat + 4.0, v_cut)
-        if not rba_is_safe(*step_features(ego, cut, big, big), p).safe:
+        if not rba_safe(ego, cut, big, p):
             continue
         checked += 1
         for inc in increments:
             farther = VehicleState(gap_long + 10.0 + inc, gap_lat + 4.0, v_cut)
             wider = VehicleState(gap_long + 10.0, gap_lat + 4.0 + inc, v_cut)
             stronger = RbaParams(a_max_mps2=p.a_max_mps2 + inc)
-            if not rba_is_safe(*step_features(ego, farther, big, big), p).safe:
+            if not rba_safe(ego, farther, big, p):
                 flips += 1
-            if not rba_is_safe(*step_features(ego, wider, big, big), p).safe:
+            if not rba_safe(ego, wider, big, p):
                 flips += 1
-            if not rba_is_safe(*step_features(ego, cut, big, big), stronger).safe:
+            if not rba_safe(ego, cut, big, stronger):
                 flips += 1
     _report(
         3,

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import pickle
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cutinsim.engine as engine
-from cutinsim.config import load_config
+from cutinsim.config import load_config, parse_config
 from cutinsim.engine import (
     MAX_STEPS,
     SCENARIO_KINDS,
@@ -24,7 +25,7 @@ from cutinsim.engine import (
     run_closed_loop,
     sweep,
 )
-from cutinsim.errors import ConfigError
+from cutinsim.errors import ConfigError, InvalidInputError
 from cutinsim.kinematics import VehicleDims
 from cutinsim.safety_models import (
     MODEL_NAMES,
@@ -414,14 +415,18 @@ def test_batched_sweep_equals_the_scalar_loop_where_runs_collide_stop_and_raise(
         assert not run.collided and run.trace.ego_v_mps[-1] == 0.0
 
 
-def test_batched_sweep_equals_the_scalar_loop_where_idm_divides_by_zero():
-    # 2 sqrt(a b) underflows to 0: every idm_acceleration call divides by zero
-    params = ModelParams(idm=IdmParams(a_max_mps2=1e-170, b_comfort_mps2=1e-170))
-    grid = SweepGrid(v_e0_mps=(30.0,), v_o0_mps=(10.0,), d_x0_m=(1.0, 40.0), d_y0_m=(0.0, 3.75))
-    base = cutin(lc_start=0.0, lc_dur=1.0)
-    items = sweep(grid, ["idm"], base, params)
-    assert reprs(items) == reprs(scalar_sweep(grid, ["idm"], base, params))
-    assert any(it.error == "ZeroDivisionError: float division by zero" for it in items)
+def test_idm_params_reject_an_acceleration_product_that_underflows():
+    # 2 sqrt(a_max b) would underflow to 0, and every in-lane idm step would
+    # divide by it; config names the section
+    with pytest.raises(InvalidInputError, match="underflows to 0"):
+        IdmParams(a_max_mps2=1e-170, b_comfort_mps2=1e-170)
+    IdmParams(a_max_mps2=1e-150, b_comfort_mps2=1e-150)
+    with open(os.path.join(CONFIGS, "comparison.json")) as fh:
+        data = json.load(fh)
+    data["model_params"] = {"idm": {"a_max_mps2": 1e-170, "b_comfort_mps2": 1e-170}}
+    with pytest.raises(ConfigError, match="underflows to 0") as raised:
+        parse_config(data)
+    assert raised.value.key == "model_params.idm"
 
 
 def test_batched_sweep_equals_the_scalar_loop_where_the_ego_position_overflows():

@@ -16,7 +16,6 @@ entry per run, with the same values bit for bit.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -206,13 +205,12 @@ def _py_pow(base: np.ndarray, exponent: float, where: np.ndarray) -> np.ndarray:
     return out
 
 
-# The operations _step is written in: `where(c, a, b)` selects, `not_`
-# negates a bool, `pow(base, exponent, where)` takes Python's power only where
-# `where` holds (0 elsewhere), `zeros(like, kind)` is a 0 of type kind (int or
-# float) in the shape of like.
+# The operations _step is written in: `where(c, a, b)` selects,
+# `pow(base, exponent, where)` takes Python's power only where `where` holds
+# (0 elsewhere), `zeros(like, kind)` is a 0 of type kind (int or float) in the
+# shape of like.
 _FLOATS = SimpleNamespace(
     where=lambda c, a, b: a if c else b,
-    not_=operator.not_,
     # max(a, b) and min(a, b), which keep a on a tie, without the builtins' call cost
     pick_max=lambda a, b: b if b > a else a,
     pick_min=lambda a, b: b if b < a else a,
@@ -222,7 +220,6 @@ _FLOATS = SimpleNamespace(
 )
 _ARRAYS = SimpleNamespace(
     where=np.where,
-    not_=np.logical_not,
     pick_max=_pick_max,
     pick_min=_pick_min,
     ttc=ttc_array,
@@ -239,8 +236,7 @@ def _step(xp, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s
     forms do the same IEEE operations in the same order. No branch may raise
     where it is not taken: every divisor is a parameter validated positive,
     dt_s or its inverse, or idm's gap, which is 1.0 where its law does not
-    run; and a power is taken only where xp.pow's mask holds. & and | act on
-    the bools of both forms; ~ does not, so a negation is xp.not_.
+    run; and a power is taken only where xp.pow's mask holds.
     """
     where, pick_max, pick_min = xp.where, xp.pick_max, xp.pick_min
     if name == "rba":
@@ -287,7 +283,7 @@ def _step(xp, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s
 
     # the baselines' lateral gate
     lateral_clear = gap_lat_m > 0.0
-    in_lane = xp.not_(lateral_clear)
+    in_lane = where(lateral_clear, False, True)
     if name == "rss":
         # the responsibility-sensitive envelope's minimum longitudinal gap
         p = params.rss

@@ -13,16 +13,16 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import metrics
 from .errors import ConfigError, CutinSimError
 from .kinematics import (
+    ARRAYS,
+    FLOATS,
     VehicleDims,
-    VehicleState,
-    advance_axis,
-    advance_axis_array,
+    advance_axis_xp,
     axis_gap,
     require_finite,
 )
+from .metrics import ttc_xp
 from .safety_models import ModelParams, control_step, control_step_array
 
 SCENARIO_KINDS = ("cut_in", "cut_out", "car_following")
@@ -146,10 +146,6 @@ class ScenarioParams:
         offset per the scenario kind."""
         return _other_motion(self, t_s, self.d_x0_m, self.v_o0_mps, self.d_y0_m)
 
-    def other_state(self, t_s: float) -> VehicleState:
-        """other_motion(t) as a VehicleState."""
-        return VehicleState(*self.other_motion(t_s))
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -231,6 +227,30 @@ def _smoothstep_rate(u: float) -> float:
     return 6.0 * u * (1.0 - u)
 
 
+def _sense(xp, p: ScenarioParams, t_s: float, x, v, d_x0, v_o0, d_y0):
+    """A step's sensing over the operations xp (FLOATS in run_closed_loop,
+    ARRAYS in the sweep): the other vehicle's plan at t_s and what the ego at
+    x with speed v measures against it, (ox, oy, ov, ovy, gap_long, gap_lat,
+    collided, ttc). The footprints collide where they overlap on both axes.
+    The TTC is 0 on a collision step and inf where the pair is
+    longitudinally alongside in another lane, on no closing course."""
+    ox, oy, ov, ovy = _other_motion(p, t_s, d_x0, v_o0, d_y0)
+    gap_long = axis_gap(x, ox, p.ego_dims.length_m, p.other_dims.length_m)
+    gap_lat = axis_gap(0.0, oy, p.ego_dims.width_m, p.other_dims.width_m)
+    alongside = gap_long < 0.0
+    collided = alongside & (gap_lat < 0.0)
+    ttc = xp.where(alongside, xp.where(collided, 0.0, math.inf), ttc_xp(xp, gap_long, v - ov))
+    return ox, oy, ov, ovy, gap_long, gap_lat, collided, ttc
+
+
+def _summarize(xp, min_gap, min_ttc, peak_decel, gap_long, ttc, decel):
+    """The running (min gap, min TTC, peak deceleration) over xp after one
+    more step, from (inf, inf, -inf) before the first, with min's and max's
+    tie rules. A recorded TTC is never NaN or negative, so its minimum from
+    inf is the minimum of its finite values, inf when there are none."""
+    return xp.pick_min(min_gap, gap_long), xp.pick_min(min_ttc, ttc), xp.pick_max(peak_decel, decel)
+
+
 def _classify(collided: bool, min_ttc_s: float, peak_decel: float, th: ClassifyThresholds) -> str:
     if collided or min_ttc_s < th.ttc_critical_s or peak_decel > th.comfort_decel_mps2:
         return CRITICAL
@@ -256,38 +276,33 @@ def run_closed_loop(
     (and the collision flag latches) as soon as the footprints overlap.
     """
     dt = p.dt_s
-    ego_len, other_len = p.ego_dims.length_m, p.other_dims.length_m
-    ego_width, other_width = p.ego_dims.width_m, p.other_dims.width_m
     x, v = 0.0, p.v_e0_mps  # the ego, at the origin of its lane
     memory = 0
+    min_gap, min_ttc, peak_decel = math.inf, math.inf, -math.inf
     n_steps = round(p.duration_s / dt)
     columns = tuple([] for _ in fields(Trace))
     (t_col, ego_x, ego_v, other_x, other_y, other_v, other_vy,
      gap_long_col, gap_lat_col, ttc_col, safe_col, decel_col) = columns
-    collided = False
 
     for i in range(n_steps + 1):
         t = i * dt
-        ox, oy, ov, ovy = p.other_motion(t)
+        ox, oy, ov, ovy, gap_long, gap_lat, collided, ttc = _sense(
+            FLOATS, p, t, x, v, p.d_x0_m, p.v_o0_mps, p.d_y0_m
+        )
         # one sum screens all four values; only a non-finite one (or an
         # overflowing sum) pays for the named check
         if not math.isfinite(ox + oy + ov + ovy):
             require_finite(pos_long_m=ox, pos_lat_m=oy, vel_long_mps=ov, vel_lat_mps=ovy)
-        gap_long = axis_gap(x, ox, ego_len, other_len)
-        gap_lat = axis_gap(0.0, oy, ego_width, other_width)
-        collided = gap_long < 0.0 and gap_lat < 0.0
-        if collided:
-            ttc, safe, decel = 0.0, False, 0.0
+        if collided:  # the model is skipped: unsafe, no braking
+            safe, decel = False, 0.0
         else:
-            if gap_long >= 0.0:
-                ttc = metrics.ttc(gap_long, v - ov)
-            else:
-                # longitudinally alongside but laterally separated: no closing course
-                ttc = math.inf
             decision, accel, memory = control_step(
                 model_name, params, gap_long, gap_lat, v, ov, ttc, dt, memory
             )
             safe, decel = decision.safe, decision.decel_cmd_mps2
+        min_gap, min_ttc, peak_decel = _summarize(
+            FLOATS, min_gap, min_ttc, peak_decel, gap_long, ttc, decel
+        )
         t_col.append(t)
         ego_x.append(x)
         ego_v.append(v)
@@ -302,16 +317,14 @@ def run_closed_loop(
         decel_col.append(decel)
         if collided or i == n_steps:
             break
-        x, v = advance_axis(x, v, accel, dt, True)
+        x, v = advance_axis_xp(FLOATS, x, v, accel, dt, True)
         if not math.isfinite(accel + x + v):
             require_finite(accel_long_mps2=accel, pos_long_m=x, vel_long_mps=v)
 
-    min_ttc = min(filter(math.isfinite, ttc_col), default=math.inf)
-    peak_decel = max(decel_col)
     return SimResult(
         trace=Trace(*map(tuple, columns)),
         collided=collided,
-        min_gap_long_m=min(gap_long_col),
+        min_gap_long_m=min_gap,
         min_ttc_s=min_ttc,
         peak_decel_mps2=peak_decel,
         classification=_classify(collided, min_ttc, peak_decel, thresholds),
@@ -395,9 +408,10 @@ def _run_lanes(
     array entry (lane) per (model, grid index, point) of lanes, which come
     grouped by model and with points valid over base.
 
-    Each step does run_closed_loop's step in the same float operations, so
-    every summary equals the scalar loop's. Each model steps its own
-    contiguous slice through control_step_array. A lane whose step may raise
+    Each step runs run_closed_loop's step helpers over arrays, so every
+    summary equals the scalar loop's. All lanes are sensed and advanced
+    together; each model steps its own contiguous slice through
+    control_step_array. A lane whose step may raise
     leaves the arrays, and its item comes from run_closed_loop on its grid
     point: one whose other vehicle's plan is non-finite, every lane of a
     model slice whose control_step_array raised, and one whose next state is
@@ -417,47 +431,39 @@ def _run_lanes(
     items: list[SweepItem | None] = [None] * n
     dt = base.dt_s
     n_steps = round(base.duration_s / dt)
-    ego_len, other_len = base.ego_dims.length_m, base.other_dims.length_m
-    ego_width, other_width = base.ego_dims.width_m, base.other_dims.width_m
     with np.errstate(all="ignore"):
         for i in range(n_steps + 1):
             if not state.lane.size:
                 break
-            t = i * dt
-            shape = state.lane.shape
-            ox, oy, ov, ovy = (  # a value shared by every lane becomes one entry each
-                c if isinstance(c, np.ndarray) else np.full(shape, c)
-                for c in _other_motion(base, t, state.d_x0, state.v_o0, state.d_y0)
+            ox, oy, ov, ovy, gap_long, gap_lat, collided, ttc = _sense(
+                ARRAYS, base, i * dt, state.x, state.v, state.d_x0, state.v_o0, state.d_y0
             )
             leave = ~np.isfinite(ox + oy + ov + ovy)
-            x, v = state.x, state.v
-            gap_long = axis_gap(x, ox, ego_len, other_len)
-            gap_lat = axis_gap(0.0, oy, ego_width, other_width)
-            collided = (gap_long < 0.0) & (gap_lat < 0.0)
-            # longitudinally alongside but laterally separated: no closing course
-            ttc = np.where(gap_long >= 0.0, metrics.ttc_array(gap_long, v - ov), math.inf)
+            shape = state.lane.shape
+            gap_lat, ov = (  # a value shared by every lane becomes one entry each
+                c if isinstance(c, np.ndarray) else np.full(shape, c) for c in (gap_lat, ov)
+            )
             decel, accel, memory = np.zeros(shape), np.zeros(shape), state.memory.copy()
             bounds = np.searchsorted(state.model, np.arange(len(models) + 1)).tolist()
             for m, name in enumerate(models):
                 s = slice(bounds[m], bounds[m + 1])
-                features = (gap_long[s], gap_lat[s], v[s], ov[s], ttc[s])
+                features = (gap_long[s], gap_lat[s], state.v[s], ov[s], ttc[s])
                 try:
                     _, decel[s], accel[s], memory[s] = control_step_array(
                         name, params, *features, dt, state.memory[s]
                     )
                 except (CutinSimError, ArithmeticError):
                     leave[s] = True
-            # a collision step records ttc 0 and no braking, and ends the run
-            ttc = np.where(collided, 0.0, ttc)
+            # the model ran on every lane; a collision step brakes 0, as
+            # run_closed_loop's skipped model does
             decel = np.where(collided, 0.0, decel)
-            x, v = advance_axis_array(x, v, accel, dt)
+            state.min_gap, state.min_ttc, state.peak_decel = _summarize(
+                ARRAYS, state.min_gap, state.min_ttc, state.peak_decel, gap_long, ttc, decel
+            )
+            x, v = advance_axis_xp(ARRAYS, state.x, state.v, accel, dt, True)
             done = collided | (i == n_steps)
             leave |= ~done & ~np.isfinite(accel + x + v)
             done &= ~leave
-            # running summaries, with min's and max's tie rules
-            state.min_gap = np.where(gap_long < state.min_gap, gap_long, state.min_gap)
-            state.min_ttc = np.where(np.isfinite(ttc) & (ttc < state.min_ttc), ttc, state.min_ttc)
-            state.peak_decel = np.where(decel > state.peak_decel, decel, state.peak_decel)
             state.x, state.v, state.memory = x, v, memory
             for lane, hit, min_gap, min_ttc, peak in zip(
                 *(a[done].tolist() for a in

@@ -1,10 +1,12 @@
 """Vehicle states, constant-acceleration stepping and rectangle gap/overlap tests.
 
-The float functions `advance_axis` and `axis_gap` hold the motion and gap
-formulas; the engine steps plain floats through them, and the `VehicleState`
-forms (`step_vehicle`, `gap_longitudinal`, `gap_lateral`) delegate to them.
-`axis_gap` also takes arrays; `advance_axis_array` is `advance_axis` with the
-stop clamp over arrays, for the batched sweep.
+The closed-loop step (the engine's and every safety model's) is written once
+over the operations namespace `xp` defined here: `FLOATS` for one run on
+plain floats, `ARRAYS` for many runs as float64 arrays, one entry per run,
+with the same values bit for bit. `advance_axis_xp` is the one axis update,
+`advance_axis` its float form; `axis_gap` takes floats or arrays. The
+`VehicleState` forms (`step_vehicle`, `gap_longitudinal`, `gap_lateral`)
+delegate to them.
 
 Conventions: longitudinal x grows in the travel direction, lateral y grows
 leftward, positions refer to vehicle centers. Lane centers sit at
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -63,36 +66,73 @@ class VehicleState:
             raise InvalidInputError("vehicles do not reverse: vel_long_mps must be >= 0")
 
 
-def advance_axis(
-    pos: float, vel: float, accel: float, dt: float, clamp_at_zero: bool
-) -> tuple[float, float]:
-    """One constant-acceleration update of a single axis.
+def _pick_max(a, b):
+    """Python's max(a, b) entry by entry: a unless b > a, so of equal values
+    (0.0 and -0.0) the first is kept, as it is by max."""
+    return np.where(b > a, b, a)
+
+
+def _pick_min(a, b):
+    """Python's min(a, b) entry by entry: a unless b < a."""
+    return np.where(b < a, b, a)
+
+
+def _py_pow(base: np.ndarray, exponent: float, where: np.ndarray) -> np.ndarray:
+    """base ** exponent with Python's float power at the entries where `where`
+    holds, 0 elsewhere. numpy's power differs from it in the last bit for
+    some inputs; Python's raises OverflowError where the float step does."""
+    out = np.zeros(base.shape)
+    out[where] = [b ** exponent for b in base[where].tolist()]
+    return out
+
+
+# The operations the step is written in: `where(c, a, b)` selects,
+# `pick_max(a, b)` and `pick_min(a, b)` are max(a, b) and min(a, b), which
+# keep a on a tie, `pow(base, exponent, where)` takes Python's power only
+# where `where` holds (0 elsewhere), `zeros(like, kind)` is a 0 of type kind
+# (int or float) in the shape of like. A formula over them computes every
+# branch and selects the taken one, so that both forms do the same IEEE
+# operations in the same order; no branch may raise where it is not taken,
+# and the array form runs under np.errstate(all="ignore").
+FLOATS = SimpleNamespace(
+    where=lambda c, a, b: a if c else b,
+    # max and min without the builtins' call cost
+    pick_max=lambda a, b: b if b > a else a,
+    pick_min=lambda a, b: b if b < a else a,
+    pow=lambda base, exponent, where: base ** exponent if where else 0.0,
+    zeros=lambda like, kind: kind(),
+)
+ARRAYS = SimpleNamespace(
+    where=np.where,
+    pick_max=_pick_max,
+    pick_min=_pick_min,
+    pow=_py_pow,
+    zeros=lambda like, kind: np.zeros(like.shape, kind),
+)
+
+
+def advance_axis_xp(xp, pos, vel, accel, dt, clamp_at_zero):
+    """One constant-acceleration update of a single axis over the operations
+    xp (FLOATS or ARRAYS): (pos, vel) after dt.
 
     With clamp_at_zero the velocity is floored at 0 and the position update is
     truncated at the stopping instant, so stopping distance does not depend on dt.
     """
     v_end = vel + accel * dt
-    if clamp_at_zero and v_end < 0.0:
-        t_stop = vel / -accel if accel < 0.0 else 0.0
-        return pos + vel * t_stop + 0.5 * accel * t_stop * t_stop, 0.0
-    return pos + vel * dt + 0.5 * accel * dt * dt, v_end
+    braking = accel < 0.0
+    # the time to stop, 0 without braking; the divisor is 1.0 where it is not
+    # taken, so the float form never divides by 0
+    t_stop = xp.where(braking, vel / xp.where(braking, -accel, 1.0), 0.0)
+    stopped = (v_end < 0.0) & clamp_at_zero
+    t = xp.where(stopped, t_stop, dt)
+    return pos + vel * t + 0.5 * accel * t * t, xp.where(stopped, 0.0, v_end)
 
 
-def advance_axis_array(
-    pos: np.ndarray, vel: np.ndarray, accel: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """advance_axis(pos, vel, accel, dt, True) entry by entry over arrays, in
-    the same float operations. Both branches are computed everywhere, so run
-    it under np.errstate(all="ignore")."""
-    v_end = vel + accel * dt
-    t_stop = np.where(accel < 0.0, vel / -accel, 0.0)
-    stopped = v_end < 0.0
-    pos = np.where(
-        stopped,
-        pos + vel * t_stop + 0.5 * accel * t_stop * t_stop,
-        pos + vel * dt + 0.5 * accel * dt * dt,
-    )
-    return pos, np.where(stopped, 0.0, v_end)
+def advance_axis(
+    pos: float, vel: float, accel: float, dt: float, clamp_at_zero: bool
+) -> tuple[float, float]:
+    """advance_axis_xp on floats."""
+    return advance_axis_xp(FLOATS, pos, vel, accel, dt, clamp_at_zero)
 
 
 def step_vehicle(

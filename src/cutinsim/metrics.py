@@ -5,9 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidInputError, UndefinedSensitivityError
+from .kinematics import FLOATS
 
 # Closing speeds below this floor are treated as non-closing; keeps TTC
 # deterministic instead of dividing by a near-zero velocity difference.
@@ -28,25 +27,20 @@ class SensitivityResult:
     s_rel_s2_per_m: float  # d TTC / d closing speed
 
 
+def ttc_xp(xp, gap_long_m, closing_mps):
+    """Time to collision over the operations xp (kinematics.FLOATS or
+    ARRAYS), gap over closing speed: 0 once the longitudinal gap is negative,
+    otherwise inf when the pair is not closing (closing speed at or below
+    CLOSING_SPEED_FLOOR_MPS)."""
+    closing = closing_mps > CLOSING_SPEED_FLOOR_MPS
+    # the divisor is 1.0 where it is not taken, so the float form never divides by 0
+    ratio = gap_long_m / xp.where(closing, closing_mps, 1.0)
+    return xp.where(gap_long_m < 0.0, 0.0, xp.where(closing, ratio, math.inf))
+
+
 def ttc(gap_long_m: float, closing_mps: float) -> float:
-    """Time to collision, gap over closing speed: 0 once the longitudinal gap is
-    negative, otherwise inf when the pair is not closing (closing speed at or
-    below CLOSING_SPEED_FLOOR_MPS)."""
-    if gap_long_m < 0.0:
-        return 0.0
-    if closing_mps > CLOSING_SPEED_FLOOR_MPS:
-        return gap_long_m / closing_mps
-    return math.inf
-
-
-def ttc_array(gap_long_m: np.ndarray, closing_mps: np.ndarray) -> np.ndarray:
-    """ttc entry by entry over arrays, with the same values. Both branches are
-    computed everywhere, so run it under np.errstate(all="ignore")."""
-    return np.where(
-        gap_long_m < 0.0,
-        0.0,
-        np.where(closing_mps > CLOSING_SPEED_FLOOR_MPS, gap_long_m / closing_mps, math.inf),
-    )
+    """ttc_xp on floats."""
+    return ttc_xp(FLOATS, gap_long_m, closing_mps)
 
 
 def compute_features(

@@ -7,22 +7,22 @@ TTC shortfalls. The baselines (rss, reg157, cc_human, fsm, idm) are compact
 parameterized stand-ins for the systems they are named after, not
 full-fidelity ports of those systems.
 
-Each model is written once, in `_step`, over a small namespace of operations
-that work on floats or on float64 arrays. `control_step` runs it on floats for
-one run; `control_step_array` runs it on arrays for many runs at once, one
-entry per run, with the same values bit for bit.
+Each model is written once, in `_step`, over the float/array operations
+namespace of `kinematics` (`FLOATS`, `ARRAYS`). `control_step` runs it on
+floats for one run; `control_step_array` runs it on arrays for many runs at
+once, one entry per run, with the same values bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
-from .metrics import CLOSING_SPEED_FLOOR_MPS, ttc, ttc_array
+from .kinematics import ARRAYS, FLOATS
+from .metrics import CLOSING_SPEED_FLOOR_MPS, ttc_xp
 
 MODEL_NAMES = ("rba", "rss", "reg157", "cc_human", "fsm", "idm", "none")
 
@@ -185,52 +185,9 @@ class ModelParams:
 RBA_SATURATION_STEPS = 5
 
 
-def _pick_max(a, b):
-    """Python's max(a, b) entry by entry: a unless b > a, so of equal values
-    (0.0 and -0.0) the first is kept, as it is by max."""
-    return np.where(b > a, b, a)
-
-
-def _pick_min(a, b):
-    """Python's min(a, b) entry by entry: a unless b < a."""
-    return np.where(b < a, b, a)
-
-
-def _py_pow(base: np.ndarray, exponent: float, where: np.ndarray) -> np.ndarray:
-    """base ** exponent with Python's float power at the entries where `where`
-    holds, 0 elsewhere. numpy's power differs from it in the last bit for
-    some inputs; Python's raises OverflowError where the float step does."""
-    out = np.zeros(base.shape)
-    out[where] = [b ** exponent for b in base[where].tolist()]
-    return out
-
-
-# The operations _step is written in: `where(c, a, b)` selects,
-# `pow(base, exponent, where)` takes Python's power only where `where` holds
-# (0 elsewhere), `zeros(like, kind)` is a 0 of type kind (int or float) in the
-# shape of like.
-_FLOATS = SimpleNamespace(
-    where=lambda c, a, b: a if c else b,
-    # max(a, b) and min(a, b), which keep a on a tie, without the builtins' call cost
-    pick_max=lambda a, b: b if b > a else a,
-    pick_min=lambda a, b: b if b < a else a,
-    ttc=ttc,
-    pow=lambda base, exponent, where: base ** exponent if where else 0.0,
-    zeros=lambda like, kind: kind(),
-)
-_ARRAYS = SimpleNamespace(
-    where=np.where,
-    pick_max=_pick_max,
-    pick_min=_pick_min,
-    ttc=ttc_array,
-    pow=_py_pow,
-    zeros=lambda like, kind: np.zeros(like.shape, kind),
-)
-
-
 def _step(xp, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s, dt_s, memory):
-    """One control step of the named model over the operations xp (_FLOATS or
-    _ARRAYS): (rationale code, decel_cmd_mps2, accel_mps2, memory).
+    """One control step of the named model over the operations xp (FLOATS or
+    ARRAYS): (rationale code, decel_cmd_mps2, accel_mps2, memory).
 
     Every branch is computed and the taken one selected by xp.where, so both
     forms do the same IEEE operations in the same order. No branch may raise
@@ -246,7 +203,7 @@ def _step(xp, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s
         # reaction time + time margin); a non-closing pair passes the margin
         dv = v_ego_mps - v_other_mps
         margin_s = dv / (2.0 * p.a_max_mps2) + p.t_react_s + p.time_margin_s
-        margin_pass = (dv < CLOSING_SPEED_FLOOR_MPS) | (xp.ttc(gap_long_m, dv) > margin_s)
+        margin_pass = (dv < CLOSING_SPEED_FLOOR_MPS) | (ttc_xp(xp, gap_long_m, dv) > margin_s)
         code = where(
             gap_lat_m > p.d_lat_safe_m,
             where(
@@ -274,7 +231,9 @@ def _step(xp, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s
         # safe step brakes 0, so it resets the count)
         memory = where(decel >= p.a_max_mps2 * (1.0 - 1e-9), memory + 1, 0)
         code = where(memory >= RBA_SATURATION_STEPS, _LANE_CHANGE_ADVISED, code)
-        accel = (pick_max(v_ego_mps - dv_step, p.v_min_mps) - v_ego_mps) / dt_s
+        # the speed floor never speeds the ego up: below v_min_mps it holds v
+        floor = pick_min(v_ego_mps, p.v_min_mps)
+        accel = (pick_max(v_ego_mps - dv_step, floor) - v_ego_mps) / dt_s
         return code, decel, accel, memory
     if name == "none":
         # uncontrolled ego: never brakes; the collision baseline (code 0 is _SAFE)
@@ -315,7 +274,7 @@ def _step(xp, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s
         # reach the reaction delay
         p = params.cc_human
         unsafe = (-gap_lat_m > p.lat_intrusion_trigger_m) & (
-            xp.ttc(gap_long_m, v_ego_mps - v_other_mps) < p.perception_ttc_s
+            ttc_xp(xp, gap_long_m, v_ego_mps - v_other_mps) < p.perception_ttc_s
         )
         decel = where(unsafe & (memory >= p.reaction_delay_s), p.brake_mps2, 0.0)
         memory = where(unsafe, memory + dt_s, 0.0)
@@ -324,7 +283,7 @@ def _step(xp, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s
         # (an infinite TTC gives -inf urgency), brakes in proportion
         p = params.fsm
         u_d = (p.proximity_scale_m - gap_long_m) / p.proximity_scale_m
-        u_t = (p.ttc_scale_s - xp.ttc(gap_long_m, v_ego_mps - v_other_mps)) / p.ttc_scale_s
+        u_t = (p.ttc_scale_s - ttc_xp(xp, gap_long_m, v_ego_mps - v_other_mps)) / p.ttc_scale_s
         risk = pick_max(pick_min(pick_max(u_d, 0.0), 1.0), pick_min(pick_max(u_t, 0.0), 1.0))
         unsafe = in_lane & (risk > 0.0)
         decel = where(unsafe, risk * p.braking_gain * p.a_max_mps2, 0.0)
@@ -382,7 +341,7 @@ def control_step(
     other models return it unchanged.
     """
     code, decel, accel, memory = _step(
-        _FLOATS, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s, dt_s, memory
+        FLOATS, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s, dt_s, memory
     )
     return Decision(code <= _MARGIN_PASS, decel, RATIONALES[code]), accel, memory
 
@@ -411,5 +370,5 @@ def control_step_array(
     through run_closed_loop for the scalar error.
     """
     return _step(
-        _ARRAYS, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s, dt_s, memory
+        ARRAYS, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s, dt_s, memory
     )

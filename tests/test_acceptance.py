@@ -130,7 +130,8 @@ def test_criterion_02_braking_law_contract():
         p = params[i % len(params)]
         # the other vehicle overlaps laterally, so the check fails and the
         # braking law sets the step: decel is its decrement times the step
-        # frequency, and accel takes the speed down by it, or to v_min
+        # frequency, and accel takes the speed down by it, or to v_min; a
+        # speed already under v_min is held, never raised to it
         decision, accel, _ = control_step(
             "rba", ModelParams(rba=p), gaps[i], 0.0, vels[i], vels[i], ttcs[i], dt, 0
         )
@@ -141,7 +142,7 @@ def test_criterion_02_braking_law_contract():
         if gap_short <= 0.0 and ttc_short <= 0.0:
             ok = ok and decel == 0.0
         v_next = advance_axis(0.0, vels[i], accel, dt, True)[1]
-        ok = ok and v_next >= p.v_min_mps
+        ok = ok and accel <= 0.0 and v_next >= min(vels[i], p.v_min_mps)
         if not ok:
             violations += 1
     _report(

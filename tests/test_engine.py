@@ -3,7 +3,7 @@ import json
 import math
 import os
 import pickle
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from cutinsim.engine import (
     sweep,
 )
 from cutinsim.errors import ConfigError, InvalidInputError
-from cutinsim.kinematics import VehicleDims
+from cutinsim.kinematics import ARRAYS, FLOATS, VehicleDims
 from cutinsim.safety_models import (
     MODEL_NAMES,
     CcHumanParams,
@@ -90,14 +90,34 @@ def test_car_following_stays_in_lane():
 
 def test_car_following_speed_profile():
     p = cutin(kind="car_following", d_y0=0.0, v_o0=20.0, profile=((4.0, 5.0),))
-    assert p.other_state(3.9).vel_long_mps == 20.0
-    assert p.other_state(4.0).vel_long_mps == 5.0
+    assert p.other_motion(3.9)[2] == 20.0
+    assert p.other_motion(4.0)[2] == 5.0
     # position continuous across the speed change
-    x_before = p.other_state(4.0 - 1e-9).pos_long_m
-    assert p.other_state(4.0).pos_long_m == pytest.approx(x_before, abs=1e-6)
-    # the state form is the float plan, field for field
-    for t in (0.0, 3.9, 4.0, 7.5):
-        assert astuple(p.other_state(t)) == p.other_motion(t)
+    x_before = p.other_motion(4.0 - 1e-9)[0]
+    assert p.other_motion(4.0)[0] == pytest.approx(x_before, abs=1e-6)
+
+
+@pytest.mark.parametrize("x, d_y0, v_e0, expected", [
+    # touching side to side (gap_lat exactly 0) while alongside: no collision
+    (35.0, 2.0, 20.0, (-5.0, 0.0, False, math.inf)),
+    # overlapping on both axes: a collision, TTC 0
+    (35.0, 1.0, 20.0, (-5.0, -1.0, True, 0.0)),
+    # bumper to bumper (gap_long exactly 0) in one lane: not alongside, and
+    # the TTC formula's 0 when closing, inf when not
+    (30.0, 1.0, 25.0, (0.0, -1.0, False, 0.0)),
+    (30.0, 1.0, 20.0, (0.0, -1.0, False, math.inf)),
+])
+def test_step_sensing_at_each_gap_boundary(x, d_y0, v_e0, expected):
+    # the other vehicle, at 20 m/s, sits 35 m ahead (center to center) in its
+    # start lane at t = 0; both forms of the step sense the same
+    p = cutin(v_e0=v_e0, v_o0=20.0, d_x0=30.0, d_y0=d_y0)
+    *_, gap_long, gap_lat, collided, ttc = engine._sense(
+        FLOATS, p, 0.0, x, v_e0, p.d_x0_m, p.v_o0_mps, p.d_y0_m
+    )
+    assert (gap_long, gap_lat, collided, ttc) == expected
+    lanes = (np.array([value]) for value in (x, v_e0, p.d_x0_m, p.v_o0_mps, p.d_y0_m))
+    *_, gap_long, gap_lat, collided, ttc = engine._sense(ARRAYS, p, 0.0, *lanes)
+    assert (gap_long[0], gap_lat[0], collided[0], ttc[0]) == expected
 
 
 def test_initial_bumper_gap_matches_d_x0():
@@ -176,6 +196,10 @@ def test_recorded_step_features_reproduce_each_decision():
                 assert (decision.safe, decision.decel_cmd_mps2) == (safe, decel)
                 braking_steps += decel > 0.0
             collided_runs += r.collided
+            # the summary, kept as the run steps, is the trace's
+            assert repr(r.min_gap_long_m) == repr(min(tr.gap_long_m))
+            assert repr(r.min_ttc_s) == repr(min(filter(math.isfinite, tr.ttc_s), default=math.inf))
+            assert repr(r.peak_decel_mps2) == repr(max(tr.decel_cmd_mps2))
     assert collided_runs > 0 and braking_steps > 0
 
 
@@ -185,6 +209,15 @@ def test_velocity_stays_in_bounds_for_braking_models():
         vels = r.trace.ego_v_mps
         assert all(v >= 0.0 for v in vels)
         assert all(v <= 30.0 + 1e-9 for v in vels), model
+
+
+def test_rba_speed_floor_keeps_a_stopped_ego_stopped():
+    # cut in 5 m ahead of a stopped ego by a stopped vehicle: under a 3 m/s
+    # floor rba must not drive the ego into it
+    p = cutin(v_e0=0.0, v_o0=0.0, d_x0=5.0)
+    r = run_closed_loop(p, "rba", ModelParams(rba=RbaParams(v_min_mps=3.0)))
+    assert not r.collided
+    assert set(r.trace.ego_v_mps) == {0.0}
 
 
 def test_idm_can_accelerate_toward_desired_speed():
@@ -217,6 +250,10 @@ def test_scenario_validation():
         cutin(profile=((1.0, 5.0),))
     with pytest.raises(ConfigError, match="dt_s"):
         cutin(dt=5e-324)  # duration / dt overflows to inf
+    with pytest.raises(ConfigError, match="dt_s"):
+        cutin(dt=0.0)
+    with pytest.raises(ConfigError, match="lc_duration_s"):
+        cutin(lc_dur=0.0)
     cutin(duration=12.0, dt=12.0 / MAX_STEPS)  # exactly at the step bound
 
 
@@ -492,12 +529,15 @@ def test_classification_rules():
                      min_ttc_s=math.inf, peak_decel_mps2=3.6, classification="", model_name="rba")
     assert classify_event(hard, th) == "critical"
     assert classify_event(replace(hard, peak_decel_mps2=3.5), th) == "non_critical"
+    assert classify_event(replace(shaved, min_ttc_s=2.0), th) == "non_critical"
 
 
 def test_feasibility_bound_values():
     assert feasibility_bound(20.0, 20.0, 6.0, 0.5) == 0.0
     assert feasibility_bound(20.0, 10.0, 6.0, 0.5) == pytest.approx(5.0 + 100.0 / 12.0)
     assert feasibility_bound(30.0, 10.0, 6.0, 0.5) == pytest.approx(10.0 + 400.0 / 12.0)
+    with pytest.raises(ConfigError, match="a_max"):
+        feasibility_bound(30.0, 10.0, 0.0, 0.5)
 
 
 def test_feasibility_bound_against_fine_step_braking_sim():

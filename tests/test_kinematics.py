@@ -1,12 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cutinsim.errors import InvalidInputError
 from cutinsim.kinematics import (
+    ARRAYS,
+    FLOATS,
     VehicleDims,
     VehicleState,
+    advance_axis_xp,
     gap_lateral,
     gap_longitudinal,
     overlaps,
@@ -60,6 +64,17 @@ def test_stopping_mid_step_truncates_position():
     assert abs(s.pos_long_m - x_oracle) < 1e-6
 
 
+def test_stopping_exactly_at_the_step_end_takes_the_full_step():
+    # the speed reaches 0 at dt itself: the stop clamp is for v_end < 0 only,
+    # and here the truncated position would differ in the last bit
+    v, a, dt = 6.0 * 0.05, -6.0, 0.05
+    full, t_stop = v * dt + 0.5 * a * dt * dt, v / -a
+    assert full != v * t_stop + 0.5 * a * t_stop * t_stop
+    assert advance_axis_xp(FLOATS, 0.0, v, a, dt, True) == (full, 0.0)
+    pos, vel = advance_axis_xp(ARRAYS, np.zeros(1), np.array([v]), np.array([a]), dt, True)
+    assert (pos.tolist(), vel.tolist()) == ([full], [0.0])
+
+
 def test_step_rejects_non_finite_input():
     with pytest.raises(InvalidInputError):
         step_vehicle(state(v=10.0), math.nan, 0.0, 0.1)
@@ -101,6 +116,9 @@ def test_overlaps_examples():
     assert overlaps(state(), state(), DIMS_5x2, DIMS_5x2)
     assert not overlaps(state(x=0, y=0), state(x=40, y=0.5), DIMS_5x2, DIMS_5x2)
     assert overlaps(state(x=0, y=0), state(x=4, y=1.9), DIMS_5x2, DIMS_5x2)
+    # footprints that touch on one axis (a gap of exactly 0) do not overlap
+    assert not overlaps(state(x=0, y=0), state(x=5, y=0), DIMS_5x2, DIMS_5x2)
+    assert not overlaps(state(x=0, y=0), state(x=0, y=2), DIMS_5x2, DIMS_5x2)
 
 
 @given(
@@ -124,3 +142,5 @@ def test_dims_must_be_positive():
         VehicleDims(width_m=0.0, length_m=5.0)
     with pytest.raises(InvalidInputError):
         VehicleDims(width_m=2.0, length_m=-1.0)
+    with pytest.raises(InvalidInputError):
+        VehicleDims(width_m=2.0, length_m=0.0)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from cutinsim.errors import InvalidInputError, UndefinedSensitivityError
+from cutinsim.kinematics import ARRAYS
 from cutinsim.metrics import (
     CLOSING_SPEED_FLOOR_MPS,
     compute_features,
     finite_difference_sensitivity,
     ttc,
     ttc_sensitivity,
+    ttc_xp,
 )
 
 
@@ -45,9 +47,23 @@ def test_ttc_convention():
     # not closing: infinite, including at the floor itself
     for closing in (-5.0, 0.0, CLOSING_SPEED_FLOOR_MPS):
         assert ttc(40.0, closing) == math.inf
-    # a negative gap is 0 whether or not the pair closes
+    # a negative gap is 0 whether or not the pair closes; a zero gap is not
+    # negative, so it is inf when the pair does not close
     for closing in (-5.0, 0.0, 5.0):
         assert ttc(-0.1, closing) == 0.0
+    assert ttc(0.0, 0.0) == math.inf
+    # the array form gives the float form's values, boundaries included
+    gaps, closings = zip(*((g, c) for g in (-0.1, 0.0, 40.0)
+                           for c in (-5.0, 0.0, CLOSING_SPEED_FLOOR_MPS, 5.0)))
+    with np.errstate(all="ignore"):
+        array_form = ttc_xp(ARRAYS, np.array(gaps), np.array(closings)).tolist()
+    assert repr(array_form) == repr([ttc(g, c) for g, c in zip(gaps, closings)])
+
+
+def test_features_at_a_zero_gap_and_a_follower_at_the_floor():
+    f = compute_features(0.0, 20.0, 5.0)
+    assert (f.ttc_s, f.ittc_per_s) == (0.0, math.inf)
+    assert compute_features(50.0, CLOSING_SPEED_FLOOR_MPS, 0.0).thw_s == math.inf
 
 
 def test_negative_gap_rejected():
@@ -114,6 +130,11 @@ def test_sensitivity_undefined_when_not_closing():
         ttc_sensitivity(50.0, 0.0)
     with pytest.raises(UndefinedSensitivityError):
         ttc_sensitivity(50.0, -5.0)
+    with pytest.raises(UndefinedSensitivityError):
+        ttc_sensitivity(50.0, CLOSING_SPEED_FLOOR_MPS)
+    # 2 floor - floor is exactly the floor: the perturbed speed reaches it
+    with pytest.raises(UndefinedSensitivityError):
+        finite_difference_sensitivity(10.0, 2.0 * CLOSING_SPEED_FLOOR_MPS, CLOSING_SPEED_FLOOR_MPS)
     with pytest.raises(UndefinedSensitivityError):
         finite_difference_sensitivity(50.0, 1e-5, 1e-4)
     with pytest.raises(InvalidInputError):

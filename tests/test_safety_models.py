@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutinsim.errors import ConfigError, InvalidInputError
-from cutinsim.kinematics import VehicleDims, VehicleState, advance_axis
+from cutinsim.kinematics import ARRAYS, FLOATS, VehicleDims, VehicleState, advance_axis
 from cutinsim.metrics import CLOSING_SPEED_FLOOR_MPS
 from cutinsim.safety_models import (
     CcHumanParams,
@@ -23,8 +23,6 @@ from cutinsim.safety_models import (
     RbaParams,
     Reg157Params,
     RssParams,
-    _ARRAYS,
-    _FLOATS,
     control_step,
     control_step_array,
 )
@@ -213,6 +211,20 @@ def test_velocity_update():
     # a safe step keeps the speed
     d, accel, _ = step("rba", (200.0, 1.0, 5.0, 5.0), rba=RbaParams(v_min_mps=2.0))
     assert d.safe and accel == 0.0
+    # under v_min the floor is the speed itself: braking holds it there
+    assert next_speed(1.0, 0.0, 0.0, 1.0, floored) == 1.0
+
+
+def test_rba_speed_floor_never_speeds_the_ego_up():
+    # a stopped ego under a 3 m/s floor, braking at a_max: both forms hold it
+    # at 0 rather than accelerating it to the floor in one step
+    params = ModelParams(rba=RbaParams(v_min_mps=3.0))
+    decision, accel, _ = control_step("rba", params, 5.0, 0.0, 0.0, 0.0, 0.0, 0.05, 0)
+    assert (decision.decel_cmd_mps2, accel) == (6.0, 0.0)
+    columns = [np.array([value]) for value in (5.0, 0.0, 0.0, 0.0, 0.0)]
+    with np.errstate(all="ignore"):
+        _, decel, accel, _ = control_step_array("rba", params, *columns, 0.05, np.zeros(1))
+    assert (decel.tolist(), accel.tolist()) == ([6.0], [0.0])
 
 
 def test_rss_hand_evaluated_envelope():
@@ -513,10 +525,10 @@ def test_max_and_min_of_both_forms_keep_the_first_of_equal_values():
     # max and min keep their first argument on a tie, so the sign of a zero
     # survives them; both forms of the step must keep the same one
     for a, b in ((-0.0, 0.0), (0.0, -0.0), (1.0, 2.0), (2.0, 1.0)):
-        assert repr(_ARRAYS.pick_max(np.array([a]), b).tolist()) == repr([max(a, b)])
-        assert repr(_ARRAYS.pick_min(np.array([a]), b).tolist()) == repr([min(a, b)])
-        assert repr(_FLOATS.pick_max(a, b)) == repr(max(a, b))
-        assert repr(_FLOATS.pick_min(a, b)) == repr(min(a, b))
+        assert repr(ARRAYS.pick_max(np.array([a]), b).tolist()) == repr([max(a, b)])
+        assert repr(ARRAYS.pick_min(np.array([a]), b).tolist()) == repr([min(a, b)])
+        assert repr(FLOATS.pick_max(a, b)) == repr(max(a, b))
+        assert repr(FLOATS.pick_min(a, b)) == repr(min(a, b))
 
 
 # Step features around every gate: exact zeros of both signs, overlaps,

@@ -1,10 +1,11 @@
 """Cut-in collision avoidance simulation toolkit.
 
-Core pieces: vehicle kinematics and gap geometry, TTC-family surrogate safety
-metrics with analytic sensitivities, a rules-based safety check plus braking
-law, simplified baseline models (rss, reg157, cc_human, fsm, idm), a
-closed-loop scenario engine with parameter sweeps, and Gaussian TTC risk
-summaries. The `cutinsim` command line wraps the same API; see README.md.
+Core pieces: the ego's constant-acceleration step along its lane and the
+footprint gaps it is measured by, TTC-family surrogate safety metrics with
+analytic sensitivities, a rules-based safety check plus braking law,
+simplified baseline models (rss, reg157, cc_human, fsm, idm), a closed-loop
+scenario engine with parameter sweeps, and Gaussian TTC risk summaries. The
+`cutinsim` command line wraps the same API; see README.md.
 """
 
 from .engine import (
@@ -13,7 +14,6 @@ from .engine import (
     SimResult,
     SweepGrid,
     Trace,
-    classify_event,
     feasibility_bound,
     run_closed_loop,
     sweep,
@@ -21,11 +21,6 @@ from .engine import (
 from .kinematics import (
     LANE_WIDTH_M,
     VehicleDims,
-    VehicleState,
-    gap_lateral,
-    gap_longitudinal,
-    overlaps,
-    step_vehicle,
 )
 from .metrics import (
     SensitivityResult,
@@ -36,10 +31,8 @@ from .metrics import (
     ttc_sensitivity,
 )
 from .risk import (
-    GaussianRisk,
     ModelSummary,
     fit_gaussian,
-    gaussian_risk,
     normal_cdf,
     prob_below_threshold,
     summarize_models,
@@ -66,27 +59,19 @@ __all__ = [
     "SimResult",
     "SweepGrid",
     "Trace",
-    "classify_event",
     "feasibility_bound",
     "run_closed_loop",
     "sweep",
     "LANE_WIDTH_M",
     "VehicleDims",
-    "VehicleState",
-    "gap_lateral",
-    "gap_longitudinal",
-    "overlaps",
-    "step_vehicle",
     "SensitivityResult",
     "SurrogateFeatures",
     "compute_features",
     "finite_difference_sensitivity",
     "ttc",
     "ttc_sensitivity",
-    "GaussianRisk",
     "ModelSummary",
     "fit_gaussian",
-    "gaussian_risk",
     "normal_cdf",
     "prob_below_threshold",
     "summarize_models",

@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .engine import ClassifyThresholds, ScenarioParams, SweepGrid, check_finite
+from .engine import ClassifyThresholds, ScenarioParams, SweepGrid, check_finite, check_models
 from .errors import ConfigError
 from .kinematics import VehicleDims
 from .safety_models import (
@@ -176,12 +176,10 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
 
     model = _check_model_name(raw.get("model", "rba"), "model")
     models_raw = raw.get("models", [model])
-    if not isinstance(models_raw, (list, tuple)) or not models_raw:
+    if not isinstance(models_raw, (list, tuple)):
         raise ConfigError("models must be a nonempty list", key="models")
     models = tuple(_check_model_name(m, "models") for m in models_raw)
-    for i, name in enumerate(models):
-        if name in models[:i]:
-            raise ConfigError(f"models lists {name!r} more than once", key="models")
+    check_models(models)
 
     model_params = _parse_model_params(raw.get("model_params", {}), raw.get("rba", {}))
     classify = _build_dataclass(ClassifyThresholds, raw.get("classify", {}), "classify")

@@ -49,6 +49,16 @@ def check_finite(value: Any, key: str) -> Any:
     return value
 
 
+def check_models(models: Sequence[str]) -> None:
+    """A ConfigError on key models unless models names at least one model,
+    each once."""
+    if not models:
+        raise ConfigError("models must be a nonempty list", key="models")
+    for i, name in enumerate(models):
+        if name in models[:i]:
+            raise ConfigError(f"models lists {name!r} more than once", key="models")
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
     """One two-vehicle scenario.
@@ -136,10 +146,6 @@ class ScenarioParams:
                 )
             last_t = t
 
-    def lateral_offset(self, t_s: float) -> tuple[float, float]:
-        """Lateral position of the other vehicle and its rate at time t."""
-        return _lateral_offset(self, t_s, self.d_y0_m)
-
     def other_motion(self, t_s: float) -> tuple[float, float, float, float]:
         """The other vehicle's closed-form motion plan at time t as
         (x, y, vx, vy): d_x0 (bumper gap) ahead of the ego at t = 0, lateral
@@ -190,7 +196,7 @@ class ClassifyThresholds:
 # floats or arrays with one entry per run, in the same float operations.
 
 
-def _lateral_offset(p: ScenarioParams, t_s: float, d_y0):
+def _lateral_motion(p: ScenarioParams, t_s: float, d_y0):
     if p.kind == "car_following":
         return 0.0, 0.0
     u = (t_s - p.lc_start_s) / p.lc_duration_s
@@ -215,7 +221,7 @@ def _other_motion(p: ScenarioParams, t_s: float, d_x0, v_o0, d_y0):
         x = x + v * (t_change - t_prev)
         t_prev, v = t_change, v_new
     x = x + v * (t_s - t_prev)
-    y, vy = _lateral_offset(p, t_s, d_y0)
+    y, vy = _lateral_motion(p, t_s, d_y0)
     return x, y, v, vy
 
 
@@ -252,15 +258,11 @@ def _summarize(xp, min_gap, min_ttc, peak_decel, gap_long, ttc, decel):
 
 
 def _classify(collided: bool, min_ttc_s: float, peak_decel: float, th: ClassifyThresholds) -> str:
+    """Critical when the run collided, dipped under the TTC threshold, or braked
+    harder than the comfort level; non-critical otherwise."""
     if collided or min_ttc_s < th.ttc_critical_s or peak_decel > th.comfort_decel_mps2:
         return CRITICAL
     return NON_CRITICAL
-
-
-def classify_event(result: SimResult, thresholds: ClassifyThresholds) -> str:
-    """Critical when the run collided, dipped under the TTC threshold, or braked
-    harder than the comfort level; non-critical otherwise."""
-    return _classify(result.collided, result.min_ttc_s, result.peak_decel_mps2, thresholds)
 
 
 def run_closed_loop(
@@ -317,7 +319,7 @@ def run_closed_loop(
         decel_col.append(decel)
         if collided or i == n_steps:
             break
-        x, v = advance_axis_xp(FLOATS, x, v, accel, dt, True)
+        x, v = advance_axis_xp(FLOATS, x, v, accel, dt)
         if not math.isfinite(accel + x + v):
             require_finite(accel_long_mps2=accel, pos_long_m=x, vel_long_mps=v)
 
@@ -460,7 +462,7 @@ def _run_lanes(
             state.min_gap, state.min_ttc, state.peak_decel = _summarize(
                 ARRAYS, state.min_gap, state.min_ttc, state.peak_decel, gap_long, ttc, decel
             )
-            x, v = advance_axis_xp(ARRAYS, state.x, state.v, accel, dt, True)
+            x, v = advance_axis_xp(ARRAYS, state.x, state.v, accel, dt)
             done = collided | (i == n_steps)
             leave |= ~done & ~np.isfinite(accel + x + v)
             done &= ~leave
@@ -491,7 +493,8 @@ def sweep(
     thresholds: ClassifyThresholds = ClassifyThresholds(),
     jobs: int = 1,
 ) -> list[SweepItem]:
-    """Simulate the full grid for every model, all runs stepped together.
+    """Simulate the full grid for every model (each named once), all runs
+    stepped together.
 
     Each item's result equals run_closed_loop's summary (its trace is None),
     and a grid point whose scenario or run raises is an error row. Results
@@ -499,8 +502,7 @@ def sweep(
     min(jobs, CPU count, number of runs) contiguous chunks, one per worker
     process; with one, they run in this process.
     """
-    if not models:
-        raise ConfigError("comparison needs at least one model", key="models")
+    check_models(models)  # _run_lanes slices its lanes by model
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}", key="jobs")
     points = grid.points()

@@ -203,26 +203,13 @@ def write_summary(out_dir: str, summaries: Sequence[ModelSummary], ttc_crit_s: f
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         fh.write(SUMMARY_HEADER + "\n")
         for row in summaries:
-            if row.available:
-                fields = (
-                    row.model,
-                    f"{row.mean_ttc_s:.4f}",
-                    f"{row.std_ttc_s:.4f}",
-                    f"{row.prob_below:.4f}",
-                    f"{row.critical_fraction:.4f}" if row.critical_fraction is not None else "",
-                    str(row.n_finite),
-                    str(row.n_excluded),
-                )
-            else:
-                fields = (
-                    row.model,
-                    "",
-                    "",
-                    "",
-                    f"{row.critical_fraction:.4f}" if row.critical_fraction is not None else "",
-                    str(row.n_finite),
-                    str(row.n_excluded),
-                )
+            stats = (row.mean_ttc_s, row.std_ttc_s, row.prob_below, row.critical_fraction)
+            fields = (
+                row.model,
+                *("" if value is None else f"{value:.4f}" for value in stats),
+                str(row.n_finite),
+                str(row.n_excluded),
+            )
             fh.write(",".join(fields) + "\n")
     payload = {
         "ttc_crit_s": ttc_crit_s,

@@ -132,18 +132,6 @@ def normal_cdf(z: float) -> float:
     return 0.5 * erfc(-z * math.sqrt(0.5))
 
 
-@dataclass(frozen=True)
-class GaussianRisk:
-    """Fitted TTC distribution plus the probability mass under the threshold."""
-
-    mean_s: float
-    std_s: float
-    ttc_crit_s: float
-    prob_below: float
-    n_samples: int
-    n_excluded_infinite: int
-
-
 def fit_gaussian(ttc_samples: Iterable[float]) -> tuple[float, float]:
     """Sample mean and standard deviation (n-1 denominator) over finite samples.
 
@@ -168,20 +156,6 @@ def prob_below_threshold(mean_s: float, std_s: float, crit_s: float) -> float:
     if std_s <= 0.0:
         raise DegenerateDistributionError(f"std must be positive, got {std_s}")
     return normal_cdf((crit_s - mean_s) / std_s)
-
-
-def gaussian_risk(ttc_samples: Iterable[float], crit_s: float) -> GaussianRisk:
-    values = [float(v) for v in ttc_samples]
-    n_excluded = sum(1 for v in values if not math.isfinite(v))
-    mean, std = fit_gaussian(values)
-    return GaussianRisk(
-        mean_s=mean,
-        std_s=std,
-        ttc_crit_s=crit_s,
-        prob_below=prob_below_threshold(mean, std, crit_s),
-        n_samples=len(values) - n_excluded,
-        n_excluded_infinite=n_excluded,
-    )
 
 
 class RunLike(Protocol):
@@ -224,32 +198,22 @@ def summarize_models(
             else None
         )
         try:
-            risk = gaussian_risk(samples, ttc_crit_s)
+            mean, std = fit_gaussian(samples)
+            prob_below, note = prob_below_threshold(mean, std, ttc_crit_s), ""
         except (InsufficientDataError, DegenerateDistributionError) as exc:
-            rows.append(
-                ModelSummary(
-                    model=model,
-                    available=False,
-                    mean_ttc_s=None,
-                    std_ttc_s=None,
-                    prob_below=None,
-                    critical_fraction=critical_fraction,
-                    n_finite=n_finite,
-                    n_excluded=n_excluded,
-                    note=str(exc),
-                )
-            )
-            continue
+            mean = std = prob_below = None
+            note = str(exc)
         rows.append(
             ModelSummary(
                 model=model,
-                available=True,
-                mean_ttc_s=risk.mean_s,
-                std_ttc_s=risk.std_s,
-                prob_below=risk.prob_below,
+                available=mean is not None,
+                mean_ttc_s=mean,
+                std_ttc_s=std,
+                prob_below=prob_below,
                 critical_fraction=critical_fraction,
-                n_finite=risk.n_samples,
-                n_excluded=risk.n_excluded_infinite,
+                n_finite=n_finite,
+                n_excluded=n_excluded,
+                note=note,
             )
         )
     return rows

@@ -24,11 +24,11 @@ from cutinsim.engine import (
     sweep,
 )
 from cutinsim.ingest import extract_cut_in_events, read_tracks_csv, trace_to_track_rows, write_tracks_csv
-from cutinsim.kinematics import VehicleDims, VehicleState, advance_axis
+from cutinsim.kinematics import FLOATS, VehicleDims, advance_axis_xp
 from cutinsim.metrics import finite_difference_sensitivity, ttc_sensitivity
 from cutinsim.risk import fit_gaussian, prob_below_threshold
 from cutinsim.safety_models import ModelParams, RbaParams, control_step
-from step_features import step_features
+from step_features import State, step_features
 
 # Sweep scenario for criteria 5/6: an abrupt cut starting at t=0, so the
 # check's detection delay (~0.4 s of lateral travel) mirrors the reaction-time
@@ -76,7 +76,7 @@ def smoothstep_crossing_time(p: ScenarioParams, clearance_m: float) -> float:
     lo, hi = p.lc_start_s, p.lc_start_s + p.lc_duration_s
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        if p.lateral_offset(mid)[0] > clearance_m:
+        if p.other_motion(mid)[1] > clearance_m:
             lo = mid
         else:
             hi = mid
@@ -96,8 +96,8 @@ def test_criterion_01_safety_check_oracle_equivalence():
     start = time.perf_counter()
     mismatches = 0
     for gap_long, gap_lat, v_ego, v_cut in points:
-        ego = VehicleState(0.0, 0.0, v_ego)
-        cut = VehicleState(gap_long + 10.0, gap_lat + 4.0, v_cut)
+        ego = State(0.0, 0.0, v_ego)
+        cut = State(gap_long + 10.0, gap_lat + 4.0, v_cut)
         expected = eq1_literal(ego, cut, big, big, p)
         if rba_safe(ego, cut, big, p) != expected:
             mismatches += 1
@@ -141,7 +141,7 @@ def test_criterion_02_braking_law_contract():
         ok = not decision.safe and 0.0 <= decel <= p.a_max_mps2
         if gap_short <= 0.0 and ttc_short <= 0.0:
             ok = ok and decel == 0.0
-        v_next = advance_axis(0.0, vels[i], accel, dt, True)[1]
+        v_next = advance_axis_xp(FLOATS, 0.0, vels[i], accel, dt)[1]
         ok = ok and accel <= 0.0 and v_next >= min(vels[i], p.v_min_mps)
         if not ok:
             violations += 1
@@ -164,15 +164,15 @@ def test_criterion_03_no_safe_to_unsafe_flips():
         gap_long = rng.uniform(-10.0, 120.0)
         gap_lat = rng.uniform(-3.0, 5.0)
         v_ego, v_cut = rng.uniform(0.0, 40.0, size=2)
-        ego = VehicleState(0.0, 0.0, v_ego)
+        ego = State(0.0, 0.0, v_ego)
         big = VehicleDims(width_m=4.0, length_m=10.0)
-        cut = VehicleState(gap_long + 10.0, gap_lat + 4.0, v_cut)
+        cut = State(gap_long + 10.0, gap_lat + 4.0, v_cut)
         if not rba_safe(ego, cut, big, p):
             continue
         checked += 1
         for inc in increments:
-            farther = VehicleState(gap_long + 10.0 + inc, gap_lat + 4.0, v_cut)
-            wider = VehicleState(gap_long + 10.0, gap_lat + 4.0 + inc, v_cut)
+            farther = State(gap_long + 10.0 + inc, gap_lat + 4.0, v_cut)
+            wider = State(gap_long + 10.0, gap_lat + 4.0 + inc, v_cut)
             stronger = RbaParams(a_max_mps2=p.a_max_mps2 + inc)
             if not rba_safe(ego, farther, big, p):
                 flips += 1

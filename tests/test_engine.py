@@ -20,7 +20,6 @@ from cutinsim.engine import (
     SimResult,
     SweepGrid,
     SweepItem,
-    classify_event,
     feasibility_bound,
     run_closed_loop,
     sweep,
@@ -52,7 +51,7 @@ def lateral_overlap_onset(p: ScenarioParams, clearance_m: float) -> float:
     """Bisection oracle: first time the cut vehicle's lateral offset drops
     below clearance_m (cut_in only)."""
     def offset(t):
-        return p.lateral_offset(t)[0]
+        return p.other_motion(t)[1]
 
     lo, hi = p.lc_start_s, p.lc_start_s + p.lc_duration_s
     assert offset(lo) > clearance_m >= offset(hi)
@@ -67,25 +66,25 @@ def lateral_overlap_onset(p: ScenarioParams, clearance_m: float) -> float:
 
 def test_cut_in_lateral_profile_endpoints():
     p = cutin(lc_start=1.0, lc_dur=2.0)
-    assert p.lateral_offset(0.0)[0] == 3.75
-    assert p.lateral_offset(1.0)[0] == 3.75
-    assert p.lateral_offset(3.0)[0] == 0.0
-    assert p.lateral_offset(12.0)[0] == 0.0
-    offsets = [p.lateral_offset(t)[0] for t in np.linspace(1.01, 2.99, 100)]
+    assert p.other_motion(0.0)[1] == 3.75
+    assert p.other_motion(1.0)[1] == 3.75
+    assert p.other_motion(3.0)[1] == 0.0
+    assert p.other_motion(12.0)[1] == 0.0
+    offsets = [p.other_motion(t)[1] for t in np.linspace(1.01, 2.99, 100)]
     assert all(b < a for a, b in zip(offsets, offsets[1:]))
 
 
 def test_cut_out_is_time_mirror():
     p = cutin(kind="cut_out", lc_start=1.0, lc_dur=2.0)
-    assert p.lateral_offset(0.5)[0] == 0.0
-    assert p.lateral_offset(3.0)[0] == 3.75
-    assert p.lateral_offset(10.0)[0] == 3.75
+    assert p.other_motion(0.5)[1] == 0.0
+    assert p.other_motion(3.0)[1] == 3.75
+    assert p.other_motion(10.0)[1] == 3.75
 
 
 def test_car_following_stays_in_lane():
     p = cutin(kind="car_following", d_y0=0.0)
     for t in np.linspace(0, 12, 25):
-        assert p.lateral_offset(t) == (0.0, 0.0)
+        assert p.other_motion(t)[1::2] == (0.0, 0.0)
 
 
 def test_car_following_speed_profile():
@@ -339,6 +338,20 @@ def test_sweep_records_error_rows_instead_of_aborting():
     assert "d_y0" in items[0].error
 
 
+def test_sweep_rejects_a_repeated_model():
+    # the batched sweep slices its lanes by model, so a model named twice
+    # would take another model's slice
+    grid = SweepGrid(v_e0_mps=(30.0,), v_o0_mps=(10.0,), d_x0_m=(20.0,), d_y0_m=(3.75,))
+    base = cutin(v_e0=25.0, v_o0=20.0, d_x0=30.0)
+    for models in (["none", "rba", "none"], ["rba", "rba"]):
+        with pytest.raises(ConfigError, match="more than once") as raised:
+            sweep(grid, models, base)
+        assert raised.value.key == "models"
+    with pytest.raises(ConfigError) as raised:
+        sweep(grid, [], base)
+    assert raised.value.key == "models"
+
+
 def at_point(base, point):
     v_e0, v_o0, d_x0, d_y0 = point
     return replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
@@ -516,6 +529,10 @@ def test_no_sweep_run_brakes_harder_than_its_model_declares(kind):
 
 def test_classification_rules():
     th = ClassifyThresholds(ttc_critical_s=2.0, comfort_decel_mps2=3.5)
+
+    def classify_event(r, th):
+        return engine._classify(r.collided, r.min_ttc_s, r.peak_decel_mps2, th)
+
     collided = run_closed_loop(cutin(v_e0=30.0, v_o0=10.0, d_x0=20.0, lc_start=0.0, lc_dur=1.0), "none")
     assert classify_event(collided, th) == "critical"
     quiet = run_closed_loop(cutin(v_e0=20.0, v_o0=20.0, d_x0=100.0), "none")

@@ -8,7 +8,6 @@ from cutinsim.risk import (
     erf,
     erfc,
     fit_gaussian,
-    gaussian_risk,
     normal_cdf,
     prob_below_threshold,
     summarize_models,
@@ -39,11 +38,13 @@ def test_two_point_fit():
 
 
 def test_infinite_samples_are_excluded():
-    risk = gaussian_risk([2.0, 4.0, math.inf, 6.0], crit_s=2.0)
-    assert risk.mean_s == 4.0
-    assert risk.std_s == pytest.approx(2.0)
-    assert risk.n_samples == 3
-    assert risk.n_excluded_infinite == 1
+    assert fit_gaussian([2.0, 4.0, math.inf, 6.0]) == fit_gaussian([2.0, 4.0, 6.0])
+    runs = [Run(2.0), Run(4.0), Run(math.inf), Run(6.0)]
+    (row,) = summarize_models({"m": runs}, 2.0)
+    assert row.mean_ttc_s == 4.0
+    assert row.std_ttc_s == pytest.approx(2.0)
+    assert row.n_finite == 3
+    assert row.n_excluded == 1
 
 
 def test_fit_error_paths():
@@ -95,6 +96,15 @@ def test_normal_cdf_against_series_and_platform_libm():
         assert abs(erf(x) - math.erf(x)) < 1e-14
         if math.erfc(x) > 0:
             assert abs(erfc(x) - math.erfc(x)) <= 1e-13 * max(math.erfc(x), 1e-300)
+
+
+def test_erfc_at_its_branch_thresholds():
+    # Cody's scheme switches rational approximations at |x| = 4 and returns 0
+    # from |x| = 26.543 up; the value at each switch, bit for bit (erfc(4)
+    # is also libm's)
+    assert erfc(4.0) == float.fromhex("0x1.08ddd13bd35e7p-26")
+    assert erfc(26.543) == 0.0
+    assert erfc(-26.543) == 2.0
 
 
 def test_reference_threshold_probability_value():
@@ -153,4 +163,6 @@ def test_summarize_models_marks_unavailable_rows():
     assert not by_name["stuck"].available
     assert by_name["stuck"].n_excluded == 2
     assert by_name["stuck"].note
-    assert by_name["ok"].available
+    assert (by_name["stuck"].mean_ttc_s, by_name["stuck"].std_ttc_s) == (None, None)
+    assert by_name["stuck"].prob_below is None
+    assert by_name["ok"].available and by_name["ok"].note == ""

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutinsim.errors import ConfigError, InvalidInputError
-from cutinsim.kinematics import ARRAYS, FLOATS, VehicleDims, VehicleState, advance_axis
+from cutinsim.kinematics import ARRAYS, FLOATS, VehicleDims, advance_axis_xp
 from cutinsim.metrics import CLOSING_SPEED_FLOOR_MPS
 from cutinsim.safety_models import (
     CcHumanParams,
@@ -26,14 +26,14 @@ from cutinsim.safety_models import (
     control_step,
     control_step_array,
 )
-from step_features import step_features
+from step_features import State, step_features
 
 DIMS = VehicleDims(width_m=2.0, length_m=5.0)
 DT = 0.05
 
 
 def veh(x=0.0, y=0.0, v=0.0):
-    return VehicleState(pos_long_m=x, pos_lat_m=y, vel_long_mps=v)
+    return State(pos_long_m=x, pos_lat_m=y, vel_long_mps=v)
 
 
 def step(name, features, memory=0, ttc_s=math.inf, dt=DT, **params):
@@ -201,7 +201,7 @@ def test_velocity_update():
     def next_speed(v, gap_long, ttc_s, dt, p):
         """The speed the engine steps to under rba's acceleration."""
         _, accel, _ = control_step("rba", ModelParams(rba=p), gap_long, 0.0, v, v, ttc_s, dt, 0)
-        return advance_axis(0.0, v, accel, dt, True)[1]
+        return advance_axis_xp(FLOATS, 0.0, v, accel, dt)[1]
 
     p = RbaParams(d_safe_m=10.0, safety_buffer_m=2.0, ttc_safe_s=3.0, v_min_mps=0.0)
     assert next_speed(20.0, 6.0, 1.5, 0.1, p) == 19.7  # a decrement of 0.3

@@ -3,9 +3,9 @@
 Each comparison operator in the file is flipped once to its boundary twin
 (< and <=, > and >=, == and !=). For every such mutant a copy of the
 repository's src/, tests/ and configs/ is made under a temporary directory,
-the mutant replaces the file there, and the kinematics, metrics, model,
-engine and golden tests run against it. A mutant the tests still pass is a
-survivor: a decision boundary no test pins.
+the mutant replaces the file there, and the kinematics, metrics, risk,
+model, engine and golden tests run against it. A mutant the tests still pass
+is a survivor: a decision boundary no test pins.
 
     python tools/mutate_operators.py src/cutinsim/safety_models.py
 
@@ -29,8 +29,8 @@ FLIPS = {
     ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
 }
-TESTS = ("tests/test_kinematics.py", "tests/test_metrics.py", "tests/test_safety_models.py",
-         "tests/test_engine.py", "tests/test_golden.py")
+TESTS = ("tests/test_kinematics.py", "tests/test_metrics.py", "tests/test_risk.py",
+         "tests/test_safety_models.py", "tests/test_engine.py", "tests/test_golden.py")
 COPIED = ("src", "tests", "configs")
 TIMEOUT_S = 600.0  # a mutant's test run that takes longer counts as killed
 

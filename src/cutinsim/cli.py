@@ -34,19 +34,18 @@ def _load(path: str, model_override: str | None = None) -> config_mod.RunConfig:
     return cfg
 
 
-def _out_dir(cfg: config_mod.RunConfig, override: str | None, cfg_hash: str) -> str:
+def _out_dir(cfg: config_mod.RunConfig, override: str | None) -> str:
+    """--out, else the config's out_dir, else out/<config hash>."""
     if override:
         return override
     if cfg.out_dir:
         return cfg.out_dir
-    return os.path.join("out", cfg_hash)
+    return os.path.join("out", config_mod.config_hash(config_mod.resolved_dict(cfg)))
 
 
 def cmd_one_case(args: argparse.Namespace) -> int:
     cfg = _load(args.config, args.model)
-    resolved = config_mod.resolved_dict(cfg)
-    cfg_hash = config_mod.config_hash(resolved)
-    out_dir = _out_dir(cfg, args.out, cfg_hash)
+    out_dir = _out_dir(cfg, args.out)
     os.makedirs(out_dir, exist_ok=True)
 
     result = engine.run_closed_loop(cfg.scenario, cfg.model, cfg.model_params, cfg.classify)
@@ -69,7 +68,7 @@ def cmd_comparison(args: argparse.Namespace) -> int:
         raise ConfigError("comparison mode needs a 'sweep' section", key="sweep")
     resolved = config_mod.resolved_dict(cfg)
     cfg_hash = config_mod.config_hash(resolved)
-    out_dir = _out_dir(cfg, args.out, cfg_hash)
+    out_dir = _out_dir(cfg, args.out)
 
     items = engine.sweep(
         cfg.sweep,

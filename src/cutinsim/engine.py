@@ -8,7 +8,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -282,9 +282,7 @@ def run_closed_loop(
     memory = 0
     min_gap, min_ttc, peak_decel = math.inf, math.inf, -math.inf
     n_steps = round(p.duration_s / dt)
-    columns = tuple([] for _ in fields(Trace))
-    (t_col, ego_x, ego_v, other_x, other_y, other_v, other_vy,
-     gap_long_col, gap_lat_col, ttc_col, safe_col, decel_col) = columns
+    rows = []  # one tuple per step, in Trace's field order
 
     for i in range(n_steps + 1):
         t = i * dt
@@ -305,18 +303,7 @@ def run_closed_loop(
         min_gap, min_ttc, peak_decel = _summarize(
             FLOATS, min_gap, min_ttc, peak_decel, gap_long, ttc, decel
         )
-        t_col.append(t)
-        ego_x.append(x)
-        ego_v.append(v)
-        other_x.append(ox)
-        other_y.append(oy)
-        other_v.append(ov)
-        other_vy.append(ovy)
-        gap_long_col.append(gap_long)
-        gap_lat_col.append(gap_lat)
-        ttc_col.append(ttc)
-        safe_col.append(safe)
-        decel_col.append(decel)
+        rows.append((t, x, v, ox, oy, ov, ovy, gap_long, gap_lat, ttc, safe, decel))
         if collided or i == n_steps:
             break
         x, v = advance_axis_xp(FLOATS, x, v, accel, dt)
@@ -324,7 +311,7 @@ def run_closed_loop(
             require_finite(accel_long_mps2=accel, pos_long_m=x, vel_long_mps=v)
 
     return SimResult(
-        trace=Trace(*map(tuple, columns)),
+        trace=Trace(*zip(*rows)),
         collided=collided,
         min_gap_long_m=min_gap,
         min_ttc_s=min_ttc,

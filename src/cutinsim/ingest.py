@@ -16,10 +16,12 @@ from . import metrics
 from .engine import ScenarioParams
 from .errors import InvalidInputError, ParseError, SchemaError
 from .kinematics import LANE_WIDTH_M, VehicleDims, axis_gap
-from .reports import fmt_float
+from .reports import row_format
 
 TRACKS_HEADER = ("frame", "id", "x", "y", "width", "height", "xVelocity", "yVelocity", "laneId")
 FEATURES_HEADER = ("frame", "dhw", "thw", "ttc", "ittc")
+TRACKS_ROW = row_format("%d", "%d", "f", "f", "f", "f", "f", "f", "%d")
+FEATURES_ROW = row_format("%d", "f", "f", "f", "f")
 
 
 @dataclass(frozen=True)
@@ -67,15 +69,14 @@ class CutInEvent:
 
 
 def write_tracks_csv(path, rows) -> None:
-    """Serialize track rows; floats at 6 significant digits, inf as "inf"."""
+    """Serialize track rows, floats in reports.FLOAT_FORMAT."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACKS_HEADER) + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.frame},{r.track_id},{fmt_float(r.x_m)},{fmt_float(r.y_m)},"
-                f"{fmt_float(r.length_m)},{fmt_float(r.width_m)},"
-                f"{fmt_float(r.x_vel_mps)},{fmt_float(r.y_vel_mps)},{r.lane_id}\n"
-            )
+        fh.writelines(
+            TRACKS_ROW % (r.frame, r.track_id, r.x_m, r.y_m, r.length_m, r.width_m,
+                          r.x_vel_mps, r.y_vel_mps, r.lane_id)
+            for r in rows
+        )
 
 
 def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet:
@@ -311,7 +312,4 @@ def export_features(event: CutInEvent, track_set: TrackSet):
 def write_features_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(FEATURES_HEADER) + "\n")
-        for frame, dhw, thw, ttc, ittc in rows:
-            fh.write(
-                f"{frame},{fmt_float(dhw)},{fmt_float(thw)},{fmt_float(ttc)},{fmt_float(ittc)}\n"
-            )
+        fh.writelines(FEATURES_ROW % row for row in rows)

@@ -1,9 +1,11 @@
 """Result serialization: trace CSV, verdict JSON, comparison store, summaries,
 histogram and fitted-curve plot data.
 
-Every writer is deterministic: no timestamps, sorted JSON keys, fixed float
-formatting (6 significant digits, "inf" for infinities, booleans as 0/1), so a
-rerun with the same config produces byte-identical files.
+Every writer is deterministic: no timestamps, sorted JSON keys, and every
+float in a CSV written with the one format FLOAT_FORMAT ("%.6g": 6 significant
+digits; infinities and NaN as "inf", "-inf" and "nan"), booleans as 0/1, so a
+rerun with the same config produces byte-identical files. Each CSV row is
+written with one %-format string.
 """
 
 from __future__ import annotations
@@ -29,13 +31,25 @@ HIST_BINS = 30
 DENSITY_POINTS = 200
 DENSITY_HALF_WIDTH_SIGMAS = 5.0
 
+FLOAT_FORMAT = "%.6g"
+
+
+def row_format(*specs: str) -> str:
+    """One CSV row's %-format string: the specs joined by commas, with FLOAT_FORMAT for "f"."""
+    return ",".join(FLOAT_FORMAT if spec == "f" else spec for spec in specs) + "\n"
+
+
+# the ego holds its lane center, so its lateral position is written as 0
+TRACE_ROW = row_format("f", "f", "0", "f", "f", "f", "f", "f", "f", "f", "%d", "f")
+# a result row leaves the error column empty, an error row the five outcome columns
+RESULT_ROW = row_format("%d", "f", "f", "f", "f", "%d", "f", "f", "f", "%s", "")
+ERROR_ROW = row_format("%d", "f", "f", "f", "f", "", "", "", "", "", "%s")
+HIST_ROW = row_format("f", "f", "%d")
+DENSITY_ROW = row_format("f", "f")
+
 
 def fmt_float(value: float) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if math.isnan(value):
-        return "nan"
-    return f"{value:.6g}"
+    return FLOAT_FORMAT % value
 
 
 def _json_number(value: float):
@@ -50,24 +64,13 @@ def _dump_json(path: str, payload: Any) -> None:
 
 def write_trace_csv(path: str, result: SimResult) -> None:
     tr = result.trace
-    ego_lateral = [fmt_float(0.0)] * len(tr.t_s)  # the ego holds its lane center
     columns = (
-        map(fmt_float, tr.t_s),
-        map(fmt_float, tr.ego_x_m),
-        ego_lateral,
-        map(fmt_float, tr.ego_v_mps),
-        map(fmt_float, tr.other_x_m),
-        map(fmt_float, tr.other_y_m),
-        map(fmt_float, tr.other_v_mps),
-        map(fmt_float, tr.gap_long_m),
-        map(fmt_float, tr.gap_lat_m),
-        map(fmt_float, tr.ttc_s),
-        ("1" if safe else "0" for safe in tr.safe),
-        map(fmt_float, tr.decel_cmd_mps2),
+        tr.t_s, tr.ego_x_m, tr.ego_v_mps, tr.other_x_m, tr.other_y_m, tr.other_v_mps,
+        tr.gap_long_m, tr.gap_lat_m, tr.ttc_s, tr.safe, tr.decel_cmd_mps2,
     )
     with open(path, "w", newline="") as fh:
         fh.write(TRACE_HEADER + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        fh.writelines(TRACE_ROW % row for row in zip(*columns))
 
 
 def write_verdict_json(path: str, result: SimResult) -> None:
@@ -107,19 +110,13 @@ def write_comparison_store(
             for item in sorted(model_items, key=lambda it: it.grid_index):
                 r = item.result
                 if r is not None:
-                    outcome = (
-                        "1" if r.collided else "0",
-                        fmt_float(r.min_ttc_s),
-                        fmt_float(r.min_gap_long_m),
-                        fmt_float(r.peak_decel_mps2),
-                        r.classification,
-                        "",
-                    )
+                    fh.write(RESULT_ROW % (
+                        item.grid_index, *item.point, r.collided,
+                        r.min_ttc_s, r.min_gap_long_m, r.peak_decel_mps2, r.classification,
+                    ))
                 else:
                     error = (item.error or "unknown error").replace(",", ";").replace("\n", " ")
-                    outcome = ("", "", "", "", "", error)
-                fields = (str(item.grid_index), *map(fmt_float, item.point), *outcome)
-                fh.write(",".join(fields) + "\n")
+                    fh.write(ERROR_ROW % (item.grid_index, *item.point, error))
     manifest = {
         "schema_version": 1,
         "config_hash": cfg_hash,
@@ -258,10 +255,10 @@ def write_plot_data(
             name = f"hist_{model}.csv"
             with open(os.path.join(out_dir, name), "w", newline="") as fh:
                 fh.write("bin_left,bin_right,count\n")
-                for i, count in enumerate(counts):
-                    fh.write(
-                        f"{fmt_float(float(edges[i]))},{fmt_float(float(edges[i + 1]))},{int(count)}\n"
-                    )
+                fh.writelines(
+                    HIST_ROW % row
+                    for row in zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
+                )
             written.append(name)
     for row in summaries:
         if not row.available:
@@ -276,7 +273,6 @@ def write_plot_data(
         name = f"density_{row.model}.csv"
         with open(os.path.join(out_dir, name), "w", newline="") as fh:
             fh.write("x,density\n")
-            for x, d in zip(xs, densities):
-                fh.write(f"{fmt_float(float(x))},{fmt_float(float(d))}\n")
+            fh.writelines(DENSITY_ROW % row for row in zip(xs.tolist(), densities.tolist()))
         written.append(name)
     return written

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 from cutinsim.cli import main
-from cutinsim.config import parse_config
+from cutinsim.config import config_hash, load_config, parse_config, resolved_dict
 from cutinsim.engine import run_closed_loop
 from cutinsim.errors import ConfigError, InvalidInputError
 from cutinsim.kinematics import VehicleDims
@@ -277,7 +277,19 @@ def test_default_out_dir_is_hash_scoped(tmp_path, monkeypatch):
     out_root = tmp_path / "out"
     children = list(out_root.iterdir())
     assert len(children) == 1
+    assert children[0].name == config_hash(resolved_dict(load_config(cfg)))
     assert (children[0] / "verdict.json").exists()
+
+
+def test_one_case_hashes_no_config_when_the_out_dir_is_named(tmp_path, monkeypatch):
+    def no_hash(resolved):
+        raise AssertionError("config_hash called")
+
+    monkeypatch.setattr("cutinsim.config.config_hash", no_hash)
+    assert main(["one-case", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]) == 0
+    cfg = write_config(tmp_path, name="named.json", out_dir=str(tmp_path / "named"))
+    assert main(["one-case", "--config", cfg]) == 0
+    assert (tmp_path / "named" / "trace.csv").exists()
 
 
 def test_comparison_requires_sweep_section(tmp_path, capsys):

@@ -3,7 +3,7 @@ import json
 import math
 import os
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from cutinsim.engine import (
     SimResult,
     SweepGrid,
     SweepItem,
+    Trace,
     feasibility_bound,
     run_closed_loop,
     sweep,
@@ -151,6 +152,20 @@ def test_collision_latch_stops_the_trace():
     assert gaps[-1][0] < 0 and gaps[-1][1] < 0
     assert all(not (gap_long < 0 and gap_lat < 0) for gap_long, gap_lat in gaps[:-1])
     assert r.trace.t_s[-1] < p.duration_s
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_trace_records_the_other_vehicles_plan_in_its_slots(kind, model):
+    if kind == "car_following":
+        p = cutin(kind=kind, d_y0=0.0, profile=((2.0, 15.0), (5.0, 22.0)))
+    else:
+        p = cutin(kind=kind)
+    tr = run_closed_loop(p, model).trace
+    assert len({len(getattr(tr, f.name)) for f in fields(Trace)}) == 1
+    for i, t in enumerate(tr.t_s):
+        recorded = (tr.other_x_m[i], tr.other_y_m[i], tr.other_v_mps[i], tr.other_vy_mps[i])
+        assert [v.hex() for v in recorded] == [float(v).hex() for v in p.other_motion(t)], t
 
 
 def test_rba_avoids_feasible_intercept():

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import metrics
 from .engine import ScenarioParams
-from .errors import InvalidInputError, ParseError, SchemaError
+from .errors import CutinSimError, InvalidInputError, ParseError, SchemaError
 from .kinematics import LANE_WIDTH_M, VehicleDims, axis_gap
 from .reports import row_format
 
@@ -38,25 +38,9 @@ class TrackRow:
 
 
 @dataclass(frozen=True)
-class Track:
-    track_id: int
-    rows: tuple[TrackRow, ...]  # frame-ordered
-
-    def row_at(self, frame: int) -> TrackRow | None:
-        first = self.rows[0].frame
-        idx = frame - first
-        if 0 <= idx < len(self.rows) and self.rows[idx].frame == frame:
-            return self.rows[idx]
-        for r in self.rows:  # non-contiguous tracks
-            if r.frame == frame:
-                return r
-        return None
-
-
-@dataclass(frozen=True)
 class TrackSet:
     frame_rate_hz: float
-    tracks: dict[int, Track]
+    tracks: dict[int, dict[int, TrackRow]]  # track id -> {frame: row}, frame-ordered
 
 
 @dataclass(frozen=True)
@@ -80,7 +64,7 @@ def write_tracks_csv(path, rows) -> None:
 
 
 def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet:
-    """Read a tracks csv into per-track, frame-ordered time series.
+    """Read a tracks csv into per-track {frame: row} dicts in frame order.
 
     strict mode raises on the first malformed row; lenient mode skips the row
     and emits a warning carrying its line number. A header-only file yields an
@@ -128,25 +112,26 @@ def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet
                 warnings.warn(f"skipping malformed row at line {line_no}: {exc}")
                 continue
             by_track.setdefault(row.track_id, []).append(row)
-    tracks: dict[int, Track] = {}
+    tracks: dict[int, dict[int, TrackRow]] = {}
     for track_id, rows in by_track.items():
         frames = [r.frame for r in rows]
+        # checked before indexing: a dict would keep only the last row of a repeated frame
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise SchemaError(f"track {track_id}: frames not strictly increasing")
-        tracks[track_id] = Track(track_id=track_id, rows=tuple(rows))
+        tracks[track_id] = dict(zip(frames, rows))
     return TrackSet(frame_rate_hz=frame_rate_hz, tracks=tracks)
 
 
-def trace_to_track_rows(trace, ego_dims, other_dims, lane_width_m: float = LANE_WIDTH_M):
+def trace_to_track_rows(trace, ego_dims, other_dims):
     """Convert an engine trace into two tracks (ego id 1, other id 2), one
     frame per step.
 
     Lane ids are derived from lateral position against lane centers at
-    k * lane_width. The ego holds its lane center at y = 0.
+    k * LANE_WIDTH_M. The ego holds its lane center at y = 0.
     """
 
     def lane_of(y: float) -> int:
-        return int(round(y / lane_width_m))
+        return int(round(y / LANE_WIDTH_M))
 
     rows = []
     for frame, (ego_x, ego_v, x, y, v, vy) in enumerate(zip(
@@ -183,16 +168,16 @@ def trace_to_track_rows(trace, ego_dims, other_dims, lane_width_m: float = LANE_
 
 
 def _estimate_lane_change_window(
-    cut: Track, frames: list[int], dt_s: float
+    cut: dict[int, TrackRow], frames: list[int], dt_s: float
 ) -> tuple[float, float]:
     """Start time and duration of the cutter's lateral maneuver, best effort."""
-    y0 = cut.row_at(frames[0]).y_m
-    y_end = cut.row_at(frames[-1]).y_m
-    moving = [f for f in frames if abs(cut.row_at(f).y_m - y0) > 1e-9]
+    y0 = cut[frames[0]].y_m
+    y_end = cut[frames[-1]].y_m
+    moving = [f for f in frames if abs(cut[f].y_m - y0) > 1e-9]
     if not moving:
         return 0.0, dt_s
     start = (moving[0] - frames[0] - 1) * dt_s
-    settled = [f for f in moving if abs(cut.row_at(f).y_m - y_end) <= 1e-9]
+    settled = [f for f in moving if abs(cut[f].y_m - y_end) <= 1e-9]
     end_frame = settled[0] if settled else frames[-1]
     duration = max((end_frame - moving[0] + 1) * dt_s, dt_s)
     return max(start, 0.0), duration
@@ -210,20 +195,18 @@ def extract_cut_in_events(
     reconstructed from the rows at the pair's first common frame, which for
     recorded data is the closest observable stand-in for the scenario start.
     """
-    if len(track_set.tracks) < 2:
-        return []
     dt_s = 1.0 / track_set.frame_rate_hz
+    tracks = track_set.tracks
     events: list[CutInEvent] = []
-    ids = sorted(track_set.tracks)
-    by_frame = {i: {r.frame: r for r in track_set.tracks[i].rows} for i in ids}
+    ids = sorted(tracks)
     # a track that keeps one lane id never makes a lane transition
-    cut_ids = [i for i in ids if len({r.lane_id for r in track_set.tracks[i].rows}) > 1]
+    cut_ids = [i for i in ids if len({r.lane_id for r in tracks[i].values()}) > 1]
     for ego_id in ids:
-        ego_rows = by_frame[ego_id]
+        ego_rows = tracks[ego_id]
         for cut_id in cut_ids:
             if ego_id == cut_id:
                 continue
-            cut_rows = by_frame[cut_id]
+            cut_rows = tracks[cut_id]
             common = sorted(ego_rows.keys() & cut_rows.keys())
             if len(common) < 2:
                 continue
@@ -250,8 +233,7 @@ def extract_cut_in_events(
                 continue  # the cutter starts level with or behind the ego: no d_x0 > 0
             d_x0 = axis_gap(cut0.x_m, ego0.x_m, cut0.length_m, ego0.length_m)
             d_y0 = abs(cut0.y_m - ego0.y_m)
-            cut = track_set.tracks[cut_id]
-            lc_start, lc_duration = _estimate_lane_change_window(cut, common, dt_s)
+            lc_start, lc_duration = _estimate_lane_change_window(cut_rows, common, dt_s)
             duration = max((common[-1] - f0) * dt_s, lc_start + lc_duration)
             try:
                 params = ScenarioParams(
@@ -267,7 +249,7 @@ def extract_cut_in_events(
                     ego_dims=VehicleDims(ego0.width_m, ego0.length_m),
                     other_dims=VehicleDims(cut0.width_m, cut0.length_m),
                 )
-            except Exception:
+            except CutinSimError:
                 continue  # degenerate geometry, not a usable event
             events.append(
                 CutInEvent(
@@ -293,12 +275,11 @@ def export_features(event: CutInEvent, track_set: TrackSet):
     cut = track_set.tracks.get(event.cut_track)
     if ego is None or cut is None:
         raise InvalidInputError("event does not match the provided tracks")
-    common = sorted(set(r.frame for r in ego.rows) & set(r.frame for r in cut.rows))
     rows = []
     flagged = []
-    for f in common:
-        e = ego.row_at(f)
-        c = cut.row_at(f)
+    for f in sorted(ego.keys() & cut.keys()):
+        e = ego[f]
+        c = cut[f]
         gap = axis_gap(c.x_m, e.x_m, c.length_m, e.length_m)
         if gap < 0.0:
             rows.append((f, gap, math.nan, math.nan, math.nan))

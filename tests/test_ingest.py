@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import pytest
 
+from cutinsim import ingest
 from cutinsim.engine import ScenarioParams, run_closed_loop
 from cutinsim.errors import InvalidInputError, ParseError, SchemaError
 from cutinsim.ingest import (
     TRACKS_HEADER,
     TrackRow,
+    TrackSet,
     extract_cut_in_events,
     export_features,
     read_tracks_csv,
@@ -44,7 +47,7 @@ def test_round_trip_preserves_values_at_serialized_precision(tmp_path):
     _, rows, path = make_fixture(tmp_path)
     ts = read_tracks_csv(path, FPS)
     assert set(ts.tracks) == {1, 2}
-    read_back = [r for tid in (1, 2) for r in ts.tracks[tid].rows]
+    read_back = [r for tid in (1, 2) for r in ts.tracks[tid].values()]
     by_key = {(r.track_id, r.frame): r for r in read_back}
     for orig in rows:
         got = by_key[(orig.track_id, orig.frame)]
@@ -55,7 +58,7 @@ def test_round_trip_preserves_values_at_serialized_precision(tmp_path):
     second = tmp_path / "second.csv"
     write_tracks_csv(second, read_back)
     third = tmp_path / "third.csv"
-    write_tracks_csv(third, [r for tid in (1, 2) for r in read_tracks_csv(second, FPS).tracks[tid].rows])
+    write_tracks_csv(third, [r for tid in (1, 2) for r in read_tracks_csv(second, FPS).tracks[tid].values()])
     assert second.read_bytes() == third.read_bytes()
 
 
@@ -85,7 +88,7 @@ def test_malformed_row_strict_and_lenient(tmp_path):
             read_tracks_csv(path, FPS, strict=True)
         with pytest.warns(UserWarning, match="line 3"):
             ts = read_tracks_csv(path, FPS, strict=False)
-        assert [r.frame for r in ts.tracks[1].rows] == [0, 2]
+        assert [r.frame for r in ts.tracks[1].values()] == [0, 2]
 
 
 @pytest.mark.parametrize("rate", (0.0, -25.0, math.nan, math.inf))
@@ -149,7 +152,7 @@ def test_features_match_direct_recomputation(tmp_path):
     rows, flagged = export_features(ev, ts)
     ego, cut = ts.tracks[1], ts.tracks[2]
     for frame, dhw, thw, ttc, ittc in rows:
-        e, c = ego.row_at(frame), cut.row_at(frame)
+        e, c = ego[frame], cut[frame]
         gap = abs(c.x_m - e.x_m) - (c.length_m + e.length_m) / 2.0
         if gap < 0:
             assert frame in flagged and math.isnan(ttc)
@@ -234,3 +237,143 @@ def test_extracted_event_replays_with_the_recorded_footprints(tmp_path):
     replay = run_closed_loop(event.params, "none")
     assert replay.trace.gap_long_m[0] == pytest.approx(source.trace.gap_long_m[0], abs=1e-6)
     assert replay.trace.gap_lat_m[0] == pytest.approx(source.trace.gap_lat_m[0], abs=1e-6)
+
+
+HEADER = ",".join(TRACKS_HEADER) + "\n"
+
+
+def read_rows(tmp_path, rows, name="pair.csv"):
+    path = tmp_path / name
+    write_tracks_csv(path, rows)
+    return read_tracks_csv(path, FPS)
+
+
+def pair(cut, ego_y=0.0, ego_lane=0):
+    """Ego track 1 held at x = 0 in ego_lane, and cutter track 2 at (x, y, lane_id)
+    per frame; both 5 m long, so a cutter at x = 20 is 15 m ahead."""
+    rows = []
+    for f, (x, y, lane) in enumerate(cut):
+        rows.append(TrackRow(f, 1, 0.0, ego_y, 2.0, 5.0, 20.0, 0.0, ego_lane))
+        rows.append(TrackRow(f, 2, x, y, 2.0, 5.0, 15.0, 0.0, lane))
+    return rows
+
+
+CUT_IN = [(20.0, 3.75, 1)] * 5 + [(20.0, 0.0, 0)] * 5  # into lane 0 at frame 5
+
+
+@pytest.mark.parametrize("strict", (True, False))
+@pytest.mark.parametrize("frames", ((0, 1, 1), (0, 2, 1)), ids=("repeated", "decreasing"))
+def test_frames_must_strictly_increase(tmp_path, frames, strict):
+    path = tmp_path / "order.csv"
+    path.write_text(HEADER + "".join(f"{f},1,{f}.0,0.0,5.0,2.0,20.0,0.0,0\n" for f in frames))
+    with pytest.raises(SchemaError, match="track 1: frames not strictly increasing"):
+        read_tracks_csv(path, FPS, strict=strict)
+
+
+def test_a_malformed_row_is_reported_before_the_frame_order(tmp_path):
+    path = tmp_path / "order.csv"
+    path.write_text(
+        HEADER
+        + "1,1,1.0,0.0,5.0,2.0,20.0,0.0,0\n"
+        + "0,1,0.0,0.0,5.0,2.0,20.0,0.0,0\n"
+        + "2,1,nan,0.0,5.0,2.0,20.0,0.0,0\n"
+    )
+    with pytest.raises(ParseError, match="line 4"):
+        read_tracks_csv(path, FPS, strict=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SchemaError, match="frames not strictly increasing"):
+            read_tracks_csv(path, FPS, strict=False)
+    assert [str(w.message) for w in caught] == [
+        "skipping malformed row at line 4: non-finite position, size or velocity"
+    ]
+
+
+@pytest.mark.parametrize("length, width", ((0.0, 2.0), (5.0, 0.0)))
+def test_zero_dimensions_are_malformed(tmp_path, length, width):
+    path = tmp_path / "dims.csv"
+    path.write_text(
+        HEADER
+        + "0,1,0.0,0.0,5.0,2.0,20.0,0.0,0\n"
+        + f"1,1,1.0,0.0,{length},{width},20.0,0.0,0\n"
+    )
+    with pytest.raises(ParseError, match="line 3: vehicle dimensions must be positive"):
+        read_tracks_csv(path, FPS, strict=True)
+    with pytest.warns(UserWarning, match="line 3"):
+        ts = read_tracks_csv(path, FPS, strict=False)
+    assert list(ts.tracks[1]) == [0]
+
+
+def test_event_needs_two_common_frames_and_ends_at_the_transition(tmp_path):
+    assert extract_cut_in_events(TrackSet(FPS, {})) == []
+    assert extract_cut_in_events(read_rows(tmp_path, pair([(20.0, 0.0, 0)]))) == []
+    (event,) = extract_cut_in_events(read_rows(tmp_path, pair([(20.0, 3.75, 1), (20.0, 0.0, 0)])))
+    assert (event.start_frame, event.end_frame) == (0, 1)
+    (event,) = extract_cut_in_events(read_rows(tmp_path, pair(CUT_IN)))
+    assert (event.start_frame, event.end_frame) == (0, 5)
+
+
+def test_a_cutter_already_in_the_ego_lane_is_no_cut_in(tmp_path):
+    leaves = [(20.0, 0.0, 0)] * 5 + [(20.0, 3.75, 1)] * 5
+    assert extract_cut_in_events(read_rows(tmp_path, pair(leaves))) == []
+
+
+def test_a_cutter_level_with_the_ego_is_not_ahead(tmp_path):
+    level_at_transition = CUT_IN[:5] + [(0.0, 0.0, 0)] + CUT_IN[6:]
+    assert extract_cut_in_events(read_rows(tmp_path, pair(level_at_transition))) == []
+    level_at_start = [(0.0, 3.75, 1)] + CUT_IN[1:]
+    assert extract_cut_in_events(read_rows(tmp_path, pair(level_at_start))) == []
+
+
+def test_a_cutter_overlapping_the_ego_at_the_start_gives_no_event(tmp_path):
+    # 3 m ahead centre to centre, 5 m long each: d_x0 = -2 m, which ScenarioParams rejects
+    overlapping = [(3.0, 3.75, 1)] + CUT_IN[1:]
+    assert extract_cut_in_events(read_rows(tmp_path, pair(overlapping))) == []
+
+
+def test_a_programming_error_building_the_event_propagates(tmp_path, monkeypatch):
+    ts = read_rows(tmp_path, pair(CUT_IN))
+
+    def broken(**kwargs):
+        raise TypeError("not a degenerate geometry")
+
+    monkeypatch.setattr(ingest, "ScenarioParams", broken)
+    with pytest.raises(TypeError, match="not a degenerate geometry"):
+        extract_cut_in_events(ts)
+
+
+def test_gap_gate_includes_its_bound(tmp_path):
+    ts = read_rows(tmp_path, pair(CUT_IN))  # 15 m bumper to bumper at the transition
+    assert len(extract_cut_in_events(ts, min_gap_m=15.0)) == 1
+    assert extract_cut_in_events(ts, min_gap_m=14.999) == []
+
+
+def test_lane_change_window_thresholds_at_1e_9(tmp_path):
+    # y leaves 0 by exactly 1e-9 at frame 2: not yet moving, so the maneuver
+    # starts at frame 3 and settles at 3.75 at frame 5
+    leaving = [(20.0, y, 0 if y < 1.875 else 1) for y in (0.0, 0.0, 1e-9, 1.0, 2.0, 3.75, 3.75, 3.75)]
+    (event,) = extract_cut_in_events(read_rows(tmp_path, pair(leaving, ego_y=3.75, ego_lane=1)))
+    assert event.params.lc_start_s == pytest.approx(2 / FPS)
+    assert event.params.lc_duration_s == pytest.approx(3 / FPS)
+    # y is within 1e-9 of its final 0 at frame 4: settled there
+    arriving = [(20.0, y, 0 if y < 1.875 else 1) for y in (3.75, 3.75, 2.0, 1.0, 1e-9, 0.0, 0.0, 0.0)]
+    (event,) = extract_cut_in_events(read_rows(tmp_path, pair(arriving)))
+    assert event.params.lc_start_s == pytest.approx(1 / FPS)
+    assert event.params.lc_duration_s == pytest.approx(3 / FPS)
+
+
+@pytest.mark.parametrize("hole, lc_start_s, lc_duration_s", (
+    (range(40, 45), 1.0, 2.0),
+    (range(24, 27), 1.04, 1.96),
+    (range(74, 78), 1.0, 2.12),
+), ids=("mid", "at-start", "at-end"))
+def test_a_hole_in_the_cutter_track(tmp_path, hole, lc_start_s, lc_duration_s):
+    # the fixture's lane change runs from frame 25 to frame 75; a hole moves the
+    # estimate only where it hides the first moving or the first settled frame
+    _, rows, _ = make_fixture(tmp_path)
+    ts = read_rows(tmp_path, [r for r in rows if r.track_id == 1 or r.frame not in hole], "hole.csv")
+    (event,) = extract_cut_in_events(ts)
+    assert (event.params.lc_start_s, event.params.lc_duration_s) == (lc_start_s, lc_duration_s)
+    features, _ = export_features(event, ts)
+    assert [row[0] for row in features] == [f for f in ts.tracks[1] if f not in hole]
+

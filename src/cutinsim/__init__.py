@@ -39,7 +39,6 @@ from .risk import (
 )
 from .safety_models import (
     CcHumanParams,
-    Decision,
     FsmParams,
     IdmParams,
     MODEL_NAMES,
@@ -48,7 +47,6 @@ from .safety_models import (
     Reg157Params,
     RssParams,
     control_step,
-    control_step_array,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +74,6 @@ __all__ = [
     "prob_below_threshold",
     "summarize_models",
     "CcHumanParams",
-    "Decision",
     "FsmParams",
     "IdmParams",
     "MODEL_NAMES",
@@ -85,6 +82,5 @@ __all__ = [
     "Reg157Params",
     "RssParams",
     "control_step",
-    "control_step_array",
     "__version__",
 ]

@@ -23,7 +23,7 @@ from .kinematics import (
     require_finite,
 )
 from .metrics import ttc_xp
-from .safety_models import ModelParams, control_step, control_step_array
+from .safety_models import MARGIN_PASS, ModelParams, control_step
 
 SCENARIO_KINDS = ("cut_in", "cut_out", "car_following")
 CRITICAL = "critical"
@@ -273,8 +273,8 @@ def run_closed_loop(
 ) -> SimResult:
     """Simulate one scenario under one safety model.
 
-    Each step: compute gaps and TTC, ask the model for a decision, apply the
-    commanded acceleration to the ego, advance both vehicles. Stepping stops
+    Each step: compute gaps and TTC, run the model's control step on them,
+    apply its acceleration to the ego, advance both vehicles. Stepping stops
     (and the collision flag latches) as soon as the footprints overlap.
     """
     dt = p.dt_s
@@ -296,10 +296,10 @@ def run_closed_loop(
         if collided:  # the model is skipped: unsafe, no braking
             safe, decel = False, 0.0
         else:
-            decision, accel, memory = control_step(
-                model_name, params, gap_long, gap_lat, v, ov, ttc, dt, memory
+            code, decel, accel, memory = control_step(
+                FLOATS, model_name, params, gap_long, gap_lat, v, ov, ttc, dt, memory
             )
-            safe, decel = decision.safe, decision.decel_cmd_mps2
+            safe = code <= MARGIN_PASS
         min_gap, min_ttc, peak_decel = _summarize(
             FLOATS, min_gap, min_ttc, peak_decel, gap_long, ttc, decel
         )
@@ -400,12 +400,12 @@ def _run_lanes(
     Each step runs run_closed_loop's step helpers over arrays, so every
     summary equals the scalar loop's. All lanes are sensed and advanced
     together; each model steps its own contiguous slice through
-    control_step_array. A lane whose step may raise
-    leaves the arrays, and its item comes from run_closed_loop on its grid
-    point: one whose other vehicle's plan is non-finite, every lane of a
-    model slice whose control_step_array raised, and one whose next state is
-    non-finite. A lane that collides or reaches the end finishes. The lanes
-    are compacted whenever some finish or leave.
+    control_step on ARRAYS. A lane whose step may raise leaves the arrays,
+    and its item comes from run_closed_loop on its grid point: one whose
+    other vehicle's plan is non-finite, every lane of a model slice whose
+    control step raised, and one whose next state is non-finite. A lane that
+    collides or reaches the end finishes. The lanes are compacted whenever
+    some finish or leave.
     """
     n = len(lanes)
     models = list(dict.fromkeys(name for name, _, _ in lanes))
@@ -438,8 +438,8 @@ def _run_lanes(
                 s = slice(bounds[m], bounds[m + 1])
                 features = (gap_long[s], gap_lat[s], state.v[s], ov[s], ttc[s])
                 try:
-                    _, decel[s], accel[s], memory[s] = control_step_array(
-                        name, params, *features, dt, state.memory[s]
+                    _, decel[s], accel[s], memory[s] = control_step(
+                        ARRAYS, name, params, *features, dt, state.memory[s]
                     )
                 except (CutinSimError, ArithmeticError):
                     leave[s] = True

@@ -7,10 +7,11 @@ TTC shortfalls. The baselines (rss, reg157, cc_human, fsm, idm) are compact
 parameterized stand-ins for the systems they are named after, not
 full-fidelity ports of those systems.
 
-Each model is written once, in `_step`, over the float/array operations
-namespace of `kinematics` (`FLOATS`, `ARRAYS`). `control_step` runs it on
-floats for one run; `control_step_array` runs it on arrays for many runs at
-once, one entry per run, with the same values bit for bit.
+Each model is written once, in `control_step`, over the float/array
+operations namespace of `kinematics`: on `FLOATS` it steps one run, on
+`ARRAYS` many runs at once, one entry per run, with the same values bit for
+bit. A step reports its rationale as an integer code (`SAFE` ...
+`LANE_CHANGE_ADVISED`); `RATIONALES[code]` is its name.
 """
 
 from __future__ import annotations
@@ -18,44 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, InvalidInputError
-from .kinematics import ARRAYS, FLOATS
 from .metrics import CLOSING_SPEED_FLOOR_MPS, ttc_xp
 
 MODEL_NAMES = ("rba", "rss", "reg157", "cc_human", "fsm", "idm", "none")
 
-RATIONALE_SAFE = "safe"
-RATIONALE_MARGIN_PASS = "margin-pass"
-RATIONALE_LATERAL_FAIL = "lateral-fail"
-RATIONALE_LONGITUDINAL_FAIL = "longitudinal-fail"
-RATIONALE_LANE_CHANGE_ADVISED = "lane-change-advised"
-
-# A step's rationale code indexes RATIONALES; the first two codes are the safe ones.
-RATIONALES = (
-    RATIONALE_SAFE,
-    RATIONALE_MARGIN_PASS,
-    RATIONALE_LATERAL_FAIL,
-    RATIONALE_LONGITUDINAL_FAIL,
-    RATIONALE_LANE_CHANGE_ADVISED,
-)
-_SAFE, _MARGIN_PASS, _LATERAL_FAIL, _LONGITUDINAL_FAIL, _LANE_CHANGE_ADVISED = range(5)
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of one safety evaluation."""
-
-    safe: bool
-    decel_cmd_mps2: float = 0.0
-    rationale: str = RATIONALE_SAFE
-
-    def __post_init__(self) -> None:
-        if self.decel_cmd_mps2 < 0.0:
-            raise InvalidInputError("decel_cmd_mps2 must be >= 0")
-        if self.safe and self.decel_cmd_mps2 != 0.0:
-            raise InvalidInputError("a safe decision must not command braking")
+# A step's rationale code; the codes up to MARGIN_PASS are the safe ones, and
+# RATIONALES[code] names each.
+SAFE, MARGIN_PASS, LATERAL_FAIL, LONGITUDINAL_FAIL, LANE_CHANGE_ADVISED = range(5)
+RATIONALES = ("safe", "margin-pass", "lateral-fail", "longitudinal-fail", "lane-change-advised")
 
 
 @dataclass(frozen=True)
@@ -185,9 +157,26 @@ class ModelParams:
 RBA_SATURATION_STEPS = 5
 
 
-def _step(xp, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s, dt_s, memory):
-    """One control step of the named model over the operations xp (FLOATS or
-    ARRAYS): (rationale code, decel_cmd_mps2, accel_mps2, memory).
+def control_step(
+    xp, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s, dt_s, memory
+):
+    """One control step of the named model over the operations xp:
+    (rationale code, decel_cmd_mps2, accel_mps2, memory).
+
+    The inputs are the features the engine records for the step; only the rba
+    braking law reads ttc_s. memory is the model's per-run state, 0 at
+    scenario start, fed back on the next step: rba counts consecutive steps
+    braking at a_max, cc_human carries its perception timer in seconds, the
+    other models return it unchanged. The step is safe where
+    code <= MARGIN_PASS, and a safe step brakes 0.
+
+    With kinematics.FLOATS the features, memory and results are Python
+    numbers. With kinematics.ARRAYS the features and memory are float64 arrays,
+    one entry per run, dt_s a float, and each entry equals the float form's
+    values bit for bit; run it under np.errstate(all="ignore"). Where the
+    float form raises for some entry the array form raises a CutinSimError
+    that does not say which entry; engine.sweep reruns every run of the call
+    through run_closed_loop for the scalar error.
 
     Every branch is computed and the taken one selected by xp.where, so both
     forms do the same IEEE operations in the same order. No branch may raise
@@ -208,12 +197,12 @@ def _step(xp, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s
             gap_lat_m > p.d_lat_safe_m,
             where(
                 gap_long_m > p.d_safe_m + p.headway_gain_s * v_ego_mps,
-                _SAFE,
-                where(margin_pass, _MARGIN_PASS, _LONGITUDINAL_FAIL),
+                SAFE,
+                where(margin_pass, MARGIN_PASS, LONGITUDINAL_FAIL),
             ),
-            _LATERAL_FAIL,
+            LATERAL_FAIL,
         )
-        safe = code <= _MARGIN_PASS
+        safe = code <= MARGIN_PASS
         # the braking law, once unsafe: a per-step velocity decrement, the
         # larger normalized distance or TTC shortfall (an infinite TTC gives
         # -inf) times a_max / step frequency, clamped to [0, a_max / step
@@ -230,13 +219,13 @@ def _step(xp, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s
         # means braking alone is not enough; advise an evasive lane change (a
         # safe step brakes 0, so it resets the count)
         memory = where(decel >= p.a_max_mps2 * (1.0 - 1e-9), memory + 1, 0)
-        code = where(memory >= RBA_SATURATION_STEPS, _LANE_CHANGE_ADVISED, code)
+        code = where(memory >= RBA_SATURATION_STEPS, LANE_CHANGE_ADVISED, code)
         # the speed floor never speeds the ego up: below v_min_mps it holds v
         floor = pick_min(v_ego_mps, p.v_min_mps)
         accel = (pick_max(v_ego_mps - dv_step, floor) - v_ego_mps) / dt_s
         return code, decel, accel, memory
     if name == "none":
-        # uncontrolled ego: never brakes; the collision baseline (code 0 is _SAFE)
+        # uncontrolled ego: never brakes; the collision baseline (code 0 is SAFE)
         zeros = xp.zeros
         return zeros(v_ego_mps, int), zeros(v_ego_mps, float), zeros(v_ego_mps, float), memory
 
@@ -312,63 +301,11 @@ def _step(xp, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s
         accel = where(law, pick_max(a, floor), floor)
         coasting = accel >= 0.0
         return (
-            where(coasting, _SAFE, _LONGITUDINAL_FAIL), where(coasting, 0.0, -accel), accel, memory
+            where(coasting, SAFE, LONGITUDINAL_FAIL), where(coasting, 0.0, -accel), accel, memory
         )
     else:
         raise ConfigError(
             f"unknown safety model {name!r}; expected one of {MODEL_NAMES}", key="model"
         )
-    return where(unsafe, _LONGITUDINAL_FAIL, _SAFE), decel, -decel, memory
+    return where(unsafe, LONGITUDINAL_FAIL, SAFE), decel, -decel, memory
 
-
-def control_step(
-    name: str,
-    params: ModelParams,
-    gap_long_m: float,
-    gap_lat_m: float,
-    v_ego_mps: float,
-    v_other_mps: float,
-    ttc_s: float,
-    dt_s: float,
-    memory: float,
-) -> tuple[Decision, float, float]:
-    """One control step of the named model: (decision, acceleration in m/s^2, memory).
-
-    The inputs are the features the engine records for the step; only the rba
-    braking law reads ttc_s. memory is the model's per-run state, 0 at
-    scenario start, fed back on the next step: rba counts consecutive steps
-    braking at a_max, cc_human carries its perception timer in seconds, the
-    other models return it unchanged.
-    """
-    code, decel, accel, memory = _step(
-        FLOATS, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s, dt_s, memory
-    )
-    return Decision(code <= _MARGIN_PASS, decel, RATIONALES[code]), accel, memory
-
-
-def control_step_array(
-    name: str,
-    params: ModelParams,
-    gap_long_m: np.ndarray,
-    gap_lat_m: np.ndarray,
-    v_ego_mps: np.ndarray,
-    v_other_mps: np.ndarray,
-    ttc_s: np.ndarray,
-    dt_s: float,
-    memory: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """control_step over float64 arrays, one entry per run:
-    (rationale code, decel_cmd_mps2, accel_mps2, memory) arrays.
-
-    Each entry equals control_step's values bit for bit, with the decision
-    as its code: RATIONALES[code] is the rationale, and the decision is safe
-    for the codes of safe and margin-pass. Both run the one definition,
-    whose powers go through Python's ** entry by entry. Every branch is
-    computed for every entry, so run it under np.errstate(all="ignore").
-    Where control_step raises for some entry this raises a CutinSimError
-    that does not say which entry; engine.sweep reruns every run of the call
-    through run_closed_loop for the scalar error.
-    """
-    return _step(
-        ARRAYS, name, params, gap_long_m, gap_lat_m, v_ego_mps, v_other_mps, ttc_s, dt_s, memory
-    )

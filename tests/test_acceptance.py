@@ -27,7 +27,7 @@ from cutinsim.ingest import extract_cut_in_events, read_tracks_csv, trace_to_tra
 from cutinsim.kinematics import FLOATS, VehicleDims, advance_axis_xp
 from cutinsim.metrics import finite_difference_sensitivity, ttc_sensitivity
 from cutinsim.risk import fit_gaussian, prob_below_threshold
-from cutinsim.safety_models import ModelParams, RbaParams, control_step
+from cutinsim.safety_models import MARGIN_PASS, ModelParams, RbaParams, control_step
 from step_features import State, step_features
 
 # Sweep scenario for criteria 5/6: an abrupt cut starting at t=0, so the
@@ -66,8 +66,10 @@ def eq1_literal(ego, cut, ego_dims, cut_dims, p):
 def rba_safe(ego, cut, dims, p):
     """The rba check's verdict for a pair of vehicle states, through control_step."""
     features = step_features(ego, cut, dims, dims)
-    decision, _, _ = control_step("rba", ModelParams(rba=p), *features, math.inf, SWEEP_DT_S, 0)
-    return decision.safe
+    code, *_ = control_step(
+        FLOATS, "rba", ModelParams(rba=p), *features, math.inf, SWEEP_DT_S, 0
+    )
+    return code <= MARGIN_PASS
 
 
 def smoothstep_crossing_time(p: ScenarioParams, clearance_m: float) -> float:
@@ -132,13 +134,12 @@ def test_criterion_02_braking_law_contract():
         # braking law sets the step: decel is its decrement times the step
         # frequency, and accel takes the speed down by it, or to v_min; a
         # speed already under v_min is held, never raised to it
-        decision, accel, _ = control_step(
-            "rba", ModelParams(rba=p), gaps[i], 0.0, vels[i], vels[i], ttcs[i], dt, 0
+        code, decel, accel, _ = control_step(
+            FLOATS, "rba", ModelParams(rba=p), gaps[i], 0.0, vels[i], vels[i], ttcs[i], dt, 0
         )
-        decel = decision.decel_cmd_mps2
         gap_short = (p.d_safe_m + p.safety_buffer_m) - gaps[i]
         ttc_short = (p.ttc_safe_s - ttcs[i]) if math.isfinite(ttcs[i]) else -math.inf
-        ok = not decision.safe and 0.0 <= decel <= p.a_max_mps2
+        ok = code > MARGIN_PASS and 0.0 <= decel <= p.a_max_mps2
         if gap_short <= 0.0 and ttc_short <= 0.0:
             ok = ok and decel == 0.0
         v_next = advance_axis_xp(FLOATS, 0.0, vels[i], accel, dt)[1]

@@ -28,6 +28,7 @@ from cutinsim.engine import (
 from cutinsim.errors import ConfigError, InvalidInputError
 from cutinsim.kinematics import ARRAYS, FLOATS, VehicleDims
 from cutinsim.safety_models import (
+    MARGIN_PASS,
     MODEL_NAMES,
     CcHumanParams,
     IdmParams,
@@ -189,7 +190,8 @@ def test_rba_deceleration_never_exceeds_a_max(dt):
 
 def test_recorded_step_features_reproduce_each_decision():
     # the model sees exactly what the trace records: replaying each sample's
-    # gaps, speeds and TTC through control_step gives back its decision
+    # gaps, speeds and TTC through control_step gives back its safe flag and
+    # braking
     collided_runs = braking_steps = 0
     for kind, d_x0 in itertools.product(SCENARIO_KINDS, (20.0, 45.0)):
         d_y0 = 0.0 if kind == "car_following" else 3.75
@@ -204,10 +206,11 @@ def test_recorded_step_features_reproduce_each_decision():
             for gap_long, gap_lat, v_ego, v_other, ttc, safe, decel in (
                 list(steps)[:-1] if r.collided else steps
             ):
-                decision, _, memory = control_step(
-                    model, ModelParams(), gap_long, gap_lat, v_ego, v_other, ttc, p.dt_s, memory,
+                code, decel_cmd, _, memory = control_step(
+                    FLOATS, model, ModelParams(), gap_long, gap_lat, v_ego, v_other, ttc, p.dt_s,
+                    memory,
                 )
-                assert (decision.safe, decision.decel_cmd_mps2) == (safe, decel)
+                assert (code <= MARGIN_PASS, decel_cmd) == (safe, decel)
                 braking_steps += decel > 0.0
             collided_runs += r.collided
             # the summary, kept as the run steps, is the trace's

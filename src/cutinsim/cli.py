@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -112,7 +113,10 @@ def cmd_post_process(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later
+    main() in the process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="cutinsim",
         description="Cut-in collision avoidance simulation toolkit",

@@ -16,7 +16,7 @@ from . import metrics
 from .engine import ScenarioParams
 from .errors import CutinSimError, InvalidInputError, ParseError, SchemaError
 from .kinematics import LANE_WIDTH_M, VehicleDims, axis_gap
-from .reports import row_format
+from .reports import row_format, write_lines
 
 TRACKS_HEADER = ("frame", "id", "x", "y", "width", "height", "xVelocity", "yVelocity", "laneId")
 FEATURES_HEADER = ("frame", "dhw", "thw", "ttc", "ittc")
@@ -54,13 +54,12 @@ class CutInEvent:
 
 def write_tracks_csv(path, rows) -> None:
     """Serialize track rows, floats in reports.FLOAT_FORMAT."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACKS_HEADER) + "\n")
-        fh.writelines(
-            TRACKS_ROW % (r.frame, r.track_id, r.x_m, r.y_m, r.length_m, r.width_m,
-                          r.x_vel_mps, r.y_vel_mps, r.lane_id)
-            for r in rows
-        )
+    lines = (
+        TRACKS_ROW % (r.frame, r.track_id, r.x_m, r.y_m, r.length_m, r.width_m,
+                      r.x_vel_mps, r.y_vel_mps, r.lane_id)
+        for r in rows
+    )
+    write_lines(path, [",".join(TRACKS_HEADER) + "\n"], lines)
 
 
 def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet:
@@ -183,6 +182,12 @@ def _estimate_lane_change_window(
     return max(start, 0.0), duration
 
 
+def _travel_sign(ego: dict[int, TrackRow], frames: list[int]) -> float:
+    """1.0 or -1.0: the sign of the ego's xVelocity at the first of the frames
+    (1.0 when it is 0 or there are no frames)."""
+    return -1.0 if frames and ego[frames[0]].x_vel_mps < 0.0 else 1.0
+
+
 def extract_cut_in_events(
     track_set: TrackSet,
     min_gap_m: float = 100.0,
@@ -191,9 +196,12 @@ def extract_cut_in_events(
 
     An event is emitted at the first frame where the cut track's lane id
     becomes the ego track's lane id while it is ahead of the ego within
-    min_gap_m (bumper to bumper). Scenario parameters, footprints included, are
-    reconstructed from the rows at the pair's first common frame, which for
-    recorded data is the closest observable stand-in for the scenario start.
+    min_gap_m (bumper to bumper). "Ahead" and both speeds are measured along
+    the ego's direction of travel (see _travel_sign), so a pair driving in -x
+    gives the event its mirror image in +x gives. Scenario parameters,
+    footprints included, are reconstructed from the rows at the pair's first
+    common frame, which for recorded data is the closest observable stand-in
+    for the scenario start.
     """
     dt_s = 1.0 / track_set.frame_rate_hz
     tracks = track_set.tracks
@@ -210,6 +218,7 @@ def extract_cut_in_events(
             common = sorted(ego_rows.keys() & cut_rows.keys())
             if len(common) < 2:
                 continue
+            sign = _travel_sign(ego_rows, common)
             transition = None
             for prev_f, f in zip(common, common[1:]):
                 ego_row = ego_rows[f]
@@ -218,7 +227,7 @@ def extract_cut_in_events(
                     continue
                 if cut_row.lane_id != ego_row.lane_id:
                     continue
-                if cut_row.x_m <= ego_row.x_m:
+                if sign * cut_row.x_m <= sign * ego_row.x_m:
                     continue  # only cut-ins ahead of the ego
                 if axis_gap(cut_row.x_m, ego_row.x_m, cut_row.length_m, ego_row.length_m) > min_gap_m:
                     continue
@@ -229,7 +238,7 @@ def extract_cut_in_events(
             f0 = common[0]
             ego0 = ego_rows[f0]
             cut0 = cut_rows[f0]
-            if cut0.x_m <= ego0.x_m:
+            if sign * cut0.x_m <= sign * ego0.x_m:
                 continue  # the cutter starts level with or behind the ego: no d_x0 > 0
             d_x0 = axis_gap(cut0.x_m, ego0.x_m, cut0.length_m, ego0.length_m)
             d_y0 = abs(cut0.y_m - ego0.y_m)
@@ -238,8 +247,8 @@ def extract_cut_in_events(
             try:
                 params = ScenarioParams(
                     kind="cut_in",
-                    v_e0_mps=ego0.x_vel_mps,
-                    v_o0_mps=cut0.x_vel_mps,
+                    v_e0_mps=sign * ego0.x_vel_mps,
+                    v_o0_mps=sign * cut0.x_vel_mps,
                     d_x0_m=d_x0,
                     d_y0_m=d_y0,
                     lc_start_s=lc_start,
@@ -269,7 +278,8 @@ def export_features(event: CutInEvent, track_set: TrackSet):
 
     Returns (rows, flagged_frames). Rows are (frame, dhw, thw, ttc, ittc); on
     overlap frames the time-based features carry nan sentinels and the frame is
-    flagged.
+    flagged. Speeds are measured along the ego's direction of travel at the
+    pair's first common frame, as in extract_cut_in_events.
     """
     ego = track_set.tracks.get(event.ego_track)
     cut = track_set.tracks.get(event.cut_track)
@@ -277,7 +287,9 @@ def export_features(event: CutInEvent, track_set: TrackSet):
         raise InvalidInputError("event does not match the provided tracks")
     rows = []
     flagged = []
-    for f in sorted(ego.keys() & cut.keys()):
+    frames = sorted(ego.keys() & cut.keys())
+    sign = _travel_sign(ego, frames)
+    for f in frames:
         e = ego[f]
         c = cut[f]
         gap = axis_gap(c.x_m, e.x_m, c.length_m, e.length_m)
@@ -285,12 +297,11 @@ def export_features(event: CutInEvent, track_set: TrackSet):
             rows.append((f, gap, math.nan, math.nan, math.nan))
             flagged.append(f)
             continue
-        feats = metrics.compute_features(gap, e.x_vel_mps, e.x_vel_mps - c.x_vel_mps)
+        v_ego = sign * e.x_vel_mps
+        feats = metrics.compute_features(gap, v_ego, v_ego - sign * c.x_vel_mps)
         rows.append((f, feats.dhw_m, feats.thw_s, feats.ttc_s, feats.ittc_per_s))
     return rows, flagged
 
 
 def write_features_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(FEATURES_HEADER) + "\n")
-        fh.writelines(FEATURES_ROW % row for row in rows)
+    write_lines(path, [",".join(FEATURES_HEADER) + "\n"], (FEATURES_ROW % row for row in rows))

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -377,3 +378,32 @@ def test_a_hole_in_the_cutter_track(tmp_path, hole, lc_start_s, lc_duration_s):
     features, _ = export_features(event, ts)
     assert [row[0] for row in features] == [f for f in ts.tracks[1] if f not in hole]
 
+
+def mirrored(rows):
+    """The same rows driving in -x: x and xVelocity negated."""
+    return [replace(r, x_m=-r.x_m, x_vel_mps=-r.x_vel_mps) for r in rows]
+
+
+@pytest.mark.parametrize("source", ("pair", "fixture"))
+def test_a_pair_driving_in_minus_x_gives_the_event_and_features_of_its_mirror(tmp_path, source):
+    rows = pair(CUT_IN) if source == "pair" else make_fixture(tmp_path)[1]
+    plus = read_rows(tmp_path, rows, "plus.csv")
+    minus = read_rows(tmp_path, mirrored(rows), "minus.csv")
+    (event,) = extract_cut_in_events(plus)
+    (mirror,) = extract_cut_in_events(minus)
+    assert mirror == event
+    assert export_features(mirror, minus) == export_features(event, plus)
+    assert event.params.v_e0_mps > 0.0 and event.params.d_x0_m > 0.0
+
+
+def test_a_cutter_behind_the_ego_in_minus_x_is_no_cut_in(tmp_path):
+    # in -x, a cutter at larger x than the ego is behind it
+    behind = [(-x, y, lane) for x, y, lane in CUT_IN]
+    assert extract_cut_in_events(read_rows(tmp_path, mirrored(pair(behind)))) == []
+
+
+def test_an_ego_at_a_standstill_at_the_first_frame_travels_in_plus_x(tmp_path):
+    rows = pair(CUT_IN)
+    rows[0] = replace(rows[0], x_vel_mps=0.0)  # the ego's row at frame 0
+    (event,) = extract_cut_in_events(read_rows(tmp_path, rows))
+    assert (event.params.v_e0_mps, event.params.v_o0_mps) == (0.0, 15.0)

@@ -1,10 +1,12 @@
 """Cut-in collision avoidance simulation toolkit.
 
 Core pieces: the ego's constant-acceleration step along its lane and the
-footprint gaps it is measured by, TTC-family surrogate safety metrics with
-analytic sensitivities, a rules-based safety check plus braking law,
-simplified baseline models (rss, reg157, cc_human, fsm, idm), a closed-loop
-scenario engine with parameter sweeps, and Gaussian TTC risk summaries. The
+footprint gaps it is measured by, the TTC formula with its analytic
+sensitivities, a rules-based safety check plus braking law, simplified
+baseline models (rss, reg157, cc_human, fsm, idm), a closed-loop scenario
+engine with parameter sweeps, and Gaussian TTC risk summaries. Trajectory
+ingest (cutinsim.ingest) extracts cut-in events from recorded tracks and
+exports their per-frame surrogate features (DHW, THW, TTC, ITTC). The
 `cutinsim` command line wraps the same API; see README.md.
 """
 
@@ -24,8 +26,6 @@ from .kinematics import (
 )
 from .metrics import (
     SensitivityResult,
-    SurrogateFeatures,
-    compute_features,
     finite_difference_sensitivity,
     ttc,
     ttc_sensitivity,
@@ -63,8 +63,6 @@ __all__ = [
     "LANE_WIDTH_M",
     "VehicleDims",
     "SensitivityResult",
-    "SurrogateFeatures",
-    "compute_features",
     "finite_difference_sensitivity",
     "ttc",
     "ttc_sensitivity",

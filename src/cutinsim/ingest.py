@@ -216,8 +216,6 @@ def extract_cut_in_events(
                 continue
             cut_rows = tracks[cut_id]
             common = sorted(ego_rows.keys() & cut_rows.keys())
-            if len(common) < 2:
-                continue
             sign = _travel_sign(ego_rows, common)
             transition = None
             for prev_f, f in zip(common, common[1:]):
@@ -276,10 +274,12 @@ def extract_cut_in_events(
 def export_features(event: CutInEvent, track_set: TrackSet):
     """Per-frame surrogate features for the event's vehicle pair.
 
-    Returns (rows, flagged_frames). Rows are (frame, dhw, thw, ttc, ittc); on
-    overlap frames the time-based features carry nan sentinels and the frame is
-    flagged. Speeds are measured along the ego's direction of travel at the
-    pair's first common frame, as in extract_cut_in_events.
+    Returns (rows, flagged_frames). Rows are (frame, dhw, thw, ttc, ittc),
+    speeds measured along the ego's direction of travel at the pair's first
+    common frame, as in extract_cut_in_events: thw = dhw / ego speed (inf at
+    or below metrics.CLOSING_SPEED_FLOOR_MPS), ttc = metrics.ttc and
+    ittc = 1 / ttc. On overlap frames (dhw < 0) the time-based features carry
+    nan sentinels and the frame is flagged.
     """
     ego = track_set.tracks.get(event.ego_track)
     cut = track_set.tracks.get(event.cut_track)
@@ -298,8 +298,10 @@ def export_features(event: CutInEvent, track_set: TrackSet):
             flagged.append(f)
             continue
         v_ego = sign * e.x_vel_mps
-        feats = metrics.compute_features(gap, v_ego, v_ego - sign * c.x_vel_mps)
-        rows.append((f, feats.dhw_m, feats.thw_s, feats.ttc_s, feats.ittc_per_s))
+        ttc = metrics.ttc(gap, v_ego - sign * c.x_vel_mps)
+        thw = gap / v_ego if v_ego > metrics.CLOSING_SPEED_FLOOR_MPS else math.inf
+        ittc = 1.0 / ttc if ttc > 0.0 else math.inf  # 1 / inf == 0
+        rows.append((f, gap, thw, ttc, ittc))
     return rows, flagged
 
 

@@ -1,4 +1,6 @@
-"""Surrogate safety features (DHW, THW, TTC, ITTC) and analytic TTC sensitivities."""
+"""Time to collision (TTC) and its analytic sensitivities. The per-frame
+surrogate features (DHW, THW, TTC, ITTC) are built on ttc in
+ingest.export_features."""
 
 from __future__ import annotations
 
@@ -11,14 +13,6 @@ from .kinematics import FLOATS
 # Closing speeds below this floor are treated as non-closing; keeps TTC
 # deterministic instead of dividing by a near-zero velocity difference.
 CLOSING_SPEED_FLOOR_MPS = 1e-6
-
-
-@dataclass(frozen=True)
-class SurrogateFeatures:
-    dhw_m: float
-    thw_s: float  # inf when the follower is stopped
-    ttc_s: float  # inf when the pair is not closing
-    ittc_per_s: float  # 0 when ttc_s is inf
 
 
 @dataclass(frozen=True)
@@ -41,34 +35,6 @@ def ttc_xp(xp, gap_long_m, closing_mps):
 def ttc(gap_long_m: float, closing_mps: float) -> float:
     """ttc_xp on floats."""
     return ttc_xp(FLOATS, gap_long_m, closing_mps)
-
-
-def compute_features(
-    gap_long_m: float, follower_vel_mps: float, rel_vel_mps: float
-) -> SurrogateFeatures:
-    """Surrogate features for a leader/follower pair at one step.
-
-    rel_vel_mps is follower velocity minus leader velocity (positive = closing).
-    The caller must have ruled out overlap: a negative gap is rejected.
-    """
-    for name, value in (
-        ("gap_long_m", gap_long_m),
-        ("follower_vel_mps", follower_vel_mps),
-        ("rel_vel_mps", rel_vel_mps),
-    ):
-        if not math.isfinite(value):
-            raise InvalidInputError(f"{name} must be finite, got {value!r}")
-    if gap_long_m < 0.0:
-        raise InvalidInputError(
-            f"negative gap ({gap_long_m}): detect overlap before computing features"
-        )
-    if follower_vel_mps > CLOSING_SPEED_FLOOR_MPS:
-        thw = gap_long_m / follower_vel_mps
-    else:
-        thw = math.inf
-    ttc_s = ttc(gap_long_m, rel_vel_mps)
-    ittc = 1.0 / ttc_s if ttc_s > 0.0 else math.inf  # 1 / inf == 0
-    return SurrogateFeatures(dhw_m=gap_long_m, thw_s=thw, ttc_s=ttc_s, ittc_per_s=ittc)
 
 
 def ttc_sensitivity(gap_long_m: float, rel_vel_mps: float) -> SensitivityResult:

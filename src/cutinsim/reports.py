@@ -4,8 +4,10 @@ histogram and fitted-curve plot data.
 Every writer is deterministic: no timestamps, sorted JSON keys, and every
 float in a CSV written with the one format FLOAT_FORMAT ("%.6g": 6 significant
 digits; infinities and NaN as "inf", "-inf" and "nan"), booleans as 0/1, so a
-rerun with the same config produces byte-identical files. Each CSV row is
-written with one %-format string.
+rerun with the same config produces byte-identical files. The exception is
+summary.csv, which writes its four statistics with "%.4f" (summary.json holds
+them at full precision). Each other CSV row is written with one %-format
+string.
 
 Every file goes through write_lines, which rewrites an existing file in place
 instead of truncating it first: on a filesystem that discards freed blocks,
@@ -15,6 +17,7 @@ run that produced it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -261,7 +264,9 @@ def write_plot_data(
 
     Histograms share 30 uniform bins over the pooled finite range; the fitted
     curve samples each model's Gaussian at 200 uniform points across +/- 5
-    sigma. Returns the filenames written.
+    sigma. A hist_<model>.csv or density_<model>.csv of a model in
+    samples_by_model that this call does not write, left by an earlier run, is
+    removed. Returns the filenames written.
     """
     written: list[str] = []
     finite_by_model = {
@@ -296,4 +301,9 @@ def write_plot_data(
         rows = zip(xs.tolist(), densities.tolist())
         write_lines(os.path.join(out_dir, name), ["x,density\n"], (DENSITY_ROW % row for row in rows))
         written.append(name)
+    for model in samples_by_model:
+        for name in (f"hist_{model}.csv", f"density_{model}.csv"):
+            if name not in written:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(os.path.join(out_dir, name))
     return written

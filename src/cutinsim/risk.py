@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
+from .engine import CRITICAL
 from .errors import DegenerateDistributionError, InsufficientDataError
 
 _THRESH = 0.46875
@@ -193,7 +194,7 @@ def summarize_models(
         n_excluded = sum(1 for s in samples if not math.isfinite(s))
         n_finite = len(samples) - n_excluded
         critical_fraction = (
-            sum(1 for r in runs if r.classification == "critical") / len(runs)
+            sum(1 for r in runs if r.classification == CRITICAL) / len(runs)
             if runs
             else None
         )

@@ -38,3 +38,14 @@ def test_every_command_in_one_process_builds_the_parser_once(tmp_path):
     assert again == first
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 6)
+
+
+def test_an_os_error_exits_1_without_a_traceback(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("a regular file, not a directory")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        assert main(["one-case", "--config", os.path.join(CONFIGS, "cutin.json"),
+                     "--out", str(out)]) == EXIT_CONFIG
+    err = stderr.getvalue()
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err

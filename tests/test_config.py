@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +29,32 @@ def test_golden_manifest_config_reproduces_the_run_config():
     with open(golden) as fh:
         manifest = json.load(fh)
     assert parse_config(manifest["config"]) == load_config(os.path.join(CONFIGS, "comparison.json"))
+
+
+CONFIG_CHECKS = [
+    pytest.param(json.dumps({**BASE, "dims": {"trailer": {}}}), "dims.trailer",
+                 "unknown key dims.'trailer'", id="unknown-dims-key"),
+    pytest.param(json.dumps({**BASE, "model_params": {"rba": {}}}), "model_params.rba",
+                 "under the top-level 'rba' key", id="model-params-rba"),
+    pytest.param(json.dumps({**BASE, "model_params": {"bogus": {}}}), "model_params.bogus",
+                 "unknown key model_params.'bogus'", id="unknown-model-params-section"),
+    pytest.param(json.dumps({k: v for k, v in BASE.items() if k != "scenario"}), "scenario",
+                 "missing required key 'scenario'", id="missing-scenario"),
+    pytest.param(json.dumps({**BASE, "risk": {"ttc_crit_s": 0.0}}), "risk.ttc_crit_s",
+                 "must be positive", id="ttc-crit-zero"),
+    pytest.param(None, "config", "config file not found", id="file-not-found"),
+    pytest.param("[1, 2]", "config", "root must be a JSON object", id="non-object-root"),
+]
+
+
+@pytest.mark.parametrize("text, key, message", CONFIG_CHECKS)
+def test_each_config_check_names_its_key(tmp_path, text, key, message):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(message)) as exc:
+        load_config(str(path))
+    assert exc.value.key == key
 
 
 def _key_paths(node, prefix=()):

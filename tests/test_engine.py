@@ -271,6 +271,17 @@ def test_scenario_validation():
         cutin(dt=0.0)
     with pytest.raises(ConfigError, match="lc_duration_s"):
         cutin(lc_dur=0.0)
+    with pytest.raises(ConfigError, match="lc_start_s must be >= 0"):
+        cutin(lc_start=-0.1)
+    with pytest.raises(ConfigError, match="d_y0 must be >= 0"):
+        cutin(d_y0=-0.1)
+    with pytest.raises(ConfigError, match="times must be nondecreasing"):
+        cutin(kind="car_following", d_y0=0.0, profile=((3.0, 5.0), (2.0, 1.0)))
+    with pytest.raises(ConfigError, match="velocities must be >= 0"):
+        cutin(kind="car_following", d_y0=0.0, profile=((1.0, -0.1),))
+    # each bound itself is valid: a repeated profile time, a stop, no lateral offset
+    cutin(lc_start=0.0, d_y0=0.0)
+    cutin(kind="car_following", d_y0=0.0, profile=((2.0, 0.0), (2.0, 1.0)))
     cutin(duration=12.0, dt=12.0 / MAX_STEPS)  # exactly at the step bound
 
 

@@ -19,6 +19,7 @@ from cutinsim.ingest import (
     write_tracks_csv,
 )
 from cutinsim.kinematics import VehicleDims
+from cutinsim.metrics import CLOSING_SPEED_FLOOR_MPS
 
 DIMS = VehicleDims(width_m=2.0, length_m=5.0)
 FPS = 25.0
@@ -42,6 +43,18 @@ def test_header_only_file_reads_empty(tmp_path):
     path.write_text(",".join(TRACKS_HEADER) + "\n")
     ts = read_tracks_csv(path, FPS)
     assert ts.tracks == {}
+    path.write_text("")  # no header either
+    assert read_tracks_csv(path, FPS) == TrackSet(FPS, {})
+
+
+@pytest.mark.parametrize("strict", (True, False))
+def test_blank_lines_are_skipped_without_a_warning(tmp_path, strict):
+    path = tmp_path / "blank.csv"
+    path.write_text(HEADER + "0,1,0.0,0.0,5.0,2.0,20.0,0.0,0\n\n\n1,1,1.0,0.0,5.0,2.0,20.0,0.0,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ts = read_tracks_csv(path, FPS, strict=strict)
+    assert list(ts.tracks[1]) == [0, 1]
 
 
 def test_round_trip_preserves_values_at_serialized_precision(tmp_path):
@@ -78,6 +91,8 @@ def test_malformed_row_strict_and_lenient(tmp_path):
         "1,1,1.0,0.0,5.0,nan,20.0,0.0,0",
         "1,1,1.0,0.0,5.0,2.0,inf,0.0,0",
         "1,1,1.0,-inf,5.0,2.0,20.0,0.0,0",
+        "1,1,1.0,0.0,5.0,2.0,20.0,0.0",  # 8 fields
+        "1,1,1.0,0.0,5.0,2.0,20.0,0.0,0,0",  # 10 fields
     ):
         path.write_text(
             ",".join(TRACKS_HEADER) + "\n"
@@ -145,8 +160,6 @@ def test_features_for_non_closing_pair(tmp_path):
 
 
 def test_features_match_direct_recomputation(tmp_path):
-    from cutinsim.metrics import compute_features
-
     p, _, path = make_fixture(tmp_path, v_e0=25.0, v_o0=20.0, d_x0=30.0)
     ts = read_tracks_csv(path, FPS)
     ev = extract_cut_in_events(ts)[0]
@@ -158,8 +171,11 @@ def test_features_match_direct_recomputation(tmp_path):
         if gap < 0:
             assert frame in flagged and math.isnan(ttc)
             continue
-        f = compute_features(gap, e.x_vel_mps, e.x_vel_mps - c.x_vel_mps)
-        assert dhw == f.dhw_m and thw == f.thw_s and ttc == f.ttc_s and ittc == f.ittc_per_s
+        closing = e.x_vel_mps - c.x_vel_mps
+        expected_ttc = gap / closing if closing > CLOSING_SPEED_FLOOR_MPS else math.inf
+        assert dhw == gap and ttc == expected_ttc
+        assert thw == (gap / e.x_vel_mps if e.x_vel_mps > CLOSING_SPEED_FLOOR_MPS else math.inf)
+        assert ittc == (1.0 / expected_ttc if expected_ttc > 0.0 else math.inf)
 
 
 def test_features_flag_overlap_frames(tmp_path):
@@ -187,6 +203,8 @@ def test_features_flag_overlap_frames(tmp_path):
     text = out.read_text().splitlines()
     assert text[0] == "frame,dhw,thw,ttc,ittc"
     assert "nan" in text[6]
+    with pytest.raises(InvalidInputError, match="event does not match the provided tracks"):
+        export_features(replace(ev, cut_track=3), ts)
 
 
 def test_ten_fixture_round_trips(tmp_path):
@@ -308,6 +326,9 @@ def test_zero_dimensions_are_malformed(tmp_path, length, width):
 def test_event_needs_two_common_frames_and_ends_at_the_transition(tmp_path):
     assert extract_cut_in_events(TrackSet(FPS, {})) == []
     assert extract_cut_in_events(read_rows(tmp_path, pair([(20.0, 0.0, 0)]))) == []
+    # a cutter that changes lane, sharing only the frame of the change with the ego
+    one_common = [r for r in pair(CUT_IN) if r.track_id == 2 or r.frame == 5]
+    assert extract_cut_in_events(read_rows(tmp_path, one_common)) == []
     (event,) = extract_cut_in_events(read_rows(tmp_path, pair([(20.0, 3.75, 1), (20.0, 0.0, 0)])))
     assert (event.start_frame, event.end_frame) == (0, 1)
     (event,) = extract_cut_in_events(read_rows(tmp_path, pair(CUT_IN)))
@@ -361,6 +382,9 @@ def test_lane_change_window_thresholds_at_1e_9(tmp_path):
     (event,) = extract_cut_in_events(read_rows(tmp_path, pair(arriving)))
     assert event.params.lc_start_s == pytest.approx(1 / FPS)
     assert event.params.lc_duration_s == pytest.approx(3 / FPS)
+    # the lane id changes while y never moves: no maneuver to time, one frame at 0
+    (event,) = extract_cut_in_events(read_rows(tmp_path, pair([(20.0, 0.0, 1)] * 5 + [(20.0, 0.0, 0)] * 5)))
+    assert (event.params.lc_start_s, event.params.lc_duration_s) == (0.0, 1 / FPS)
 
 
 @pytest.mark.parametrize("hole, lc_start_s, lc_duration_s", (

@@ -3,42 +3,61 @@ import math
 import numpy as np
 import pytest
 
+from cutinsim.engine import ScenarioParams
 from cutinsim.errors import InvalidInputError, UndefinedSensitivityError
+from cutinsim.ingest import CutInEvent, TrackRow, TrackSet, export_features
 from cutinsim.kinematics import ARRAYS
 from cutinsim.metrics import (
     CLOSING_SPEED_FLOOR_MPS,
-    compute_features,
     finite_difference_sensitivity,
     ttc,
     ttc_sensitivity,
     ttc_xp,
 )
 
+LENGTH_M = 5.0
+PAIR = CutInEvent(
+    ego_track=1, cut_track=2, start_frame=0, end_frame=0,
+    params=ScenarioParams("cut_in", 10.0, 10.0, 15.0, 3.75, 0.0, 0.2, 1.0, 0.04),
+)
+
+
+def features(gap_m, follower_vel_mps, rel_vel_mps):
+    """export_features' (dhw, thw, ttc, ittc) at the one frame of a follower
+    (track 1) at x = 0 and a leader (track 2) gap_m ahead, bumper to bumper.
+
+    rel_vel_mps is follower velocity minus leader velocity (positive = closing).
+    """
+    def row(track_id, x_m, x_vel_mps):
+        return {0: TrackRow(0, track_id, x_m, 0.0, 2.0, LENGTH_M, x_vel_mps, 0.0, 0)}
+
+    track_set = TrackSet(25.0, {1: row(1, 0.0, follower_vel_mps),
+                                2: row(2, gap_m + LENGTH_M, follower_vel_mps - rel_vel_mps)})
+    (row0,), flagged = export_features(PAIR, track_set)
+    assert flagged == []
+    return row0[1:]
+
 
 def test_direct_formula_case():
-    f = compute_features(40.0, 20.0, 10.0)
-    assert f.dhw_m == 40.0
-    assert f.thw_s == 2.0
-    assert f.ttc_s == 4.0
-    assert f.ittc_per_s == 0.25
+    assert features(40.0, 20.0, 10.0) == (40.0, 2.0, 4.0, 0.25)
 
 
 def test_non_closing_gives_infinite_ttc():
-    f = compute_features(50.0, 20.0, 0.0)
-    assert math.isinf(f.ttc_s)
-    assert f.ittc_per_s == 0.0
+    _, _, ttc_s, ittc = features(50.0, 20.0, 0.0)
+    assert math.isinf(ttc_s)
+    assert ittc == 0.0
 
 
 def test_opening_gap_sign_convention():
-    f = compute_features(50.0, 20.0, -5.0)
-    assert math.isinf(f.ttc_s)
-    assert f.ittc_per_s == 0.0
+    _, _, ttc_s, ittc = features(50.0, 20.0, -5.0)
+    assert math.isinf(ttc_s)
+    assert ittc == 0.0
 
 
 def test_stopped_follower_has_infinite_thw():
-    f = compute_features(50.0, 0.0, 5.0)
-    assert math.isinf(f.thw_s)
-    assert f.ttc_s == 10.0
+    _, thw, ttc_s, _ = features(50.0, 0.0, 5.0)
+    assert math.isinf(thw)
+    assert ttc_s == 10.0
 
 
 def test_ttc_convention():
@@ -61,14 +80,9 @@ def test_ttc_convention():
 
 
 def test_features_at_a_zero_gap_and_a_follower_at_the_floor():
-    f = compute_features(0.0, 20.0, 5.0)
-    assert (f.ttc_s, f.ittc_per_s) == (0.0, math.inf)
-    assert compute_features(50.0, CLOSING_SPEED_FLOOR_MPS, 0.0).thw_s == math.inf
-
-
-def test_negative_gap_rejected():
-    with pytest.raises(InvalidInputError):
-        compute_features(-0.1, 20.0, 5.0)
+    _, _, ttc_s, ittc = features(0.0, 20.0, 5.0)
+    assert (ttc_s, ittc) == (0.0, math.inf)
+    assert features(50.0, CLOSING_SPEED_FLOOR_MPS, 0.0)[1] == math.inf
 
 
 def test_ttc_times_closing_speed_recovers_dhw():
@@ -76,9 +90,9 @@ def test_ttc_times_closing_speed_recovers_dhw():
     for _ in range(500):
         gap = rng.uniform(0.1, 300.0)
         v_rel = rng.uniform(0.01, 50.0)
-        f = compute_features(gap, 20.0, v_rel)
-        assert abs(f.ttc_s * v_rel - f.dhw_m) <= 1e-12 * f.dhw_m
-        assert abs(f.ittc_per_s * f.ttc_s - 1.0) <= 1e-12
+        dhw, _, ttc_s, ittc = features(gap, 20.0, v_rel)
+        assert abs(ttc_s * v_rel - dhw) <= 1e-12 * dhw
+        assert abs(ittc * ttc_s - 1.0) <= 1e-12
 
 
 def test_sensitivity_analytic_forms():
@@ -139,3 +153,6 @@ def test_sensitivity_undefined_when_not_closing():
         finite_difference_sensitivity(50.0, 1e-5, 1e-4)
     with pytest.raises(InvalidInputError):
         finite_difference_sensitivity(50.0, 10.0, 0.0)
+    # a negative gap is overlap, not a TTC to differentiate
+    with pytest.raises(InvalidInputError, match="gap_long_m must be >= 0"):
+        ttc_sensitivity(-0.1, 10.0)

@@ -1,10 +1,24 @@
+import contextlib
+import io
+import json
 import math
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cutinsim.engine import SimResult, Trace
-from cutinsim.reports import FLOAT_FORMAT, TRACE_HEADER, fmt_float, write_trace_csv
+from cutinsim.cli import main
+from cutinsim.engine import SimResult, SweepItem, Trace
+from cutinsim.errors import ConfigError
+from cutinsim.reports import (
+    FLOAT_FORMAT,
+    TRACE_HEADER,
+    fmt_float,
+    read_comparison_store,
+    write_comparison_store,
+    write_plot_data,
+    write_trace_csv,
+)
 
 
 def spelled_out(value: float) -> str:
@@ -60,3 +74,68 @@ def test_trace_csv_bytes_of_a_hand_built_trace(tmp_path):
         b"0.05,1.25,0,24.825,35.5,1.875,10,29.25,-0.125,1.98333,0,3.5\n"
         b"0.1,2.49877,0,24.65,2,0.5,10,-5.49877,-1.5,0,0,0\n"
     )
+
+
+def item(index, min_ttc_s=None, classification="critical", error=None):
+    """An rba grid point: its outcome, or an error row when error is given."""
+    result = None
+    if error is None:
+        result = SimResult(None, False, 10.0, min_ttc_s, 0.0, classification, "rba")
+    return SweepItem("rba", index, (25.0, 20.0, 30.0, 3.75), result, error)
+
+
+ITEMS = [item(0, 1.0), item(1, error="InvalidInputError: overflow"),
+         item(2, 3.0, "non_critical"), item(3, math.inf, "non_critical")]
+
+
+def store(tmp_path, items=ITEMS):
+    out = tmp_path / "store"
+    write_comparison_store(str(out), items, {"risk": {"ttc_crit_s": 2.0}}, "hash", 0)
+    return out
+
+
+def _without(key):
+    def corrupt(out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest[key]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+    return corrupt
+
+
+def _rba_header(out):
+    path = out / "results_rba.csv"
+    path.write_text(path.read_text().replace("min_ttc", "min_ttc_s", 1))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_without("config_hash"), "missing 'config_hash'"),
+    (_without("files"), "missing 'files'"),
+    (_without("models"), "missing 'models'"),
+    (_rba_header, "unexpected results header in results_rba.csv"),
+], ids=["no-config-hash", "no-files", "no-models", "results-header"])
+def test_a_malformed_store_is_a_config_error(tmp_path, corrupt, message):
+    out = store(tmp_path)
+    corrupt(out)
+    with pytest.raises(ConfigError, match=message) as exc:
+        read_comparison_store(str(out))
+    assert exc.value.key == "results"
+
+
+def test_post_process_summarizes_a_store_with_error_rows(tmp_path):
+    out = store(tmp_path)
+    _, records = read_comparison_store(str(out))
+    assert [r.min_ttc_s for r in records["rba"]] == [1.0, 3.0, math.inf]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["post-process", "--results", str(out)]) == 0
+    (row,) = json.loads((out / "summary.json").read_text())["models"]
+    # the error row is in no count: 2 finite samples, 1 infinite, 1 critical of 3 runs
+    assert (row["n"], row["n_excluded"], row["mean_ttc"]) == (2, 1, 2.0)
+    assert row["critical_fraction"] == pytest.approx(1 / 3)
+
+
+def test_plot_data_when_every_pooled_sample_is_equal(tmp_path):
+    # the histogram range widens to 1 around the common value
+    assert write_plot_data(str(tmp_path), {"rba": [2.0, 2.0, math.inf]}, []) == ["hist_rba.csv"]
+    rows = [line.split(",") for line in (tmp_path / "hist_rba.csv").read_text().splitlines()[1:]]
+    assert (len(rows), rows[0][0], rows[-1][1]) == (30, "1.5", "2.5")
+    assert [int(r[2]) for r in rows] == [0] * 15 + [2] + [0] * 14

@@ -404,6 +404,7 @@ PARAMETER_CHECKS = [
     (RbaParams, "ttc_safe_s", 0.0, "ttc_safe_s must be positive"),
     (RbaParams, "safety_buffer_m", -10.0, r"d_safe_m \+ safety_buffer_m must be positive"),
     (RbaParams, "v_min_mps", 0.0, None),
+    (RbaParams, "v_min_mps", -0.1, "v_min_mps must be >= 0"),
     (RssParams, "response_time_s", 0.0, "response_time_s must be positive"),
     (RssParams, "ego_brake_min_mps2", 0.0, "braking levels must be positive"),
     (RssParams, "other_brake_max_mps2", 0.0, "braking levels must be positive"),

@@ -71,31 +71,39 @@ def test_lines_are_written_as_they_are_in_utf8(tmp_path):
     assert path.read_bytes() == "a,é\r\nb\n".encode("utf-8")
 
 
+PRIOR_SWEEPS = (
+    # a larger grid over the same models: some files shrink, some grow, and
+    # none may keep an old tail
+    ({"v_e0": [20.0, 25.0, 30.0, 35.0], "v_o0": [10.0, 15.0, 20.0],
+      "d_x0": [15.0, 20.0, 40.0, 60.0], "d_y0": [3.75, 3.5]}, 96),
+    # a grid where none never collides, so density_none.csv is written; the
+    # golden run marks none unavailable and must not leave that file behind
+    ({"v_e0": [22.0, 25.0], "v_o0": [20.0], "d_x0": [90.0, 100.0], "d_y0": [3.75]}, 4),
+)
+
+
 def test_a_rerun_into_an_occupied_out_dir_matches_the_golden_tree(tmp_path):
-    # first a larger grid over the same models, then the golden config into the
-    # same directory: some files shrink, some grow, and none may keep an old tail
+    # first another grid over the same models, then the golden config into
+    # the same directory
     config = os.path.join(CONFIGS, "comparison.json")
     with open(config) as fh:
-        larger = json.load(fh)
-    larger["sweep"] = {
-        "v_e0": [20.0, 25.0, 30.0, 35.0], "v_o0": [10.0, 15.0, 20.0],
-        "d_x0": [15.0, 20.0, 40.0, 60.0], "d_y0": [3.75, 3.5],
-    }
-    larger_config = tmp_path / "larger.json"
-    larger_config.write_text(json.dumps(larger))
-    out = tmp_path / "out"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["comparison", "--config", str(larger_config), "--out", str(out)]) == 0
-        assert main(["post-process", "--results", str(out)]) == 0
-        assert len((out / "results_rba.csv").read_text().splitlines()) == 1 + 96
-        assert main(["comparison", "--config", config, "--out", str(out)]) == 0
-        assert main(["post-process", "--results", str(out)]) == 0
-    assert len((out / "results_rba.csv").read_text().splitlines()) == 1 + 27
-    expected = sorted(os.listdir(GOLDEN))
-    assert sorted(os.listdir(out)) == expected
-    for name in expected:
-        with open(os.path.join(GOLDEN, name), "rb") as fh:
-            assert (out / name).read_bytes() == fh.read(), name
+        golden_config = json.load(fh)
+    for case, (sweep, n_points) in enumerate(PRIOR_SWEEPS):
+        prior_config = tmp_path / f"prior{case}.json"
+        prior_config.write_text(json.dumps({**golden_config, "sweep": sweep}))
+        out = tmp_path / f"out{case}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["comparison", "--config", str(prior_config), "--out", str(out)]) == 0
+            assert main(["post-process", "--results", str(out)]) == 0
+            assert len((out / "results_rba.csv").read_text().splitlines()) == 1 + n_points
+            assert main(["comparison", "--config", config, "--out", str(out)]) == 0
+            assert main(["post-process", "--results", str(out)]) == 0
+        assert len((out / "results_rba.csv").read_text().splitlines()) == 1 + 27
+        expected = sorted(os.listdir(GOLDEN))
+        assert sorted(os.listdir(out)) == expected, case
+        for name in expected:
+            with open(os.path.join(GOLDEN, name), "rb") as fh:
+                assert (out / name).read_bytes() == fh.read(), (case, name)
 
 
 # --- no other writer may truncate ------------------------------------------

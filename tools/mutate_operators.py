@@ -32,7 +32,7 @@ FLIPS = {
 TESTS = ("tests/test_kinematics.py", "tests/test_metrics.py", "tests/test_risk.py",
          "tests/test_safety_models.py", "tests/test_engine.py", "tests/test_reports.py",
          "tests/test_cli.py", "tests/test_cli_one_process.py", "tests/test_ingest.py",
-         "tests/test_write_lines.py", "tests/test_golden.py")
+         "tests/test_write_lines.py", "tests/test_golden.py", "tests/test_golden_ingest.py")
 COPIED = ("src", "tests", "configs")
 TIMEOUT_S = 600.0  # a mutant's test run that takes longer counts as killed
 

@@ -6,7 +6,8 @@
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 collision detected
 (one-case only, as a scriptable signal). Underscore spellings of the
-subcommands are accepted as aliases.
+subcommands are accepted as aliases. Every sweep runs in this process:
+comparison accepts any --jobs N of at least 1 and writes the same bytes.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def cmd_one_case(args: argparse.Namespace) -> int:
 
 
 def cmd_comparison(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {args.jobs}", key="jobs")
     cfg = _load(args.config)
     if cfg.sweep is None:
         raise ConfigError("comparison mode needs a 'sweep' section", key="sweep")
@@ -71,14 +74,7 @@ def cmd_comparison(args: argparse.Namespace) -> int:
     cfg_hash = config_mod.config_hash(resolved)
     out_dir = _out_dir(cfg, args.out)
 
-    items = engine.sweep(
-        cfg.sweep,
-        cfg.models,
-        cfg.scenario,
-        cfg.model_params,
-        cfg.classify,
-        jobs=args.jobs,
-    )
+    items = engine.sweep(cfg.sweep, cfg.models, cfg.scenario, cfg.model_params, cfg.classify)
     reports.write_comparison_store(out_dir, items, resolved, cfg_hash, cfg.seed)
     n_errors = sum(1 for item in items if item.error is not None)
     print(f"wrote {len(cfg.models)} results files to {out_dir} (config {cfg_hash})")
@@ -136,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument("--config", required=True, help="JSON run configuration")
     p_cmp.add_argument("--out", help="output directory (default out/<config-hash>)")
-    p_cmp.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1 (capped at the CPU count)")
+    p_cmp.add_argument("--jobs", type=int, default=1, help="at least 1; every sweep runs in this process")
     p_cmp.set_defaults(func=cmd_comparison)
 
     p_post = sub.add_parser(

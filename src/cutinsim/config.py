@@ -11,16 +11,7 @@ from typing import Any, Mapping
 from .engine import ClassifyThresholds, ScenarioParams, SweepGrid, check_finite, check_models
 from .errors import ConfigError
 from .kinematics import VehicleDims
-from .safety_models import (
-    CcHumanParams,
-    FsmParams,
-    IdmParams,
-    MODEL_NAMES,
-    ModelParams,
-    RbaParams,
-    Reg157Params,
-    RssParams,
-)
+from .safety_models import MODEL_NAMES, ModelParams, RbaParams
 
 SCHEMA_VERSION = 1
 
@@ -35,6 +26,12 @@ _SCENARIO_KEYS = {
     "duration_s": "duration_s",
     "dt_s": "dt_s",
     "other_speed_profile": "other_speed_profile",
+}
+
+# model_params.<name> for every ModelParams record but rba's, which sits
+# under the top-level "rba" key
+_MODEL_SECTIONS = {
+    f.name: type(f.default) for f in dataclasses.fields(ModelParams) if f.name != "rba"
 }
 
 _SWEEP_KEYS = {"v_e0": "v_e0_mps", "v_o0": "v_o0_mps", "d_x0": "d_x0_m", "d_y0": "d_y0_m"}
@@ -130,24 +127,17 @@ def _parse_scenario(data: Any, dims: Any) -> ScenarioParams:
 
 
 def _parse_model_params(data: Any, rba_overrides: Any) -> ModelParams:
-    sections = {
-        "rss": RssParams,
-        "reg157": Reg157Params,
-        "cc_human": CcHumanParams,
-        "fsm": FsmParams,
-        "idm": IdmParams,
-    }
     kwargs: dict[str, Any] = {}
     for name, value in _section(data, "model_params").items():
         if name == "rba":
             raise ConfigError(
                 "rba overrides belong under the top-level 'rba' key", key="model_params.rba"
             )
-        if name not in sections:
+        if name not in _MODEL_SECTIONS:
             raise ConfigError(
                 f"unknown key model_params.{name!r}", key=f"model_params.{name}"
             )
-        kwargs[name] = _build_dataclass(sections[name], value, f"model_params.{name}")
+        kwargs[name] = _build_dataclass(_MODEL_SECTIONS[name], value, f"model_params.{name}")
     kwargs["rba"] = _build_dataclass(RbaParams, rba_overrides, "rba")
     return ModelParams(**kwargs)
 
@@ -253,7 +243,7 @@ def resolved_dict(config: RunConfig) -> dict[str, Any]:
         "rba": dataclasses.asdict(config.model_params.rba),
         "model_params": {
             name: dataclasses.asdict(getattr(config.model_params, name))
-            for name in ("rss", "reg157", "cc_human", "fsm", "idm")
+            for name in _MODEL_SECTIONS
         },
         "classify": dataclasses.asdict(config.classify),
         "risk": {"ttc_crit_s": config.ttc_crit_s},

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
@@ -478,20 +475,15 @@ def sweep(
     base: ScenarioParams,
     params: ModelParams = ModelParams(),
     thresholds: ClassifyThresholds = ClassifyThresholds(),
-    jobs: int = 1,
 ) -> list[SweepItem]:
     """Simulate the full grid for every model (each named once), all runs
-    stepped together.
+    stepped together in this process.
 
     Each item's result equals run_closed_loop's summary (its trace is None),
     and a grid point whose scenario or run raises is an error row. Results
-    come back ordered by (model, grid index). The runs split into at most
-    min(jobs, CPU count, number of runs) contiguous chunks, one per worker
-    process; with one, they run in this process.
+    come back ordered by (model, grid index).
     """
     check_models(models)  # _run_lanes slices its lanes by model
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}", key="jobs")
     points = grid.points()
     invalid = {}
     for index, (v_e0, v_o0, d_x0, d_y0) in enumerate(points):
@@ -505,15 +497,7 @@ def sweep(
         for index, point in enumerate(points)
         if index not in invalid
     ]
-    run = functools.partial(_run_lanes, base=base, params=params, thresholds=thresholds)
-    workers = min(jobs, os.cpu_count() or 1, len(lanes))
-    if workers > 1:
-        chunks = [lanes[k * len(lanes) // workers:(k + 1) * len(lanes) // workers]
-                  for k in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = iter([item for chunk in pool.map(run, chunks) for item in chunk])
-    else:
-        done = iter(run(lanes))
+    done = iter(_run_lanes(lanes, base, params, thresholds))
     return [
         SweepItem(model_name, index, point, None, error=invalid[index])
         if index in invalid else next(done)

@@ -29,6 +29,7 @@ import numpy as np
 from .engine import SimResult, SweepItem
 from .errors import ConfigError
 from .risk import ModelSummary
+from .safety_models import MODEL_NAMES
 
 TRACE_HEADER = "t,ego_x,ego_y,ego_v,cut_x,cut_y,cut_v,gap_long,gap_lat,ttc,safe,decel_cmd"
 RESULTS_HEADER = "index,v_e0,v_o0,d_x0,d_y0,collided,min_ttc,min_gap,peak_decel,classification,error"
@@ -133,7 +134,9 @@ def write_comparison_store(
     cfg_hash: str,
     seed: int,
 ) -> None:
-    """One results CSV per model plus a manifest describing the run."""
+    """One results CSV per model plus a manifest describing the run. The
+    results CSV of a registered model that this run does not write, left by
+    an earlier run, is removed."""
     os.makedirs(out_dir, exist_ok=True)
     by_model: dict[str, list[SweepItem]] = {}
     for item in items:
@@ -143,6 +146,10 @@ def write_comparison_store(
         name = results_filename(model)
         files[model] = name
         write_lines(os.path.join(out_dir, name), [RESULTS_HEADER + "\n"], _result_rows(model_items))
+    for model in MODEL_NAMES:
+        if model not in files:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, results_filename(model)))
     manifest = {
         "schema_version": 1,
         "config_hash": cfg_hash,
@@ -264,9 +271,9 @@ def write_plot_data(
 
     Histograms share 30 uniform bins over the pooled finite range; the fitted
     curve samples each model's Gaussian at 200 uniform points across +/- 5
-    sigma. A hist_<model>.csv or density_<model>.csv of a model in
-    samples_by_model that this call does not write, left by an earlier run, is
-    removed. Returns the filenames written.
+    sigma. A hist_<model>.csv or density_<model>.csv of a registered model
+    that this call does not write, left by an earlier run, is removed.
+    Returns the filenames written.
     """
     written: list[str] = []
     finite_by_model = {
@@ -301,7 +308,7 @@ def write_plot_data(
         rows = zip(xs.tolist(), densities.tolist())
         write_lines(os.path.join(out_dir, name), ["x,density\n"], (DENSITY_ROW % row for row in rows))
         written.append(name)
-    for model in samples_by_model:
+    for model in MODEL_NAMES:
         for name in (f"hist_{model}.csv", f"density_{model}.csv"):
             if name not in written:
                 with contextlib.suppress(FileNotFoundError):

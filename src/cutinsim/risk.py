@@ -122,12 +122,6 @@ def erfc(x: float) -> float:
     return result
 
 
-def erf(x: float) -> float:
-    if abs(x) <= _THRESH:
-        return _erf_small(x)
-    return 1.0 - erfc(x)
-
-
 def normal_cdf(z: float) -> float:
     """Standard normal CDF via erfc; monotone, 0 at -inf, 1 at +inf."""
     return 0.5 * erfc(-z * math.sqrt(0.5))

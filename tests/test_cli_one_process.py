@@ -1,8 +1,10 @@
 """Every command in one process, as a caller that runs many cases does: the
-argument parser is built once and reused."""
+argument parser is built once and reused, and a sweep starts no other
+process."""
 
 import contextlib
 import io
+import multiprocessing.process
 import os
 from pathlib import Path
 
@@ -49,3 +51,26 @@ def test_an_os_error_exits_1_without_a_traceback(tmp_path):
                      "--out", str(out)]) == EXIT_CONFIG
     err = stderr.getvalue()
     assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
+
+class ProcessStarted(Exception):
+    pass
+
+
+def test_a_sweep_starts_no_process(tmp_path, monkeypatch):
+    # every start method (fork, spawn, forkserver) goes through BaseProcess.start;
+    # four CPUs would let two jobs run on two workers if sweeps still had a pool
+    def start(self):
+        raise ProcessStarted(f"{type(self).__name__} started")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    out = tmp_path / "cmp"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["comparison", "--config", os.path.join(CONFIGS, "comparison.json"),
+                     "--out", str(out), "--jobs", "2"]) == EXIT_OK
+    golden = Path(os.path.dirname(__file__), "golden", "comparison")
+    names = sorted(p.name for p in golden.glob("results_*.csv")) + ["manifest.json"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    for name in names:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name

@@ -5,7 +5,6 @@ import pytest
 
 from cutinsim.errors import DegenerateDistributionError, InsufficientDataError
 from cutinsim.risk import (
-    erf,
     erfc,
     fit_gaussian,
     normal_cdf,
@@ -93,7 +92,6 @@ def test_normal_cdf_against_series_and_platform_libm():
     for z in np.linspace(-8.0, 8.0, 161):
         assert abs(normal_cdf(z) - 0.5 * math.erfc(-z * math.sqrt(0.5))) < 1e-13
     for x in np.linspace(-6.0, 6.0, 121):
-        assert abs(erf(x) - math.erf(x)) < 1e-14
         if math.erfc(x) > 0:
             assert abs(erfc(x) - math.erfc(x)) <= 1e-13 * max(math.erfc(x), 1e-300)
 

@@ -106,6 +106,29 @@ def test_a_rerun_into_an_occupied_out_dir_matches_the_golden_tree(tmp_path):
                 assert (out / name).read_bytes() == fh.read(), (case, name)
 
 
+def test_a_model_dropped_from_the_config_leaves_no_files(tmp_path):
+    # the golden config, then the same config without fsm into the same
+    # directory: the tree equals a fresh run of the six-model config
+    config = os.path.join(CONFIGS, "comparison.json")
+    with open(config) as fh:
+        six = json.load(fh)
+    six["models"].remove("fsm")
+    six_config = tmp_path / "six.json"
+    six_config.write_text(json.dumps(six))
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["comparison", "--config", config, "--out", str(reused)]) == 0
+        assert main(["post-process", "--results", str(reused)]) == 0
+        for out in (reused, fresh):
+            assert main(["comparison", "--config", str(six_config), "--out", str(out)]) == 0
+            assert main(["post-process", "--results", str(out)]) == 0
+    names = sorted(os.listdir(fresh))
+    assert not [name for name in names if "fsm" in name]
+    assert sorted(os.listdir(reused)) == names
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 # --- no other writer may truncate ------------------------------------------
 
 HELPER = ("reports.py", "write_lines")

@@ -4,7 +4,8 @@ Each comparison operator in the file is flipped once to its boundary twin
 (< and <=, > and >=, == and !=). For every such mutant a copy of the
 repository's src/, tests/ and configs/ is made under a temporary directory,
 the mutant replaces the file there, and the kinematics, metrics, risk,
-model, engine, report, CLI, ingest, writer and golden tests run against it.
+model, engine, config, report, CLI, ingest, writer and golden tests run
+against it.
 A mutant the tests still pass is a survivor: a decision boundary no test pins.
 
     python tools/mutate_operators.py src/cutinsim/safety_models.py
@@ -30,9 +31,10 @@ FLIPS = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
 }
 TESTS = ("tests/test_kinematics.py", "tests/test_metrics.py", "tests/test_risk.py",
-         "tests/test_safety_models.py", "tests/test_engine.py", "tests/test_reports.py",
-         "tests/test_cli.py", "tests/test_cli_one_process.py", "tests/test_ingest.py",
-         "tests/test_write_lines.py", "tests/test_golden.py", "tests/test_golden_ingest.py")
+         "tests/test_safety_models.py", "tests/test_engine.py", "tests/test_config.py",
+         "tests/test_reports.py", "tests/test_cli.py", "tests/test_cli_one_process.py",
+         "tests/test_ingest.py", "tests/test_write_lines.py", "tests/test_golden.py",
+         "tests/test_golden_ingest.py")
 COPIED = ("src", "tests", "configs")
 TIMEOUT_S = 600.0  # a mutant's test run that takes longer counts as killed
 

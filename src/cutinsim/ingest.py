@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import metrics
@@ -72,6 +73,8 @@ def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet
     if not (math.isfinite(frame_rate_hz) and frame_rate_hz > 0.0):
         raise InvalidInputError(f"frame_rate_hz must be finite and > 0, got {frame_rate_hz!r}")
     by_track: dict[int, list[TrackRow]] = {}
+    n_fields = len(TRACKS_HEADER)
+    isfinite = math.isfinite
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -87,30 +90,34 @@ def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet
             if not fields:
                 continue
             try:
-                if len(fields) != len(TRACKS_HEADER):
-                    raise ValueError(f"expected {len(TRACKS_HEADER)} fields, got {len(fields)}")
-                row = TrackRow(
-                    frame=int(fields[0]),
-                    track_id=int(fields[1]),
-                    x_m=float(fields[2]),
-                    y_m=float(fields[3]),
-                    length_m=float(fields[4]),
-                    width_m=float(fields[5]),
-                    x_vel_mps=float(fields[6]),
-                    y_vel_mps=float(fields[7]),
-                    lane_id=int(fields[8]),
-                )
-                if not all(map(math.isfinite, (row.x_m, row.y_m, row.length_m, row.width_m,
-                                               row.x_vel_mps, row.y_vel_mps))):
+                if len(fields) != n_fields:
+                    raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
+                # csv "width" is the length, "height" the width (see the module docstring)
+                frame, track_id, x, y, length, width, x_vel, y_vel, lane_id = fields
+                frame = int(frame)
+                track_id = int(track_id)
+                x = float(x)
+                y = float(y)
+                length = float(length)
+                width = float(width)
+                x_vel = float(x_vel)
+                y_vel = float(y_vel)
+                lane_id = int(lane_id)
+                # one sum screens all six values; only a non-finite one (or an
+                # overflowing sum) pays for the per-value check
+                if not isfinite(x + y + length + width + x_vel + y_vel) and not all(
+                    map(isfinite, (x, y, length, width, x_vel, y_vel))
+                ):
                     raise ValueError("non-finite position, size or velocity")
-                if row.width_m <= 0.0 or row.length_m <= 0.0:
+                if width <= 0.0 or length <= 0.0:
                     raise ValueError("vehicle dimensions must be positive")
             except ValueError as exc:
                 if strict:
                     raise ParseError(str(exc), line_no) from exc
                 warnings.warn(f"skipping malformed row at line {line_no}: {exc}")
                 continue
-            by_track.setdefault(row.track_id, []).append(row)
+            row = TrackRow(frame, track_id, x, y, width, length, x_vel, y_vel, lane_id)
+            by_track.setdefault(track_id, []).append(row)
     tracks: dict[int, dict[int, TrackRow]] = {}
     for track_id, rows in by_track.items():
         frames = [r.frame for r in rows]
@@ -169,17 +176,36 @@ def trace_to_track_rows(trace, ego_dims, other_dims):
 def _estimate_lane_change_window(
     cut: dict[int, TrackRow], frames: list[int], dt_s: float
 ) -> tuple[float, float]:
-    """Start time and duration of the cutter's lateral maneuver, best effort."""
+    """Start time and duration of the cutter's lateral maneuver, best effort.
+
+    The maneuver starts at the first frame more than 1e-9 from the first
+    frame's y and ends at the first such frame within 1e-9 of the last
+    frame's y (the last frame when there is none).
+    """
     y0 = cut[frames[0]].y_m
     y_end = cut[frames[-1]].y_m
-    moving = [f for f in frames if abs(cut[f].y_m - y0) > 1e-9]
-    if not moving:
+    moving = settled = None
+    for f in frames:
+        y = cut[f].y_m
+        if abs(y - y0) > 1e-9:
+            if moving is None:
+                moving = f
+            if abs(y - y_end) <= 1e-9:
+                settled = f
+                break
+    if moving is None:
         return 0.0, dt_s
-    start = (moving[0] - frames[0] - 1) * dt_s
-    settled = [f for f in moving if abs(cut[f].y_m - y_end) <= 1e-9]
-    end_frame = settled[0] if settled else frames[-1]
-    duration = max((end_frame - moving[0] + 1) * dt_s, dt_s)
+    start = (moving - frames[0] - 1) * dt_s
+    end_frame = frames[-1] if settled is None else settled
+    duration = max((end_frame - moving + 1) * dt_s, dt_s)
     return max(start, 0.0), duration
+
+
+def _lane_changes(rows: dict[int, TrackRow]) -> list[int]:
+    """The frames at which a track's lane id differs from its previous row's."""
+    frames = list(rows)
+    lanes = [r.lane_id for r in rows.values()]
+    return [f for f, a, b in zip(frames[1:], lanes, lanes[1:]) if b != a]
 
 
 def _travel_sign(ego: dict[int, TrackRow], frames: list[int]) -> float:
@@ -196,33 +222,50 @@ def extract_cut_in_events(
 
     An event is emitted at the first frame where the cut track's lane id
     becomes the ego track's lane id while it is ahead of the ego within
-    min_gap_m (bumper to bumper). "Ahead" and both speeds are measured along
+    min_gap_m (bumper to bumper; inf for no gate, and NaN or a negative value
+    is an InvalidInputError). "Ahead" and both speeds are measured along
     the ego's direction of travel (see _travel_sign), so a pair driving in -x
     gives the event its mirror image in +x gives. Scenario parameters,
     footprints included, are reconstructed from the rows at the pair's first
     common frame, which for recorded data is the closest observable stand-in
-    for the scenario start.
+    for the scenario start. Each track's {frame: row} dict must be in frame
+    order, as TrackSet holds it: lane changes are read row after row.
     """
+    if not min_gap_m >= 0.0:
+        raise InvalidInputError(f"min_gap_m must be >= 0 (inf for no gate), got {min_gap_m!r}")
     dt_s = 1.0 / track_set.frame_rate_hz
     tracks = track_set.tracks
     events: list[CutInEvent] = []
     ids = sorted(tracks)
-    # a track that keeps one lane id never makes a lane transition
-    cut_ids = [i for i in ids if len({r.lane_id for r in tracks[i].values()}) > 1]
+    # a track that keeps one lane id is never tried as the cutter
+    changes = {i: c for i in ids if (c := _lane_changes(tracks[i]))}
     for ego_id in ids:
         ego_rows = tracks[ego_id]
-        for cut_id in cut_ids:
+        if not ego_rows:
+            continue  # an empty track shares no frame
+        ego_first, ego_last = next(iter(ego_rows)), next(reversed(ego_rows))
+        for cut_id, cut_changes in changes.items():
             if ego_id == cut_id:
+                continue
+            # a lane transition at a common frame f needs a change c with
+            # previous common frame < c <= f, so ego_first < c <= ego_last
+            tried = [c for c in cut_changes if ego_first < c <= ego_last]
+            if not tried:
                 continue
             cut_rows = tracks[cut_id]
             common = sorted(ego_rows.keys() & cut_rows.keys())
             sign = _travel_sign(ego_rows, common)
             transition = None
-            for prev_f, f in zip(common, common[1:]):
+            for c in tried:
+                # the first common frame at or after the change, and the one before it
+                k = bisect_left(common, c)
+                if not 0 < k < len(common):
+                    continue
+                f = common[k]
                 ego_row = ego_rows[f]
                 cut_row = cut_rows[f]
-                if cut_row.lane_id == cut_rows[prev_f].lane_id:
-                    continue
+                if cut_row.lane_id == cut_rows[common[k - 1]].lane_id:
+                    continue  # changed back before f: an A -> B -> A flip between common frames
                 if cut_row.lane_id != ego_row.lane_id:
                     continue
                 if sign * cut_row.x_m <= sign * ego_row.x_m:

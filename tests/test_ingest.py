@@ -3,12 +3,15 @@ import warnings
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutinsim import ingest
 from cutinsim.engine import ScenarioParams, run_closed_loop
-from cutinsim.errors import InvalidInputError, ParseError, SchemaError
+from cutinsim.errors import CutinSimError, InvalidInputError, ParseError, SchemaError
 from cutinsim.ingest import (
     TRACKS_HEADER,
+    CutInEvent,
     TrackRow,
     TrackSet,
     extract_cut_in_events,
@@ -18,7 +21,7 @@ from cutinsim.ingest import (
     write_features_csv,
     write_tracks_csv,
 )
-from cutinsim.kinematics import VehicleDims
+from cutinsim.kinematics import VehicleDims, axis_gap
 from cutinsim.metrics import CLOSING_SPEED_FLOOR_MPS
 
 DIMS = VehicleDims(width_m=2.0, length_m=5.0)
@@ -83,27 +86,46 @@ def test_missing_column_is_a_schema_error(tmp_path):
         read_tracks_csv(path, FPS)
 
 
+NON_FINITE = "non-finite position, size or velocity"
+# (row at line 3, the reader's message for it; None for a row that reads fine)
+MALFORMED_ROWS = (
+    ("1,1,not_a_number,0.0,5.0,2.0,20.0,0.0,0", "could not convert string to float: 'not_a_number'"),
+    ("1,1,nan,0.0,5.0,2.0,20.0,0.0,0", NON_FINITE),
+    ("1,1,1.0,0.0,5.0,nan,20.0,0.0,0", NON_FINITE),
+    ("1,1,1.0,0.0,5.0,2.0,inf,0.0,0", NON_FINITE),
+    ("1,1,1.0,-inf,5.0,2.0,20.0,0.0,0", NON_FINITE),
+    ("1,1,1e308,0.0,5.0,2.0,1e308,0.0,0", None),  # the sum overflows, every value is finite
+    ("1,1,1.0,0.0,5.0,2.0,20.0,0.0", "expected 9 fields, got 8"),
+    ("1,1,1.0,0.0,5.0,2.0,20.0,0.0,0,0", "expected 9 fields, got 10"),
+    # bad in two columns: the first in column order is reported
+    ("f1,1,bad_x,0.0,5.0,2.0,20.0,0.0,0", "invalid literal for int() with base 10: 'f1'"),
+    ("1,1,bad_x,0.0,5.0,2.0,20.0,0.0,0.5", "could not convert string to float: 'bad_x'"),
+    # every conversion comes before the finite check, and that before the dimensions
+    ("1,1,nan,0.0,5.0,2.0,20.0,0.0,0.5", "invalid literal for int() with base 10: '0.5'"),
+    ("1,1,nan,0.0,0.0,2.0,20.0,0.0,0", NON_FINITE),
+    ("1,1,1.0,0.0,-5.0,2.0,20.0,0.0,0", "vehicle dimensions must be positive"),
+)
+
+
 def test_malformed_row_strict_and_lenient(tmp_path):
     path = tmp_path / "rows.csv"
-    for bad_row in (
-        "1,1,not_a_number,0.0,5.0,2.0,20.0,0.0,0",
-        "1,1,nan,0.0,5.0,2.0,20.0,0.0,0",
-        "1,1,1.0,0.0,5.0,nan,20.0,0.0,0",
-        "1,1,1.0,0.0,5.0,2.0,inf,0.0,0",
-        "1,1,1.0,-inf,5.0,2.0,20.0,0.0,0",
-        "1,1,1.0,0.0,5.0,2.0,20.0,0.0",  # 8 fields
-        "1,1,1.0,0.0,5.0,2.0,20.0,0.0,0,0",  # 10 fields
-    ):
+    for bad_row, message in MALFORMED_ROWS:
         path.write_text(
             ",".join(TRACKS_HEADER) + "\n"
             "0,1,0.0,0.0,5.0,2.0,20.0,0.0,0\n"
             + bad_row + "\n"
             "2,1,2.0,0.0,5.0,2.0,20.0,0.0,0\n"
         )
-        with pytest.raises(ParseError, match="line 3"):
+        if message is None:
+            assert list(read_tracks_csv(path, FPS).tracks[1]) == [0, 1, 2]
+            continue
+        with pytest.raises(ParseError) as excinfo:
             read_tracks_csv(path, FPS, strict=True)
-        with pytest.warns(UserWarning, match="line 3"):
+        assert (str(excinfo.value), excinfo.value.line_no) == (f"line 3: {message}", 3), bad_row
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             ts = read_tracks_csv(path, FPS, strict=False)
+        assert [str(w.message) for w in caught] == [f"skipping malformed row at line 3: {message}"]
         assert [r.frame for r in ts.tracks[1].values()] == [0, 2]
 
 
@@ -187,8 +209,6 @@ def test_features_flag_overlap_frames(tmp_path):
     path = tmp_path / "overlap.csv"
     write_tracks_csv(path, rows)
     ts = read_tracks_csv(path, FPS)
-    from cutinsim.ingest import CutInEvent
-
     ev = CutInEvent(
         ego_track=1, cut_track=2, start_frame=0, end_frame=9,
         params=ScenarioParams("cut_in", 10.0, 10.0, 15.0, 3.75, 0.0, 0.2, 1.0, 0.04),
@@ -368,6 +388,13 @@ def test_gap_gate_includes_its_bound(tmp_path):
     ts = read_rows(tmp_path, pair(CUT_IN))  # 15 m bumper to bumper at the transition
     assert len(extract_cut_in_events(ts, min_gap_m=15.0)) == 1
     assert extract_cut_in_events(ts, min_gap_m=14.999) == []
+    far = read_rows(tmp_path, pair([(1e6, y, lane) for _, y, lane in CUT_IN]))
+    assert extract_cut_in_events(far) == []
+    assert len(extract_cut_in_events(far, min_gap_m=math.inf)) == 1  # no gate
+    # 15 m ahead at the first frame, touching (5 m centre to centre) at the transition
+    touching = read_rows(tmp_path, pair([(20.0, 3.75, 1)] + [(5.0, 3.75, 1)] * 4 + [(5.0, 0.0, 0)] * 5))
+    for min_gap_m in (0.0, -0.0):
+        assert [e.end_frame for e in extract_cut_in_events(touching, min_gap_m=min_gap_m)] == [5]
 
 
 def test_lane_change_window_thresholds_at_1e_9(tmp_path):
@@ -431,3 +458,137 @@ def test_an_ego_at_a_standstill_at_the_first_frame_travels_in_plus_x(tmp_path):
     rows[0] = replace(rows[0], x_vel_mps=0.0)  # the ego's row at frame 0
     (event,) = extract_cut_in_events(read_rows(tmp_path, rows))
     assert (event.params.v_e0_mps, event.params.v_o0_mps) == (0.0, 15.0)
+
+
+@pytest.mark.parametrize("min_gap_m", (math.nan, -1.0, -math.inf))
+def test_min_gap_must_be_a_non_negative_number(tmp_path, min_gap_m):
+    ts = read_rows(tmp_path, pair(CUT_IN))
+    with pytest.raises(InvalidInputError, match=r"min_gap_m must be >= 0 \(inf for no gate\)"):
+        extract_cut_in_events(ts, min_gap_m=min_gap_m)
+
+
+def two_tracks(ego_frames, cut_lanes):
+    """Ego track 1 at x = 0 in lane 0 on ego_frames, and cutter track 2 at
+    x = 20 (15 m ahead bumper to bumper) with lane ids {frame: lane id}."""
+    return TrackSet(FPS, {
+        1: {f: TrackRow(f, 1, 0.0, 0.0, 2.0, 5.0, 20.0, 0.0, 0) for f in ego_frames},
+        2: {f: TrackRow(f, 2, 20.0, 3.75 * lane, 2.0, 5.0, 15.0, 0.0, lane)
+            for f, lane in sorted(cut_lanes.items())},
+    })
+
+
+INTO_LANE_0_AT_5 = {f: 1 if f < 5 else 0 for f in range(10)}
+
+
+@pytest.mark.parametrize("ego_frames, cut_lanes, frames", (
+    (range(10), INTO_LANE_0_AT_5, (0, 5)),
+    (range(6), INTO_LANE_0_AT_5, (0, 5)),  # the change at the ego's last frame
+    (range(5), INTO_LANE_0_AT_5, None),  # the change after it
+    (range(4, 10), INTO_LANE_0_AT_5, (4, 5)),
+    (range(5, 10), INTO_LANE_0_AT_5, None),  # the change at the ego's first frame
+    # lane 0 -> 1 -> 0 in a hole of the ego: at the common frames 0 and 2
+    # the cutter holds the ego's lane, so it never changes into it
+    ([0, 2], {0: 0, 1: 1, 2: 0}, None),
+    ([0, 2], {0: 1, 1: 0, 2: 0}, (0, 2)),
+    # into lane 0 at frame 2, the first common frame, and out again at 6
+    (range(1, 10), {0: 1, 2: 0, 3: 0, 4: 0, 5: 0, 6: 1, 7: 1, 8: 1, 9: 1}, None),
+    # the change at frame 6 falls in a hole of the ego after the last common frame
+    ([0, 1, 2, 3, 4, 5, 7], {f: 1 if f < 6 else 0 for f in range(7)}, None),
+), ids=("inside", "at-ego-last", "after-ego-last", "after-ego-first", "at-ego-first",
+        "flip-in-a-hole", "change-in-a-hole", "at-first-common", "after-last-common"))
+def test_a_transition_is_the_first_common_frame_after_a_change(ego_frames, cut_lanes, frames):
+    events = extract_cut_in_events(two_tracks(ego_frames, cut_lanes))
+    assert [(e.start_frame, e.end_frame) for e in events] == ([frames] if frames else [])
+
+
+def scan_every_common_frame(track_set, min_gap_m):
+    """extract_cut_in_events written as a scan over every common frame of
+    every pair, with the lane-change window from full lists of moving and
+    settled frames: the oracle for the lane-change index."""
+    dt_s = 1.0 / track_set.frame_rate_hz
+    tracks = track_set.tracks
+    events = []
+    for ego_id in sorted(tracks):
+        for cut_id in sorted(tracks):
+            if ego_id == cut_id:
+                continue
+            ego, cut = tracks[ego_id], tracks[cut_id]
+            common = sorted(ego.keys() & cut.keys())
+            sign = -1.0 if common and ego[common[0]].x_vel_mps < 0.0 else 1.0
+            transitions = [
+                f for prev_f, f in zip(common, common[1:])
+                if cut[f].lane_id != cut[prev_f].lane_id
+                and cut[f].lane_id == ego[f].lane_id
+                and sign * cut[f].x_m > sign * ego[f].x_m
+                and axis_gap(cut[f].x_m, ego[f].x_m, cut[f].length_m, ego[f].length_m) <= min_gap_m
+            ]
+            if not transitions:
+                continue
+            e0, c0 = ego[common[0]], cut[common[0]]
+            if sign * c0.x_m <= sign * e0.x_m:
+                continue
+            y0, y_end = c0.y_m, cut[common[-1]].y_m
+            moving = [f for f in common if abs(cut[f].y_m - y0) > 1e-9]
+            settled = [f for f in moving if abs(cut[f].y_m - y_end) <= 1e-9]
+            lc_start, lc_duration = 0.0, dt_s
+            if moving:
+                lc_start = max((moving[0] - common[0] - 1) * dt_s, 0.0)
+                end_frame = settled[0] if settled else common[-1]
+                lc_duration = max((end_frame - moving[0] + 1) * dt_s, dt_s)
+            try:
+                params = ScenarioParams(
+                    "cut_in", sign * e0.x_vel_mps, sign * c0.x_vel_mps,
+                    axis_gap(c0.x_m, e0.x_m, c0.length_m, e0.length_m), abs(c0.y_m - e0.y_m),
+                    lc_start, lc_duration,
+                    max((common[-1] - common[0]) * dt_s, lc_start + lc_duration), dt_s,
+                    ego_dims=VehicleDims(e0.width_m, e0.length_m),
+                    other_dims=VehicleDims(c0.width_m, c0.length_m),
+                )
+            except CutinSimError:
+                continue
+            events.append(CutInEvent(ego_id, cut_id, common[0], transitions[0], params))
+    return sorted(events, key=lambda e: (e.end_frame, e.ego_track, e.cut_track))
+
+
+# 5 m long vehicles at these x are -5 to 25 m apart bumper to bumper in
+# steps of 5, so a gap often equals one of MIN_GAPS_M exactly
+X_M = (0.0, 5.0, 10.0, 20.0, 30.0)
+MIN_GAPS_M = (0.0, 5.0, 15.0, 100.0, math.inf)
+Y_M = (0.0, 1e-9, 1.0, 3.75)
+
+
+@st.composite
+def track_sets(draw):
+    """2-4 tracks of up to 12 frames each, starting at frames 0-6 (so pairs
+    share no frame, one frame or several). Most drive in the set's direction,
+    some against it. Each holds one x at most frames. Lane id (0 or 1) and y
+    are drawn per frame, so lane ids flip back and forth, and about one frame
+    in four is a hole (a track may be all holes)."""
+    tracks = {}
+    direction = draw(st.sampled_from((1.0, -1.0)))
+    for track_id in range(1, draw(st.integers(2, 4)) + 1):
+        sign = direction * draw(st.sampled_from((1.0, 1.0, 1.0, -1.0)))
+        speed = draw(st.sampled_from((0.0, 15.0, 20.0)))
+        x_m = draw(st.sampled_from(X_M))
+        first = draw(st.integers(0, 6))
+        cells = draw(st.lists(
+            st.tuples(
+                st.sampled_from((x_m, x_m, x_m) + X_M),
+                st.sampled_from(Y_M),
+                st.integers(0, 1),
+                st.sampled_from((False, False, False, True)),
+            ),
+            min_size=1, max_size=12,
+        ))
+        tracks[track_id] = {
+            first + k: TrackRow(first + k, track_id, sign * x, y, 2.0, 5.0, sign * speed, 0.0, lane)
+            for k, (x, y, lane, hole) in enumerate(cells) if not hole
+        }
+    return TrackSet(FPS, tracks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(track_sets(), st.sampled_from(MIN_GAPS_M))
+def test_extraction_equals_a_scan_over_every_common_frame(track_set, min_gap_m):
+    events = extract_cut_in_events(track_set, min_gap_m=min_gap_m)
+    assert repr(events) == repr(scan_every_common_frame(track_set, min_gap_m))

@@ -3,6 +3,14 @@
 The file schema is a column subset of the public highD tracks format. Note the
 highD naming quirk: the csv "width" column is the longitudinal extent (vehicle
 length) and "height" the lateral extent (vehicle width).
+
+A TrackSet maps each track id to a Track: the track's rows as numpy columns in
+strictly increasing frame order. read_tracks_csv parses a file's body with one
+numpy.loadtxt call and screens the parsed columns once; only a file that fails
+the parse or a screen is read again row by row, by the row checker, which
+raises or warns with the line number of each malformed row. Extraction and
+features work on the columns, and every value they return is a Python int or
+float.
 """
 
 from __future__ import annotations
@@ -10,19 +18,28 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from . import metrics
 from .engine import ScenarioParams
 from .errors import CutinSimError, InvalidInputError, ParseError, SchemaError
-from .kinematics import LANE_WIDTH_M, VehicleDims, axis_gap
+from .kinematics import ARRAYS, LANE_WIDTH_M, VehicleDims, axis_gap
 from .reports import row_format, write_lines
 
 TRACKS_HEADER = ("frame", "id", "x", "y", "width", "height", "xVelocity", "yVelocity", "laneId")
 FEATURES_HEADER = ("frame", "dhw", "thw", "ttc", "ittc")
 TRACKS_ROW = row_format("%d", "%d", "f", "f", "f", "f", "f", "f", "%d")
 FEATURES_ROW = row_format("%d", "f", "f", "f", "f")
+# one record per tracks csv row, fields in TRACKS_HEADER order, named as in
+# Track (csv "width" is the length, "height" the width)
+TRACKS_DTYPE = np.dtype([
+    ("frame", np.int64), ("id", np.int64), ("x", np.float64), ("y", np.float64),
+    ("length", np.float64), ("width", np.float64), ("x_vel", np.float64),
+    ("y_vel", np.float64), ("lane", np.int64),
+])
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -38,10 +55,60 @@ class TrackRow:
     lane_id: int
 
 
+@dataclass(frozen=True, eq=False)
+class Track:
+    """One vehicle's rows as columns of equal length, in strictly increasing
+    frame order: frame and lane are int64, the rest float64."""
+
+    frame: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    width: np.ndarray  # lateral extent (csv column "height")
+    length: np.ndarray  # longitudinal extent (csv column "width")
+    x_vel: np.ndarray
+    y_vel: np.ndarray
+    lane: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __eq__(self, other) -> bool:
+        """Equal columns, entry by entry, so that TrackSets compare by value."""
+        if not isinstance(other, Track):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(Track))
+
+    __hash__ = None  # the columns are mutable arrays
+
+    @classmethod
+    def from_rows(cls, rows) -> Track:
+        """The track of rows of one track id, in their order. A frame that
+        does not exceed the previous row's is a SchemaError naming the track."""
+        rows = list(rows)
+        frames = [r.frame for r in rows]
+        # extraction's intersect1d(assume_unique=True) and searchsorted rely on it
+        if any(b <= a for a, b in zip(frames, frames[1:])):
+            raise SchemaError(f"track {rows[0].track_id}: frames not strictly increasing")
+
+        def column(field: str) -> np.ndarray:
+            return np.array([getattr(r, field) for r in rows], np.float64)
+
+        return cls(
+            frame=np.array(frames, np.int64),
+            x=column("x_m"),
+            y=column("y_m"),
+            width=column("width_m"),
+            length=column("length_m"),
+            x_vel=column("x_vel_mps"),
+            y_vel=column("y_vel_mps"),
+            lane=np.array([r.lane_id for r in rows], np.int64),
+        )
+
+
 @dataclass(frozen=True)
 class TrackSet:
     frame_rate_hz: float
-    tracks: dict[int, dict[int, TrackRow]]  # track id -> {frame: row}, frame-ordered
+    tracks: dict[int, Track]  # track id -> Track, in order of first appearance
 
 
 @dataclass(frozen=True)
@@ -64,17 +131,18 @@ def write_tracks_csv(path, rows) -> None:
 
 
 def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet:
-    """Read a tracks csv into per-track {frame: row} dicts in frame order.
+    """Read a tracks csv into one Track per track id, in order of first
+    appearance.
 
-    strict mode raises on the first malformed row; lenient mode skips the row
-    and emits a warning carrying its line number. A header-only file yields an
-    empty track set. frame_rate_hz must be finite and > 0.
+    The body is parsed in one numpy.loadtxt call. When that parse fails or a
+    screen rejects its columns, the row checker reads the file again: strict
+    mode raises on the first malformed row, lenient mode skips the row and
+    emits a warning carrying its line number, and a track whose frames do not
+    strictly increase is a SchemaError. A header-only file yields an empty
+    track set. frame_rate_hz must be finite and > 0.
     """
     if not (math.isfinite(frame_rate_hz) and frame_rate_hz > 0.0):
         raise InvalidInputError(f"frame_rate_hz must be finite and > 0, got {frame_rate_hz!r}")
-    by_track: dict[int, list[TrackRow]] = {}
-    n_fields = len(TRACKS_HEADER)
-    isfinite = math.isfinite
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -86,46 +154,88 @@ def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet
             raise SchemaError(
                 f"unexpected header {header!r}; missing columns: {sorted(missing)}"
             )
-        for line_no, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            try:
-                if len(fields) != n_fields:
-                    raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
-                # csv "width" is the length, "height" the width (see the module docstring)
-                frame, track_id, x, y, length, width, x_vel, y_vel, lane_id = fields
-                frame = int(frame)
-                track_id = int(track_id)
-                x = float(x)
-                y = float(y)
-                length = float(length)
-                width = float(width)
-                x_vel = float(x_vel)
-                y_vel = float(y_vel)
-                lane_id = int(lane_id)
-                # one sum screens all six values; only a non-finite one (or an
-                # overflowing sum) pays for the per-value check
-                if not isfinite(x + y + length + width + x_vel + y_vel) and not all(
-                    map(isfinite, (x, y, length, width, x_vel, y_vel))
-                ):
-                    raise ValueError("non-finite position, size or velocity")
-                if width <= 0.0 or length <= 0.0:
-                    raise ValueError("vehicle dimensions must be positive")
-            except ValueError as exc:
-                if strict:
-                    raise ParseError(str(exc), line_no) from exc
-                warnings.warn(f"skipping malformed row at line {line_no}: {exc}")
-                continue
-            row = TrackRow(frame, track_id, x, y, width, length, x_vel, y_vel, lane_id)
-            by_track.setdefault(track_id, []).append(row)
-    tracks: dict[int, dict[int, TrackRow]] = {}
-    for track_id, rows in by_track.items():
-        frames = [r.frame for r in rows]
-        # checked before indexing: a dict would keep only the last row of a repeated frame
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise SchemaError(f"track {track_id}: frames not strictly increasing")
-        tracks[track_id] = dict(zip(frames, rows))
+        tracks = _parse_columns(fh)
+        if tracks is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            tracks = _check_rows(reader, strict)
     return TrackSet(frame_rate_hz=frame_rate_hz, tracks=tracks)
+
+
+def _parse_columns(fh) -> dict[int, Track] | None:
+    """The tracks of the rest of fh from one loadtxt parse, or None when the
+    parse fails or a screen rejects it: a non-finite float, a dimension not
+    > 0, or a track whose frames do not strictly increase.
+
+    loadtxt accepts a subset of what int() and float() accept, with the same
+    values. comments=None keeps a "#" line a malformed row, and warnings are
+    errors here because loadtxt warns, instead of raising, on a body without
+    a row.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            body = np.loadtxt(fh, delimiter=",", dtype=TRACKS_DTYPE, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    ok = (body["length"] > 0.0) & (body["width"] > 0.0)
+    for name in ("x", "y", "length", "width", "x_vel", "y_vel"):
+        ok &= np.isfinite(body[name])
+    if not ok.all():
+        return None
+    order = np.argsort(body["id"], kind="stable")
+    ids = body["id"][order]
+    columns = {f.name: body[f.name][order] for f in fields(Track)}
+    frame = columns["frame"]
+    new_track = ids[1:] != ids[:-1]
+    if (~new_track & (frame[1:] <= frame[:-1])).any():
+        return None  # the row checker names the first such track in the file
+    starts = np.flatnonzero(np.concatenate(([True], new_track)))
+    bounds = starts.tolist() + [len(ids)]
+    tracks = {}
+    # order[start] is the file row of a track's first row: the tracks in order of first appearance
+    for g in np.argsort(order[starts]).tolist():
+        lo, hi = bounds[g], bounds[g + 1]
+        tracks[ids[lo].item()] = Track(**{name: c[lo:hi] for name, c in columns.items()})
+    return tracks
+
+
+def _check_rows(reader, strict: bool) -> dict[int, Track]:
+    """The tracks of the csv rows after the header, checked row by row."""
+    by_track: dict[int, list[TrackRow]] = {}
+    n_fields = len(TRACKS_HEADER)
+    for line_no, fields in enumerate(reader, start=2):
+        if not fields:
+            continue
+        try:
+            if len(fields) != n_fields:
+                raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
+            # csv "width" is the length, "height" the width (see the module docstring)
+            frame, track_id, x, y, length, width, x_vel, y_vel, lane_id = fields
+            frame = int(frame)
+            track_id = int(track_id)
+            x = float(x)
+            y = float(y)
+            length = float(length)
+            width = float(width)
+            x_vel = float(x_vel)
+            y_vel = float(y_vel)
+            lane_id = int(lane_id)
+            if not all(INT64_MIN <= v <= INT64_MAX for v in (frame, track_id, lane_id)):
+                raise ValueError("frame, id or laneId outside the int64 range")
+            if not all(map(math.isfinite, (x, y, length, width, x_vel, y_vel))):
+                raise ValueError("non-finite position, size or velocity")
+            if width <= 0.0 or length <= 0.0:
+                raise ValueError("vehicle dimensions must be positive")
+        except ValueError as exc:
+            if strict:
+                raise ParseError(str(exc), line_no) from exc
+            warnings.warn(f"skipping malformed row at line {line_no}: {exc}")
+            continue
+        row = TrackRow(frame, track_id, x, y, width, length, x_vel, y_vel, lane_id)
+        by_track.setdefault(track_id, []).append(row)
+    return {track_id: Track.from_rows(rows) for track_id, rows in by_track.items()}
 
 
 def trace_to_track_rows(trace, ego_dims, other_dims):
@@ -173,45 +283,29 @@ def trace_to_track_rows(trace, ego_dims, other_dims):
     return rows
 
 
-def _estimate_lane_change_window(
-    cut: dict[int, TrackRow], frames: list[int], dt_s: float
-) -> tuple[float, float]:
-    """Start time and duration of the cutter's lateral maneuver, best effort.
+def _estimate_lane_change_window(frames: np.ndarray, y: np.ndarray, dt_s: float) -> tuple[float, float]:
+    """Start time and duration of the cutter's lateral maneuver, best effort,
+    from its y at the given frames.
 
     The maneuver starts at the first frame more than 1e-9 from the first
     frame's y and ends at the first such frame within 1e-9 of the last
     frame's y (the last frame when there is none).
     """
-    y0 = cut[frames[0]].y_m
-    y_end = cut[frames[-1]].y_m
-    moving = settled = None
-    for f in frames:
-        y = cut[f].y_m
-        if abs(y - y0) > 1e-9:
-            if moving is None:
-                moving = f
-            if abs(y - y_end) <= 1e-9:
-                settled = f
-                break
-    if moving is None:
+    away = np.abs(y - y[0]) > 1e-9
+    if not away.any():
         return 0.0, dt_s
-    start = (moving - frames[0] - 1) * dt_s
-    end_frame = frames[-1] if settled is None else settled
+    moving = int(frames[away.argmax()])
+    settled = away & (np.abs(y - y[-1]) <= 1e-9)
+    end_frame = int(frames[settled.argmax()] if settled.any() else frames[-1])
+    start = (moving - int(frames[0]) - 1) * dt_s
     duration = max((end_frame - moving + 1) * dt_s, dt_s)
     return max(start, 0.0), duration
 
 
-def _lane_changes(rows: dict[int, TrackRow]) -> list[int]:
-    """The frames at which a track's lane id differs from its previous row's."""
-    frames = list(rows)
-    lanes = [r.lane_id for r in rows.values()]
-    return [f for f, a, b in zip(frames[1:], lanes, lanes[1:]) if b != a]
-
-
-def _travel_sign(ego: dict[int, TrackRow], frames: list[int]) -> float:
-    """1.0 or -1.0: the sign of the ego's xVelocity at the first of the frames
-    (1.0 when it is 0 or there are no frames)."""
-    return -1.0 if frames and ego[frames[0]].x_vel_mps < 0.0 else 1.0
+def _travel_sign(ego: Track, rows: np.ndarray) -> float:
+    """1.0 or -1.0: the sign of the ego's xVelocity at the first of its rows
+    (1.0 when it is 0 or there are no rows)."""
+    return -1.0 if len(rows) and ego.x_vel[rows[0]] < 0.0 else 1.0
 
 
 def extract_cut_in_events(
@@ -228,8 +322,7 @@ def extract_cut_in_events(
     gives the event its mirror image in +x gives. Scenario parameters,
     footprints included, are reconstructed from the rows at the pair's first
     common frame, which for recorded data is the closest observable stand-in
-    for the scenario start. Each track's {frame: row} dict must be in frame
-    order, as TrackSet holds it: lane changes are read row after row.
+    for the scenario start.
     """
     if not min_gap_m >= 0.0:
         raise InvalidInputError(f"min_gap_m must be >= 0 (inf for no gate), got {min_gap_m!r}")
@@ -237,13 +330,18 @@ def extract_cut_in_events(
     tracks = track_set.tracks
     events: list[CutInEvent] = []
     ids = sorted(tracks)
+    # the frames at which a track's lane id differs from its previous row's;
     # a track that keeps one lane id is never tried as the cutter
-    changes = {i: c for i in ids if (c := _lane_changes(tracks[i]))}
+    changes = {}
+    for i in ids:
+        track = tracks[i]
+        if c := track.frame[1:][track.lane[1:] != track.lane[:-1]].tolist():
+            changes[i] = c
     for ego_id in ids:
-        ego_rows = tracks[ego_id]
-        if not ego_rows:
+        ego = tracks[ego_id]
+        if not len(ego):
             continue  # an empty track shares no frame
-        ego_first, ego_last = next(iter(ego_rows)), next(reversed(ego_rows))
+        ego_first, ego_last = ego.frame[0].item(), ego.frame[-1].item()
         for cut_id, cut_changes in changes.items():
             if ego_id == cut_id:
                 continue
@@ -252,52 +350,50 @@ def extract_cut_in_events(
             tried = [c for c in cut_changes if ego_first < c <= ego_last]
             if not tried:
                 continue
-            cut_rows = tracks[cut_id]
-            common = sorted(ego_rows.keys() & cut_rows.keys())
-            sign = _travel_sign(ego_rows, common)
+            cut = tracks[cut_id]
+            # the frames both hold, in order, and their row indices in each
+            common, e_rows, c_rows = np.intersect1d(ego.frame, cut.frame, assume_unique=True, return_indices=True)
+            sign = _travel_sign(ego, e_rows)
             transition = None
-            for c in tried:
-                # the first common frame at or after the change, and the one before it
-                k = bisect_left(common, c)
+            # the first common frame at or after each change, and the one before it
+            for k in np.searchsorted(common, tried).tolist():
                 if not 0 < k < len(common):
                     continue
-                f = common[k]
-                ego_row = ego_rows[f]
-                cut_row = cut_rows[f]
-                if cut_row.lane_id == cut_rows[common[k - 1]].lane_id:
-                    continue  # changed back before f: an A -> B -> A flip between common frames
-                if cut_row.lane_id != ego_row.lane_id:
+                e, c = e_rows[k], c_rows[k]
+                if cut.lane[c] == cut.lane[c_rows[k - 1]]:
+                    continue  # changed back since: an A -> B -> A flip between common frames
+                if cut.lane[c] != ego.lane[e]:
                     continue
-                if sign * cut_row.x_m <= sign * ego_row.x_m:
+                if sign * cut.x[c] <= sign * ego.x[e]:
                     continue  # only cut-ins ahead of the ego
-                if axis_gap(cut_row.x_m, ego_row.x_m, cut_row.length_m, ego_row.length_m) > min_gap_m:
+                if axis_gap(cut.x[c], ego.x[e], cut.length[c], ego.length[e]) > min_gap_m:
                     continue
-                transition = f
+                transition = common[k].item()
                 break
             if transition is None:
                 continue
-            f0 = common[0]
-            ego0 = ego_rows[f0]
-            cut0 = cut_rows[f0]
-            if sign * cut0.x_m <= sign * ego0.x_m:
+            e, c = e_rows[0], c_rows[0]
+            ego_x, ego_length, cut_x, cut_length = (
+                ego.x[e].item(), ego.length[e].item(), cut.x[c].item(), cut.length[c].item()
+            )
+            if sign * cut_x <= sign * ego_x:
                 continue  # the cutter starts level with or behind the ego: no d_x0 > 0
-            d_x0 = axis_gap(cut0.x_m, ego0.x_m, cut0.length_m, ego0.length_m)
-            d_y0 = abs(cut0.y_m - ego0.y_m)
-            lc_start, lc_duration = _estimate_lane_change_window(cut_rows, common, dt_s)
-            duration = max((common[-1] - f0) * dt_s, lc_start + lc_duration)
+            f0 = common[0].item()
+            lc_start, lc_duration = _estimate_lane_change_window(common, cut.y[c_rows], dt_s)
+            duration = max((common[-1].item() - f0) * dt_s, lc_start + lc_duration)
             try:
                 params = ScenarioParams(
                     kind="cut_in",
-                    v_e0_mps=sign * ego0.x_vel_mps,
-                    v_o0_mps=sign * cut0.x_vel_mps,
-                    d_x0_m=d_x0,
-                    d_y0_m=d_y0,
+                    v_e0_mps=sign * ego.x_vel[e].item(),
+                    v_o0_mps=sign * cut.x_vel[c].item(),
+                    d_x0_m=axis_gap(cut_x, ego_x, cut_length, ego_length),
+                    d_y0_m=abs(cut.y[c].item() - ego.y[e].item()),
                     lc_start_s=lc_start,
                     lc_duration_s=lc_duration,
                     duration_s=duration,
                     dt_s=dt_s,
-                    ego_dims=VehicleDims(ego0.width_m, ego0.length_m),
-                    other_dims=VehicleDims(cut0.width_m, cut0.length_m),
+                    ego_dims=VehicleDims(ego.width[e].item(), ego_length),
+                    other_dims=VehicleDims(cut.width[c].item(), cut_length),
                 )
             except CutinSimError:
                 continue  # degenerate geometry, not a usable event
@@ -317,35 +413,34 @@ def extract_cut_in_events(
 def export_features(event: CutInEvent, track_set: TrackSet):
     """Per-frame surrogate features for the event's vehicle pair.
 
-    Returns (rows, flagged_frames). Rows are (frame, dhw, thw, ttc, ittc),
-    speeds measured along the ego's direction of travel at the pair's first
-    common frame, as in extract_cut_in_events: thw = dhw / ego speed (inf at
-    or below metrics.CLOSING_SPEED_FLOOR_MPS), ttc = metrics.ttc and
-    ittc = 1 / ttc. On overlap frames (dhw < 0) the time-based features carry
-    nan sentinels and the frame is flagged.
+    Returns (rows, flagged_frames), of Python ints and floats. Rows are
+    (frame, dhw, thw, ttc, ittc), speeds measured along the ego's direction of
+    travel at the pair's first common frame, as in extract_cut_in_events:
+    thw = dhw / ego speed (inf at or below metrics.CLOSING_SPEED_FLOOR_MPS),
+    ttc = metrics.ttc and ittc = 1 / ttc. On overlap frames (dhw < 0) the
+    time-based features carry nan sentinels and the frame is flagged.
     """
     ego = track_set.tracks.get(event.ego_track)
     cut = track_set.tracks.get(event.cut_track)
     if ego is None or cut is None:
         raise InvalidInputError("event does not match the provided tracks")
-    rows = []
-    flagged = []
-    frames = sorted(ego.keys() & cut.keys())
-    sign = _travel_sign(ego, frames)
-    for f in frames:
-        e = ego[f]
-        c = cut[f]
-        gap = axis_gap(c.x_m, e.x_m, c.length_m, e.length_m)
-        if gap < 0.0:
-            rows.append((f, gap, math.nan, math.nan, math.nan))
-            flagged.append(f)
-            continue
-        v_ego = sign * e.x_vel_mps
-        ttc = metrics.ttc(gap, v_ego - sign * c.x_vel_mps)
-        thw = gap / v_ego if v_ego > metrics.CLOSING_SPEED_FLOOR_MPS else math.inf
-        ittc = 1.0 / ttc if ttc > 0.0 else math.inf  # 1 / inf == 0
-        rows.append((f, gap, thw, ttc, ittc))
-    return rows, flagged
+    frames, e, c = np.intersect1d(ego.frame, cut.frame, assume_unique=True, return_indices=True)
+    sign = _travel_sign(ego, e)
+    gap = axis_gap(cut.x[c], ego.x[e], cut.length[c], ego.length[e])
+    v_ego = sign * ego.x_vel[e]
+    xp = ARRAYS
+    with np.errstate(all="ignore"):
+        ttc = metrics.ttc_xp(xp, gap, v_ego - sign * cut.x_vel[c])
+        moving = v_ego > metrics.CLOSING_SPEED_FLOOR_MPS
+        thw = xp.where(moving, gap / xp.where(moving, v_ego, 1.0), math.inf)
+        closing = ttc > 0.0
+        ittc = xp.where(closing, 1.0 / xp.where(closing, ttc, 1.0), math.inf)  # 1 / inf == 0
+    rows = list(zip(frames.tolist(), gap.tolist(), thw.tolist(), ttc.tolist(), ittc.tolist()))
+    overlap = np.flatnonzero(gap < 0.0).tolist()
+    for i in overlap:
+        # the one math.nan object, so that rows with equal features compare equal
+        rows[i] = (*rows[i][:2], math.nan, math.nan, math.nan)
+    return rows, [rows[i][0] for i in overlap]
 
 
 def write_features_csv(path, rows) -> None:

@@ -1,9 +1,10 @@
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutinsim import ingest
@@ -12,6 +13,7 @@ from cutinsim.errors import CutinSimError, InvalidInputError, ParseError, Schema
 from cutinsim.ingest import (
     TRACKS_HEADER,
     CutInEvent,
+    Track,
     TrackRow,
     TrackSet,
     extract_cut_in_events,
@@ -41,6 +43,13 @@ def make_fixture(tmp_path, v_e0=25.0, v_o0=20.0, d_x0=30.0, d_y0=3.75,
     return p, rows, path
 
 
+def rows_by_frame(track_set, track_id):
+    """A track's columns as {frame: TrackRow}, in frame order."""
+    t = track_set.tracks[track_id]
+    columns = (t.frame, t.x, t.y, t.width, t.length, t.x_vel, t.y_vel, t.lane)
+    return {f: TrackRow(f, track_id, *values) for f, *values in zip(*(c.tolist() for c in columns))}
+
+
 def test_header_only_file_reads_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(",".join(TRACKS_HEADER) + "\n")
@@ -57,14 +66,14 @@ def test_blank_lines_are_skipped_without_a_warning(tmp_path, strict):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ts = read_tracks_csv(path, FPS, strict=strict)
-    assert list(ts.tracks[1]) == [0, 1]
+    assert ts.tracks[1].frame.tolist() == [0, 1]
 
 
 def test_round_trip_preserves_values_at_serialized_precision(tmp_path):
     _, rows, path = make_fixture(tmp_path)
     ts = read_tracks_csv(path, FPS)
     assert set(ts.tracks) == {1, 2}
-    read_back = [r for tid in (1, 2) for r in ts.tracks[tid].values()]
+    read_back = [r for tid in (1, 2) for r in rows_by_frame(ts, tid).values()]
     by_key = {(r.track_id, r.frame): r for r in read_back}
     for orig in rows:
         got = by_key[(orig.track_id, orig.frame)]
@@ -75,7 +84,7 @@ def test_round_trip_preserves_values_at_serialized_precision(tmp_path):
     second = tmp_path / "second.csv"
     write_tracks_csv(second, read_back)
     third = tmp_path / "third.csv"
-    write_tracks_csv(third, [r for tid in (1, 2) for r in read_tracks_csv(second, FPS).tracks[tid].values()])
+    write_tracks_csv(third, [r for tid in (1, 2) for r in rows_by_frame(read_tracks_csv(second, FPS), tid).values()])
     assert second.read_bytes() == third.read_bytes()
 
 
@@ -117,7 +126,7 @@ def test_malformed_row_strict_and_lenient(tmp_path):
             "2,1,2.0,0.0,5.0,2.0,20.0,0.0,0\n"
         )
         if message is None:
-            assert list(read_tracks_csv(path, FPS).tracks[1]) == [0, 1, 2]
+            assert read_tracks_csv(path, FPS).tracks[1].frame.tolist() == [0, 1, 2]
             continue
         with pytest.raises(ParseError) as excinfo:
             read_tracks_csv(path, FPS, strict=True)
@@ -126,7 +135,7 @@ def test_malformed_row_strict_and_lenient(tmp_path):
             warnings.simplefilter("always")
             ts = read_tracks_csv(path, FPS, strict=False)
         assert [str(w.message) for w in caught] == [f"skipping malformed row at line 3: {message}"]
-        assert [r.frame for r in ts.tracks[1].values()] == [0, 2]
+        assert ts.tracks[1].frame.tolist() == [0, 2]
 
 
 @pytest.mark.parametrize("rate", (0.0, -25.0, math.nan, math.inf))
@@ -186,7 +195,7 @@ def test_features_match_direct_recomputation(tmp_path):
     ts = read_tracks_csv(path, FPS)
     ev = extract_cut_in_events(ts)[0]
     rows, flagged = export_features(ev, ts)
-    ego, cut = ts.tracks[1], ts.tracks[2]
+    ego, cut = rows_by_frame(ts, 1), rows_by_frame(ts, 2)
     for frame, dhw, thw, ttc, ittc in rows:
         e, c = ego[frame], cut[frame]
         gap = abs(c.x_m - e.x_m) - (c.length_m + e.length_m) / 2.0
@@ -340,7 +349,7 @@ def test_zero_dimensions_are_malformed(tmp_path, length, width):
         read_tracks_csv(path, FPS, strict=True)
     with pytest.warns(UserWarning, match="line 3"):
         ts = read_tracks_csv(path, FPS, strict=False)
-    assert list(ts.tracks[1]) == [0]
+    assert ts.tracks[1].frame.tolist() == [0]
 
 
 def test_event_needs_two_common_frames_and_ends_at_the_transition(tmp_path):
@@ -427,7 +436,7 @@ def test_a_hole_in_the_cutter_track(tmp_path, hole, lc_start_s, lc_duration_s):
     (event,) = extract_cut_in_events(ts)
     assert (event.params.lc_start_s, event.params.lc_duration_s) == (lc_start_s, lc_duration_s)
     features, _ = export_features(event, ts)
-    assert [row[0] for row in features] == [f for f in ts.tracks[1] if f not in hole]
+    assert [row[0] for row in features] == [f for f in ts.tracks[1].frame.tolist() if f not in hole]
 
 
 def mirrored(rows):
@@ -471,9 +480,9 @@ def two_tracks(ego_frames, cut_lanes):
     """Ego track 1 at x = 0 in lane 0 on ego_frames, and cutter track 2 at
     x = 20 (15 m ahead bumper to bumper) with lane ids {frame: lane id}."""
     return TrackSet(FPS, {
-        1: {f: TrackRow(f, 1, 0.0, 0.0, 2.0, 5.0, 20.0, 0.0, 0) for f in ego_frames},
-        2: {f: TrackRow(f, 2, 20.0, 3.75 * lane, 2.0, 5.0, 15.0, 0.0, lane)
-            for f, lane in sorted(cut_lanes.items())},
+        1: Track.from_rows(TrackRow(f, 1, 0.0, 0.0, 2.0, 5.0, 20.0, 0.0, 0) for f in ego_frames),
+        2: Track.from_rows(TrackRow(f, 2, 20.0, 3.75 * lane, 2.0, 5.0, 15.0, 0.0, lane)
+                           for f, lane in sorted(cut_lanes.items())),
     })
 
 
@@ -512,7 +521,7 @@ def scan_every_common_frame(track_set, min_gap_m):
         for cut_id in sorted(tracks):
             if ego_id == cut_id:
                 continue
-            ego, cut = tracks[ego_id], tracks[cut_id]
+            ego, cut = rows_by_frame(track_set, ego_id), rows_by_frame(track_set, cut_id)
             common = sorted(ego.keys() & cut.keys())
             sign = -1.0 if common and ego[common[0]].x_vel_mps < 0.0 else 1.0
             transitions = [
@@ -580,10 +589,10 @@ def track_sets(draw):
             ),
             min_size=1, max_size=12,
         ))
-        tracks[track_id] = {
-            first + k: TrackRow(first + k, track_id, sign * x, y, 2.0, 5.0, sign * speed, 0.0, lane)
+        tracks[track_id] = Track.from_rows(
+            TrackRow(first + k, track_id, sign * x, y, 2.0, 5.0, sign * speed, 0.0, lane)
             for k, (x, y, lane, hole) in enumerate(cells) if not hole
-        }
+        )
     return TrackSet(FPS, tracks)
 
 
@@ -592,3 +601,138 @@ def track_sets(draw):
 def test_extraction_equals_a_scan_over_every_common_frame(track_set, min_gap_m):
     events = extract_cut_in_events(track_set, min_gap_m=min_gap_m)
     assert repr(events) == repr(scan_every_common_frame(track_set, min_gap_m))
+
+
+def test_tracks_keep_the_order_of_first_appearance_and_the_first_bad_one_is_named(tmp_path):
+    path = tmp_path / "order.csv"
+    rows = [(0, 5), (0, 3), (0, 4), (1, 3), (1, 5), (2, 4)]
+    path.write_text(HEADER + "".join(f"{f},{t},0.0,0.0,5.0,2.0,20.0,0.0,0\n" for f, t in rows))
+    ts = read_tracks_csv(path, FPS)
+    assert list(ts.tracks) == [5, 3, 4]
+    # tracks compare by value: 5 and 3 hold the same rows, 4 other frames
+    assert ts == read_tracks_csv(path, FPS)
+    assert ts.tracks[5] == ts.tracks[3] and ts.tracks[5] != ts.tracks[4]
+    assert [ts.tracks[t].frame.tolist() for t in (5, 3, 4)] == [[0, 1], [0, 1], [0, 2]]
+    # tracks 3 and 5 both repeat a frame; 5 comes first in the file, 3 first by id
+    path.write_text(HEADER + "".join(f"{f},{t},0.0,0.0,5.0,2.0,20.0,0.0,0\n" for f, t in rows + [(1, 3), (1, 5)]))
+    for strict in (True, False):
+        with pytest.raises(SchemaError, match="^track 5: frames not strictly increasing$"):
+            read_tracks_csv(path, FPS, strict=strict)
+
+
+def test_an_integer_beyond_int64_is_malformed(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(HEADER + "0,1,0.0,0.0,5.0,2.0,20.0,0.0,0\n" + "1,1,0.0,0.0,5.0,2.0,20.0,0.0,9223372036854775808\n")
+    with pytest.raises(ParseError, match="^line 3: frame, id or laneId outside the int64 range$"):
+        read_tracks_csv(path, FPS)
+    # the bounds themselves read, in one parse and, after a malformed row, row by row
+    bounds = "-9223372036854775808,9223372036854775807,0.0,0.0,5.0,2.0,20.0,0.0,-9223372036854775808\n"
+    for name, tail, n_warnings in (("bounds.csv", "", 0), ("bounds_and_a_bad_row.csv", "bad\n", 1)):
+        path = tmp_path / name
+        path.write_text(HEADER + bounds + tail)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            track = read_tracks_csv(path, FPS, strict=False).tracks[2**63 - 1]
+        assert len(caught) == n_warnings
+        assert (track.frame.tolist(), track.lane.tolist()) == ([-(2**63)], [-(2**63)])
+
+
+def test_no_numpy_scalar_leaks_out_of_extraction_or_features(tmp_path):
+    from test_golden_ingest import FPS as GOLDEN_FPS
+    from test_golden_ingest import SEEDS, synthetic_rows
+
+    for seed in SEEDS:
+        path = tmp_path / f"tracks_{seed}.csv"
+        write_tracks_csv(path, synthetic_rows(seed))
+        ts = read_tracks_csv(path, GOLDEN_FPS)
+        events = extract_cut_in_events(ts)
+        assert events
+        for event in events:
+            assert "np." not in repr(event)
+            rows, flagged = export_features(event, ts)
+            # np.float64 is a float subclass: only the exact types pass
+            assert all(type(v) in (int, float) for row in rows for v in row)
+            assert all(type(f) is int for f in flagged)
+
+
+def outcome(path, strict):
+    """What read_tracks_csv gives: ("tracks", [(id, column dtypes and bytes)])
+    or ("error", type, text, line_no), with the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ts = read_tracks_csv(path, FPS, strict=strict)
+            result = ("tracks", [
+                (track_id, [(c.dtype.str, c.tobytes()) for c in (
+                    t.frame, t.x, t.y, t.width, t.length, t.x_vel, t.y_vel, t.lane)])
+                for track_id, t in ts.tracks.items()
+            ])
+        except CutinSimError as exc:
+            result = ("error", type(exc), str(exc), getattr(exc, "line_no", None))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+VALID_X = ("0.0", "1.5", "-2.25", "1e308", "0.1", "-0", "7")
+ODD_FIELDS = (
+    "1_000", " 7", "+5", "7 ", "007", "1e3", "0.5", '"7"', '"1.5"', "",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "-9223372036854775809", "99999999999999999999",
+    "nan", "-inf", "inf", "1e999", "0", "-0.0", "-1", "-2.5",
+)
+# the rows of MALFORMED_ROWS as track 8, so that their frames never clash with a valid row's
+ODD_LINES = tuple(",".join(f if i != 1 else "8" for i, f in enumerate(row.split(","))) for row, _ in MALFORMED_ROWS) + (
+    "", "   ", "\t", "#", "# a comment", "#0,1,0.0,0.0,5.0,2.0,20.0,0.0,0",
+    '"0,1",0.0,0.0,5.0,2.0,20.0,0.0,0', '0,1,"0.0",0.0,5.0,2.0,20.0,0.0,0',
+)
+
+
+@st.composite
+def tracks_files(draw):
+    """A tracks csv as text: the header and valid rows of tracks 1-3 in mostly
+    increasing frames, with up to two odd lines or rows of track 9 with one odd
+    field put among them, each line ending in LF, CRLF or CR; or a header-only
+    or an empty file."""
+    kind = draw(st.sampled_from(("rows",) * 4 + ("header-only", "empty")))
+    if kind == "empty":
+        return ""
+    ending = st.sampled_from(("\n", "\n", "\r\n", "\r"))
+    header = HEADER.rstrip("\n") + draw(ending)
+    if kind == "header-only":
+        return header
+    frames = {1: 0, 2: 0, 3: 0}
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        track_id = draw(st.integers(1, 3))
+        frames[track_id] += draw(st.sampled_from((1,) * 30 + (2, 0, -1)))
+        lines.append(f"{frames[track_id]},{track_id},{draw(st.sampled_from(VALID_X))},"
+                     f"0.0,5.0,2.0,20.0,0.0,{draw(st.integers(0, 2))}")
+    for frame in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            line = draw(st.sampled_from(ODD_LINES))
+        else:
+            fields = [str(frame), "9", "1.0", "0.0", "5.0", "2.0", "20.0", "0.0", "0"]
+            fields[draw(st.integers(0, 8))] = draw(st.sampled_from(ODD_FIELDS))
+            line = ",".join(fields)
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return header + "".join(line + draw(ending) for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tracks_files())
+# loadtxt's default comments="#" would drop the line that the row checker rejects
+@example(HEADER + "0,1,0.0,0.0,5.0,2.0,20.0,0.0,0\n# a comment\n")
+# loadtxt warns on a body without rows, where the row checker returns no track
+@example(HEADER)
+@example(HEADER + "\r\n\n")
+# the screens: a non-finite value, a dimension not > 0, frames out of order
+@example(HEADER + "0,1,nan,0.0,5.0,2.0,20.0,0.0,0\n")
+@example(HEADER + "0,1,0.0,0.0,5.0,0.0,20.0,0.0,0\n")
+@example(HEADER + "1,1,0.0,0.0,5.0,2.0,20.0,0.0,0\n0,1,0.0,0.0,5.0,2.0,20.0,0.0,0\n")
+def test_the_columnar_parse_agrees_with_the_row_checker(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("differential") / "tracks.csv"  # new: truncating is slow on some disks
+    path.write_bytes(text.encode())
+    for strict in (True, False):
+        columnar = outcome(path, strict)
+        with mock.patch.object(ingest, "_parse_columns", lambda fh: None):
+            checked = outcome(path, strict)
+        assert columnar == checked

@@ -4,13 +4,16 @@ The file schema is a column subset of the public highD tracks format. Note the
 highD naming quirk: the csv "width" column is the longitudinal extent (vehicle
 length) and "height" the lateral extent (vehicle width).
 
-A TrackSet maps each track id to a Track: the track's rows as numpy columns in
-strictly increasing frame order. read_tracks_csv parses a file's body with one
-numpy.loadtxt call and screens the parsed columns once; only a file that fails
-the parse or a screen is read again row by row, by the row checker, which
-raises or warns with the line number of each malformed row. Extraction and
-features work on the columns, and every value they return is a Python int or
-float.
+One tracks csv row has one layout here: a TRACKS_DTYPE record, or a tuple
+in TRACKS_HEADER order. tracks_from_rows groups such rows into a TrackSet's
+tracks, each a Track: one vehicle's rows as numpy columns in strictly
+increasing frame order. read_tracks_csv parses a file's body with one
+numpy.loadtxt call and screens the parsed columns once; only a file that
+fails the parse or a screen is read again row by row, by the row checker,
+which raises or warns with the line number of each malformed row. Both give
+their rows to tracks_from_rows. write_tracks_csv writes such tuples, and
+trace_to_track_rows makes them from an engine trace. Extraction and features
+work on the columns, and every value they return is a Python int or float.
 """
 
 from __future__ import annotations
@@ -42,19 +45,6 @@ TRACKS_DTYPE = np.dtype([
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
-@dataclass(frozen=True)
-class TrackRow:
-    frame: int
-    track_id: int
-    x_m: float
-    y_m: float
-    width_m: float  # lateral extent (csv column "height")
-    length_m: float  # longitudinal extent (csv column "width")
-    x_vel_mps: float
-    y_vel_mps: float
-    lane_id: int
-
-
 @dataclass(frozen=True, eq=False)
 class Track:
     """One vehicle's rows as columns of equal length, in strictly increasing
@@ -80,30 +70,6 @@ class Track:
 
     __hash__ = None  # the columns are mutable arrays
 
-    @classmethod
-    def from_rows(cls, rows) -> Track:
-        """The track of rows of one track id, in their order. A frame that
-        does not exceed the previous row's is a SchemaError naming the track."""
-        rows = list(rows)
-        frames = [r.frame for r in rows]
-        # extraction's intersect1d(assume_unique=True) and searchsorted rely on it
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise SchemaError(f"track {rows[0].track_id}: frames not strictly increasing")
-
-        def column(field: str) -> np.ndarray:
-            return np.array([getattr(r, field) for r in rows], np.float64)
-
-        return cls(
-            frame=np.array(frames, np.int64),
-            x=column("x_m"),
-            y=column("y_m"),
-            width=column("width_m"),
-            length=column("length_m"),
-            x_vel=column("x_vel_mps"),
-            y_vel=column("y_vel_mps"),
-            lane=np.array([r.lane_id for r in rows], np.int64),
-        )
-
 
 @dataclass(frozen=True)
 class TrackSet:
@@ -121,13 +87,9 @@ class CutInEvent:
 
 
 def write_tracks_csv(path, rows) -> None:
-    """Serialize track rows, floats in reports.FLOAT_FORMAT."""
-    lines = (
-        TRACKS_ROW % (r.frame, r.track_id, r.x_m, r.y_m, r.length_m, r.width_m,
-                      r.x_vel_mps, r.y_vel_mps, r.lane_id)
-        for r in rows
-    )
-    write_lines(path, [",".join(TRACKS_HEADER) + "\n"], lines)
+    """Serialize rows, tuples in TRACKS_HEADER order, floats in
+    reports.FLOAT_FORMAT."""
+    write_lines(path, [",".join(TRACKS_HEADER) + "\n"], (TRACKS_ROW % row for row in rows))
 
 
 def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet:
@@ -137,7 +99,7 @@ def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet
     The body is parsed in one numpy.loadtxt call. When that parse fails or a
     screen rejects its columns, the row checker reads the file again: strict
     mode raises on the first malformed row, lenient mode skips the row and
-    emits a warning carrying its line number, and a track whose frames do not
+    emits a warning carrying its line number. A track whose frames do not
     strictly increase is a SchemaError. A header-only file yields an empty
     track set. frame_rate_hz must be finite and > 0.
     """
@@ -154,19 +116,47 @@ def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet
             raise SchemaError(
                 f"unexpected header {header!r}; missing columns: {sorted(missing)}"
             )
-        tracks = _parse_columns(fh)
-        if tracks is None:
+        rows = _parse_columns(fh)
+        if rows is None:
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
-            tracks = _check_rows(reader, strict)
-    return TrackSet(frame_rate_hz=frame_rate_hz, tracks=tracks)
+            rows = _check_rows(reader, strict)
+    return TrackSet(frame_rate_hz=frame_rate_hz, tracks=tracks_from_rows(rows))
 
 
-def _parse_columns(fh) -> dict[int, Track] | None:
-    """The tracks of the rest of fh from one loadtxt parse, or None when the
-    parse fails or a screen rejects it: a non-finite float, a dimension not
-    > 0, or a track whose frames do not strictly increase.
+def tracks_from_rows(rows) -> dict[int, Track]:
+    """The tracks of rows, a TRACKS_DTYPE array or tuples in TRACKS_HEADER
+    order: one Track per id, in order of first appearance, each holding its
+    rows in their given order. A track whose frames do not strictly increase
+    is a SchemaError naming the first such track in rows."""
+    rows = np.asarray(rows, TRACKS_DTYPE)
+    if len(rows) == 0:
+        return {}
+    order = np.argsort(rows["id"], kind="stable")
+    ids = rows["id"][order]
+    columns = {f.name: rows[f.name][order] for f in fields(Track)}
+    frame = columns["frame"]
+    new_track = ids[1:] != ids[:-1]
+    # extraction's intersect1d(assume_unique=True) and searchsorted rely on it
+    out_of_order = ~new_track & (frame[1:] <= frame[:-1])
+    if out_of_order.any():
+        first_bad = np.isin(rows["id"], ids[1:][out_of_order]).argmax()
+        raise SchemaError(f"track {rows['id'][first_bad]}: frames not strictly increasing")
+    starts = np.flatnonzero(np.concatenate(([True], new_track)))
+    bounds = starts.tolist() + [len(ids)]
+    tracks = {}
+    # order[start] indexes a track's first row in rows: the tracks in order of first appearance
+    for g in np.argsort(order[starts]).tolist():
+        lo, hi = bounds[g], bounds[g + 1]
+        tracks[ids[lo].item()] = Track(**{name: c[lo:hi] for name, c in columns.items()})
+    return tracks
+
+
+def _parse_columns(fh) -> np.ndarray | None:
+    """The rows of the rest of fh from one loadtxt parse, a TRACKS_DTYPE
+    array, or None when the parse fails or a screen rejects it: a non-finite
+    float or a dimension not > 0.
 
     loadtxt accepts a subset of what int() and float() accept, with the same
     values. comments=None keeps a "#" line a malformed row, and warnings are
@@ -176,34 +166,23 @@ def _parse_columns(fh) -> dict[int, Track] | None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            body = np.loadtxt(fh, delimiter=",", dtype=TRACKS_DTYPE, comments=None, ndmin=1)
+            rows = np.loadtxt(fh, delimiter=",", dtype=TRACKS_DTYPE, comments=None, ndmin=1)
         except (ValueError, Warning):
             return None
-    ok = (body["length"] > 0.0) & (body["width"] > 0.0)
+    ok = (rows["length"] > 0.0) & (rows["width"] > 0.0)
     for name in ("x", "y", "length", "width", "x_vel", "y_vel"):
-        ok &= np.isfinite(body[name])
-    if not ok.all():
-        return None
-    order = np.argsort(body["id"], kind="stable")
-    ids = body["id"][order]
-    columns = {f.name: body[f.name][order] for f in fields(Track)}
-    frame = columns["frame"]
-    new_track = ids[1:] != ids[:-1]
-    if (~new_track & (frame[1:] <= frame[:-1])).any():
-        return None  # the row checker names the first such track in the file
-    starts = np.flatnonzero(np.concatenate(([True], new_track)))
-    bounds = starts.tolist() + [len(ids)]
-    tracks = {}
-    # order[start] is the file row of a track's first row: the tracks in order of first appearance
-    for g in np.argsort(order[starts]).tolist():
-        lo, hi = bounds[g], bounds[g + 1]
-        tracks[ids[lo].item()] = Track(**{name: c[lo:hi] for name, c in columns.items()})
-    return tracks
+        ok &= np.isfinite(rows[name])
+    return rows if ok.all() else None
 
 
-def _check_rows(reader, strict: bool) -> dict[int, Track]:
-    """The tracks of the csv rows after the header, checked row by row."""
-    by_track: dict[int, list[TrackRow]] = {}
+# int() or float() for each field of a tracks csv row
+_CONVERTERS = tuple(int if TRACKS_DTYPE[name].kind == "i" else float for name in TRACKS_DTYPE.names)
+
+
+def _check_rows(reader, strict: bool) -> np.ndarray:
+    """The csv rows after the header that pass the row checks, a
+    TRACKS_DTYPE array."""
+    rows = []
     n_fields = len(TRACKS_HEADER)
     for line_no, fields in enumerate(reader, start=2):
         if not fields:
@@ -211,17 +190,9 @@ def _check_rows(reader, strict: bool) -> dict[int, Track]:
         try:
             if len(fields) != n_fields:
                 raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
+            row = tuple(convert(field) for convert, field in zip(_CONVERTERS, fields))
             # csv "width" is the length, "height" the width (see the module docstring)
-            frame, track_id, x, y, length, width, x_vel, y_vel, lane_id = fields
-            frame = int(frame)
-            track_id = int(track_id)
-            x = float(x)
-            y = float(y)
-            length = float(length)
-            width = float(width)
-            x_vel = float(x_vel)
-            y_vel = float(y_vel)
-            lane_id = int(lane_id)
+            frame, track_id, x, y, length, width, x_vel, y_vel, lane_id = row
             if not all(INT64_MIN <= v <= INT64_MAX for v in (frame, track_id, lane_id)):
                 raise ValueError("frame, id or laneId outside the int64 range")
             if not all(map(math.isfinite, (x, y, length, width, x_vel, y_vel))):
@@ -233,14 +204,14 @@ def _check_rows(reader, strict: bool) -> dict[int, Track]:
                 raise ParseError(str(exc), line_no) from exc
             warnings.warn(f"skipping malformed row at line {line_no}: {exc}")
             continue
-        row = TrackRow(frame, track_id, x, y, width, length, x_vel, y_vel, lane_id)
-        by_track.setdefault(track_id, []).append(row)
-    return {track_id: Track.from_rows(rows) for track_id, rows in by_track.items()}
+        rows.append(row)
+    return np.array(rows, TRACKS_DTYPE)
 
 
 def trace_to_track_rows(trace, ego_dims, other_dims):
-    """Convert an engine trace into two tracks (ego id 1, other id 2), one
-    frame per step.
+    """Convert an engine trace into the rows of two tracks (ego id 1, other
+    id 2), one frame per step: tuples in TRACKS_HEADER order, for
+    write_tracks_csv or tracks_from_rows.
 
     Lane ids are derived from lateral position against lane centers at
     k * LANE_WIDTH_M. The ego holds its lane center at y = 0.
@@ -254,32 +225,8 @@ def trace_to_track_rows(trace, ego_dims, other_dims):
         trace.ego_x_m, trace.ego_v_mps,
         trace.other_x_m, trace.other_y_m, trace.other_v_mps, trace.other_vy_mps,
     )):
-        rows.append(
-            TrackRow(
-                frame=frame,
-                track_id=1,
-                x_m=ego_x,
-                y_m=0.0,
-                width_m=ego_dims.width_m,
-                length_m=ego_dims.length_m,
-                x_vel_mps=ego_v,
-                y_vel_mps=0.0,
-                lane_id=lane_of(0.0),
-            )
-        )
-        rows.append(
-            TrackRow(
-                frame=frame,
-                track_id=2,
-                x_m=x,
-                y_m=y,
-                width_m=other_dims.width_m,
-                length_m=other_dims.length_m,
-                x_vel_mps=v,
-                y_vel_mps=vy,
-                lane_id=lane_of(y),
-            )
-        )
+        rows.append((frame, 1, ego_x, 0.0, ego_dims.length_m, ego_dims.width_m, ego_v, 0.0, lane_of(0.0)))
+        rows.append((frame, 2, x, y, other_dims.length_m, other_dims.width_m, v, vy, lane_of(y)))
     return rows
 
 
@@ -302,10 +249,14 @@ def _estimate_lane_change_window(frames: np.ndarray, y: np.ndarray, dt_s: float)
     return max(start, 0.0), duration
 
 
-def _travel_sign(ego: Track, rows: np.ndarray) -> float:
-    """1.0 or -1.0: the sign of the ego's xVelocity at the first of its rows
-    (1.0 when it is 0 or there are no rows)."""
-    return -1.0 if len(rows) and ego.x_vel[rows[0]] < 0.0 else 1.0
+def _align_pair(ego: Track, cut: Track):
+    """(frames, e_rows, c_rows, sign): the frames both tracks hold, in order,
+    the row index of each in ego and in cut, and the ego's direction of
+    travel, 1.0 or -1.0: the sign of its xVelocity at the first common frame
+    (1.0 when it is 0 or there is no common frame)."""
+    frames, e_rows, c_rows = np.intersect1d(ego.frame, cut.frame, assume_unique=True, return_indices=True)
+    sign = -1.0 if len(e_rows) and ego.x_vel[e_rows[0]] < 0.0 else 1.0
+    return frames, e_rows, c_rows, sign
 
 
 def extract_cut_in_events(
@@ -318,7 +269,7 @@ def extract_cut_in_events(
     becomes the ego track's lane id while it is ahead of the ego within
     min_gap_m (bumper to bumper; inf for no gate, and NaN or a negative value
     is an InvalidInputError). "Ahead" and both speeds are measured along
-    the ego's direction of travel (see _travel_sign), so a pair driving in -x
+    the ego's direction of travel (see _align_pair), so a pair driving in -x
     gives the event its mirror image in +x gives. Scenario parameters,
     footprints included, are reconstructed from the rows at the pair's first
     common frame, which for recorded data is the closest observable stand-in
@@ -351,9 +302,7 @@ def extract_cut_in_events(
             if not tried:
                 continue
             cut = tracks[cut_id]
-            # the frames both hold, in order, and their row indices in each
-            common, e_rows, c_rows = np.intersect1d(ego.frame, cut.frame, assume_unique=True, return_indices=True)
-            sign = _travel_sign(ego, e_rows)
+            common, e_rows, c_rows, sign = _align_pair(ego, cut)
             transition = None
             # the first common frame at or after each change, and the one before it
             for k in np.searchsorted(common, tried).tolist():
@@ -424,8 +373,7 @@ def export_features(event: CutInEvent, track_set: TrackSet):
     cut = track_set.tracks.get(event.cut_track)
     if ego is None or cut is None:
         raise InvalidInputError("event does not match the provided tracks")
-    frames, e, c = np.intersect1d(ego.frame, cut.frame, assume_unique=True, return_indices=True)
-    sign = _travel_sign(ego, e)
+    frames, e, c, sign = _align_pair(ego, cut)
     gap = axis_gap(cut.x[c], ego.x[e], cut.length[c], ego.length[e])
     v_ego = sign * ego.x_vel[e]
     xp = ARRAYS

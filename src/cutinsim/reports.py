@@ -188,8 +188,12 @@ def read_manifest(results_dir: str) -> dict[str, Any]:
         if key not in manifest:
             raise corrupt(f"missing {key!r}")
     files = manifest["files"]
-    if not isinstance(files, dict) or not all(isinstance(name, str) for name in files.values()):
+    if not isinstance(files, dict):
         raise corrupt("'files' is not an object of file names")
+    # the store's own results files only: no path leads out of results_dir
+    for model, name in files.items():
+        if model not in MODEL_NAMES or name != results_filename(model):
+            raise corrupt(f"'files' maps {model!r} to {name!r}, not a registered model's results file")
     config = manifest.get("config", {})
     if not isinstance(config, dict) or not isinstance(config.get("risk", {}), dict):
         raise corrupt("'config' or 'config.risk' is not a JSON object")

@@ -409,6 +409,20 @@ def _edit_manifest(edit):
     return corrupt
 
 
+def _results_elsewhere(out):
+    """The manifest points rba at a copy of its results in a sibling directory."""
+    (out.parent / "a").mkdir(exist_ok=True)
+    shutil.copy(out / "results_rba.csv", out.parent / "a" / "results_rba.csv")
+    _edit_manifest(lambda m: {**m, "files": {**m["files"], "rba": "../a/results_rba.csv"}})(out)
+
+
+def _unregistered_model(out):
+    """The manifest names a model key that is a path, with a results file at its end."""
+    (out / "results_evil").mkdir()
+    shutil.copy(out / "results_rba.csv", out / "x.csv")
+    _edit_manifest(lambda m: {**m, "files": {**m["files"], "evil/../x": "results_evil/../x.csv"}})(out)
+
+
 def _edit_rba_results(edit):
     def corrupt(out):
         path = out / "results_rba.csv"
@@ -433,11 +447,14 @@ def _replace_min_ttc(value):
         (_edit_manifest(lambda m: {**m, "config": "x"}), "manifest"),
         (_edit_manifest(lambda m: {**m, "config": {**m["config"], "risk": [1]}}), "manifest"),
         (_edit_manifest(lambda m: {**m, "files": ["a"]}), "manifest"),
+        (_results_elsewhere, "'files' maps 'rba' to '../a/results_rba.csv'"),
+        (_unregistered_model, "'files' maps 'evil/../x' to 'results_evil/../x.csv'"),
         (_edit_rba_results(lambda text: text + "5,1,2\n"), "results_rba.csv line 6"),
         (_edit_rba_results(_replace_min_ttc("x")), "results_rba.csv line 3"),
         (_edit_rba_results(_replace_min_ttc("nan")), "results_rba.csv line 3"),
     ],
-    ids=["root", "config", "risk", "files", "short-row", "min-ttc", "nan-min-ttc"],
+    ids=["root", "config", "risk", "files", "file-elsewhere", "unregistered-model",
+         "short-row", "min-ttc", "nan-min-ttc"],
 )
 def test_post_process_rejects_a_malformed_store(tmp_path, capsys, comparison_store, corrupt, message):
     out = tmp_path / "cmp"

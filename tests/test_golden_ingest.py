@@ -23,7 +23,6 @@ import random
 import tempfile
 
 from cutinsim.ingest import (
-    TrackRow,
     export_features,
     extract_cut_in_events,
     read_tracks_csv,
@@ -66,8 +65,8 @@ def _track(track_id, sign, dims, x0, v0, lanes, frames, brake=None, lane_change=
             vy = (y_of[target] - y_of[lane]) * 6.0 * u * (1.0 - u) * FPS / lane_change[1]
         if f in hole:
             continue
-        rows.append(TrackRow(f, track_id, x, y, width, length, sign * v, vy,
-                             target if s >= 0.5 else lane))
+        rows.append((f, track_id, x, y, length, width, sign * v, vy,
+                     target if s >= 0.5 else lane))
     return rows
 
 

@@ -1,8 +1,10 @@
 import math
 import warnings
-from dataclasses import replace
+from collections import namedtuple
+from dataclasses import fields, replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,15 +13,16 @@ from cutinsim import ingest
 from cutinsim.engine import ScenarioParams, run_closed_loop
 from cutinsim.errors import CutinSimError, InvalidInputError, ParseError, SchemaError
 from cutinsim.ingest import (
+    TRACKS_DTYPE,
     TRACKS_HEADER,
     CutInEvent,
     Track,
-    TrackRow,
     TrackSet,
     extract_cut_in_events,
     export_features,
     read_tracks_csv,
     trace_to_track_rows,
+    tracks_from_rows,
     write_features_csv,
     write_tracks_csv,
 )
@@ -28,6 +31,9 @@ from cutinsim.metrics import CLOSING_SPEED_FLOOR_MPS
 
 DIMS = VehicleDims(width_m=2.0, length_m=5.0)
 FPS = 25.0
+# a tracks csv row with the TRACKS_DTYPE field names: csv "width" is the
+# length, "height" the width
+Row = namedtuple("Row", TRACKS_DTYPE.names)
 
 
 def make_fixture(tmp_path, v_e0=25.0, v_o0=20.0, d_x0=30.0, d_y0=3.75,
@@ -37,17 +43,17 @@ def make_fixture(tmp_path, v_e0=25.0, v_o0=20.0, d_x0=30.0, d_y0=3.75,
         lc_start_s=lc_start, lc_duration_s=lc_dur, duration_s=duration, dt_s=1.0 / FPS,
     )
     result = run_closed_loop(p, "none")
-    rows = trace_to_track_rows(result.trace, DIMS, DIMS)
+    rows = list(map(Row._make, trace_to_track_rows(result.trace, DIMS, DIMS)))
     path = tmp_path / name
     write_tracks_csv(path, rows)
     return p, rows, path
 
 
 def rows_by_frame(track_set, track_id):
-    """A track's columns as {frame: TrackRow}, in frame order."""
+    """A track's columns as {frame: Row}, in frame order."""
     t = track_set.tracks[track_id]
-    columns = (t.frame, t.x, t.y, t.width, t.length, t.x_vel, t.y_vel, t.lane)
-    return {f: TrackRow(f, track_id, *values) for f, *values in zip(*(c.tolist() for c in columns))}
+    columns = (t.x, t.y, t.length, t.width, t.x_vel, t.y_vel, t.lane)
+    return {f: Row(f, track_id, *values) for f, *values in zip(t.frame.tolist(), *(c.tolist() for c in columns))}
 
 
 def test_header_only_file_reads_empty(tmp_path):
@@ -74,12 +80,12 @@ def test_round_trip_preserves_values_at_serialized_precision(tmp_path):
     ts = read_tracks_csv(path, FPS)
     assert set(ts.tracks) == {1, 2}
     read_back = [r for tid in (1, 2) for r in rows_by_frame(ts, tid).values()]
-    by_key = {(r.track_id, r.frame): r for r in read_back}
+    by_key = {(r.id, r.frame): r for r in read_back}
     for orig in rows:
-        got = by_key[(orig.track_id, orig.frame)]
-        for field in ("x_m", "y_m", "width_m", "length_m", "x_vel_mps", "y_vel_mps"):
+        got = by_key[(orig.id, orig.frame)]
+        for field in ("x", "y", "length", "width", "x_vel", "y_vel"):
             assert getattr(got, field) == float(f"{getattr(orig, field):.6g}")
-        assert got.lane_id == orig.lane_id
+        assert got.lane == orig.lane
     # write -> read -> write is byte-stable
     second = tmp_path / "second.csv"
     write_tracks_csv(second, read_back)
@@ -136,6 +142,15 @@ def test_malformed_row_strict_and_lenient(tmp_path):
             ts = read_tracks_csv(path, FPS, strict=False)
         assert [str(w.message) for w in caught] == [f"skipping malformed row at line 3: {message}"]
         assert ts.tracks[1].frame.tolist() == [0, 2]
+    # a file of malformed rows only reads leniently as no track, one warning per row
+    bad = [(row, message) for row, message in MALFORMED_ROWS if message is not None]
+    path.write_text(",".join(TRACKS_HEADER) + "\n" + "".join(row + "\n" for row, _ in bad))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert read_tracks_csv(path, FPS, strict=False) == TrackSet(FPS, {})
+    assert [str(w.message) for w in caught] == [
+        f"skipping malformed row at line {line_no}: {message}" for line_no, (_, message) in enumerate(bad, start=2)
+    ]
 
 
 @pytest.mark.parametrize("rate", (0.0, -25.0, math.nan, math.inf))
@@ -149,8 +164,8 @@ def test_frame_rate_must_be_finite_and_positive(tmp_path, rate):
 def test_no_events_when_lanes_never_merge(tmp_path):
     rows = []
     for f in range(50):
-        rows.append(TrackRow(f, 1, 20.0 * 0.04 * f, 0.0, 2.0, 5.0, 20.0, 0.0, 0))
-        rows.append(TrackRow(f, 2, 30.0 + 20.0 * 0.04 * f, 3.75, 2.0, 5.0, 20.0, 0.0, 1))
+        rows.append((f, 1, 20.0 * 0.04 * f, 0.0, 5.0, 2.0, 20.0, 0.0, 0))
+        rows.append((f, 2, 30.0 + 20.0 * 0.04 * f, 3.75, 5.0, 2.0, 20.0, 0.0, 1))
     path = tmp_path / "parallel.csv"
     write_tracks_csv(path, rows)
     ts = read_tracks_csv(path, FPS)
@@ -198,14 +213,14 @@ def test_features_match_direct_recomputation(tmp_path):
     ego, cut = rows_by_frame(ts, 1), rows_by_frame(ts, 2)
     for frame, dhw, thw, ttc, ittc in rows:
         e, c = ego[frame], cut[frame]
-        gap = abs(c.x_m - e.x_m) - (c.length_m + e.length_m) / 2.0
+        gap = abs(c.x - e.x) - (c.length + e.length) / 2.0
         if gap < 0:
             assert frame in flagged and math.isnan(ttc)
             continue
-        closing = e.x_vel_mps - c.x_vel_mps
+        closing = e.x_vel - c.x_vel
         expected_ttc = gap / closing if closing > CLOSING_SPEED_FLOOR_MPS else math.inf
         assert dhw == gap and ttc == expected_ttc
-        assert thw == (gap / e.x_vel_mps if e.x_vel_mps > CLOSING_SPEED_FLOOR_MPS else math.inf)
+        assert thw == (gap / e.x_vel if e.x_vel > CLOSING_SPEED_FLOOR_MPS else math.inf)
         assert ittc == (1.0 / expected_ttc if expected_ttc > 0.0 else math.inf)
 
 
@@ -213,8 +228,8 @@ def test_features_flag_overlap_frames(tmp_path):
     rows = []
     for f in range(10):
         x_e = 10.0 * 0.04 * f  # slower units irrelevant; overlap by construction
-        rows.append(TrackRow(f, 1, x_e, 0.0, 2.0, 5.0, 10.0, 0.0, 0))
-        rows.append(TrackRow(f, 2, x_e + (3.0 if f >= 5 else 20.0), 0.0, 2.0, 5.0, 10.0, 0.0, 0))
+        rows.append((f, 1, x_e, 0.0, 5.0, 2.0, 10.0, 0.0, 0))
+        rows.append((f, 2, x_e + (3.0 if f >= 5 else 20.0), 0.0, 5.0, 2.0, 10.0, 0.0, 0))
     path = tmp_path / "overlap.csv"
     write_tracks_csv(path, rows)
     ts = read_tracks_csv(path, FPS)
@@ -301,8 +316,8 @@ def pair(cut, ego_y=0.0, ego_lane=0):
     per frame; both 5 m long, so a cutter at x = 20 is 15 m ahead."""
     rows = []
     for f, (x, y, lane) in enumerate(cut):
-        rows.append(TrackRow(f, 1, 0.0, ego_y, 2.0, 5.0, 20.0, 0.0, ego_lane))
-        rows.append(TrackRow(f, 2, x, y, 2.0, 5.0, 15.0, 0.0, lane))
+        rows.append(Row(f, 1, 0.0, ego_y, 5.0, 2.0, 20.0, 0.0, ego_lane))
+        rows.append(Row(f, 2, x, y, 5.0, 2.0, 15.0, 0.0, lane))
     return rows
 
 
@@ -356,7 +371,7 @@ def test_event_needs_two_common_frames_and_ends_at_the_transition(tmp_path):
     assert extract_cut_in_events(TrackSet(FPS, {})) == []
     assert extract_cut_in_events(read_rows(tmp_path, pair([(20.0, 0.0, 0)]))) == []
     # a cutter that changes lane, sharing only the frame of the change with the ego
-    one_common = [r for r in pair(CUT_IN) if r.track_id == 2 or r.frame == 5]
+    one_common = [r for r in pair(CUT_IN) if r.id == 2 or r.frame == 5]
     assert extract_cut_in_events(read_rows(tmp_path, one_common)) == []
     (event,) = extract_cut_in_events(read_rows(tmp_path, pair([(20.0, 3.75, 1), (20.0, 0.0, 0)])))
     assert (event.start_frame, event.end_frame) == (0, 1)
@@ -432,7 +447,7 @@ def test_a_hole_in_the_cutter_track(tmp_path, hole, lc_start_s, lc_duration_s):
     # the fixture's lane change runs from frame 25 to frame 75; a hole moves the
     # estimate only where it hides the first moving or the first settled frame
     _, rows, _ = make_fixture(tmp_path)
-    ts = read_rows(tmp_path, [r for r in rows if r.track_id == 1 or r.frame not in hole], "hole.csv")
+    ts = read_rows(tmp_path, [r for r in rows if r.id == 1 or r.frame not in hole], "hole.csv")
     (event,) = extract_cut_in_events(ts)
     assert (event.params.lc_start_s, event.params.lc_duration_s) == (lc_start_s, lc_duration_s)
     features, _ = export_features(event, ts)
@@ -441,7 +456,7 @@ def test_a_hole_in_the_cutter_track(tmp_path, hole, lc_start_s, lc_duration_s):
 
 def mirrored(rows):
     """The same rows driving in -x: x and xVelocity negated."""
-    return [replace(r, x_m=-r.x_m, x_vel_mps=-r.x_vel_mps) for r in rows]
+    return [r._replace(x=-r.x, x_vel=-r.x_vel) for r in rows]
 
 
 @pytest.mark.parametrize("source", ("pair", "fixture"))
@@ -464,7 +479,7 @@ def test_a_cutter_behind_the_ego_in_minus_x_is_no_cut_in(tmp_path):
 
 def test_an_ego_at_a_standstill_at_the_first_frame_travels_in_plus_x(tmp_path):
     rows = pair(CUT_IN)
-    rows[0] = replace(rows[0], x_vel_mps=0.0)  # the ego's row at frame 0
+    rows[0] = rows[0]._replace(x_vel=0.0)  # the ego's row at frame 0
     (event,) = extract_cut_in_events(read_rows(tmp_path, rows))
     assert (event.params.v_e0_mps, event.params.v_o0_mps) == (0.0, 15.0)
 
@@ -479,11 +494,10 @@ def test_min_gap_must_be_a_non_negative_number(tmp_path, min_gap_m):
 def two_tracks(ego_frames, cut_lanes):
     """Ego track 1 at x = 0 in lane 0 on ego_frames, and cutter track 2 at
     x = 20 (15 m ahead bumper to bumper) with lane ids {frame: lane id}."""
-    return TrackSet(FPS, {
-        1: Track.from_rows(TrackRow(f, 1, 0.0, 0.0, 2.0, 5.0, 20.0, 0.0, 0) for f in ego_frames),
-        2: Track.from_rows(TrackRow(f, 2, 20.0, 3.75 * lane, 2.0, 5.0, 15.0, 0.0, lane)
-                           for f, lane in sorted(cut_lanes.items())),
-    })
+    return TrackSet(FPS, tracks_from_rows(
+        [(f, 1, 0.0, 0.0, 5.0, 2.0, 20.0, 0.0, 0) for f in ego_frames]
+        + [(f, 2, 20.0, 3.75 * lane, 5.0, 2.0, 15.0, 0.0, lane) for f, lane in sorted(cut_lanes.items())]
+    ))
 
 
 INTO_LANE_0_AT_5 = {f: 1 if f < 5 else 0 for f in range(10)}
@@ -523,22 +537,22 @@ def scan_every_common_frame(track_set, min_gap_m):
                 continue
             ego, cut = rows_by_frame(track_set, ego_id), rows_by_frame(track_set, cut_id)
             common = sorted(ego.keys() & cut.keys())
-            sign = -1.0 if common and ego[common[0]].x_vel_mps < 0.0 else 1.0
+            sign = -1.0 if common and ego[common[0]].x_vel < 0.0 else 1.0
             transitions = [
                 f for prev_f, f in zip(common, common[1:])
-                if cut[f].lane_id != cut[prev_f].lane_id
-                and cut[f].lane_id == ego[f].lane_id
-                and sign * cut[f].x_m > sign * ego[f].x_m
-                and axis_gap(cut[f].x_m, ego[f].x_m, cut[f].length_m, ego[f].length_m) <= min_gap_m
+                if cut[f].lane != cut[prev_f].lane
+                and cut[f].lane == ego[f].lane
+                and sign * cut[f].x > sign * ego[f].x
+                and axis_gap(cut[f].x, ego[f].x, cut[f].length, ego[f].length) <= min_gap_m
             ]
             if not transitions:
                 continue
             e0, c0 = ego[common[0]], cut[common[0]]
-            if sign * c0.x_m <= sign * e0.x_m:
+            if sign * c0.x <= sign * e0.x:
                 continue
-            y0, y_end = c0.y_m, cut[common[-1]].y_m
-            moving = [f for f in common if abs(cut[f].y_m - y0) > 1e-9]
-            settled = [f for f in moving if abs(cut[f].y_m - y_end) <= 1e-9]
+            y0, y_end = c0.y, cut[common[-1]].y
+            moving = [f for f in common if abs(cut[f].y - y0) > 1e-9]
+            settled = [f for f in moving if abs(cut[f].y - y_end) <= 1e-9]
             lc_start, lc_duration = 0.0, dt_s
             if moving:
                 lc_start = max((moving[0] - common[0] - 1) * dt_s, 0.0)
@@ -546,12 +560,12 @@ def scan_every_common_frame(track_set, min_gap_m):
                 lc_duration = max((end_frame - moving[0] + 1) * dt_s, dt_s)
             try:
                 params = ScenarioParams(
-                    "cut_in", sign * e0.x_vel_mps, sign * c0.x_vel_mps,
-                    axis_gap(c0.x_m, e0.x_m, c0.length_m, e0.length_m), abs(c0.y_m - e0.y_m),
+                    "cut_in", sign * e0.x_vel, sign * c0.x_vel,
+                    axis_gap(c0.x, e0.x, c0.length, e0.length), abs(c0.y - e0.y),
                     lc_start, lc_duration,
                     max((common[-1] - common[0]) * dt_s, lc_start + lc_duration), dt_s,
-                    ego_dims=VehicleDims(e0.width_m, e0.length_m),
-                    other_dims=VehicleDims(c0.width_m, c0.length_m),
+                    ego_dims=VehicleDims(e0.width, e0.length),
+                    other_dims=VehicleDims(c0.width, c0.length),
                 )
             except CutinSimError:
                 continue
@@ -564,6 +578,7 @@ def scan_every_common_frame(track_set, min_gap_m):
 X_M = (0.0, 5.0, 10.0, 20.0, 30.0)
 MIN_GAPS_M = (0.0, 5.0, 15.0, 100.0, math.inf)
 Y_M = (0.0, 1e-9, 1.0, 3.75)
+EMPTY_TRACK = Track(**{f.name: np.empty(0, TRACKS_DTYPE[f.name]) for f in fields(Track)})
 
 
 @st.composite
@@ -572,10 +587,11 @@ def track_sets(draw):
     share no frame, one frame or several). Most drive in the set's direction,
     some against it. Each holds one x at most frames. Lane id (0 or 1) and y
     are drawn per frame, so lane ids flip back and forth, and about one frame
-    in four is a hole (a track may be all holes)."""
-    tracks = {}
+    in four is a hole (a track may be all holes: an empty Track)."""
+    rows = []
     direction = draw(st.sampled_from((1.0, -1.0)))
-    for track_id in range(1, draw(st.integers(2, 4)) + 1):
+    ids = range(1, draw(st.integers(2, 4)) + 1)
+    for track_id in ids:
         sign = direction * draw(st.sampled_from((1.0, 1.0, 1.0, -1.0)))
         speed = draw(st.sampled_from((0.0, 15.0, 20.0)))
         x_m = draw(st.sampled_from(X_M))
@@ -589,11 +605,10 @@ def track_sets(draw):
             ),
             min_size=1, max_size=12,
         ))
-        tracks[track_id] = Track.from_rows(
-            TrackRow(first + k, track_id, sign * x, y, 2.0, 5.0, sign * speed, 0.0, lane)
-            for k, (x, y, lane, hole) in enumerate(cells) if not hole
-        )
-    return TrackSet(FPS, tracks)
+        rows += [(first + k, track_id, sign * x, y, 5.0, 2.0, sign * speed, 0.0, lane)
+                 for k, (x, y, lane, hole) in enumerate(cells) if not hole]
+    tracks = tracks_from_rows(rows)
+    return TrackSet(FPS, {track_id: tracks.get(track_id, EMPTY_TRACK) for track_id in ids})
 
 
 @settings(max_examples=400, deadline=None)

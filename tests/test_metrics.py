@@ -5,7 +5,7 @@ import pytest
 
 from cutinsim.engine import ScenarioParams
 from cutinsim.errors import InvalidInputError, UndefinedSensitivityError
-from cutinsim.ingest import CutInEvent, Track, TrackRow, TrackSet, export_features
+from cutinsim.ingest import CutInEvent, TrackSet, export_features, tracks_from_rows
 from cutinsim.kinematics import ARRAYS
 from cutinsim.metrics import (
     CLOSING_SPEED_FLOOR_MPS,
@@ -28,11 +28,10 @@ def features(gap_m, follower_vel_mps, rel_vel_mps):
 
     rel_vel_mps is follower velocity minus leader velocity (positive = closing).
     """
-    def row(track_id, x_m, x_vel_mps):
-        return Track.from_rows([TrackRow(0, track_id, x_m, 0.0, 2.0, LENGTH_M, x_vel_mps, 0.0, 0)])
-
-    track_set = TrackSet(25.0, {1: row(1, 0.0, follower_vel_mps),
-                                2: row(2, gap_m + LENGTH_M, follower_vel_mps - rel_vel_mps)})
+    track_set = TrackSet(25.0, tracks_from_rows([
+        (0, 1, 0.0, 0.0, LENGTH_M, 2.0, follower_vel_mps, 0.0, 0),
+        (0, 2, gap_m + LENGTH_M, 0.0, LENGTH_M, 2.0, follower_vel_mps - rel_vel_mps, 0.0, 0),
+    ]))
     (row0,), flagged = export_features(PAIR, track_set)
     assert flagged == []
     return row0[1:]

@@ -11,7 +11,6 @@ exports their per-frame surrogate features (DHW, THW, TTC, ITTC). The
 """
 
 from .engine import (
-    ClassifyThresholds,
     ScenarioParams,
     SimResult,
     SweepGrid,
@@ -52,7 +51,6 @@ from .safety_models import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassifyThresholds",
     "ScenarioParams",
     "SimResult",
     "SweepGrid",

@@ -2,12 +2,14 @@
 
     cutinsim one-case    --config cfg.json [--model NAME] [--out DIR]
     cutinsim comparison  --config cfg.json [--out DIR] [--jobs N]
-    cutinsim post-process --results DIR [--ttc-crit S]
+    cutinsim post-process --results DIR
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 collision detected
 (one-case only, as a scriptable signal). Underscore spellings of the
 subcommands are accepted as aliases. Every sweep runs in this process:
 comparison accepts any --jobs N of at least 1 and writes the same bytes.
+The config's risk.ttc_crit_s is the one critical TTC: one-case and comparison
+classify runs against it, and post-process reads it from the manifest.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def cmd_one_case(args: argparse.Namespace) -> int:
     out_dir = _out_dir(cfg, args.out)
     os.makedirs(out_dir, exist_ok=True)
 
-    result = engine.run_closed_loop(cfg.scenario, cfg.model, cfg.model_params, cfg.classify)
+    result = engine.run_closed_loop(cfg.scenario, cfg.model, cfg.model_params, cfg.ttc_crit_s)
     trace_path = os.path.join(out_dir, "trace.csv")
     verdict_path = os.path.join(out_dir, "verdict.json")
     reports.write_trace_csv(trace_path, result)
@@ -74,7 +76,7 @@ def cmd_comparison(args: argparse.Namespace) -> int:
     cfg_hash = config_mod.config_hash(resolved)
     out_dir = _out_dir(cfg, args.out)
 
-    items = engine.sweep(cfg.sweep, cfg.models, cfg.scenario, cfg.model_params, cfg.classify)
+    items = engine.sweep(cfg.sweep, cfg.models, cfg.scenario, cfg.model_params, cfg.ttc_crit_s)
     reports.write_comparison_store(out_dir, items, resolved, cfg_hash, cfg.seed)
     n_errors = sum(1 for item in items if item.error is not None)
     print(f"wrote {len(cfg.models)} results files to {out_dir} (config {cfg_hash})")
@@ -85,13 +87,10 @@ def cmd_comparison(args: argparse.Namespace) -> int:
 
 def cmd_post_process(args: argparse.Namespace) -> int:
     manifest, records = reports.read_comparison_store(args.results)
-    if args.ttc_crit is not None:
-        ttc_crit = args.ttc_crit
-    else:
-        ttc_crit = manifest.get("config", {}).get("risk", {}).get("ttc_crit_s", 2.0)
-    engine.check_finite(ttc_crit, "ttc-crit")
+    ttc_crit = manifest.get("config", {}).get("risk", {}).get("ttc_crit_s", 2.0)
+    engine.check_finite(ttc_crit, "risk.ttc_crit_s")
     if ttc_crit <= 0.0:
-        raise ConfigError("ttc-crit must be positive", key="ttc-crit")
+        raise ConfigError("risk.ttc_crit_s must be positive", key="risk.ttc_crit_s")
 
     summaries = risk.summarize_models(records, ttc_crit)
     reports.write_summary(args.results, summaries, ttc_crit)
@@ -141,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="summarize a previous comparison run",
     )
     p_post.add_argument("--results", required=True, help="directory of a comparison run")
-    p_post.add_argument("--ttc-crit", type=float, help="critical TTC threshold in seconds")
     p_post.set_defaults(func=cmd_post_process)
     return parser
 

@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .engine import ClassifyThresholds, ScenarioParams, SweepGrid, check_finite, check_models
+from .engine import ScenarioParams, SweepGrid, check_finite, check_models
 from .errors import ConfigError
 from .kinematics import VehicleDims
 from .safety_models import MODEL_NAMES, ModelParams, RbaParams
@@ -44,7 +44,6 @@ _TOP_LEVEL_KEYS = {
     "models",
     "rba",
     "model_params",
-    "classify",
     "risk",
     "sweep",
     "dims",
@@ -58,7 +57,6 @@ class RunConfig:
     model: str
     models: tuple[str, ...]
     model_params: ModelParams
-    classify: ClassifyThresholds
     ttc_crit_s: float
     sweep: SweepGrid | None
     out_dir: str | None
@@ -172,7 +170,6 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
     check_models(models)
 
     model_params = _parse_model_params(raw.get("model_params", {}), raw.get("rba", {}))
-    classify = _build_dataclass(ClassifyThresholds, raw.get("classify", {}), "classify")
 
     risk_raw = dict(_section(raw.get("risk", {}), "risk"))
     ttc_crit_s = float(check_finite(risk_raw.pop("ttc_crit_s", 2.0), "risk.ttc_crit_s"))
@@ -208,7 +205,6 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
         model=model,
         models=models,
         model_params=model_params,
-        classify=classify,
         ttc_crit_s=ttc_crit_s,
         sweep=sweep,
         out_dir=out_dir,
@@ -245,7 +241,6 @@ def resolved_dict(config: RunConfig) -> dict[str, Any]:
             name: dataclasses.asdict(getattr(config.model_params, name))
             for name in _MODEL_SECTIONS
         },
-        "classify": dataclasses.asdict(config.classify),
         "risk": {"ttc_crit_s": config.ttc_crit_s},
         "dims": {
             "ego": dataclasses.asdict(config.scenario.ego_dims),

@@ -25,6 +25,7 @@ from .safety_models import MARGIN_PASS, ModelParams, control_step
 SCENARIO_KINDS = ("cut_in", "cut_out", "car_following")
 CRITICAL = "critical"
 NON_CRITICAL = "non_critical"
+COMFORT_DECEL_MPS2 = 3.5  # braking harder than this makes a run critical
 
 DEFAULT_DIMS = VehicleDims(width_m=2.0, length_m=5.0)
 
@@ -182,12 +183,6 @@ class SimResult:
     model_name: str
 
 
-@dataclass(frozen=True)
-class ClassifyThresholds:
-    ttc_critical_s: float = 2.0
-    comfort_decel_mps2: float = 3.5
-
-
 # The other vehicle's plan under p's kind, lane change, speed profile and
 # footprints, from the three scalars that a sweep varies per run. Those may be
 # floats or arrays with one entry per run, in the same float operations.
@@ -254,10 +249,10 @@ def _summarize(xp, min_gap, min_ttc, peak_decel, gap_long, ttc, decel):
     return xp.pick_min(min_gap, gap_long), xp.pick_min(min_ttc, ttc), xp.pick_max(peak_decel, decel)
 
 
-def _classify(collided: bool, min_ttc_s: float, peak_decel: float, th: ClassifyThresholds) -> str:
-    """Critical when the run collided, dipped under the TTC threshold, or braked
-    harder than the comfort level; non-critical otherwise."""
-    if collided or min_ttc_s < th.ttc_critical_s or peak_decel > th.comfort_decel_mps2:
+def _classify(collided: bool, min_ttc_s: float, peak_decel: float, ttc_crit_s: float) -> str:
+    """Critical when the run collided, dipped under ttc_crit_s, or braked
+    harder than COMFORT_DECEL_MPS2; non-critical otherwise."""
+    if collided or min_ttc_s < ttc_crit_s or peak_decel > COMFORT_DECEL_MPS2:
         return CRITICAL
     return NON_CRITICAL
 
@@ -266,7 +261,7 @@ def run_closed_loop(
     p: ScenarioParams,
     model_name: str,
     params: ModelParams = ModelParams(),
-    thresholds: ClassifyThresholds = ClassifyThresholds(),
+    ttc_crit_s: float = 2.0,
 ) -> SimResult:
     """Simulate one scenario under one safety model.
 
@@ -313,7 +308,7 @@ def run_closed_loop(
         min_gap_long_m=min_gap,
         min_ttc_s=min_ttc,
         peak_decel_mps2=peak_decel,
-        classification=_classify(collided, min_ttc, peak_decel, thresholds),
+        classification=_classify(collided, min_ttc, peak_decel, ttc_crit_s),
         model_name=model_name,
     )
 
@@ -370,7 +365,7 @@ def _scalar_item(
     lane: tuple[str, int, tuple[float, float, float, float]],
     base: ScenarioParams,
     params: ModelParams,
-    thresholds: ClassifyThresholds,
+    ttc_crit_s: float,
 ) -> SweepItem:
     """The sweep item of one lane through run_closed_loop on its grid point:
     the summary without the trace, or the error row of what the run raises."""
@@ -378,7 +373,7 @@ def _scalar_item(
     v_e0, v_o0, d_x0, d_y0 = point
     p = replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
     try:
-        result = run_closed_loop(p, name, params, thresholds)
+        result = run_closed_loop(p, name, params, ttc_crit_s)
     except Exception as exc:  # recorded as an error row, never aborts the sweep
         return SweepItem(name, index, point, None, error=_error_text(exc))
     return SweepItem(name, index, point, replace(result, trace=None))
@@ -388,7 +383,7 @@ def _run_lanes(
     lanes: Sequence[tuple[str, int, tuple[float, float, float, float]]],
     base: ScenarioParams,
     params: ModelParams,
-    thresholds: ClassifyThresholds,
+    ttc_crit_s: float,
 ) -> list[SweepItem]:
     """run_closed_loop for many runs at once, summaries only: one float64
     array entry (lane) per (model, grid index, point) of lanes, which come
@@ -458,12 +453,12 @@ def _run_lanes(
                 name, index, point = lanes[lane]
                 result = SimResult(
                     trace=None, collided=hit, min_gap_long_m=min_gap, min_ttc_s=min_ttc,
-                    peak_decel_mps2=peak, classification=_classify(hit, min_ttc, peak, thresholds),
+                    peak_decel_mps2=peak, classification=_classify(hit, min_ttc, peak, ttc_crit_s),
                     model_name=name,
                 )
                 items[lane] = SweepItem(name, index, point, result)
             for lane in state.lane[leave].tolist():
-                items[lane] = _scalar_item(lanes[lane], base, params, thresholds)
+                items[lane] = _scalar_item(lanes[lane], base, params, ttc_crit_s)
             if (done | leave).any():
                 state.keep(~(done | leave))
     return items
@@ -474,7 +469,7 @@ def sweep(
     models: Sequence[str],
     base: ScenarioParams,
     params: ModelParams = ModelParams(),
-    thresholds: ClassifyThresholds = ClassifyThresholds(),
+    ttc_crit_s: float = 2.0,
 ) -> list[SweepItem]:
     """Simulate the full grid for every model (each named once), all runs
     stepped together in this process.
@@ -497,7 +492,7 @@ def sweep(
         for index, point in enumerate(points)
         if index not in invalid
     ]
-    done = iter(_run_lanes(lanes, base, params, thresholds))
+    done = iter(_run_lanes(lanes, base, params, ttc_crit_s))
     return [
         SweepItem(model_name, index, point, None, error=invalid[index])
         if index in invalid else next(done)

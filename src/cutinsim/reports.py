@@ -22,11 +22,11 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .engine import SimResult, SweepItem
+from .engine import CRITICAL, NON_CRITICAL, SimResult, SweepItem
 from .errors import ConfigError
 from .risk import ModelSummary
 from .safety_models import MODEL_NAMES
@@ -82,6 +82,14 @@ def write_lines(path: str, *parts: Iterable[str]) -> None:
                 fh.writelines(lines)
         finally:
             fh.truncate()
+
+
+def _remove_stale(out_dir: str, kinds: Sequence[str], written: Collection[str]) -> None:
+    """Remove each <kind>_<model>.csv not in written: a file an earlier run left."""
+    for name in (f"{kind}_{model}.csv" for model in MODEL_NAMES for kind in kinds):
+        if name not in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
 
 
 def _dump_json(path: str, payload: Any) -> None:
@@ -146,10 +154,7 @@ def write_comparison_store(
         name = results_filename(model)
         files[model] = name
         write_lines(os.path.join(out_dir, name), [RESULTS_HEADER + "\n"], _result_rows(model_items))
-    for model in MODEL_NAMES:
-        if model not in files:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, results_filename(model)))
+    _remove_stale(out_dir, ["results"], files.values())
     manifest = {
         "schema_version": 1,
         "config_hash": cfg_hash,
@@ -228,6 +233,8 @@ def read_comparison_store(results_dir: str) -> tuple[dict[str, Any], dict[str, l
                     min_ttc = math.nan
                 if math.isnan(min_ttc):
                     raise ConfigError(f"{where}: min_ttc {fields[6]!r} is not a number", key="results")
+                if fields[9] not in (CRITICAL, NON_CRITICAL):
+                    raise ConfigError(f"{where}: unknown classification {fields[9]!r}", key="results")
                 rows.append(RunRecord(min_ttc_s=min_ttc, classification=fields[9]))
         records[model] = rows
     return manifest, records
@@ -312,9 +319,5 @@ def write_plot_data(
         rows = zip(xs.tolist(), densities.tolist())
         write_lines(os.path.join(out_dir, name), ["x,density\n"], (DENSITY_ROW % row for row in rows))
         written.append(name)
-    for model in MODEL_NAMES:
-        for name in (f"hist_{model}.csv", f"density_{model}.csv"):
-            if name not in written:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(os.path.join(out_dir, name))
+    _remove_stale(out_dir, ["hist", "density"], written)
     return written

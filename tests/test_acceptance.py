@@ -438,7 +438,7 @@ def test_criterion_09_comparison_determinism(comparison_run):
 
 def test_criterion_10_histogram_and_density_conservation(comparison_run):
     out1, _ = comparison_run
-    assert cli_main(["post-process", "--results", str(out1), "--ttc-crit", "2.0"]) == 0
+    assert cli_main(["post-process", "--results", str(out1)]) == 0
     summary = json.loads((out1 / "summary.json").read_text())
     problems = []
     for row in summary["models"]:

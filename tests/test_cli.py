@@ -101,7 +101,7 @@ SCENARIO = {"kind": "cut_in", "v_e0": 25.0, "v_o0": 20.0, "d_x0": 30.0, "d_y0": 
         ({"scenario": {**SCENARIO, "v_e0": math.nan}}, "scenario.v_e0"),
         ({"rba": {"a_max_mps2": math.nan}}, "rba.a_max_mps2"),
         ({"model_params": {"idm": {"delta": "4"}}}, "model_params.idm.delta"),
-        ({"classify": {"ttc_critical_s": -math.inf}}, "classify.ttc_critical_s"),
+        ({"classify": {}}, "classify"),
         ({"dims": {"ego": [2.0, 5.0]}}, "dims.ego"),
         ({"sweep": {"v_e0": 25.0}}, "sweep.v_e0"),
         ({"sweep": {"d_x0": [20.0, math.nan]}}, "sweep.d_x0"),
@@ -212,7 +212,7 @@ def test_post_process_outputs(tmp_path):
     cfg = comparison_config(tmp_path)
     out = tmp_path / "cmp"
     assert main(["comparison", "--config", cfg, "--out", str(out)]) == 0
-    assert main(["post-process", "--results", str(out), "--ttc-crit", "2.0"]) == 0
+    assert main(["post-process", "--results", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["ttc_crit_s"] == 2.0
     models = {row["model"] for row in summary["models"]}
@@ -225,6 +225,23 @@ def test_post_process_outputs(tmp_path):
         hist = (out / f"hist_{row['model']}.csv").read_text().splitlines()[1:]
         total = sum(int(line.split(",")[2]) for line in hist)
         assert total == row["n"]
+
+
+def test_classification_and_the_gaussian_tail_read_one_ttc_crit(tmp_path):
+    with open(os.path.join(CONFIGS, "comparison.json")) as fh:
+        raw = json.load(fh)
+    raw["risk"] = {"ttc_crit_s": 4.0}
+    path = tmp_path / "cmp.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "cmp"
+    assert main(["comparison", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["post-process", "--results", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["ttc_crit_s"] == 4.0
+    fractions = {row["model"]: row["critical_fraction"] for row in summary["models"]}
+    # 10/27 and 18/27 when the runs are classified at 2 s
+    assert fractions["rba"] == 17 / 27
+    assert fractions["fsm"] == 24 / 27
 
 
 def test_post_process_missing_manifest(tmp_path, capsys):
@@ -242,22 +259,17 @@ def test_post_process_unreadable_manifest_is_a_config_error(tmp_path, capsys, te
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ("nan", "inf"))
-@pytest.mark.parametrize("source", ("flag", "manifest"))
-def test_post_process_rejects_a_non_finite_ttc_crit(tmp_path, capsys, value, source):
+@pytest.mark.parametrize("value", ("nan", "inf"), ids=lambda value: f"manifest-{value}")
+def test_post_process_rejects_a_non_finite_ttc_crit(tmp_path, capsys, value):
     cfg = comparison_config(tmp_path)
     out = tmp_path / "cmp"
     assert main(["comparison", "--config", cfg, "--out", str(out)]) == 0
-    args = ["post-process", "--results", str(out)]
-    if source == "flag":
-        args += ["--ttc-crit", value]
-    else:
-        manifest = json.loads((out / "manifest.json").read_text())
-        manifest["config"]["risk"]["ttc_crit_s"] = float(value)
-        (out / "manifest.json").write_text(json.dumps(manifest))
-    assert main(args) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["risk"]["ttc_crit_s"] = float(value)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["post-process", "--results", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "ttc-crit" in err
+    assert "risk.ttc_crit_s" in err
     assert "Traceback" not in err
     assert not (out / "summary.json").exists()
 
@@ -319,7 +331,7 @@ def test_comparison_uses_the_configured_footprints(tmp_path):
             fields = row.split(",")
             v_e0, v_o0, d_x0, d_y0 = points[int(fields[0])]
             p = replace(cfg.scenario, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
-            r = run_closed_loop(p, model, cfg.model_params, cfg.classify)
+            r = run_closed_loop(p, model, cfg.model_params, cfg.ttc_crit_s)
             assert (fields[5], fields[6], fields[9]) == (
                 "1" if r.collided else "0", fmt_float(r.min_ttc_s), r.classification
             ), (model, fields[0])

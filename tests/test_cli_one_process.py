@@ -26,10 +26,15 @@ def test_every_command_in_one_process_builds_the_parser_once(tmp_path):
         first = {name: Path(case, name).read_bytes() for name in ("trace.csv", "verdict.json")}
         assert main(["comparison", "--config", os.path.join(CONFIGS, "comparison.json"),
                      "--out", cmp_out]) == EXIT_OK
+        # a critical TTC must be positive: 0 in the manifest is a configuration error
+        manifest = Path(cmp_out, "manifest.json")
+        stored = manifest.read_text()
+        manifest.write_text(stored.replace('"ttc_crit_s": 2.0', '"ttc_crit_s": 0'))
+        assert main(["post-process", "--results", cmp_out]) == EXIT_CONFIG
+        assert stderr.getvalue() == "error: risk.ttc_crit_s must be positive\n"
+        assert not Path(cmp_out, "summary.json").exists()
+        manifest.write_text(stored)
         assert main(["post-process", "--results", cmp_out]) == EXIT_OK
-        # a critical TTC must be positive: 0 is a configuration error
-        assert main(["post-process", "--results", cmp_out, "--ttc-crit", "0"]) == EXIT_CONFIG
-        assert stderr.getvalue() == "error: ttc-crit must be positive\n"
         with pytest.raises(SystemExit) as exc:
             main(["one-case", "--model", "rba"])  # --config is required
         assert exc.value.code == 2

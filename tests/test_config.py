@@ -68,8 +68,8 @@ PATHS = sorted(_key_paths(BASE))
 # known names reach the sections the base config leaves at their defaults
 NAMES = sorted(
     {key for path in PATHS for key in path}
-    | {"model", "rba", "model_params", "classify", "dims", "out_dir", "other_speed_profile",
-       "rss", "idm", "ego", "a_max_mps2", "delta", "width_m", "ttc_critical_s"}
+    | {"model", "rba", "model_params", "dims", "out_dir", "other_speed_profile",
+       "rss", "idm", "ego", "a_max_mps2", "delta", "width_m"}
 )
 
 # st.integers rarely leaves the small values, so magnitudes are drawn as well
@@ -141,12 +141,12 @@ def test_integer_model_parameters_give_the_sweep_and_the_scalar_loop_equal_items
     cfg = parse_config(raw)
     assert type(cfg.model_params.rss.ego_brake_min_mps2) is float
     models = ("rss", "reg157")
-    items = sweep(cfg.sweep, models, cfg.scenario, cfg.model_params, cfg.classify)
+    items = sweep(cfg.sweep, models, cfg.scenario, cfg.model_params, cfg.ttc_crit_s)
     assert len(items) == 54
     for it in items:
         v_e0, v_o0, d_x0, d_y0 = it.point
         p = dataclasses.replace(cfg.scenario, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0,
                                 d_y0_m=d_y0)
-        run = run_closed_loop(p, it.model_name, cfg.model_params, cfg.classify)
+        run = run_closed_loop(p, it.model_name, cfg.model_params, cfg.ttc_crit_s)
         # repr tells 4 from 4.0
         assert repr(it.result) == repr(dataclasses.replace(run, trace=None))

@@ -15,7 +15,6 @@ from cutinsim.config import load_config, parse_config
 from cutinsim.engine import (
     MAX_STEPS,
     SCENARIO_KINDS,
-    ClassifyThresholds,
     ScenarioParams,
     SimResult,
     SweepGrid,
@@ -343,10 +342,10 @@ def at_point(base, point):
     return replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
 
 
-def scalar_item(base, model, index, point, params, thresholds=ClassifyThresholds()):
+def scalar_item(base, model, index, point, params, ttc_crit_s=2.0):
     """One sweep item through the scalar loop: the reference for the batched sweep."""
     try:
-        result = run_closed_loop(at_point(base, point), model, params, thresholds)
+        result = run_closed_loop(at_point(base, point), model, params, ttc_crit_s)
     except Exception as exc:
         return SweepItem(model, index, point, None, error=f"{type(exc).__name__}: {exc}")
     return SweepItem(model, index, point, replace(result, trace=None))
@@ -425,7 +424,7 @@ def test_batched_sweep_equals_the_scalar_loop(case, data):
     start = data.draw(st.integers(0, len(ran)))
     stop = data.draw(st.integers(start, len(ran)))
     chunk = [(it.model_name, it.grid_index, it.point) for it in ran[start:stop]]
-    alone = engine._run_lanes(chunk, base, params, ClassifyThresholds())
+    alone = engine._run_lanes(chunk, base, params, 2.0)
     assert reprs(alone) == reprs(ran[start:stop])
 
 
@@ -499,14 +498,14 @@ def test_no_sweep_run_brakes_harder_than_its_model_declares(kind):
     elif kind == "car_following":  # the lead stops at 2 s and pulls away at 6 s
         grid = replace(grid, d_y0_m=(0.0,))
         base = replace(base, kind=kind, d_y0_m=0.0, other_speed_profile=((2.0, 0.0), (6.0, 15.0)))
-    items = sweep(grid, cfg.models, base, cfg.model_params, cfg.classify)
+    items = sweep(grid, cfg.models, base, cfg.model_params, cfg.ttc_crit_s)
     assert len(items) == len(grid.points()) * len(MODEL_NAMES)
     for it in items:
         assert it.error is None, it
         assert it.result.peak_decel_mps2 <= DECEL_CAPS[it.model_name](cfg.model_params), it
         # and no run drives the ego backwards, nor rba under its speed floor
         run = run_closed_loop(at_point(base, it.point), it.model_name, cfg.model_params,
-                              cfg.classify)
+                              cfg.ttc_crit_s)
         assert it.result == replace(run, trace=None)
         floor = cfg.model_params.rba.v_min_mps if it.model_name == "rba" else 0.0
         assert min(run.trace.ego_v_mps) >= floor, it
@@ -514,7 +513,7 @@ def test_no_sweep_run_brakes_harder_than_its_model_declares(kind):
 
 
 def test_classification_rules():
-    th = ClassifyThresholds(ttc_critical_s=2.0, comfort_decel_mps2=3.5)
+    th = 2.0
 
     def classify_event(r, th):
         return engine._classify(r.collided, r.min_ttc_s, r.peak_decel_mps2, th)

@@ -107,12 +107,18 @@ def _rba_header(out):
     path.write_text(path.read_text().replace("min_ttc", "min_ttc_s", 1))
 
 
+def _rba_classification(out):
+    path = out / "results_rba.csv"
+    path.write_text(path.read_text().replace(",non_critical,", ",bogus,", 1))
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_without("config_hash"), "missing 'config_hash'"),
     (_without("files"), "missing 'files'"),
     (_without("models"), "missing 'models'"),
     (_rba_header, "unexpected results header in results_rba.csv"),
-], ids=["no-config-hash", "no-files", "no-models", "results-header"])
+    (_rba_classification, "results_rba.csv line 4: unknown classification 'bogus'"),
+], ids=["no-config-hash", "no-files", "no-models", "results-header", "classification"])
 def test_a_malformed_store_is_a_config_error(tmp_path, corrupt, message):
     out = store(tmp_path)
     corrupt(out)

@@ -87,7 +87,7 @@ def cmd_comparison(args: argparse.Namespace) -> int:
 
 def cmd_post_process(args: argparse.Namespace) -> int:
     manifest, records = reports.read_comparison_store(args.results)
-    ttc_crit = manifest.get("config", {}).get("risk", {}).get("ttc_crit_s", 2.0)
+    ttc_crit = manifest["config"].get("risk", {}).get("ttc_crit_s", 2.0)
     engine.check_finite(ttc_crit, "risk.ttc_crit_s")
     if ttc_crit <= 0.0:
         raise ConfigError("risk.ttc_crit_s must be positive", key="risk.ttc_crit_s")

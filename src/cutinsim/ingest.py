@@ -138,7 +138,7 @@ def tracks_from_rows(rows) -> dict[int, Track]:
     columns = {f.name: rows[f.name][order] for f in fields(Track)}
     frame = columns["frame"]
     new_track = ids[1:] != ids[:-1]
-    # extraction's intersect1d(assume_unique=True) and searchsorted rely on it
+    # extraction's alignment of a pair's common frames and its searchsorted rely on it
     out_of_order = ~new_track & (frame[1:] <= frame[:-1])
     if out_of_order.any():
         first_bad = np.isin(rows["id"], ids[1:][out_of_order]).argmax()
@@ -249,12 +249,37 @@ def _estimate_lane_change_window(frames: np.ndarray, y: np.ndarray, dt_s: float)
     return max(start, 0.0), duration
 
 
+def _frame_span(frame: np.ndarray) -> tuple[int, int] | None:
+    """(first, last) of a track's frames when they are consecutive, with no
+    hole; None for a track with a hole or no frame. Python ints, so that
+    frames at the ends of int64 cannot overflow."""
+    if len(frame):
+        first, last = frame[0].item(), frame[-1].item()
+        if last - first + 1 == len(frame):
+            return first, last
+    return None
+
+
 def _align_pair(ego: Track, cut: Track):
     """(frames, e_rows, c_rows, sign): the frames both tracks hold, in order,
     the row index of each in ego and in cut, and the ego's direction of
     travel, 1.0 or -1.0: the sign of its xVelocity at the first common frame
-    (1.0 when it is 0 or there is no common frame)."""
-    frames, e_rows, c_rows = np.intersect1d(ego.frame, cut.frame, assume_unique=True, return_indices=True)
+    (1.0 when it is 0 or there is no common frame).
+
+    When both tracks' frames are consecutive (every highD track's are), the
+    common frames are the overlap of the two frame ranges and each track's
+    rows are that range offset by its first frame; otherwise they come from
+    np.intersect1d. Both give the same values and dtypes."""
+    e_span, c_span = _frame_span(ego.frame), _frame_span(cut.frame)
+    if e_span and c_span:
+        first = max(e_span[0], c_span[0])
+        n = max(min(e_span[1], c_span[1]) - first + 1, 0)
+        # with no overlap, first may lie up to 2**64 frames past a track's start
+        e0, c0 = (first - e_span[0], first - c_span[0]) if n else (0, 0)
+        frames = ego.frame[e0:e0 + n]
+        e_rows, c_rows = np.arange(e0, e0 + n, dtype=np.intp), np.arange(c0, c0 + n, dtype=np.intp)
+    else:
+        frames, e_rows, c_rows = np.intersect1d(ego.frame, cut.frame, assume_unique=True, return_indices=True)
     sign = -1.0 if len(e_rows) and ego.x_vel[e_rows[0]] < 0.0 else 1.0
     return frames, e_rows, c_rows, sign
 
@@ -392,4 +417,7 @@ def export_features(event: CutInEvent, track_set: TrackSet):
 
 
 def write_features_csv(path, rows) -> None:
-    write_lines(path, [",".join(FEATURES_HEADER) + "\n"], (FEATURES_ROW % row for row in rows))
+    """Write rows, (frame, dhw, thw, ttc, ittc) tuples, under FEATURES_HEADER,
+    floats in reports.FLOAT_FORMAT. The body is formatted in one join and
+    goes to write_lines as one string, not as one string per row."""
+    write_lines(path, [",".join(FEATURES_HEADER) + "\n", "".join(map(FEATURES_ROW.__mod__, rows))])

@@ -26,6 +26,7 @@ from typing import Any, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import config_hash
 from .engine import CRITICAL, NON_CRITICAL, SimResult, SweepItem
 from .errors import ConfigError
 from .risk import ModelSummary
@@ -175,6 +176,9 @@ class RunRecord:
 
 
 def read_manifest(results_dir: str) -> dict[str, Any]:
+    """The manifest of the comparison store in results_dir. A missing,
+    malformed or edited one (its config_hash is not the hash of its config)
+    is a ConfigError with key "results"."""
     path = os.path.join(results_dir, MANIFEST_NAME)
     try:
         with open(path) as fh:
@@ -189,7 +193,7 @@ def read_manifest(results_dir: str) -> dict[str, Any]:
 
     if not isinstance(manifest, dict):
         raise corrupt("the root is not a JSON object")
-    for key in ("config_hash", "files", "models"):
+    for key in ("config", "config_hash", "files", "models"):
         if key not in manifest:
             raise corrupt(f"missing {key!r}")
     files = manifest["files"]
@@ -199,9 +203,12 @@ def read_manifest(results_dir: str) -> dict[str, Any]:
     for model, name in files.items():
         if model not in MODEL_NAMES or name != results_filename(model):
             raise corrupt(f"'files' maps {model!r} to {name!r}, not a registered model's results file")
-    config = manifest.get("config", {})
+    config = manifest["config"]
     if not isinstance(config, dict) or not isinstance(config.get("risk", {}), dict):
         raise corrupt("'config' or 'config.risk' is not a JSON object")
+    # an edited config would summarize the results files under settings they were not run with
+    if manifest["config_hash"] != config_hash(config):
+        raise corrupt(f"'config_hash' {manifest['config_hash']!r} is not the hash of 'config'")
     return manifest
 
 

@@ -151,10 +151,11 @@ def comparison_config(tmp_path, **extra):
     )
 
 
-def test_comparison_store_shape(tmp_path):
+def test_comparison_store_shape(tmp_path, capsys):
     cfg = comparison_config(tmp_path)
     out = tmp_path / "cmp"
     assert main(["comparison", "--config", cfg, "--out", str(out)]) == 0
+    assert "recorded errors" not in capsys.readouterr().out
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["models"] == ["none", "rba"]
     for model in ("rba", "none"):
@@ -266,10 +267,32 @@ def test_post_process_rejects_a_non_finite_ttc_crit(tmp_path, capsys, value):
     assert main(["comparison", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     manifest["config"]["risk"]["ttc_crit_s"] = float(value)
+    # re-hashed, so that the store passes the hash check and reaches the threshold's
+    manifest["config_hash"] = config_hash(manifest["config"])
     (out / "manifest.json").write_text(json.dumps(manifest))
     assert main(["post-process", "--results", str(out)]) == 1
     err = capsys.readouterr().err
     assert "risk.ttc_crit_s" in err
+    assert "Traceback" not in err
+    assert not (out / "summary.json").exists()
+
+
+def test_post_process_rejects_a_config_edited_after_the_run(tmp_path, capsys):
+    # the golden store's results were classified at ttc_crit_s = 2: summarized
+    # at 4 they would mix 4 s tails with 2 s critical counts
+    golden = os.path.join(os.path.dirname(__file__), "golden", "comparison")
+    out = tmp_path / "cmp"
+    out.mkdir()
+    for name in os.listdir(golden):
+        if name.startswith("results_") or name == "manifest.json":
+            shutil.copy(os.path.join(golden, name), out / name)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_hash"] == config_hash(manifest["config"])
+    manifest["config"]["risk"]["ttc_crit_s"] = 4.0
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["post-process", "--results", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"'config_hash' {manifest['config_hash']!r} is not the hash of 'config'" in err
     assert "Traceback" not in err
     assert not (out / "summary.json").exists()
 
@@ -355,7 +378,7 @@ def test_one_case_with_a_non_finite_state_is_an_input_error(tmp_path, capsys, ve
     assert "Traceback" not in err
 
 
-def test_sweep_point_with_a_non_finite_state_is_an_error_row(tmp_path):
+def test_sweep_point_with_a_non_finite_state_is_an_error_row(tmp_path, capsys):
     cfg = write_config(
         tmp_path, models=["none", "rba"],
         sweep={"v_e0": [0.0, 25.0], "v_o0": [1e308, 20.0], "d_x0": [30.0], "d_y0": [3.75]},
@@ -364,6 +387,7 @@ def test_sweep_point_with_a_non_finite_state_is_an_error_row(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the overflow to inf raises no numpy warning
         assert main(["comparison", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("\n4 grid points recorded errors; see the error column\n")
     for model in ("none", "rba"):
         rows = [line.split(",") for line in (out / f"results_{model}.csv").read_text().splitlines()[1:]]
         assert len(rows) == 4

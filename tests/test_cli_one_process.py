@@ -4,6 +4,7 @@ process."""
 
 import contextlib
 import io
+import json
 import multiprocessing.process
 import os
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 from cutinsim import cli
 from cutinsim.cli import EXIT_COLLISION, EXIT_CONFIG, EXIT_OK, main
+from cutinsim.config import config_hash
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -26,10 +28,14 @@ def test_every_command_in_one_process_builds_the_parser_once(tmp_path):
         first = {name: Path(case, name).read_bytes() for name in ("trace.csv", "verdict.json")}
         assert main(["comparison", "--config", os.path.join(CONFIGS, "comparison.json"),
                      "--out", cmp_out]) == EXIT_OK
-        # a critical TTC must be positive: 0 in the manifest is a configuration error
+        # a critical TTC must be positive: 0 in the manifest (re-hashed, so that
+        # it passes the hash check) is a configuration error
         manifest = Path(cmp_out, "manifest.json")
         stored = manifest.read_text()
-        manifest.write_text(stored.replace('"ttc_crit_s": 2.0', '"ttc_crit_s": 0'))
+        edited = json.loads(stored)
+        edited["config"]["risk"]["ttc_crit_s"] = 0
+        edited["config_hash"] = config_hash(edited["config"])
+        manifest.write_text(json.dumps(edited))
         assert main(["post-process", "--results", cmp_out]) == EXIT_CONFIG
         assert stderr.getvalue() == "error: risk.ttc_crit_s must be positive\n"
         assert not Path(cmp_out, "summary.json").exists()

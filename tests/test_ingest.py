@@ -586,8 +586,10 @@ def track_sets(draw):
     """2-4 tracks of up to 12 frames each, starting at frames 0-6 (so pairs
     share no frame, one frame or several). Most drive in the set's direction,
     some against it. Each holds one x at most frames. Lane id (0 or 1) and y
-    are drawn per frame, so lane ids flip back and forth, and about one frame
-    in four is a hole (a track may be all holes: an empty Track)."""
+    are drawn per frame, so lane ids flip back and forth. About half the
+    tracks hold every frame from their first to their last; in the others
+    about one frame in four is a hole (a track may be all holes: an empty
+    Track)."""
     rows = []
     direction = draw(st.sampled_from((1.0, -1.0)))
     ids = range(1, draw(st.integers(2, 4)) + 1)
@@ -596,12 +598,13 @@ def track_sets(draw):
         speed = draw(st.sampled_from((0.0, 15.0, 20.0)))
         x_m = draw(st.sampled_from(X_M))
         first = draw(st.integers(0, 6))
+        holes = st.sampled_from((False, False, False, True)) if draw(st.booleans()) else st.just(False)
         cells = draw(st.lists(
             st.tuples(
                 st.sampled_from((x_m, x_m, x_m) + X_M),
                 st.sampled_from(Y_M),
                 st.integers(0, 1),
-                st.sampled_from((False, False, False, True)),
+                holes,
             ),
             min_size=1, max_size=12,
         ))
@@ -616,6 +619,67 @@ def track_sets(draw):
 def test_extraction_equals_a_scan_over_every_common_frame(track_set, min_gap_m):
     events = extract_cut_in_events(track_set, min_gap_m=min_gap_m)
     assert repr(events) == repr(scan_every_common_frame(track_set, min_gap_m))
+
+
+def track_on(frames):
+    """A track on the given frames, its xVelocity -1, 0 or 1 by frame % 3, so
+    that the direction of travel depends on the first common frame."""
+    frame = np.array(frames, np.int64)
+    columns = {f.name: np.zeros(len(frame), TRACKS_DTYPE[f.name]) for f in fields(Track)}
+    return Track(**{**columns, "frame": frame, "x_vel": (frame % 3 - 1).astype(np.float64)})
+
+
+@st.composite
+def frame_pairs(draw):
+    """The frames of two tracks near a shared anchor, 0 or an end of int64
+    (now and then each track has its own): each track either consecutive
+    frames or a drawn set, up to 10 frames, so the pair may be disjoint,
+    touch at one frame, overlap, nest, have holes or be empty."""
+    anchor = draw(st.sampled_from((0, ingest.INT64_MIN, ingest.INT64_MAX)))
+    pair = []
+    for _ in range(2):
+        base = draw(st.sampled_from((anchor,) * 4 + (ingest.INT64_MIN, ingest.INT64_MAX)))
+        if draw(st.booleans()):
+            start = draw(st.integers(-12, 12))
+            offsets = range(start, start + draw(st.integers(0, 10)))
+        else:
+            offsets = sorted(draw(st.sets(st.integers(-12, 12), max_size=10)))
+        pair.append([base + k for k in offsets if ingest.INT64_MIN <= base + k <= ingest.INT64_MAX])
+    return pair
+
+
+@settings(max_examples=500, deadline=None)
+@given(frame_pairs())
+@example([list(range(0, 6)), list(range(3, 10))])  # overlapping
+@example([list(range(0, 5)), list(range(4, 9))])  # touching at one frame
+@example([list(range(0, 3)), list(range(3, 6))])  # adjacent, disjoint
+@example([list(range(0, 10)), list(range(3, 6))])  # nested
+@example([[0, 1, 3, 4], list(range(0, 6))])  # a hole
+@example([[], list(range(0, 3))])
+@example([[], []])
+@example([list(range(ingest.INT64_MAX - 3, ingest.INT64_MAX + 1))] * 2)
+@example([list(range(ingest.INT64_MIN, ingest.INT64_MIN + 3)), list(range(ingest.INT64_MAX - 2, ingest.INT64_MAX + 1))])
+def test_align_pair_equals_intersect1d(pair):
+    ego, cut = map(track_on, pair)
+    frames, e_rows, c_rows, sign = ingest._align_pair(ego, cut)
+    want = np.intersect1d(ego.frame, cut.frame, assume_unique=True, return_indices=True)
+    for got, expected in zip((frames, e_rows, c_rows), want):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+    assert sign == (-1.0 if len(want[1]) and ego.x_vel[want[1][0]] < 0.0 else 1.0)
+
+
+@pytest.mark.parametrize("rows", (
+    [],
+    [(0, 12.5, 0.5, math.inf, 0.0), (1, -0.5, math.nan, math.nan, math.nan)],  # the overlap sentinels
+    [(-3, -0.0, math.inf, -math.inf, -0.0), (2**62, 1e-300, 1.234567891, 3e21, 1 / 3)],
+), ids=("no-rows", "sentinels", "signed-zero-and-infinities"))
+def test_features_file_is_the_header_and_one_formatted_line_per_row(tmp_path, rows):
+    path = tmp_path / "features.csv"
+    path.write_text("an older and longer file\n" * 20)
+    write_features_csv(path, rows)
+    header = ",".join(ingest.FEATURES_HEADER) + "\n"
+    assert path.read_bytes() == (header + "".join(ingest.FEATURES_ROW % row for row in rows)).encode()
 
 
 def test_tracks_keep_the_order_of_first_appearance_and_the_first_bad_one_is_named(tmp_path):

@@ -1,4 +1,4 @@
-"""tools/mutate_operators.py makes one boundary flip per comparison operator."""
+"""tools/mutate_operators.py makes one flip to its twin per comparison operator."""
 
 import ast
 import importlib.util
@@ -11,16 +11,18 @@ _spec.loader.exec_module(mutate_operators)
 
 SOURCE = """\
 def f(a, b, c, x, y):
-    if x in y:
+    if x in y and a is not None:
         return a < b <= c
     return x == y
 """
 
 
 def test_each_mutant_flips_one_operator_of_the_source_to_its_boundary_twin():
-    # the chain's two operators and the equality, in source order, each flipped
-    # alone; `in` has no twin and is never flipped
+    # the membership, the identity, the chain's two operators and the
+    # equality, in source order, each flipped alone
     expected = [
+        (2, "In -> NotIn", SOURCE.replace("x in y", "x not in y")),
+        (2, "IsNot -> Is", SOURCE.replace("a is not None", "a is None")),
         (3, "Lt -> LtE", SOURCE.replace("a < b <= c", "a <= b <= c")),
         (3, "LtE -> Lt", SOURCE.replace("a < b <= c", "a < b < c")),
         (4, "Eq -> NotEq", SOURCE.replace("x == y", "x != y")),

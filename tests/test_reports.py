@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cutinsim.cli import main
+from cutinsim.config import config_hash
 from cutinsim.engine import SimResult, SweepItem, Trace
 from cutinsim.errors import ConfigError
 from cutinsim.reports import (
@@ -90,7 +91,8 @@ ITEMS = [item(0, 1.0), item(1, error="InvalidInputError: overflow"),
 
 def store(tmp_path, items=ITEMS):
     out = tmp_path / "store"
-    write_comparison_store(str(out), items, {"risk": {"ttc_crit_s": 2.0}}, "hash", 0)
+    config = {"risk": {"ttc_crit_s": 2.0}}
+    write_comparison_store(str(out), items, config, config_hash(config), 0)
     return out
 
 
@@ -113,12 +115,13 @@ def _rba_classification(out):
 
 
 @pytest.mark.parametrize("corrupt, message", [
+    (_without("config"), "missing 'config'"),
     (_without("config_hash"), "missing 'config_hash'"),
     (_without("files"), "missing 'files'"),
     (_without("models"), "missing 'models'"),
     (_rba_header, "unexpected results header in results_rba.csv"),
     (_rba_classification, "results_rba.csv line 4: unknown classification 'bogus'"),
-], ids=["no-config-hash", "no-files", "no-models", "results-header", "classification"])
+], ids=["no-config", "no-config-hash", "no-files", "no-models", "results-header", "classification"])
 def test_a_malformed_store_is_a_config_error(tmp_path, corrupt, message):
     out = store(tmp_path)
     corrupt(out)

@@ -1,11 +1,11 @@
 """Operator-flip mutation check for one source file.
 
-Each comparison operator in the file is flipped once to its boundary twin
-(< and <=, > and >=, == and !=). For every such mutant a copy of the
-repository's src/, tests/ and configs/ is made under a temporary directory,
-the mutant replaces the file there, and the kinematics, metrics, risk,
-model, engine, config, report, CLI, ingest, writer and golden tests run
-against it.
+Each comparison operator in the file is flipped once to its twin: the
+boundary twins < and <=, > and >=, and the negations == and !=, in and
+not in, is and is not. For every such mutant a copy of the repository's
+src/, tests/ and configs/ is made under a temporary directory, the mutant
+replaces the file there, and the kinematics, metrics, risk, model, engine,
+config, report, CLI, ingest, writer and golden tests run against it.
 A mutant the tests still pass is a survivor: a decision boundary no test pins.
 
     python tools/mutate_operators.py src/cutinsim/safety_models.py
@@ -29,6 +29,8 @@ FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt,
     ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
+    ast.In: ast.NotIn, ast.NotIn: ast.In,
+    ast.Is: ast.IsNot, ast.IsNot: ast.Is,
 }
 TESTS = ("tests/test_kinematics.py", "tests/test_metrics.py", "tests/test_risk.py",
          "tests/test_safety_models.py", "tests/test_engine.py", "tests/test_config.py",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import numbers
@@ -262,19 +263,24 @@ def run_closed_loop(
     model_name: str,
     params: ModelParams = ModelParams(),
     ttc_crit_s: float = 2.0,
+    *,
+    record: bool = True,
 ) -> SimResult:
     """Simulate one scenario under one safety model.
 
     Each step: compute gaps and TTC, run the model's control step on them,
     apply its acceleration to the ego, advance both vehicles. Stepping stops
     (and the collision flag latches) as soon as the footprints overlap.
+    With record=False the result's trace is None and no step is kept.
     """
     dt = p.dt_s
     x, v = 0.0, p.v_e0_mps  # the ego, at the origin of its lane
     memory = 0
     min_gap, min_ttc, peak_decel = math.inf, math.inf, -math.inf
     n_steps = round(p.duration_s / dt)
-    rows = []  # one tuple per step, in Trace's field order
+    # one tuple per step, in Trace's field order; a deque that keeps none
+    # when not recording, so that the step does not branch on it
+    rows = [] if record else collections.deque(maxlen=0)
 
     for i in range(n_steps + 1):
         t = i * dt
@@ -303,7 +309,7 @@ def run_closed_loop(
             require_finite(accel_long_mps2=accel, pos_long_m=x, vel_long_mps=v)
 
     return SimResult(
-        trace=Trace(*zip(*rows)),
+        trace=Trace(*zip(*rows)) if record else None,
         collided=collided,
         min_gap_long_m=min_gap,
         min_ttc_s=min_ttc,
@@ -373,10 +379,10 @@ def _scalar_item(
     v_e0, v_o0, d_x0, d_y0 = point
     p = replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
     try:
-        result = run_closed_loop(p, name, params, ttc_crit_s)
+        result = run_closed_loop(p, name, params, ttc_crit_s, record=False)
     except Exception as exc:  # recorded as an error row, never aborts the sweep
         return SweepItem(name, index, point, None, error=_error_text(exc))
-    return SweepItem(name, index, point, replace(result, trace=None))
+    return SweepItem(name, index, point, result)
 
 
 def _run_lanes(

@@ -64,19 +64,42 @@ def _py_pow(base: np.ndarray, exponent: float, where: np.ndarray) -> np.ndarray:
     return out
 
 
+def _square_float(base: float, where: bool) -> float:
+    """base * base; an OverflowError where `where` holds and the square of a
+    finite base is infinite, as Python's base ** 2 raises."""
+    out = base * base
+    if out == math.inf and where and math.isfinite(base):
+        raise OverflowError("square out of float range")
+    return out
+
+
+def _square(base: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """_square_float entry by entry: base * base, raising where any entry
+    under `where` overflows."""
+    out = base * base
+    overflow = np.isinf(out)
+    if overflow.any() and (overflow & where & np.isfinite(base)).any():
+        raise OverflowError("square out of float range")
+    return out
+
+
 # The operations the step is written in: `where(c, a, b)` selects,
 # `pick_max(a, b)` and `pick_min(a, b)` are max(a, b) and min(a, b), which
-# keep a on a tie, `pow(base, exponent, where)` takes Python's power only
-# where `where` holds (0 elsewhere), `zeros(like, kind)` is a 0 of type kind
-# (int or float) in the shape of like. A formula over them computes every
-# branch and selects the taken one, so that both forms do the same IEEE
-# operations in the same order; no branch may raise where it is not taken,
-# and the array form runs under np.errstate(all="ignore").
+# keep a on a tie, `square(base, where)` is base * base and
+# `pow(base, exponent, where)` takes Python's power only where `where` holds
+# (0 elsewhere), both raising OverflowError where that holds and Python's
+# base ** exponent would; `zeros(like, kind)` is a 0 of type kind (int or
+# float) in the shape of like. A formula over them computes every branch and
+# selects the taken one, so that both forms do the same IEEE operations in
+# the same order; no branch may raise where it is not taken, and the array
+# form runs under np.errstate(all="ignore"). A product is correctly rounded
+# in both forms; numpy's power is not Python's, so `pow` takes Python's.
 FLOATS = SimpleNamespace(
     where=lambda c, a, b: a if c else b,
     # max and min without the builtins' call cost
     pick_max=lambda a, b: b if b > a else a,
     pick_min=lambda a, b: b if b < a else a,
+    square=_square_float,
     pow=lambda base, exponent, where: base ** exponent if where else 0.0,
     zeros=lambda like, kind: kind(),
 )
@@ -84,6 +107,7 @@ ARRAYS = SimpleNamespace(
     where=np.where,
     pick_max=_pick_max,
     pick_min=_pick_min,
+    square=_square,
     pow=_py_pow,
     zeros=lambda like, kind: np.zeros(like.shape, kind),
 )

@@ -182,7 +182,9 @@ def control_step(
     forms do the same IEEE operations in the same order. No branch may raise
     where it is not taken: every divisor is a parameter validated positive,
     dt_s or its inverse, or idm's gap, which is 1.0 where its law does not
-    run; and a power is taken only where xp.pow's mask holds.
+    run; and a square or power raises only where its mask holds. The
+    squares (rss's reach, idm's interaction term) are products in both
+    forms; only idm's delta takes Python's power, which numpy's is not.
     """
     where, pick_max, pick_min = xp.where, xp.pick_max, xp.pick_min
     if name == "rba":
@@ -237,7 +239,7 @@ def control_step(
         p = params.rss
         rho = p.response_time_s
         try:
-            reach = xp.pow(v_ego_mps + rho * p.accel_max_response_mps2, 2, in_lane)
+            reach = xp.square(v_ego_mps + rho * p.accel_max_response_mps2, in_lane)
         except OverflowError:
             raise InvalidInputError(
                 f"rss minimum gap overflows at v_ego_mps={v_ego_mps!r}"
@@ -292,7 +294,7 @@ def control_step(
         )
         try:
             free_road = xp.pow(v_ego_mps / p.v_desired_mps, p.delta, law)
-            interaction = xp.pow(s_star / gap, 2, law)
+            interaction = xp.square(s_star / gap, law)
         except OverflowError:
             raise InvalidInputError(
                 f"idm acceleration overflows at v_mps={v_ego_mps!r}, gap_m={gap!r}"

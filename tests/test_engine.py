@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pickle
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -312,6 +313,22 @@ def test_sweep_items_carry_the_summary_without_the_trace():
         assert full.trace.t_s
         assert it.result == replace(full, trace=None)
         assert full.peak_decel_mps2 == max(full.trace.decel_cmd_mps2)
+
+
+def test_a_summary_only_run_keeps_no_step():
+    # 20,001 steps, whose recorded trace would take megabytes; the summary
+    # alone is the recorded run's
+    p = cutin(dt=6e-4)
+    full = run_closed_loop(p, "idm")
+    assert len(full.trace.t_s) == 20_001 and not full.collided
+    tracemalloc.start()
+    try:
+        summary = run_closed_loop(p, "idm", record=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert repr(summary) == repr(replace(full, trace=None))
 
 
 def test_sweep_records_error_rows_instead_of_aborting():

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -87,6 +90,74 @@ def test_float_and_array_advance_agree_bit_for_bit(lanes, dt):
         pos, vel = advance_axis_xp(ARRAYS, x, v, a, dt)
     expected = [advance_axis_xp(FLOATS, *lane, dt) for lane in lanes]
     assert repr(list(zip(pos.tolist(), vel.tolist()))) == repr(expected)  # -0.0 counts
+
+
+# Where a square reaches float range: sqrt(max) and two neighbours on each side
+ROOT_MAX = math.sqrt(sys.float_info.max)
+_UP, _DOWN = math.nextafter(ROOT_MAX, math.inf), math.nextafter(ROOT_MAX, 0.0)
+SQUARE_EDGE = [ROOT_MAX, _UP, math.nextafter(_UP, math.inf), _DOWN, math.nextafter(_DOWN, 0.0)]
+SQUARE_CASES = SQUARE_EDGE + [-x for x in SQUARE_EDGE] + [math.inf, -math.inf, math.nan]
+
+
+def python_square_raises(base):
+    try:
+        base ** 2
+    except OverflowError:
+        return True
+    return False
+
+
+def bits(values):
+    """The float64 bit patterns of values, so that -0.0 and NaNs count."""
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.one_of(
+                st.floats(),  # finite, infinite and NaN
+                st.floats(-1.7e308, 1.7e308),
+                st.sampled_from(SQUARE_CASES),
+            ),
+            st.booleans(),
+        ),
+        min_size=1, max_size=8,
+    )
+)
+def test_square_is_the_product_and_raises_where_python_power_does(entries):
+    bases, masks = (list(column) for column in zip(*entries))
+    raises = [mask and python_square_raises(b) for b, mask in entries]
+    for (b, mask), expected in zip(entries, raises):
+        if expected:
+            with pytest.raises(OverflowError):
+                FLOATS.square(b, mask)
+        else:
+            assert bits([FLOATS.square(b, mask)]) == bits([b * b])
+    with np.errstate(all="ignore"):
+        if any(raises):
+            with pytest.raises(OverflowError):
+                ARRAYS.square(np.array(bases), np.array(masks))
+        else:
+            out = ARRAYS.square(np.array(bases), np.array(masks))
+            assert bits(out) == bits([b * b for b in bases])
+
+
+def test_square_overflows_just_past_the_root_of_the_largest_float():
+    assert [python_square_raises(x) for x in SQUARE_EDGE] == [False, True, True, False, False]
+    with np.errstate(all="ignore"):
+        for b in SQUARE_CASES:
+            if python_square_raises(b):
+                with pytest.raises(OverflowError):
+                    FLOATS.square(b, True)
+                with pytest.raises(OverflowError):
+                    ARRAYS.square(np.array([1.0, b]), np.array([False, True]))
+            else:
+                assert bits([FLOATS.square(b, True)]) == bits([b * b])
+                assert bits(ARRAYS.square(np.array([b]), np.array([True]))) == bits([b * b])
+            # off the mask the product is returned, never raised
+            assert bits([FLOATS.square(b, False)]) == bits([b * b])
+            assert bits(ARRAYS.square(np.array([b]), np.array([False]))) == bits([b * b])
 
 
 def test_gap_longitudinal_examples():

@@ -512,7 +512,9 @@ def feasibility_bound(
 ) -> float:
     """Minimum initial gap at which full braking after the reaction time avoids
     intercept, assuming the other vehicle holds speed."""
-    if a_max_mps2 <= 0.0:
+    if not a_max_mps2 > 0.0:
         raise ConfigError("a_max must be positive", key="a_max")
+    if not 0.0 <= t_react_s < math.inf:
+        raise ConfigError("t_react must be finite and >= 0", key="t_react")
     dv = max(v_e0_mps - v_o0_mps, 0.0)
     return dv * t_react_s + dv * dv / (2.0 * a_max_mps2)

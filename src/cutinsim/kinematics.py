@@ -55,15 +55,6 @@ def _pick_min(a, b):
     return np.where(b < a, b, a)
 
 
-def _py_pow(base: np.ndarray, exponent: float, where: np.ndarray) -> np.ndarray:
-    """base ** exponent with Python's float power at the entries where `where`
-    holds, 0 elsewhere. numpy's power differs from it in the last bit for
-    some inputs; Python's raises OverflowError where the float step does."""
-    out = np.zeros(base.shape)
-    out[where] = [b ** exponent for b in base[where].tolist()]
-    return out
-
-
 def _square_float(base: float, where: bool) -> float:
     """base * base; an OverflowError where `where` holds and the square of a
     finite base is infinite, as Python's base ** 2 raises."""
@@ -85,22 +76,21 @@ def _square(base: np.ndarray, where: np.ndarray) -> np.ndarray:
 
 # The operations the step is written in: `where(c, a, b)` selects,
 # `pick_max(a, b)` and `pick_min(a, b)` are max(a, b) and min(a, b), which
-# keep a on a tie, `square(base, where)` is base * base and
-# `pow(base, exponent, where)` takes Python's power only where `where` holds
-# (0 elsewhere), both raising OverflowError where that holds and Python's
-# base ** exponent would; `zeros(like, kind)` is a 0 of type kind (int or
-# float) in the shape of like. A formula over them computes every branch and
-# selects the taken one, so that both forms do the same IEEE operations in
-# the same order; no branch may raise where it is not taken, and the array
-# form runs under np.errstate(all="ignore"). A product is correctly rounded
-# in both forms; numpy's power is not Python's, so `pow` takes Python's.
+# keep a on a tie, `square(base, where)` is base * base, raising
+# OverflowError where `where` holds and Python's base ** 2 would;
+# `zeros(like, kind)` is a 0 of type kind (int or float) in the shape of
+# like. A formula over them computes every branch and selects the taken one,
+# so that both forms do the same IEEE operations in the same order; no branch
+# may raise where it is not taken, and the array form runs under
+# np.errstate(all="ignore"). The step takes no power: + - * /, comparisons
+# and selections are correctly rounded in both forms, so neither depends on
+# the platform's libm.
 FLOATS = SimpleNamespace(
     where=lambda c, a, b: a if c else b,
     # max and min without the builtins' call cost
     pick_max=lambda a, b: b if b > a else a,
     pick_min=lambda a, b: b if b < a else a,
     square=_square_float,
-    pow=lambda base, exponent, where: base ** exponent if where else 0.0,
     zeros=lambda like, kind: kind(),
 )
 ARRAYS = SimpleNamespace(
@@ -108,7 +98,6 @@ ARRAYS = SimpleNamespace(
     pick_max=_pick_max,
     pick_min=_pick_min,
     square=_square,
-    pow=_py_pow,
     zeros=lambda like, kind: np.zeros(like.shape, kind),
 )
 

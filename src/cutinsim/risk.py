@@ -94,7 +94,9 @@ def _exp_scaled(y: float, r: float) -> float:
 
 
 def erfc(x: float) -> float:
-    """Complementary error function, accurate to double precision."""
+    """Complementary error function, accurate to double precision; nan at nan."""
+    if math.isnan(x):
+        return x
     y = abs(x)
     if y <= _THRESH:
         result = 1.0 - _erf_small(x)
@@ -123,15 +125,15 @@ def erfc(x: float) -> float:
 
 
 def normal_cdf(z: float) -> float:
-    """Standard normal CDF via erfc; monotone, 0 at -inf, 1 at +inf."""
+    """Standard normal CDF via erfc; monotone, 0 at -inf, 1 at +inf, nan at nan."""
     return 0.5 * erfc(-z * math.sqrt(0.5))
 
 
 def fit_gaussian(ttc_samples: Iterable[float]) -> tuple[float, float]:
     """Sample mean and standard deviation (n-1 denominator) over finite samples.
 
-    Infinite (non-closing) samples are excluded; fewer than two finite samples
-    or zero spread raise.
+    Infinite (non-closing) samples are excluded; fewer than two finite samples,
+    zero spread, or a mean or spread that overflows to inf raise.
     """
     values = np.asarray(list(ttc_samples), dtype=float)
     finite = values[np.isfinite(values)]
@@ -139,16 +141,19 @@ def fit_gaussian(ttc_samples: Iterable[float]) -> tuple[float, float]:
         raise InsufficientDataError(
             f"need >= 2 finite TTC samples, got {finite.size}"
         )
-    mean = float(np.mean(finite))
-    std = float(np.std(finite, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(finite))
+        std = float(np.std(finite, ddof=1))
     if std == 0.0:
         raise DegenerateDistributionError("TTC samples have zero spread")
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise DegenerateDistributionError(f"TTC fit is not finite: mean={mean!r}, std={std!r}")
     return mean, std
 
 
 def prob_below_threshold(mean_s: float, std_s: float, crit_s: float) -> float:
     """Probability that a N(mean, std) TTC falls below the critical threshold."""
-    if std_s <= 0.0:
+    if not std_s > 0.0:
         raise DegenerateDistributionError(f"std must be positive, got {std_s}")
     return normal_cdf((crit_s - mean_s) / std_s)
 

@@ -124,7 +124,6 @@ class IdmParams:
     min_spacing_m: float = 2.0
     a_max_mps2: float = 1.5
     b_comfort_mps2: float = 2.0
-    delta: float = 4.0
 
     def __post_init__(self) -> None:
         if self.v_desired_mps <= 0.0 or self.time_headway_s <= 0.0:
@@ -134,8 +133,6 @@ class IdmParams:
         if not self.a_max_mps2 * self.b_comfort_mps2 > 0.0:
             # 2 sqrt(a_max b) divides the law's closing-speed term
             raise InvalidInputError("idm a_max_mps2 * b_comfort_mps2 underflows to 0")
-        if not self.delta > 0.0:
-            raise InvalidInputError("delta must be positive")
 
 
 @dataclass(frozen=True)
@@ -182,9 +179,10 @@ def control_step(
     forms do the same IEEE operations in the same order. No branch may raise
     where it is not taken: every divisor is a parameter validated positive,
     dt_s or its inverse, or idm's gap, which is 1.0 where its law does not
-    run; and a square or power raises only where its mask holds. The
-    squares (rss's reach, idm's interaction term) are products in both
-    forms; only idm's delta takes Python's power, which numpy's is not.
+    run; and a square raises only where its mask holds. The step takes no
+    power: rss's reach and idm's interaction term are squares, and idm's
+    free-road term (v / v_desired) ** 4, with the IDM paper's exponent 4, is
+    the square of a square, all products in both forms.
     """
     where, pick_max, pick_min = xp.where, xp.pick_max, xp.pick_min
     if name == "rba":
@@ -293,7 +291,7 @@ def control_step(
             + v_ego_mps * rel / (2.0 * math.sqrt(p.a_max_mps2 * p.b_comfort_mps2))
         )
         try:
-            free_road = xp.pow(v_ego_mps / p.v_desired_mps, p.delta, law)
+            free_road = xp.square(xp.square(v_ego_mps / p.v_desired_mps, law), law)
             interaction = xp.square(s_star / gap, law)
         except OverflowError:
             raise InvalidInputError(

@@ -100,7 +100,7 @@ SCENARIO = {"kind": "cut_in", "v_e0": 25.0, "v_o0": 20.0, "d_x0": 30.0, "d_y0": 
                        "other_speed_profile": [[1]]}}, "scenario.other_speed_profile"),
         ({"scenario": {**SCENARIO, "v_e0": math.nan}}, "scenario.v_e0"),
         ({"rba": {"a_max_mps2": math.nan}}, "rba.a_max_mps2"),
-        ({"model_params": {"idm": {"delta": "4"}}}, "model_params.idm.delta"),
+        ({"model_params": {"idm": {"time_headway_s": "1.5"}}}, "model_params.idm.time_headway_s"),
         ({"classify": {}}, "classify"),
         ({"dims": {"ego": [2.0, 5.0]}}, "dims.ego"),
         ({"sweep": {"v_e0": 25.0}}, "sweep.v_e0"),
@@ -112,7 +112,7 @@ SCENARIO = {"kind": "cut_in", "v_e0": 25.0, "v_o0": 20.0, "d_x0": 30.0, "d_y0": 
         ({"sweep": {"v_e0": [], "v_o0": [15.0], "d_x0": [20.0], "d_y0": [3.75]}}, "sweep.v_e0"),
         ({"sweep": {"v_e0": [20.0]}}, "sweep.v_o0"),
         ({"model_params": {"fsm": {"braking_gain": -1.0}}}, "model_params.fsm"),
-        ({"model_params": {"idm": {"delta": -4.0}}}, "model_params.idm"),
+        ({"model_params": {"idm": {"time_headway_s": -1.5}}}, "model_params.idm"),
     ],
 )
 def test_malformed_config_is_a_config_error_naming_the_key(tmp_path, capsys, overrides, key):
@@ -226,6 +226,27 @@ def test_post_process_outputs(tmp_path):
         hist = (out / f"hist_{row['model']}.csv").read_text().splitlines()[1:]
         total = sum(int(line.split(",")[2]) for line in hist)
         assert total == row["n"]
+
+
+def test_post_process_of_an_overflowing_fit_marks_it_unavailable(tmp_path, capsys):
+    # every minimum TTC is finite, but their mean and spread overflow
+    cfg = write_config(
+        tmp_path, models=["none", "rba"],
+        sweep={"v_e0": [11.0], "v_o0": [10.0], "d_x0": [1e308, 1.5e308], "d_y0": [3.75]},
+    )
+    out = tmp_path / "cmp"
+    assert main(["comparison", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["post-process", "--results", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "none: unavailable (TTC fit is not finite" in printed and "rba: unavailable" in printed
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    for row in summary["models"]:
+        assert row["available"] is False and "not finite" in row["note"], row
+        assert (row["mean_ttc"], row["std_ttc"], row["prob_below"]) == (None, None, None)
 
 
 def test_classification_and_the_gaussian_tail_read_one_ttc_crit(tmp_path):
@@ -398,7 +419,7 @@ def test_sweep_point_with_a_non_finite_state_is_an_error_row(tmp_path, capsys):
                 assert row[10] == "" and "nan" not in row, row
 
 
-# A speed at which a model's power overflows: idm's (v / v_desired) ** delta,
+# A speed at which a model's power overflows: idm's (v / v_desired) ** 4,
 # rss's (v + rho a) ** 2.
 OVERFLOWING_STEP = {"idm": "v_mps=1e+306", "rss": "v_ego_mps=1e+306"}
 

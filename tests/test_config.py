@@ -38,6 +38,10 @@ CONFIG_CHECKS = [
                  "under the top-level 'rba' key", id="model-params-rba"),
     pytest.param(json.dumps({**BASE, "model_params": {"bogus": {}}}), "model_params.bogus",
                  "unknown key model_params.'bogus'", id="unknown-model-params-section"),
+    # IDM's exponent is the constant 4, not a parameter
+    pytest.param(json.dumps({**BASE, "model_params": {"idm": {"delta": 4.0}}}),
+                 "model_params.idm.delta", "unknown key model_params.idm.'delta'",
+                 id="idm-delta-is-not-a-key"),
     pytest.param(json.dumps({k: v for k, v in BASE.items() if k != "scenario"}), "scenario",
                  "missing required key 'scenario'", id="missing-scenario"),
     pytest.param(json.dumps({**BASE, "risk": {"ttc_crit_s": 0.0}}), "risk.ttc_crit_s",

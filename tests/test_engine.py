@@ -417,7 +417,7 @@ def sweep_cases(draw):
         rba=RbaParams(v_min_mps=draw(st.sampled_from((0.0, 3.0))),
                       headway_gain_s=draw(st.sampled_from((0.0, 0.8)))),
         cc_human=CcHumanParams(reaction_delay_s=draw(st.sampled_from((0.0, 0.75)))),
-        idm=IdmParams(delta=draw(st.sampled_from((4.0, 2.7)))),
+        idm=IdmParams(v_desired_mps=draw(st.sampled_from((30.0, 22.0)))),
     )
     return grid, base, params
 
@@ -529,6 +529,49 @@ def test_no_sweep_run_brakes_harder_than_its_model_declares(kind):
     assert any(it.result.peak_decel_mps2 > 0.0 for it in items if it.model_name == "idm")
 
 
+# The models whose step reads only relative motion: gaps, the closing speed
+# and TTC (rba at its defaults, whose headway gain and speed floor are 0).
+GALILEAN_MODELS = ("rba", "cc_human", "fsm", "none")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(SCENARIO_KINDS),
+    v_e0=st.floats(0.0, 40.0),
+    v_o0=st.floats(0.0, 30.0),
+    # off the simple values (v_e0 1, v_o0 0, d_x0 1.5) that put a contact or
+    # a threshold crossing exactly on a step instant, where rounding under
+    # the offset decides the side
+    d_x0=st.floats(0.5, 60.0).map(lambda d: d + math.pi * 1e-4),
+    lc_start=st.floats(0.0, 3.0),
+    c=st.floats(1.0, 15.0),
+)
+def test_a_common_speed_offset_leaves_relative_behaviour_unchanged(
+    kind, v_e0, v_o0, d_x0, lc_start, c
+):
+    # Galilean invariance: adding c to both initial speeds moves both
+    # vehicles at c more, and every gap, closing speed and TTC stays the same
+    base = cutin(v_e0=v_e0, v_o0=v_o0, d_x0=d_x0, d_y0=0.0 if kind == "car_following" else 3.75,
+                 lc_start=lc_start, kind=kind)
+    moved = replace(base, v_e0_mps=v_e0 + c, v_o0_mps=v_o0 + c)
+    grid = SweepGrid((v_e0, v_e0 + c), (v_o0, v_o0 + c), (d_x0,), (base.d_y0_m,))
+    items = {(it.model_name, it.point[:2]): it.result
+             for it in sweep(grid, GALILEAN_MODELS, base, ModelParams())}
+    for model in GALILEAN_MODELS:
+        a, b = run_closed_loop(base, model), run_closed_loop(moved, model)
+        if min(a.trace.ego_v_mps) < 1e-9:
+            # a stopped ego (rba's speed floor leaves a rounding residue of
+            # the order of 1e-17 m/s) cannot shed the offset's speed as well
+            continue
+        assert b.collided == a.collided, model
+        assert b.trace.decel_cmd_mps2 == pytest.approx(a.trace.decel_cmd_mps2, abs=1e-6), model
+        assert b.min_gap_long_m == pytest.approx(a.min_gap_long_m, abs=1e-6), model
+        swept_a, swept_b = items[model, (v_e0, v_o0)], items[model, (v_e0 + c, v_o0 + c)]
+        assert swept_b.collided == swept_a.collided, model
+        assert swept_b.min_gap_long_m == pytest.approx(swept_a.min_gap_long_m, abs=1e-6), model
+        assert swept_b.peak_decel_mps2 == pytest.approx(swept_a.peak_decel_mps2, abs=1e-6), model
+
+
 def test_classification_rules():
     th = 2.0
 
@@ -557,6 +600,18 @@ def test_feasibility_bound_values():
     assert feasibility_bound(30.0, 10.0, 6.0, 0.5) == pytest.approx(10.0 + 400.0 / 12.0)
     with pytest.raises(ConfigError, match="a_max"):
         feasibility_bound(30.0, 10.0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("a_max, t_react, key", [
+    (math.nan, 0.5, "a_max"), (-6.0, 0.5, "a_max"),
+    (6.0, -5.0, "t_react"), (6.0, math.nan, "t_react"), (6.0, math.inf, "t_react"),
+])
+def test_feasibility_bound_rejects_an_input_outside_its_domain(a_max, t_react, key):
+    with pytest.raises(ConfigError, match=key) as exc:
+        feasibility_bound(30.0, 10.0, a_max, t_react)
+    assert exc.value.key == key
+    # a zero reaction time is the braking distance alone
+    assert feasibility_bound(30.0, 10.0, 6.0, 0.0) == 400.0 / 12.0
 
 
 def test_feasibility_bound_against_fine_step_braking_sim():

@@ -1,4 +1,6 @@
+import ast
 import math
+import os
 import sys
 
 import numpy as np
@@ -160,6 +162,63 @@ def test_square_overflows_just_past_the_root_of_the_largest_float():
             assert bits(ARRAYS.square(np.array([b]), np.array([False]))) == bits([b * b])
 
 
+# idm's free-road term (v / v_desired) ** 4 is square(square(x)): within 2
+# ulp of Python's x ** 4.0, raising where it does. Its overflow edge is the
+# fourth root of the largest float, scanned 60 steps each way.
+ROOT4_MAX = sys.float_info.max ** 0.25
+
+
+def _steps_from(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return x
+
+
+FOURTH_EDGE = [_steps_from(ROOT4_MAX, k) for k in range(-60, 61)]
+
+
+def python_fourth(x):
+    """x ** 4.0, or None where Python's power raises OverflowError."""
+    try:
+        return x ** 4.0
+    except OverflowError:
+        return None
+
+
+def fourth(xp, x):
+    """square(square(x)) over xp, or None where it raises OverflowError."""
+    try:
+        return xp.square(xp.square(x, True), True)
+    except OverflowError:
+        return None
+
+
+def assert_fourth_power(x):
+    expected = python_fourth(x)
+    with np.errstate(all="ignore"):
+        array = fourth(ARRAYS, np.array([x]))
+    ours = fourth(FLOATS, x)
+    if expected is None:
+        assert ours is None and array is None, x
+        return
+    assert bits(array) == bits([ours]), x
+    if expected >= sys.float_info.min:  # a normal result
+        assert abs(ours - expected) <= 2.0 * math.ulp(expected), x
+
+
+@given(st.one_of(st.floats(0.0, sys.float_info.max), st.floats(0.0, 2.0),
+                 st.sampled_from(FOURTH_EDGE)))
+def test_two_squares_are_the_fourth_power_and_overflow_with_it(x):
+    assert_fourth_power(x)
+
+
+def test_two_squares_overflow_exactly_where_the_fourth_power_does():
+    raises = [python_fourth(x) is None for x in FOURTH_EDGE]
+    assert raises[0] is False and raises[-1] is True  # the scan brackets the edge
+    for x in FOURTH_EDGE:
+        assert_fourth_power(x)
+
+
 def test_gap_longitudinal_examples():
     # bumper to bumper along the lane, from the centers and the lengths
     assert axis_gap(0.0, 40.0, 5.0, 5.0) == 35.0
@@ -193,3 +252,52 @@ def test_dims_must_be_positive():
         VehicleDims(width_m=2.0, length_m=-1.0)
     with pytest.raises(InvalidInputError):
         VehicleDims(width_m=2.0, length_m=0.0)
+
+
+# --- the step takes no libm function ---------------------------------------
+
+STEP_MODULES = ("engine.py", "safety_models.py", "kinematics.py", "metrics.py")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "cutinsim")
+LIBM_CALLS = {"pow", "power", "exp", "log"}
+
+
+def libm_operations(source):
+    """(line, description) for each ** operator in source and each call of a
+    function named pow, power, exp or log, whatever it is called on."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            found.append((node.lineno, "**"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in LIBM_CALLS:
+                found.append((node.lineno, f"call of {name}"))
+    return sorted(found)
+
+
+def test_no_step_module_takes_a_power_exp_or_log():
+    found = {}
+    for name in STEP_MODULES:
+        with open(os.path.join(SRC, name)) as fh:
+            hits = libm_operations(fh.read())
+        if hits:
+            found[name] = hits
+    assert found == {}
+
+
+def test_the_source_check_sees_each_libm_operation():
+    source = """\
+def f(x, xp, **kw):
+    y = x ** 4.0
+    y **= 2
+    pow(x, 2)
+    xp.pow(x, 4.0, True)
+    np.power(x, 2)
+    math.exp(x) + np.log(x)
+    return x * x, math.sqrt(x), dict(**kw)
+"""
+    assert libm_operations(source) == [
+        (2, "**"), (3, "**"), (4, "call of pow"), (5, "call of pow"),
+        (6, "call of power"), (7, "call of exp"), (7, "call of log"),
+    ]

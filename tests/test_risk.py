@@ -55,6 +55,19 @@ def test_fit_error_paths():
         prob_below_threshold(3.0, 0.0, 2.0)
 
 
+def test_a_fit_that_is_not_finite_is_unavailable():
+    # finite samples whose mean overflows, and a finite mean whose spread does
+    for samples in ([1e308, 1.5e308], [0.0, 1e308]):
+        with pytest.raises(DegenerateDistributionError, match="not finite"):
+            fit_gaussian(samples)
+    (row,) = summarize_models({"m": [Run(1e308), Run(1.5e308)]}, 2.0)
+    assert not row.available and "not finite" in row.note
+    assert (row.mean_ttc_s, row.std_ttc_s, row.prob_below) == (None, None, None)
+    assert math.isnan(normal_cdf(math.nan)) and math.isnan(erfc(math.nan))
+    with pytest.raises(DegenerateDistributionError):
+        prob_below_threshold(3.0, math.nan, 2.0)
+
+
 def test_fit_is_permutation_invariant():
     rng = np.random.default_rng(23)
     samples = list(rng.normal(4.0, 1.5, size=500))

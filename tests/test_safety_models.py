@@ -371,7 +371,7 @@ def idm_accel(v, gap, rel_vel, p):
 
 def test_idm_equilibria_and_bounds():
     p = IdmParams(v_desired_mps=30.0, time_headway_s=1.5, min_spacing_m=2.0,
-                  a_max_mps2=1.5, b_comfort_mps2=2.0, delta=4.0)
+                  a_max_mps2=1.5, b_comfort_mps2=2.0)
     assert idm_accel(30.0, math.inf, 0.0, p) == 0.0
     assert idm_accel(0.0, 2.0, 0.0, p) == 0.0
     rng = np.random.default_rng(17)
@@ -383,7 +383,7 @@ def test_idm_equilibria_and_bounds():
 
 def test_idm_transcription_oracle():
     p = IdmParams(v_desired_mps=30.0, time_headway_s=1.5, min_spacing_m=2.0,
-                  a_max_mps2=1.5, b_comfort_mps2=2.0, delta=4.0)
+                  a_max_mps2=1.5, b_comfort_mps2=2.0)
     v, gap, dv = 20.0, 30.0, 5.0
     s_star = 2.0 + v * 1.5 + v * dv / (2.0 * math.sqrt(1.5 * 2.0))
     raw = 1.5 * (1.0 - (v / 30.0) ** 4 - (s_star / gap) ** 2)
@@ -421,7 +421,6 @@ PARAMETER_CHECKS = [
     (IdmParams, "time_headway_s", 0.0, "desired speed and headway must be positive"),
     (IdmParams, "a_max_mps2", 0.0, "acceleration bounds must be positive"),
     (IdmParams, "b_comfort_mps2", 0.0, "acceleration bounds must be positive"),
-    (IdmParams, "delta", 0.0, "delta must be positive"),
 ]
 
 

@@ -76,9 +76,9 @@ def cmd_comparison(args: argparse.Namespace) -> int:
     cfg_hash = config_mod.config_hash(resolved)
     out_dir = _out_dir(cfg, args.out)
 
-    items = engine.sweep(cfg.sweep, cfg.models, cfg.scenario, cfg.model_params, cfg.ttc_crit_s)
-    reports.write_comparison_store(out_dir, items, resolved, cfg_hash, cfg.seed)
-    n_errors = sum(1 for item in items if item.error is not None)
+    result = engine.sweep(cfg.sweep, cfg.models, cfg.scenario, cfg.model_params, cfg.ttc_crit_s)
+    reports.write_comparison_store(out_dir, result, resolved, cfg_hash, cfg.seed)
+    n_errors = len(result.errors)
     print(f"wrote {len(cfg.models)} results files to {out_dir} (config {cfg_hash})")
     if n_errors:
         print(f"{n_errors} grid points recorded errors; see the error column")

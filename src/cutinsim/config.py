@@ -166,7 +166,7 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
     models_raw = raw.get("models", [model])
     if not isinstance(models_raw, (list, tuple)):
         raise ConfigError("models must be a nonempty list", key="models")
-    models = tuple(_check_model_name(m, "models") for m in models_raw)
+    models = tuple(models_raw)
     check_models(models)
 
     model_params = _parse_model_params(raw.get("model_params", {}), raw.get("rba", {}))

@@ -27,7 +27,7 @@ from typing import Any, Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import config_hash
-from .engine import CRITICAL, NON_CRITICAL, SimResult, SweepItem
+from .engine import CRITICAL, NON_CRITICAL, SimResult, SweepResult
 from .errors import ConfigError
 from .risk import ModelSummary
 from .safety_models import MODEL_NAMES
@@ -122,45 +122,38 @@ def results_filename(model: str) -> str:
     return f"results_{model}.csv"
 
 
-def _result_rows(items: Iterable[SweepItem]):
-    """One results CSV row per item, in grid order."""
-    for item in sorted(items, key=lambda it: it.grid_index):
-        r = item.result
-        if r is not None:
+def _result_rows(result: SweepResult, m: int):
+    """One results CSV row per grid point of result.models[m], in grid order."""
+    for index, point, summary, error in result.rows(m):
+        if summary is not None:
+            collided, min_gap, min_ttc, peak_decel, classification = summary
             yield RESULT_ROW % (
-                item.grid_index, *item.point, r.collided,
-                r.min_ttc_s, r.min_gap_long_m, r.peak_decel_mps2, r.classification,
+                index, *point, collided, min_ttc, min_gap, peak_decel, classification
             )
         else:
-            error = (item.error or "unknown error").replace(",", ";").replace("\n", " ")
-            yield ERROR_ROW % (item.grid_index, *item.point, error)
+            yield ERROR_ROW % (index, *point, error.replace(",", ";").replace("\n", " "))
 
 
 def write_comparison_store(
     out_dir: str,
-    items: Sequence[SweepItem],
+    result: SweepResult,
     resolved_config: Mapping[str, Any],
     cfg_hash: str,
     seed: int,
 ) -> None:
-    """One results CSV per model plus a manifest describing the run. The
-    results CSV of a registered model that this run does not write, left by
-    an earlier run, is removed."""
+    """One results CSV per model of the sweep result plus a manifest
+    describing the run. The results CSV of a registered model that this run
+    does not write, left by an earlier run, is removed."""
     os.makedirs(out_dir, exist_ok=True)
-    by_model: dict[str, list[SweepItem]] = {}
-    for item in items:
-        by_model.setdefault(item.model_name, []).append(item)
-    files: dict[str, str] = {}
-    for model, model_items in by_model.items():
-        name = results_filename(model)
-        files[model] = name
-        write_lines(os.path.join(out_dir, name), [RESULTS_HEADER + "\n"], _result_rows(model_items))
+    files = {model: results_filename(model) for model in result.models}
+    for m, name in enumerate(files.values()):
+        write_lines(os.path.join(out_dir, name), [RESULTS_HEADER + "\n"], _result_rows(result, m))
     _remove_stale(out_dir, ["results"], files.values())
     manifest = {
         "schema_version": 1,
         "config_hash": cfg_hash,
         "seed": seed,
-        "models": sorted(by_model),
+        "models": sorted(files),
         "files": files,
         "config": dict(resolved_config),
     }

@@ -236,7 +236,7 @@ def test_criterion_05_closed_loop_no_collision_sweep():
         d_y0_m=(3.75,),
     )
     base = _sweep_base()
-    items = sweep(grid, ["rba", "none"], base)
+    items = sweep(grid, ["rba", "none"], base).items()
     by_model = {"rba": {}, "none": {}}
     for item in items:
         assert item.result is not None, item.error

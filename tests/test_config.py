@@ -145,7 +145,7 @@ def test_integer_model_parameters_give_the_sweep_and_the_scalar_loop_equal_items
     cfg = parse_config(raw)
     assert type(cfg.model_params.rss.ego_brake_min_mps2) is float
     models = ("rss", "reg157")
-    items = sweep(cfg.sweep, models, cfg.scenario, cfg.model_params, cfg.ttc_crit_s)
+    items = list(sweep(cfg.sweep, models, cfg.scenario, cfg.model_params, cfg.ttc_crit_s).items())
     assert len(items) == 54
     for it in items:
         v_e0, v_o0, d_x0, d_y0 = it.point

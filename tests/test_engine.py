@@ -3,8 +3,10 @@ import json
 import math
 import os
 import pickle
+import tempfile
 import tracemalloc
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from cutinsim.engine import (
     sweep,
 )
 from cutinsim.errors import ConfigError, InvalidInputError
+from cutinsim.reports import write_comparison_store
 from cutinsim.kinematics import ARRAYS, FLOATS, VehicleDims
 from cutinsim.safety_models import (
     MARGIN_PASS,
@@ -288,12 +291,12 @@ def test_scenario_validation():
 def test_sweep_cardinality_order_and_determinism():
     grid = SweepGrid(v_e0_mps=(20.0, 30.0), v_o0_mps=(10.0,), d_x0_m=(20.0, 40.0), d_y0_m=(3.75,))
     base = cutin()
-    items = sweep(grid, ["rba"], base)
+    items = list(sweep(grid, ["rba"], base).items())
     assert len(items) == 4
     assert [it.grid_index for it in items] == [0, 1, 2, 3]
-    again = sweep(grid, ["rba"], base)
+    again = list(sweep(grid, ["rba"], base).items())
     assert items == again
-    both = sweep(grid, ["rba", "rss"], base)
+    both = list(sweep(grid, ["rba", "rss"], base).items())
     assert len(both) == 8
     assert [it.model_name for it in both] == ["rba"] * 4 + ["rss"] * 4
     assert both[:4] == items
@@ -302,7 +305,7 @@ def test_sweep_cardinality_order_and_determinism():
 def test_sweep_items_carry_the_summary_without_the_trace():
     grid = SweepGrid(v_e0_mps=(30.0,), v_o0_mps=(10.0, 15.0), d_x0_m=(25.0,), d_y0_m=(3.75,))
     base = cutin()
-    items = sweep(grid, ["rba", "none"], base)
+    items = sweep(grid, ["rba", "none"], base).items()
     for it in items:
         assert it.result.trace is None
         assert len(pickle.dumps(it, pickle.HIGHEST_PROTOCOL)) < 2048
@@ -334,7 +337,7 @@ def test_a_summary_only_run_keeps_no_step():
 def test_sweep_records_error_rows_instead_of_aborting():
     grid = SweepGrid(v_e0_mps=(20.0,), v_o0_mps=(10.0,), d_x0_m=(20.0,), d_y0_m=(3.75,))
     base = cutin(kind="car_following", d_y0=0.0)  # grid d_y0 3.75 is invalid here
-    items = sweep(grid, ["rba"], base)
+    items = list(sweep(grid, ["rba"], base).items())
     assert len(items) == 1
     assert items[0].result is None
     assert "d_y0" in items[0].error
@@ -434,15 +437,134 @@ def valid(base, point):
 @given(sweep_cases(), st.data())
 def test_batched_sweep_equals_the_scalar_loop(case, data):
     grid, base, params = case
-    items = sweep(grid, MODEL_NAMES, base, params)
+    items = list(sweep(grid, MODEL_NAMES, base, params).items())
     assert reprs(items) == reprs(scalar_sweep(grid, MODEL_NAMES, base, params))
     # a lane's result does not depend on the batch it runs in
     ran = [it for it in items if valid(base, it.point)]
     start = data.draw(st.integers(0, len(ran)))
     stop = data.draw(st.integers(start, len(ran)))
-    chunk = [(it.model_name, it.grid_index, it.point) for it in ran[start:stop]]
-    alone = engine._run_lanes(chunk, base, params, 2.0)
-    assert reprs(alone) == reprs(ran[start:stop])
+    chunk = ran[start:stop]
+    alone = engine.SweepResult.empty(grid, MODEL_NAMES, 2.0)
+    model = np.array([MODEL_NAMES.index(it.model_name) for it in chunk], dtype=int)
+    engine._run_lanes(alone, model, np.array([it.grid_index for it in chunk], dtype=int),
+                      base, params)
+    lanes = {(it.model_name, it.grid_index) for it in chunk}
+    assert reprs(it for it in alone.items() if (it.model_name, it.grid_index) in lanes) == reprs(chunk)
+
+
+def results_bytes(result):
+    """Every results_<model>.csv the comparison store writes for result."""
+    with tempfile.TemporaryDirectory() as out:
+        write_comparison_store(out, result, {}, "", 0)
+        return {name: open(os.path.join(out, name), "rb").read()
+                for name in sorted(os.listdir(out)) if name.startswith("results_")}
+
+
+@settings(max_examples=25, deadline=None)
+@given(sweep_cases())
+def test_chunking_changes_no_byte(case):
+    grid, base, params = case
+    with mock.patch.object(engine, "LANE_CHUNK", 10**9):
+        whole = sweep(grid, MODEL_NAMES, base, params)
+    run_lanes = engine._run_lanes
+    for chunk in (1, 2, 5, 64):
+        sizes = []
+
+        def spy(out, model, index, *rest):
+            sizes.append(len(index))
+            run_lanes(out, model, index, *rest)
+
+        with mock.patch.object(engine, "LANE_CHUNK", chunk), \
+                mock.patch.object(engine, "_run_lanes", spy):
+            chunked = sweep(grid, MODEL_NAMES, base, params)
+        # equal chunks within 1, none above LANE_CHUNK, every valid lane run once
+        n_valid = sum(valid(base, point) for point in grid.points()) * len(MODEL_NAMES)
+        assert sum(sizes) == n_valid
+        assert not sizes or (max(sizes) - min(sizes) <= 1 and max(sizes) <= chunk)
+        assert reprs(chunked.items()) == reprs(whole.items())
+        assert results_bytes(chunked) == results_bytes(whole)
+
+
+def test_a_sweep_whose_runs_raise_nothing_reruns_no_lane(monkeypatch):
+    # the scalar loop is only the fallback for a lane whose step may raise
+    reruns = []
+
+    def counted(*args, **kwargs):
+        reruns.append(args)
+        return run_closed_loop(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_closed_loop", counted)
+    grid = SweepGrid(v_e0_mps=(0.0, 30.0), v_o0_mps=(10.0,), d_x0_m=(5.0, 40.0), d_y0_m=(3.75,))
+    items = list(sweep(grid, MODEL_NAMES, cutin()).items())
+    assert all(it.error is None for it in items)
+    assert any(it.result.collided for it in items) and not reruns
+
+def test_a_sweep_result_survives_pickling():
+    grid = SweepGrid(v_e0_mps=(20.0, -1.0), v_o0_mps=(10.0,), d_x0_m=(25.0,), d_y0_m=(3.75,))
+    result = sweep(grid, ["rba", "idm"], cutin())
+    again = pickle.loads(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+    assert again.errors == result.errors and len(result.errors) == 2
+    assert reprs(again.items()) == reprs(result.items())
+
+
+def test_sweep_rejects_an_unregistered_model():
+    grid = SweepGrid(v_e0_mps=(30.0,), v_o0_mps=(10.0,), d_x0_m=(20.0,), d_y0_m=(3.75,))
+    with pytest.raises(ConfigError, match="'bogus' is not a registered model") as raised:
+        sweep(grid, ["bogus", "rba"], cutin())
+    assert raised.value.key == "models"
+
+
+def test_a_point_with_two_rejected_values_keeps_the_first_failing_checks_text():
+    # __post_init__ checks every value is finite, then d_x0 > 0, then the
+    # speeds are >= 0: the text is that of the first check that fails
+    grid = SweepGrid(v_e0_mps=(-1.0, math.nan), v_o0_mps=(10.0,), d_x0_m=(0.0,), d_y0_m=(3.75,))
+    items = list(sweep(grid, ["rba", "none"], cutin()).items())
+    assert [it.error for it in items] == [
+        "ConfigError: scenario.d_x0 must be > 0",
+        "ConfigError: scenario.v_e0 must be a finite number, got nan",
+    ] * 2
+    assert reprs(items) == reprs(scalar_sweep(grid, ["rba", "none"], cutin(), ModelParams()))
+
+
+@pytest.mark.parametrize("value", (True, 10**400, math.nan))
+@pytest.mark.parametrize("axis", range(4))
+def test_an_axis_value_that_is_no_finite_number_is_an_error_row_for_every_model(axis, value):
+    axes = [(25.0, 30.0), (10.0,), (20.0,), (3.75,)]
+    axes[axis] = (axes[axis][0], value)
+    grid = SweepGrid(*axes)
+    items = list(sweep(grid, MODEL_NAMES, cutin()).items())
+    assert reprs(items) == reprs(scalar_sweep(grid, MODEL_NAMES, cutin(), ModelParams()))
+    for it in items:
+        bad = it.point[axis] is value
+        assert (it.error is not None) == bad, it
+        if bad:
+            assert it.error.startswith("ConfigError: scenario.") and "must be a finite number" in it.error
+
+
+def test_the_sweeps_memory_grows_by_its_output_columns_not_per_lane(monkeypatch):
+    # with the chunk fixed, 4N lanes step in no more memory than N lanes do;
+    # what grows is the output: a bool and three float64 columns per lane,
+    # plus an int64 grid index per valid point
+    monkeypatch.setattr(engine, "LANE_CHUNK", 128)
+    base = cutin(lc_start=0.0, lc_dur=0.5, duration=1.0, dt=0.1)
+
+    def peak(n_points):
+        grid = SweepGrid(tuple(np.linspace(10.0, 30.0, n_points).tolist()), (10.0,), (20.0,),
+                         (3.75,))
+        tracemalloc.start()
+        try:
+            result = sweep(grid, MODEL_NAMES, base)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not result.errors
+        return peak
+
+    n = 500  # points: 3,500 lanes against 14,000
+    peak(n)  # warm up: first-call allocations
+    added_lanes = 3 * n * len(MODEL_NAMES)
+    columns = added_lanes * (1 + 3 * 8) + 3 * n * (8 + 1)
+    assert peak(4 * n) - peak(n) <= columns + 64 * 1024
 
 
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
@@ -452,7 +574,7 @@ def test_batched_sweep_equals_the_scalar_loop_where_runs_collide_stop_and_raise(
                  profile=((3.0, 0.0),) if kind == "car_following" else ())
     grid = SweepGrid(v_e0_mps=(0.0, 10.0, 30.0, 1e306), v_o0_mps=(10.0, 1e308),
                      d_x0_m=(5.0, 40.0), d_y0_m=(0.0, 3.75))
-    items = sweep(grid, MODEL_NAMES, base)
+    items = list(sweep(grid, MODEL_NAMES, base).items())
     assert reprs(items) == reprs(scalar_sweep(grid, MODEL_NAMES, base, ModelParams()))
     errors = [it.error for it in items if it.error]
     for message in (
@@ -486,7 +608,7 @@ def test_batched_sweep_equals_the_scalar_loop_where_the_ego_position_overflows()
     # before rss sees the other vehicle in its lane; idm's power overflows first
     grid = SweepGrid(v_e0_mps=(20.0, 1.7e308), v_o0_mps=(10.0,), d_x0_m=(25.0,), d_y0_m=(3.75,))
     base = cutin()
-    items = sweep(grid, MODEL_NAMES, base)
+    items = list(sweep(grid, MODEL_NAMES, base).items())
     assert reprs(items) == reprs(scalar_sweep(grid, MODEL_NAMES, base, ModelParams()))
     for it in items:
         assert (it.error is None) == (it.point[0] == 20.0), it
@@ -515,7 +637,7 @@ def test_no_sweep_run_brakes_harder_than_its_model_declares(kind):
     elif kind == "car_following":  # the lead stops at 2 s and pulls away at 6 s
         grid = replace(grid, d_y0_m=(0.0,))
         base = replace(base, kind=kind, d_y0_m=0.0, other_speed_profile=((2.0, 0.0), (6.0, 15.0)))
-    items = sweep(grid, cfg.models, base, cfg.model_params, cfg.ttc_crit_s)
+    items = list(sweep(grid, cfg.models, base, cfg.model_params, cfg.ttc_crit_s).items())
     assert len(items) == len(grid.points()) * len(MODEL_NAMES)
     for it in items:
         assert it.error is None, it
@@ -556,7 +678,7 @@ def test_a_common_speed_offset_leaves_relative_behaviour_unchanged(
     moved = replace(base, v_e0_mps=v_e0 + c, v_o0_mps=v_o0 + c)
     grid = SweepGrid((v_e0, v_e0 + c), (v_o0, v_o0 + c), (d_x0,), (base.d_y0_m,))
     items = {(it.model_name, it.point[:2]): it.result
-             for it in sweep(grid, GALILEAN_MODELS, base, ModelParams())}
+             for it in sweep(grid, GALILEAN_MODELS, base, ModelParams()).items()}
     for model in GALILEAN_MODELS:
         a, b = run_closed_loop(base, model), run_closed_loop(moved, model)
         if min(a.trace.ego_v_mps) < 1e-9:

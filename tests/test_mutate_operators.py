@@ -1,4 +1,5 @@
-"""tools/mutate_operators.py makes one flip to its twin per comparison operator."""
+"""tools/mutate_operators.py makes one flip to its twin per comparison operator
+and per & or | of a binary operation or augmented assignment."""
 
 import ast
 import importlib.util
@@ -10,22 +11,26 @@ mutate_operators = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(mutate_operators)
 
 SOURCE = """\
-def f(a, b, c, x, y):
+def f(a, b, c, x, y: int | None) -> bool | None:
     if x in y and a is not None:
         return a < b <= c
+    y &= x | c
     return x == y
 """
 
 
 def test_each_mutant_flips_one_operator_of_the_source_to_its_boundary_twin():
-    # the membership, the identity, the chain's two operators and the
-    # equality, in source order, each flipped alone
+    # the membership, the identity, the chain's two operators, the augmented
+    # and, the or and the equality, in source order, each flipped alone; the
+    # annotations' | are not flipped
     expected = [
         (2, "In -> NotIn", SOURCE.replace("x in y", "x not in y")),
         (2, "IsNot -> Is", SOURCE.replace("a is not None", "a is None")),
         (3, "Lt -> LtE", SOURCE.replace("a < b <= c", "a <= b <= c")),
         (3, "LtE -> Lt", SOURCE.replace("a < b <= c", "a < b < c")),
-        (4, "Eq -> NotEq", SOURCE.replace("x == y", "x != y")),
+        (4, "BitAnd -> BitOr", SOURCE.replace("y &= x | c", "y |= x | c")),
+        (4, "BitOr -> BitAnd", SOURCE.replace("y &= x | c", "y &= x & c")),
+        (5, "Eq -> NotEq", SOURCE.replace("x == y", "x != y")),
     ]
     assert list(mutate_operators.mutants(SOURCE)) == [
         (line, flip, ast.unparse(ast.parse(source))) for line, flip, source in expected

@@ -3,13 +3,14 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cutinsim.cli import main
 from cutinsim.config import config_hash
-from cutinsim.engine import SimResult, SweepItem, Trace
+from cutinsim.engine import ScenarioParams, SimResult, SweepGrid, SweepResult, Trace, sweep
 from cutinsim.errors import ConfigError
 from cutinsim.reports import (
     FLOAT_FORMAT,
@@ -77,22 +78,20 @@ def test_trace_csv_bytes_of_a_hand_built_trace(tmp_path):
     )
 
 
-def item(index, min_ttc_s=None, classification="critical", error=None):
-    """An rba grid point: its outcome, or an error row when error is given."""
-    result = None
-    if error is None:
-        result = SimResult(None, False, 10.0, min_ttc_s, 0.0, classification, "rba")
-    return SweepItem("rba", index, (25.0, 20.0, 30.0, 3.75), result, error)
+# four rba grid points, all at one point: min TTC 1 (critical against
+# ttc_crit_s 2), an error row, 3 and inf
+RESULT = SweepResult(
+    SweepGrid((25.0,) * 4, (20.0,), (30.0,), (3.75,)), ("rba",), 2.0,
+    collided=np.zeros((1, 4), dtype=bool), min_gap_long_m=np.full((1, 4), 10.0),
+    min_ttc_s=np.array([[1.0, math.nan, 3.0, math.inf]]), peak_decel_mps2=np.zeros((1, 4)),
+    errors={(0, 1): "InvalidInputError: overflow"},
+)
 
 
-ITEMS = [item(0, 1.0), item(1, error="InvalidInputError: overflow"),
-         item(2, 3.0, "non_critical"), item(3, math.inf, "non_critical")]
-
-
-def store(tmp_path, items=ITEMS):
+def store(tmp_path, result=RESULT):
     out = tmp_path / "store"
     config = {"risk": {"ttc_crit_s": 2.0}}
-    write_comparison_store(str(out), items, config, config_hash(config), 0)
+    write_comparison_store(str(out), result, config, config_hash(config), 0)
     return out
 
 
@@ -148,3 +147,17 @@ def test_plot_data_when_every_pooled_sample_is_equal(tmp_path):
     rows = [line.split(",") for line in (tmp_path / "hist_rba.csv").read_text().splitlines()[1:]]
     assert (len(rows), rows[0][0], rows[-1][1]) == (30, "1.5", "2.5")
     assert [int(r[2]) for r in rows] == [0] * 15 + [2] + [0] * 14
+
+
+def test_error_rows_sit_in_grid_order_among_result_rows(tmp_path):
+    # the invalid d_x0 0 is the middle value of its axis, so error rows and
+    # result rows alternate within each v_e0
+    grid = SweepGrid((20.0, 30.0), (10.0,), (25.0, 0.0, 40.0), (3.75,))
+    base = ScenarioParams("cut_in", 25.0, 20.0, 30.0, 3.75)
+    out = store(tmp_path, sweep(grid, ["rba", "none"], base))
+    for model in ("rba", "none"):
+        rows = [line.split(",") for line in (out / f"results_{model}.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == [str(i) for i in range(6)]
+        assert [row[3] for row in rows] == ["25", "0", "40"] * 2
+        assert [row[-1] for row in rows] == ["", "ConfigError: scenario.d_x0 must be > 0", ""] * 2
+        assert all(row[9] in ("critical", "non_critical") for row in rows if not row[-1])

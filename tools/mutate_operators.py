@@ -2,7 +2,11 @@
 
 Each comparison operator in the file is flipped once to its twin: the
 boundary twins < and <=, > and >=, and the negations == and !=, in and
-not in, is and is not. For every such mutant a copy of the repository's
+not in, is and is not. So is each & and | of a binary operation or an
+augmented assignment, to the other: the array code writes its logical
+and/or that way (collided = alongside & ..., done &= ~leave). Annotations
+are skipped: under `from __future__ import annotations` an `X | None` is
+never evaluated. For every such mutant a copy of the repository's
 src/, tests/ and configs/ is made under a temporary directory, the mutant
 replaces the file there, and the kinematics, metrics, risk, model, engine,
 config, report, CLI, ingest, writer and golden tests run against it.
@@ -31,6 +35,7 @@ FLIPS = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
     ast.In: ast.NotIn, ast.NotIn: ast.In,
     ast.Is: ast.IsNot, ast.IsNot: ast.Is,
+    ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd,
 }
 TESTS = ("tests/test_kinematics.py", "tests/test_metrics.py", "tests/test_risk.py",
          "tests/test_safety_models.py", "tests/test_engine.py", "tests/test_config.py",
@@ -41,14 +46,32 @@ COPIED = ("src", "tests", "configs")
 TIMEOUT_S = 600.0  # a mutant's test run that takes longer counts as killed
 
 
-def _sites(tree: ast.AST) -> list[tuple[ast.Compare, int]]:
-    """Every flippable (comparison, operator index), in source order."""
-    sites = [
-        (node, k)
-        for node in ast.walk(tree) if isinstance(node, ast.Compare)
-        for k, op in enumerate(node.ops) if type(op) in FLIPS
+def _annotations(tree: ast.AST) -> set[int]:
+    """The ids of every node inside an annotation. Under `from __future__
+    import annotations` none is evaluated, so `str | None` is no logic."""
+    roots = [
+        root
+        for node in ast.walk(tree)
+        for root in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if root is not None
     ]
-    return sorted(sites, key=lambda s: (s[0].lineno, s[0].col_offset, s[1]))
+    return {id(node) for root in roots for node in ast.walk(root)}
+
+
+def _sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
+    """Every flippable operator outside annotations, in source order:
+    (comparison, operator index), or (binary operation or augmented
+    assignment, None)."""
+    skip = _annotations(tree)
+    sites: list[tuple[ast.AST, int | None]] = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Compare):
+            sites += [(node, k) for k, op in enumerate(node.ops) if type(op) in FLIPS]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in FLIPS:
+            sites.append((node, None))
+    return sorted(sites, key=lambda s: (s[0].lineno, s[0].col_offset, s[1] or 0))
 
 
 def mutants(source: str):
@@ -56,8 +79,12 @@ def mutants(source: str):
     for i in range(len(_sites(ast.parse(source)))):
         tree = ast.parse(source)  # a fresh tree per mutant, so flips never accumulate
         node, k = _sites(tree)[i]
-        old, new = type(node.ops[k]), FLIPS[type(node.ops[k])]
-        node.ops[k] = new()
+        old = type(node.op if k is None else node.ops[k])
+        new = FLIPS[old]
+        if k is None:
+            node.op = new()
+        else:
+            node.ops[k] = new()
         yield node.lineno, f"{old.__name__} -> {new.__name__}", ast.unparse(tree)
 
 

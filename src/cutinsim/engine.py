@@ -244,16 +244,20 @@ def _sense(xp, p: ScenarioParams, t_s: float, x, v, d_x0, v_o0, d_y0):
     """A step's sensing over the operations xp (FLOATS in run_closed_loop,
     ARRAYS in the sweep): the other vehicle's plan at t_s and what the ego at
     x with speed v measures against it, (ox, oy, ov, ovy, gap_long, gap_lat,
-    collided, ttc). The footprints collide where they overlap on both axes.
-    The TTC is 0 on a collision step and inf where the pair is
-    longitudinally alongside in another lane, on no closing course."""
+    collided, ttc, closing_ttc). The footprints collide where they overlap on
+    both axes. closing_ttc, computed once here, is the TTC of the gap and
+    closing speed, 0 at a negative gap; it is what every model reads. ttc is
+    what the trace records: closing_ttc, but inf where the pair is
+    longitudinally alongside in another lane, on no closing course (a
+    collision implies alongside, so its TTC stays 0)."""
     ox, oy, ov, ovy = _other_motion(p, t_s, d_x0, v_o0, d_y0)
     gap_long = axis_gap(x, ox, p.ego_dims.length_m, p.other_dims.length_m)
     gap_lat = axis_gap(0.0, oy, p.ego_dims.width_m, p.other_dims.width_m)
     alongside = gap_long < 0.0
     collided = alongside & (gap_lat < 0.0)
-    ttc = xp.where(alongside, xp.where(collided, 0.0, math.inf), ttc_xp(xp, gap_long, v - ov))
-    return ox, oy, ov, ovy, gap_long, gap_lat, collided, ttc
+    closing_ttc = ttc_xp(xp, gap_long, v - ov)
+    ttc = xp.where(alongside != collided, math.inf, closing_ttc)
+    return ox, oy, ov, ovy, gap_long, gap_lat, collided, ttc, closing_ttc
 
 
 def _summarize(xp, min_gap, min_ttc, peak_decel, gap_long, ttc, decel):
@@ -282,10 +286,11 @@ def run_closed_loop(
 ) -> SimResult:
     """Simulate one scenario under one safety model.
 
-    Each step: compute gaps and TTC, run the model's control step on them,
-    apply its acceleration to the ego, advance both vehicles. Stepping stops
-    (and the collision flag latches) as soon as the footprints overlap.
-    With record=False the result's trace is None and no step is kept.
+    Each step: compute gaps and the closing TTC, run the model's control
+    step on them, apply its acceleration to the ego, advance both vehicles.
+    Stepping stops (and the collision flag latches) as soon as the
+    footprints overlap. With record=False the result's trace is None and no
+    step is kept.
     """
     dt = p.dt_s
     x, v = 0.0, p.v_e0_mps  # the ego, at the origin of its lane
@@ -298,7 +303,7 @@ def run_closed_loop(
 
     for i in range(n_steps + 1):
         t = i * dt
-        ox, oy, ov, ovy, gap_long, gap_lat, collided, ttc = _sense(
+        ox, oy, ov, ovy, gap_long, gap_lat, collided, ttc, closing_ttc = _sense(
             FLOATS, p, t, x, v, p.d_x0_m, p.v_o0_mps, p.d_y0_m
         )
         # one sum screens all four values; only a non-finite one (or an
@@ -309,7 +314,7 @@ def run_closed_loop(
             safe, decel = False, 0.0
         else:
             code, decel, accel, memory = control_step(
-                FLOATS, model_name, params, gap_long, gap_lat, v, ov, ttc, dt, memory
+                FLOATS, model_name, params, gap_long, gap_lat, v, ov, closing_ttc, dt, memory
             )
             safe = code <= MARGIN_PASS
         min_gap, min_ttc, peak_decel = _summarize(
@@ -432,7 +437,7 @@ def _at_point(base: ScenarioParams, point: tuple[float, float, float, float]) ->
     return replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
 
 
-def _as_float(value: Any) -> float:
+def as_float(value: Any) -> float:
     """value as a float, NaN where no float holds it: such a value is no
     finite real, so its grid points are invalid and no lane reads it."""
     try:
@@ -493,7 +498,7 @@ def _run_lanes(
     """
     n = len(index)
     v_e0, v_o0, d_x0, d_y0 = (
-        np.array([_as_float(v) for v in axis])[pos]
+        np.array([as_float(v) for v in axis])[pos]
         for axis, pos in zip(out.grid.axes, np.unravel_index(index, out.grid.shape))
     )
     state = _Lanes(
@@ -509,7 +514,7 @@ def _run_lanes(
         for i in range(n_steps + 1):
             if not state.index.size:
                 break
-            ox, oy, ov, ovy, gap_long, gap_lat, collided, ttc = _sense(
+            ox, oy, ov, ovy, gap_long, gap_lat, collided, ttc, closing_ttc = _sense(
                 ARRAYS, base, i * dt, state.x, state.v, state.d_x0, state.v_o0, state.d_y0
             )
             leave = ~np.isfinite(ox + oy + ov + ovy)
@@ -522,7 +527,7 @@ def _run_lanes(
                 if start == stop:  # a chunk may hold no lane of this model
                     continue
                 s = slice(start, stop)
-                features = (gap_long[s], gap_lat[s], state.v[s], ov[s], ttc[s])
+                features = (gap_long[s], gap_lat[s], state.v[s], ov[s], closing_ttc[s])
                 try:
                     _, decel[s], accel[s], memory[s] = control_step(
                         ARRAYS, out.models[m], params, *features, dt, state.memory[s]

@@ -27,7 +27,7 @@ from typing import Any, Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import config_hash
-from .engine import CRITICAL, NON_CRITICAL, SimResult, SweepResult
+from .engine import CRITICAL, NON_CRITICAL, SimResult, SweepResult, as_float
 from .errors import ConfigError
 from .risk import ModelSummary
 from .safety_models import MODEL_NAMES
@@ -123,7 +123,11 @@ def results_filename(model: str) -> str:
 
 
 def _result_rows(result: SweepResult, m: int):
-    """One results CSV row per grid point of result.models[m], in grid order."""
+    """One results CSV row per grid point of result.models[m], in grid order.
+    An error row's point may hold a value that FLOAT_FORMAT cannot write (an
+    integer beyond float range, a string), so each of its values is written as
+    the float the sweep read it as, NaN where no float holds it; the row's
+    error text names the value."""
     for index, point, summary, error in result.rows(m):
         if summary is not None:
             collided, min_gap, min_ttc, peak_decel, classification = summary
@@ -131,7 +135,8 @@ def _result_rows(result: SweepResult, m: int):
                 index, *point, collided, min_ttc, min_gap, peak_decel, classification
             )
         else:
-            yield ERROR_ROW % (index, *point, error.replace(",", ";").replace("\n", " "))
+            text = error.replace(",", ";").replace("\n", " ")
+            yield ERROR_ROW % (index, *map(as_float, point), text)
 
 
 def write_comparison_store(

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, InvalidInputError
-from .metrics import CLOSING_SPEED_FLOOR_MPS, ttc_xp
+from .metrics import CLOSING_SPEED_FLOOR_MPS
 
 MODEL_NAMES = ("rba", "rss", "reg157", "cc_human", "fsm", "idm", "none")
 
@@ -160,8 +160,12 @@ def control_step(
     """One control step of the named model over the operations xp:
     (rationale code, decel_cmd_mps2, accel_mps2, memory).
 
-    The inputs are the features the engine records for the step; only the rba
-    braking law reads ttc_s. memory is the model's per-run state, 0 at
+    The inputs are the step's features, which the engine senses once per
+    step. ttc_s is the step's closing TTC, metrics.ttc(gap_long_m,
+    v_ego_mps - v_other_mps): rba's margin and braking law, cc_human's
+    perception test and fsm's urgency all read it, and no model computes a
+    TTC of its own (where the pair is alongside in another lane, the trace
+    records inf instead). memory is the model's per-run state, 0 at
     scenario start, fed back on the next step: rba counts consecutive steps
     braking at a_max, cc_human carries its perception timer in seconds, the
     other models return it unchanged. The step is safe where
@@ -192,7 +196,7 @@ def control_step(
         # reaction time + time margin); a non-closing pair passes the margin
         dv = v_ego_mps - v_other_mps
         margin_s = dv / (2.0 * p.a_max_mps2) + p.t_react_s + p.time_margin_s
-        margin_pass = (dv < CLOSING_SPEED_FLOOR_MPS) | (ttc_xp(xp, gap_long_m, dv) > margin_s)
+        margin_pass = (dv < CLOSING_SPEED_FLOOR_MPS) | (ttc_s > margin_s)
         code = where(
             gap_lat_m > p.d_lat_safe_m,
             where(
@@ -214,7 +218,7 @@ def control_step(
             pick_max(shortfall * p.a_max_mps2 / step_freq_hz, 0.0), p.a_max_mps2 / step_freq_hz
         )
         dv_step = where(safe, 0.0, dv_step)
-        decel = where(safe, 0.0, dv_step * step_freq_hz)
+        decel = dv_step * step_freq_hz
         # braking pinned at the physical limit for several consecutive steps
         # means braking alone is not enough; advise an evasive lane change (a
         # safe step brakes 0, so it resets the count)
@@ -229,12 +233,13 @@ def control_step(
         zeros = xp.zeros
         return zeros(v_ego_mps, int), zeros(v_ego_mps, float), zeros(v_ego_mps, float), memory
 
-    # the baselines' lateral gate
+    # the baselines' lateral gate; rss, reg157 and fsm select its complement,
+    # in_lane, each in its own law
     lateral_clear = gap_lat_m > 0.0
-    in_lane = where(lateral_clear, False, True)
     if name == "rss":
         # the responsibility-sensitive envelope's minimum longitudinal gap
         p = params.rss
+        in_lane = where(lateral_clear, False, True)
         rho = p.response_time_s
         try:
             reach = xp.square(v_ego_mps + rho * p.accel_max_response_mps2, in_lane)
@@ -253,6 +258,7 @@ def control_step(
     elif name == "reg157":
         # a minimum following distance, a low-speed regulatory baseline
         p = params.reg157
+        in_lane = where(lateral_clear, False, True)
         threshold = pick_max(p.min_standstill_gap_m, v_ego_mps * p.min_time_gap_s)
         unsafe = in_lane & (gap_long_m < threshold)
         decel = where(unsafe, p.brake_mps2, 0.0)
@@ -262,9 +268,7 @@ def control_step(
         # memory is the time spent perceiving, and braking waits for it to
         # reach the reaction delay
         p = params.cc_human
-        unsafe = (-gap_lat_m > p.lat_intrusion_trigger_m) & (
-            ttc_xp(xp, gap_long_m, v_ego_mps - v_other_mps) < p.perception_ttc_s
-        )
+        unsafe = (-gap_lat_m > p.lat_intrusion_trigger_m) & (ttc_s < p.perception_ttc_s)
         decel = where(unsafe & (memory >= p.reaction_delay_s), p.brake_mps2, 0.0)
         memory = where(unsafe, memory + dt_s, 0.0)
     elif name == "fsm":
@@ -272,8 +276,9 @@ def control_step(
         # (an infinite TTC gives -inf urgency), brakes in proportion
         p = params.fsm
         u_d = (p.proximity_scale_m - gap_long_m) / p.proximity_scale_m
-        u_t = (p.ttc_scale_s - ttc_xp(xp, gap_long_m, v_ego_mps - v_other_mps)) / p.ttc_scale_s
+        u_t = (p.ttc_scale_s - ttc_s) / p.ttc_scale_s
         risk = pick_max(pick_min(pick_max(u_d, 0.0), 1.0), pick_min(pick_max(u_t, 0.0), 1.0))
+        in_lane = where(lateral_clear, False, True)
         unsafe = in_lane & (risk > 0.0)
         decel = where(unsafe, risk * p.braking_gain * p.a_max_mps2, 0.0)
     elif name == "idm":

@@ -25,7 +25,7 @@ from cutinsim.engine import (
 )
 from cutinsim.ingest import extract_cut_in_events, read_tracks_csv, trace_to_track_rows, write_tracks_csv
 from cutinsim.kinematics import FLOATS, VehicleDims, advance_axis_xp
-from cutinsim.metrics import finite_difference_sensitivity, ttc_sensitivity
+from cutinsim.metrics import finite_difference_sensitivity, ttc, ttc_sensitivity
 from cutinsim.risk import fit_gaussian, prob_below_threshold
 from cutinsim.safety_models import MARGIN_PASS, ModelParams, RbaParams, control_step
 from step_features import State, step_features
@@ -64,10 +64,12 @@ def eq1_literal(ego, cut, ego_dims, cut_dims, p):
 
 
 def rba_safe(ego, cut, dims, p):
-    """The rba check's verdict for a pair of vehicle states, through control_step."""
-    features = step_features(ego, cut, dims, dims)
+    """The rba check's verdict for a pair of vehicle states, through
+    control_step with the closing TTC that the engine hands it."""
+    gap_long, gap_lat, v_ego, v_cut = step_features(ego, cut, dims, dims)
     code, *_ = control_step(
-        FLOATS, "rba", ModelParams(rba=p), *features, math.inf, SWEEP_DT_S, 0
+        FLOATS, "rba", ModelParams(rba=p), gap_long, gap_lat, v_ego, v_cut,
+        ttc(gap_long, v_ego - v_cut), SWEEP_DT_S, 0,
     )
     return code <= MARGIN_PASS
 

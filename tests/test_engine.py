@@ -30,6 +30,7 @@ from cutinsim.engine import (
 from cutinsim.errors import ConfigError, InvalidInputError
 from cutinsim.reports import write_comparison_store
 from cutinsim.kinematics import ARRAYS, FLOATS, VehicleDims
+from cutinsim.metrics import ttc
 from cutinsim.safety_models import (
     MARGIN_PASS,
     MODEL_NAMES,
@@ -102,26 +103,27 @@ def test_car_following_speed_profile():
 
 
 @pytest.mark.parametrize("x, d_y0, v_e0, expected", [
-    # touching side to side (gap_lat exactly 0) while alongside: no collision
-    (35.0, 2.0, 20.0, (-5.0, 0.0, False, math.inf)),
+    # touching side to side (gap_lat exactly 0) while alongside: no
+    # collision; the trace records TTC inf, the models read the closing 0
+    (35.0, 2.0, 20.0, (-5.0, 0.0, False, math.inf, 0.0)),
     # overlapping on both axes: a collision, TTC 0
-    (35.0, 1.0, 20.0, (-5.0, -1.0, True, 0.0)),
+    (35.0, 1.0, 20.0, (-5.0, -1.0, True, 0.0, 0.0)),
     # bumper to bumper (gap_long exactly 0) in one lane: not alongside, and
     # the TTC formula's 0 when closing, inf when not
-    (30.0, 1.0, 25.0, (0.0, -1.0, False, 0.0)),
-    (30.0, 1.0, 20.0, (0.0, -1.0, False, math.inf)),
+    (30.0, 1.0, 25.0, (0.0, -1.0, False, 0.0, 0.0)),
+    (30.0, 1.0, 20.0, (0.0, -1.0, False, math.inf, math.inf)),
 ])
 def test_step_sensing_at_each_gap_boundary(x, d_y0, v_e0, expected):
     # the other vehicle, at 20 m/s, sits 35 m ahead (center to center) in its
     # start lane at t = 0; both forms of the step sense the same
     p = cutin(v_e0=v_e0, v_o0=20.0, d_x0=30.0, d_y0=d_y0)
-    *_, gap_long, gap_lat, collided, ttc = engine._sense(
+    *_, gap_long, gap_lat, collided, recorded, closing = engine._sense(
         FLOATS, p, 0.0, x, v_e0, p.d_x0_m, p.v_o0_mps, p.d_y0_m
     )
-    assert (gap_long, gap_lat, collided, ttc) == expected
+    assert (gap_long, gap_lat, collided, recorded, closing) == expected
     lanes = (np.array([value]) for value in (x, v_e0, p.d_x0_m, p.v_o0_mps, p.d_y0_m))
-    *_, gap_long, gap_lat, collided, ttc = engine._sense(ARRAYS, p, 0.0, *lanes)
-    assert (gap_long[0], gap_lat[0], collided[0], ttc[0]) == expected
+    *_, gap_long, gap_lat, collided, recorded, closing = engine._sense(ARRAYS, p, 0.0, *lanes)
+    assert (gap_long[0], gap_lat[0], collided[0], recorded[0], closing[0]) == expected
 
 
 def test_initial_bumper_gap_matches_d_x0():
@@ -193,8 +195,8 @@ def test_rba_deceleration_never_exceeds_a_max(dt):
 
 def test_recorded_step_features_reproduce_each_decision():
     # the model sees exactly what the trace records: replaying each sample's
-    # gaps, speeds and TTC through control_step gives back its safe flag and
-    # braking
+    # gaps and speeds, with the closing TTC they give, through control_step
+    # gives back its safe flag and braking
     collided_runs = braking_steps = 0
     for kind, d_x0 in itertools.product(SCENARIO_KINDS, (20.0, 45.0)):
         d_y0 = 0.0 if kind == "car_following" else 3.75
@@ -204,14 +206,14 @@ def test_recorded_step_features_reproduce_each_decision():
             r = run_closed_loop(p, model)
             memory = 0
             tr = r.trace
-            steps = zip(tr.gap_long_m, tr.gap_lat_m, tr.ego_v_mps, tr.other_v_mps, tr.ttc_s,
-                        tr.safe, tr.decel_cmd_mps2)
-            for gap_long, gap_lat, v_ego, v_other, ttc, safe, decel in (
+            steps = zip(tr.gap_long_m, tr.gap_lat_m, tr.ego_v_mps, tr.other_v_mps, tr.safe,
+                        tr.decel_cmd_mps2)
+            for gap_long, gap_lat, v_ego, v_other, safe, decel in (
                 list(steps)[:-1] if r.collided else steps
             ):
                 code, decel_cmd, _, memory = control_step(
-                    FLOATS, model, ModelParams(), gap_long, gap_lat, v_ego, v_other, ttc, p.dt_s,
-                    memory,
+                    FLOATS, model, ModelParams(), gap_long, gap_lat, v_ego, v_other,
+                    ttc(gap_long, v_ego - v_other), p.dt_s, memory,
                 )
                 assert (code <= MARGIN_PASS, decel_cmd) == (safe, decel)
                 braking_steps += decel > 0.0
@@ -221,6 +223,35 @@ def test_recorded_step_features_reproduce_each_decision():
             assert repr(r.min_ttc_s) == repr(min(filter(math.isfinite, tr.ttc_s), default=math.inf))
             assert repr(r.peak_decel_mps2) == repr(max(tr.decel_cmd_mps2))
     assert collided_runs > 0 and braking_steps > 0
+
+
+def test_every_model_reads_the_closing_ttc_of_its_step(monkeypatch):
+    # the engine computes each step's closing TTC once and hands it to every
+    # model: on every step of run_closed_loop and on every lane of a sweep,
+    # control_step's ttc_s is metrics.ttc of that step's gap and closing speed
+    calls, checked, alongside = set(), 0, 0
+
+    def spy(xp, name, params, gap_long, gap_lat, v_ego, v_other, ttc_s, dt, memory):
+        nonlocal checked, alongside
+        calls.add((name, xp is FLOATS))
+        for entry in zip(*map(np.atleast_1d, (gap_long, v_ego, v_other, ttc_s))):
+            g, v_e, v_o, t = map(float, entry)
+            assert repr(t) == repr(ttc(g, v_e - v_o)), (name, entry)
+            checked += 1
+            alongside += g < 0.0
+        return control_step(xp, name, params, gap_long, gap_lat, v_ego, v_other, ttc_s, dt, memory)
+
+    monkeypatch.setattr(engine, "control_step", spy)
+    for kind in SCENARIO_KINDS:
+        d_y0 = 0.0 if kind == "car_following" else 3.75
+        p = cutin(v_e0=30.0, v_o0=10.0, d_x0=20.0, d_y0=d_y0, lc_start=0.0, lc_dur=1.0,
+                  kind=kind)
+        for model in MODEL_NAMES:
+            run_closed_loop(p, model)
+        sweep(SweepGrid((20.0, 30.0), (10.0, 25.0), (5.0, 45.0), (d_y0,)), MODEL_NAMES, p)
+    assert calls == {(name, scalar) for name in MODEL_NAMES for scalar in (True, False)}
+    # the steps include some where the trace records inf alongside
+    assert checked > 0 and alongside > 0
 
 
 def test_velocity_stays_in_bounds_for_braking_models():

@@ -254,26 +254,35 @@ def test_dims_must_be_positive():
         VehicleDims(width_m=2.0, length_m=0.0)
 
 
-# --- the step takes no libm function ---------------------------------------
+# --- the step takes no libm function, and no model computes a TTC ----------
 
 STEP_MODULES = ("engine.py", "safety_models.py", "kinematics.py", "metrics.py")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "cutinsim")
 LIBM_CALLS = {"pow", "power", "exp", "log"}
+TTC_CALLS = {"ttc", "ttc_xp"}
+
+
+def calls_named(source, names):
+    """(line, "call of <name>") for each call in source of a function whose
+    name is in names, whatever it is called on."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in names:
+                found.append((node.lineno, f"call of {name}"))
+    return found
 
 
 def libm_operations(source):
     """(line, description) for each ** operator in source and each call of a
     function named pow, power, exp or log, whatever it is called on."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
-            found.append((node.lineno, "**"))
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in LIBM_CALLS:
-                found.append((node.lineno, f"call of {name}"))
-    return sorted(found)
+    powers = [
+        (node.lineno, "**") for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+    ]
+    return sorted(powers + calls_named(source, LIBM_CALLS))
 
 
 def test_no_step_module_takes_a_power_exp_or_log():
@@ -284,6 +293,17 @@ def test_no_step_module_takes_a_power_exp_or_log():
         if hits:
             found[name] = hits
     assert found == {}
+
+
+def test_no_safety_model_computes_a_ttc():
+    # the engine computes each step's closing TTC once, in _sense, and hands
+    # it to every model as ttc_s; a model that called metrics.ttc or ttc_xp
+    # would recompute it, and could quietly see another TTC than its peers
+    with open(os.path.join(SRC, "safety_models.py")) as fh:
+        assert calls_named(fh.read(), TTC_CALLS) == []
+    assert calls_named("metrics.ttc(g, v) + ttc_xp(xp, g, v)", TTC_CALLS) == [
+        (1, "call of ttc"), (1, "call of ttc_xp"),
+    ]
 
 
 def test_the_source_check_sees_each_libm_operation():

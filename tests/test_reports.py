@@ -161,3 +161,23 @@ def test_error_rows_sit_in_grid_order_among_result_rows(tmp_path):
         assert [row[3] for row in rows] == ["25", "0", "40"] * 2
         assert [row[-1] for row in rows] == ["", "ConfigError: scenario.d_x0 must be > 0", ""] * 2
         assert all(row[9] in ("critical", "non_critical") for row in rows if not row[-1])
+
+
+@pytest.mark.parametrize("value, written", [
+    (True, "1"), (10**400, "nan"), (math.nan, "nan"), ("fast", "nan"),
+], ids=["bool", "huge-int", "nan", "string"])
+@pytest.mark.parametrize("axis", range(4))
+def test_an_error_row_writes_its_point_as_the_floats_the_sweep_read(tmp_path, axis, value, written):
+    # a value that is no finite number is an error row of the sweep for every
+    # model; writing it must neither raise nor cut the file short
+    axes = [(25.0,), (10.0,), (20.0,), (3.75,)]
+    axes[axis] = (axes[axis][0], value)
+    base = ScenarioParams("cut_in", 25.0, 20.0, 30.0, 3.75)
+    out = store(tmp_path, sweep(SweepGrid(*axes), ["rba", "none"], base))
+    for model in ("rba", "none"):
+        first, error_row = (
+            line.split(",") for line in (out / f"results_{model}.csv").read_text().splitlines()[1:]
+        )
+        assert (first[1:5], first[-1]) == (["25", "10", "20", "3.75"], "")
+        assert error_row[1 + axis] == written
+        assert error_row[-1].startswith("ConfigError: scenario.")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cutinsim.errors import ConfigError, InvalidInputError
 from cutinsim.kinematics import ARRAYS, FLOATS, VehicleDims, advance_axis_xp
-from cutinsim.metrics import CLOSING_SPEED_FLOOR_MPS
+from cutinsim.metrics import CLOSING_SPEED_FLOOR_MPS, ttc
 from cutinsim.safety_models import (
     LANE_CHANGE_ADVISED,
     LATERAL_FAIL,
@@ -35,10 +35,19 @@ def veh(x=0.0, y=0.0, v=0.0):
     return State(pos_long_m=x, pos_lat_m=y, vel_long_mps=v)
 
 
-def step(name, features, memory=0, ttc_s=math.inf, dt=DT, **params):
+def closing_ttc(features):
+    """The TTC the engine hands control_step for (gap_long_m, gap_lat_m,
+    v_ego_mps, v_other_mps): metrics.ttc of the gap and closing speed."""
+    gap_long, _, v_ego, v_other = features
+    return ttc(gap_long, v_ego - v_other)
+
+
+def step(name, features, memory=0, ttc_s=None, dt=DT, **params):
     """control_step of one model on floats, on (gap_long_m, gap_lat_m,
-    v_ego_mps, v_other_mps), with that model's parameters:
-    (code, decel, accel, memory)."""
+    v_ego_mps, v_other_mps), with that model's parameters and ttc_s, by
+    default the features' closing TTC: (code, decel, accel, memory)."""
+    if ttc_s is None:
+        ttc_s = closing_ttc(features)
     return control_step(FLOATS, name, ModelParams(**params), *features, ttc_s, dt, memory)
 
 
@@ -133,8 +142,7 @@ def test_check_agrees_with_literal_oracle_on_random_states():
         ego = veh(0.0, 0.0, rng.uniform(0, 40))
         cut = veh(gap_long + 10.0, gap_lat + 4.0, rng.uniform(0, 40))
         expected = eq1_oracle(ego, cut, big, big, p)
-        ttc_s = rng.uniform(0.0, 10.0)
-        code, decel, a, _ = step("rba", step_features(ego, cut, big, big), ttc_s=ttc_s, rba=p)
+        code, decel, a, _ = step("rba", step_features(ego, cut, big, big), rba=p)
         assert (code <= MARGIN_PASS) == expected
         # the per-step decrement comes back as an acceleration, never beyond
         # a_max, and stopping at v_min only shortens it
@@ -463,23 +471,26 @@ def test_control_step_rejects_unknown_model():
 
 # Every gate at exact equality, with the side it takes there:
 # (model, (gap_long_m, gap_lat_m, v_ego_mps, v_other_mps), ttc_s, dt_s, memory,
-#  parameters, (rationale code, decel_cmd_mps2, memory)).
+#  parameters, (rationale code, decel_cmd_mps2, memory)). control_step is
+# handed the smaller of the features' closing TTC, the one the engine hands
+# every model, and ttc_s; inf hands it the closing TTC.
 GATES = [
     # rba: the lateral gap must exceed d_lat_safe_m
     ("rba", (20.0, 0.5, 10.0, 10.0), math.inf, 0.05, 0, {}, (LATERAL_FAIL, 0.0, 0)),
     # rba: the raw gap must exceed d_safe_m; closing at 30 m/s fails the margin
     ("rba", (10.0, 1.0, 30.0, 0.0), math.inf, 0.05, 0, {"rba": RbaParams(safety_buffer_m=0.0)},
-     (LONGITUDINAL_FAIL, 0.0, 0)),
+     (LONGITUDINAL_FAIL, 5.666666666666666, 0)),
     # rba: the TTC must exceed the stopping-time margin, 12/12 + 0.5 + 0.25 s
     ("rba", (21.0, 1.0, 12.0, 0.0), math.inf, 0.05, 0,
      {"rba": RbaParams(d_safe_m=30.0, safety_buffer_m=-9.0, time_margin_s=0.25)},
-     (LONGITUDINAL_FAIL, 0.0, 0)),
+     (LONGITUDINAL_FAIL, 4.25, 0)),
     # rba: a closing speed at the floor counts as closing, so a negative gap
     # fails the margin; the distance shortfall then saturates the braking
     ("rba", (-1.0, 1.0, CLOSING_SPEED_FLOOR_MPS, 0.0), math.inf, 0.05, 0, {},
      (LONGITUDINAL_FAIL, 6.0, 1)),
     # rba: braking at exactly a_max (1 - 1e-9) counts as saturated, and the
-    # fifth such step advises a lane change
+    # fifth such step advises a lane change (a TTC under the closing one, inf
+    # at equal speeds, drives the braking)
     ("rba", (100.0, 0.0, 40.0, 40.0), 1e-9, 1.0, 4, {"rba": RbaParams(ttc_safe_s=1.0)},
      (LANE_CHANGE_ADVISED, 6.0 * (1.0 - 1e-9), 5)),
     # rss: a gap equal to the minimum gap (0.84375 m at standstill) is safe
@@ -508,6 +519,7 @@ GATES = [
 
 @pytest.mark.parametrize("name, features, ttc_s, dt, memory, params, expected", GATES)
 def test_each_gate_at_its_boundary(name, features, ttc_s, dt, memory, params, expected):
+    ttc_s = min(closing_ttc(features), ttc_s)
     code, decel, _, new_memory = step(name, features, memory, ttc_s, dt, **params)
     assert (code, decel, new_memory) == expected
     assert (code <= MARGIN_PASS) == (expected[0] in (SAFE, MARGIN_PASS))
@@ -622,3 +634,42 @@ def test_no_step_commands_negative_braking_or_brakes_when_safe(name, dt, rows):
         assert not decel < 0.0
         if code <= MARGIN_PASS:
             assert decel == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.builds(RbaParams, d_safe_m=st.floats(-5.0, 30.0), safety_buffer_m=st.floats(6.0, 10.0),
+              ttc_safe_s=st.floats(0.5, 20.0), v_min_mps=st.floats(0.0, 5.0)),
+    st.sampled_from((0.025, 0.05, 0.2)),
+    st.lists(st.tuples(
+        st.floats(-100.0, 0.0).filter(lambda gap: gap < 0.0),
+        st.one_of(st.floats(-3.0, 0.5), st.sampled_from((0.0, -0.0, 0.5))),
+        st.floats(0.0, 45.0),
+        st.floats(0.0, 35.0),
+        st.integers(0, 7).map(float),
+    ), min_size=1, max_size=12),
+)
+def test_rba_ignores_the_ttc_at_a_negative_gap_where_the_lateral_check_fails(p, dt, rows):
+    """At a negative gap with the lateral check failed, rba gives the same
+    (code, decel, accel, memory) bit for bit for ttc_s 0 and inf, in both
+    forms. Those are the closing TTC and the recorded TTC of a step alongside
+    in another lane, so the braking law may read the closing one: its
+    distance shortfall there is at least 1, the shortfall of TTC 0 exactly 1
+    and of TTC inf -inf, so the larger of the two is the distance term."""
+    params = ModelParams(rba=p)
+    for gap_long, gap_lat, v_ego, v_other, memory in rows:
+        at_zero, at_inf = (
+            repr(control_step(FLOATS, "rba", params, gap_long, gap_lat, v_ego, v_other, t, dt, memory))
+            for t in (0.0, math.inf)
+        )
+        assert at_zero == at_inf
+    gap_long, gap_lat, v_ego, v_other, memory = (np.array(c, dtype=float) for c in zip(*rows))
+    with np.errstate(all="ignore"):
+        at_zero, at_inf = (
+            repr([column.tolist() for column in control_step(
+                ARRAYS, "rba", params, gap_long, gap_lat, v_ego, v_other,
+                np.full(len(rows), t), dt, memory,
+            )])
+            for t in (0.0, math.inf)
+        )
+    assert at_zero == at_inf

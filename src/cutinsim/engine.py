@@ -8,7 +8,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -116,6 +116,10 @@ class ScenarioParams:
             raise ConfigError("scenario.d_x0 must be > 0", key="scenario.d_x0")
         if not self.dt_s > 0.0:
             raise ConfigError("scenario.dt_s must be > 0", key="scenario.dt_s")
+        if math.isinf(1.0 / self.dt_s):  # the models brake at a rate of 1 / dt_s
+            raise ConfigError(
+                f"scenario.dt_s {self.dt_s!r} has no finite inverse", key="scenario.dt_s"
+            )
         if not self.lc_duration_s > 0.0:
             raise ConfigError("scenario.lc_duration_s must be > 0", key="scenario.lc_duration_s")
         if self.lc_start_s < 0.0:
@@ -189,7 +193,7 @@ class Trace:
 
 @dataclass(frozen=True)
 class SimResult:
-    trace: Trace | None  # None in sweep results
+    trace: Trace | None  # None with record=False
     collided: bool
     min_gap_long_m: float
     min_ttc_s: float  # math.inf when the pair never closes
@@ -268,12 +272,11 @@ def _summarize(xp, min_gap, min_ttc, peak_decel, gap_long, ttc, decel):
     return xp.pick_min(min_gap, gap_long), xp.pick_min(min_ttc, ttc), xp.pick_max(peak_decel, decel)
 
 
-def _classify(collided: bool, min_ttc_s: float, peak_decel: float, ttc_crit_s: float) -> str:
-    """Critical when the run collided, dipped under ttc_crit_s, or braked
-    harder than COMFORT_DECEL_MPS2; non-critical otherwise."""
-    if collided or min_ttc_s < ttc_crit_s or peak_decel > COMFORT_DECEL_MPS2:
-        return CRITICAL
-    return NON_CRITICAL
+def is_critical(collided, min_ttc_s, peak_decel_mps2, ttc_crit_s: float):
+    """Whether a run is critical: it collided, its minimum TTC dipped under
+    ttc_crit_s, or it braked harder than COMFORT_DECEL_MPS2. Over a run's
+    floats a bool, over summary columns a bool array."""
+    return collided | (min_ttc_s < ttc_crit_s) | (peak_decel_mps2 > COMFORT_DECEL_MPS2)
 
 
 def run_closed_loop(
@@ -327,13 +330,14 @@ def run_closed_loop(
         if not math.isfinite(accel + x + v):
             require_finite(accel_long_mps2=accel, pos_long_m=x, vel_long_mps=v)
 
+    critical = is_critical(collided, min_ttc, peak_decel, ttc_crit_s)
     return SimResult(
         trace=Trace(*zip(*rows)) if record else None,
         collided=collided,
         min_gap_long_m=min_gap,
         min_ttc_s=min_ttc,
         peak_decel_mps2=peak_decel,
-        classification=_classify(collided, min_ttc, peak_decel, ttc_crit_s),
+        classification=CRITICAL if critical else NON_CRITICAL,
         model_name=model_name,
     )
 
@@ -369,24 +373,12 @@ class SweepGrid:
         return tuple(axis[i] for axis, i in zip(self.axes, np.unravel_index(index, self.shape)))
 
 
-@dataclass(frozen=True)
-class SweepItem:
-    """One grid point of a sweep: its coordinates plus the result or an error.
-    The result is the run's summary only; its trace is None."""
-
-    model_name: str
-    grid_index: int
-    point: tuple[float, float, float, float]  # (v_e0, v_o0, d_x0, d_y0)
-    result: SimResult | None
-    error: str | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """A sweep's outcomes as columns: entry [m, i] of each summary array
     belongs to models[m] at grid index i. A (model index, grid index) in
     errors is an error row, whose text is recorded there and whose column
-    entries mean nothing. The classification is not stored: _classify
+    entries mean nothing. The classification is not stored: is_critical
     derives it from the columns and ttc_crit_s."""
 
     grid: SweepGrid
@@ -404,37 +396,6 @@ class SweepResult:
         shape = (len(models), math.prod(grid.shape))
         return cls(grid, tuple(models), ttc_crit_s, np.zeros(shape, dtype=bool),
                    *(np.full(shape, math.nan) for _ in range(3)), {})
-
-    def rows(self, m: int) -> Iterator[tuple[int, tuple, tuple | None, str | None]]:
-        """(grid index, point, summary, error) for each grid point of
-        models[m], in grid order. summary is (collided, min_gap_long_m,
-        min_ttc_s, peak_decel_mps2, classification) in plain Python values,
-        None on an error row, whose error is its text (None otherwise)."""
-        columns = (a[m].tolist() for a in
-                   (self.collided, self.min_gap_long_m, self.min_ttc_s, self.peak_decel_mps2))
-        points = itertools.product(*self.grid.axes)
-        for index, (point, hit, gap, ttc, peak) in enumerate(zip(points, *columns)):
-            error = self.errors.get((m, index))
-            if error is None:
-                yield index, point, (hit, gap, ttc, peak, _classify(hit, ttc, peak, self.ttc_crit_s)), None
-            else:
-                yield index, point, None, error
-
-    def items(self) -> Iterator[SweepItem]:
-        """One SweepItem per (model, grid point), ordered by (model, grid index)."""
-        for m, name in enumerate(self.models):
-            for index, point, summary, error in self.rows(m):
-                result = None if summary is None else SimResult(None, *summary, name)
-                yield SweepItem(name, index, point, result, error)
-
-
-def _error_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _at_point(base: ScenarioParams, point: tuple[float, float, float, float]) -> ScenarioParams:
-    v_e0, v_o0, d_x0, d_y0 = point
-    return replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
 
 
 def as_float(value: Any) -> float:
@@ -458,14 +419,15 @@ class _Lanes:
 
 
 def _rerun(out: SweepResult, m: int, index: int, base: ScenarioParams, params: ModelParams) -> None:
-    """Run lane (m, index) through run_closed_loop on its grid point and write
-    its summary into out's columns, or the text of what it raises into
-    out.errors."""
-    p = _at_point(base, out.grid.point(index))
+    """Write entry (m, index) from run_closed_loop on its grid point: its
+    summary into out's columns, or the text of what the point's scenario or
+    run raises into out.errors."""
     try:
+        v_e0, v_o0, d_x0, d_y0 = out.grid.point(index)
+        p = replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
         r = run_closed_loop(p, out.models[m], params, out.ttc_crit_s, record=False)
     except Exception as exc:  # recorded as an error row, never aborts the sweep
-        out.errors[m, index] = _error_text(exc)
+        out.errors[m, index] = f"{type(exc).__name__}: {exc}"
         return
     out.collided[m, index] = r.collided
     out.min_gap_long_m[m, index] = r.min_gap_long_m
@@ -596,10 +558,8 @@ def sweep(
     out = SweepResult.empty(grid, models, ttc_crit_s)
     valid = _valid_points(grid, base)
     for index in np.flatnonzero(~valid).tolist():
-        try:
-            _at_point(base, grid.point(index))
-        except Exception as exc:  # recorded as an error row, never aborts the sweep
-            out.errors.update(((m, index), _error_text(exc)) for m in range(len(models)))
+        for m in range(len(models)):
+            _rerun(out, m, index, base, params)
     runs = np.flatnonzero(valid)
     n = len(models) * len(runs)
     n_chunks = -(-n // LANE_CHUNK)

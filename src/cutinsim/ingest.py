@@ -10,8 +10,8 @@ tracks, each a Track: one vehicle's rows as numpy columns in strictly
 increasing frame order. read_tracks_csv parses a file's body with one
 numpy.loadtxt call and screens the parsed columns once; only a file that
 fails the parse or a screen is read again row by row, by the row checker,
-which raises or warns with the line number of each malformed row. Both give
-their rows to tracks_from_rows. write_tracks_csv writes such tuples, and
+which raises ParseError with the line number of the first malformed row.
+Both give their rows to tracks_from_rows. write_tracks_csv writes such tuples, and
 trace_to_track_rows makes them from an engine trace. Extraction and features
 work on the columns, and every value they return is a Python int or float.
 """
@@ -92,14 +92,13 @@ def write_tracks_csv(path, rows) -> None:
     write_lines(path, [",".join(TRACKS_HEADER) + "\n"], (TRACKS_ROW % row for row in rows))
 
 
-def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet:
+def read_tracks_csv(path, frame_rate_hz: float) -> TrackSet:
     """Read a tracks csv into one Track per track id, in order of first
     appearance.
 
     The body is parsed in one numpy.loadtxt call. When that parse fails or a
-    screen rejects its columns, the row checker reads the file again: strict
-    mode raises on the first malformed row, lenient mode skips the row and
-    emits a warning carrying its line number. A track whose frames do not
+    screen rejects its columns, the row checker reads the file again and
+    raises ParseError on the first malformed row. A track whose frames do not
     strictly increase is a SchemaError. A header-only file yields an empty
     track set. frame_rate_hz must be finite and > 0.
     """
@@ -121,7 +120,7 @@ def read_tracks_csv(path, frame_rate_hz: float, strict: bool = True) -> TrackSet
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
-            rows = _check_rows(reader, strict)
+            rows = _check_rows(reader)
     return TrackSet(frame_rate_hz=frame_rate_hz, tracks=tracks_from_rows(rows))
 
 
@@ -179,9 +178,9 @@ def _parse_columns(fh) -> np.ndarray | None:
 _CONVERTERS = tuple(int if TRACKS_DTYPE[name].kind == "i" else float for name in TRACKS_DTYPE.names)
 
 
-def _check_rows(reader, strict: bool) -> np.ndarray:
-    """The csv rows after the header that pass the row checks, a
-    TRACKS_DTYPE array."""
+def _check_rows(reader) -> np.ndarray:
+    """The csv rows after the header, a TRACKS_DTYPE array; a ParseError
+    with the line number of the first row that fails the row checks."""
     rows = []
     n_fields = len(TRACKS_HEADER)
     for line_no, fields in enumerate(reader, start=2):
@@ -200,10 +199,7 @@ def _check_rows(reader, strict: bool) -> np.ndarray:
             if width <= 0.0 or length <= 0.0:
                 raise ValueError("vehicle dimensions must be positive")
         except ValueError as exc:
-            if strict:
-                raise ParseError(str(exc), line_no) from exc
-            warnings.warn(f"skipping malformed row at line {line_no}: {exc}")
-            continue
+            raise ParseError(str(exc), line_no) from exc
         rows.append(row)
     return np.array(rows, TRACKS_DTYPE)
 

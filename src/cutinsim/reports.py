@@ -18,6 +18,7 @@ run that produced it.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from typing import Any, Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import config_hash
-from .engine import CRITICAL, NON_CRITICAL, SimResult, SweepResult, as_float
+from .engine import CRITICAL, NON_CRITICAL, SimResult, SweepResult, as_float, is_critical
 from .errors import ConfigError
 from .risk import ModelSummary
 from .safety_models import MODEL_NAMES
@@ -123,17 +124,22 @@ def results_filename(model: str) -> str:
 
 
 def _result_rows(result: SweepResult, m: int):
-    """One results CSV row per grid point of result.models[m], in grid order.
-    An error row's point may hold a value that FLOAT_FORMAT cannot write (an
-    integer beyond float range, a string), so each of its values is written as
-    the float the sweep read it as, NaN where no float holds it; the row's
-    error text names the value."""
-    for index, point, summary, error in result.rows(m):
-        if summary is not None:
-            collided, min_gap, min_ttc, peak_decel, classification = summary
-            yield RESULT_ROW % (
-                index, *point, collided, min_ttc, min_gap, peak_decel, classification
-            )
+    """One results CSV row per grid point of result.models[m], in grid order,
+    from row m of each summary column. An error row's point may hold a value
+    that FLOAT_FORMAT cannot write (an integer beyond float range, a string),
+    so each of its values is written as the float the sweep read it as, NaN
+    where no float holds it; the row's error text names the value."""
+    collided, min_ttc, min_gap, peak_decel = (
+        a[m] for a in (result.collided, result.min_ttc_s, result.min_gap_long_m, result.peak_decel_mps2)
+    )
+    critical = is_critical(collided, min_ttc, peak_decel, result.ttc_crit_s)
+    classes = np.where(critical, CRITICAL, NON_CRITICAL)
+    columns = (c.tolist() for c in (collided, min_ttc, min_gap, peak_decel, classes))
+    points = itertools.product(*result.grid.axes)
+    for index, (point, *summary) in enumerate(zip(points, *columns)):
+        error = result.errors.get((m, index))
+        if error is None:
+            yield RESULT_ROW % (index, *point, *summary)
         else:
             text = error.replace(",", ";").replace("\n", " ")
             yield ERROR_ROW % (index, *map(as_float, point), text)

@@ -238,11 +238,11 @@ def test_criterion_05_closed_loop_no_collision_sweep():
         d_y0_m=(3.75,),
     )
     base = _sweep_base()
-    items = sweep(grid, ["rba", "none"], base).items()
-    by_model = {"rba": {}, "none": {}}
-    for item in items:
-        assert item.result is not None, item.error
-        by_model[item.model_name][item.point] = item.result
+    result = sweep(grid, ["rba", "none"], base)
+    assert not result.errors, result.errors
+    # each model's collision flag per grid point
+    collided = {model: dict(zip(grid.points(), result.collided[m].tolist()))
+                for m, model in enumerate(result.models)}
 
     p = RbaParams()
     t_lat = smoothstep_crossing_time(base, 2.0)  # lateral overlap onset
@@ -250,16 +250,16 @@ def test_criterion_05_closed_loop_no_collision_sweep():
     null_failures = []
     n_rba_asserted = 0
     n_null_asserted = 0
-    for point, result in by_model["rba"].items():
+    for point, hit in collided["rba"].items():
         v_e0, v_o0, d_x0, _ = point
         if v_o0 > v_e0:
             continue
         bound = feasibility_bound(v_e0, v_o0, p.a_max_mps2, p.t_react_s)
         if d_x0 > bound + 5.0:
             n_rba_asserted += 1
-            if result.collided:
+            if hit:
                 rba_failures.append(point)
-    for point, result in by_model["none"].items():
+    for point, hit in collided["none"].items():
         v_e0, v_o0, d_x0, _ = point
         if not v_e0 > v_o0:
             continue
@@ -268,7 +268,7 @@ def test_criterion_05_closed_loop_no_collision_sweep():
         reaches_after_alignment = (d_x0 + 2 * DIMS.length_m) / dv >= t_lat + 2 * SWEEP_DT_S
         if d_x0 <= intercept_gap - 2 * SWEEP_DT_S * dv and reaches_after_alignment:
             n_null_asserted += 1
-            if not result.collided:
+            if not hit:
                 null_failures.append(point)
     elapsed = time.perf_counter() - start
     _report(

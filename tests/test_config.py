@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutinsim.config import load_config, parse_config, resolved_dict
-from cutinsim.engine import run_closed_loop, sweep
+from cutinsim.engine import sweep
 from cutinsim.errors import ConfigError
+from sweep_entries import entries, reprs, scalar_sweep
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -145,12 +146,10 @@ def test_integer_model_parameters_give_the_sweep_and_the_scalar_loop_equal_items
     cfg = parse_config(raw)
     assert type(cfg.model_params.rss.ego_brake_min_mps2) is float
     models = ("rss", "reg157")
-    items = list(sweep(cfg.sweep, models, cfg.scenario, cfg.model_params, cfg.ttc_crit_s).items())
-    assert len(items) == 54
-    for it in items:
-        v_e0, v_o0, d_x0, d_y0 = it.point
-        p = dataclasses.replace(cfg.scenario, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0,
-                                d_y0_m=d_y0)
-        run = run_closed_loop(p, it.model_name, cfg.model_params, cfg.ttc_crit_s)
-        # repr tells 4 from 4.0
-        assert repr(it.result) == repr(dataclasses.replace(run, trace=None))
+    result = sweep(cfg.sweep, models, cfg.scenario, cfg.model_params, cfg.ttc_crit_s)
+    rows = entries(result)
+    assert len(rows) == 54
+    # repr tells 4 from 4.0
+    assert reprs(rows) == reprs(
+        scalar_sweep(cfg.sweep, models, cfg.scenario, cfg.model_params, cfg.ttc_crit_s)
+    )

@@ -21,7 +21,6 @@ from cutinsim.engine import (
     ScenarioParams,
     SimResult,
     SweepGrid,
-    SweepItem,
     Trace,
     feasibility_bound,
     run_closed_loop,
@@ -40,6 +39,7 @@ from cutinsim.safety_models import (
     RbaParams,
     control_step,
 )
+from sweep_entries import at_point, entries, reprs, scalar_sweep
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -319,33 +319,48 @@ def test_scenario_validation():
     cutin(duration=12.0, dt=12.0 / MAX_STEPS)  # exactly at the step bound
 
 
+def test_a_dt_without_a_finite_inverse_is_a_config_error():
+    # rba brakes at the rate 1 / dt_s: at an infinite rate its per-step
+    # decrement is 0 and its braking 0 * inf = NaN
+    with pytest.raises(ConfigError, match="has no finite inverse") as raised:
+        cutin(v_e0=30.0, v_o0=10.0, d_x0=1.0, lc_start=0.0, lc_dur=1e-310, duration=2e-310,
+              dt=1e-310)
+    assert raised.value.key == "scenario.dt_s"
+    # the finest dt whose inverse is finite runs, and every model's braking is finite
+    dt = 5.56268464626801e-309
+    assert math.isfinite(1.0 / dt) and math.isinf(1.0 / math.nextafter(dt, 0.0))
+    p = cutin(v_e0=30.0, v_o0=10.0, d_x0=1.0, lc_start=0.0, lc_dur=dt, duration=2 * dt, dt=dt)
+    for model in MODEL_NAMES:
+        r = run_closed_loop(p, model)
+        assert all(map(math.isfinite, (*r.trace.decel_cmd_mps2, r.peak_decel_mps2))), model
+    assert run_closed_loop(p, "rba").peak_decel_mps2 > 0.0
+    cutin(duration=12.0, dt=12.0 / MAX_STEPS)  # the finest dt the step bound allows
+
+
 def test_sweep_cardinality_order_and_determinism():
     grid = SweepGrid(v_e0_mps=(20.0, 30.0), v_o0_mps=(10.0,), d_x0_m=(20.0, 40.0), d_y0_m=(3.75,))
     base = cutin()
-    items = list(sweep(grid, ["rba"], base).items())
-    assert len(items) == 4
-    assert [it.grid_index for it in items] == [0, 1, 2, 3]
-    again = list(sweep(grid, ["rba"], base).items())
-    assert items == again
-    both = list(sweep(grid, ["rba", "rss"], base).items())
+    result = sweep(grid, ["rba"], base)
+    assert result.collided.shape == (1, 4) and not result.errors
+    rows = entries(result)
+    assert [(model, index, point) for model, index, point, _ in rows] == [
+        ("rba", i, point) for i, point in enumerate(grid.points())
+    ]
+    assert reprs(entries(sweep(grid, ["rba"], base))) == reprs(rows)
+    both = entries(sweep(grid, ["rba", "rss"], base))
     assert len(both) == 8
-    assert [it.model_name for it in both] == ["rba"] * 4 + ["rss"] * 4
-    assert both[:4] == items
+    assert [model for model, *_ in both] == ["rba"] * 4 + ["rss"] * 4
+    assert reprs(both[:4]) == reprs(rows)
 
 
-def test_sweep_items_carry_the_summary_without_the_trace():
+def test_sweep_columns_hold_the_summary_of_the_recorded_run():
     grid = SweepGrid(v_e0_mps=(30.0,), v_o0_mps=(10.0, 15.0), d_x0_m=(25.0,), d_y0_m=(3.75,))
     base = cutin()
-    items = sweep(grid, ["rba", "none"], base).items()
-    for it in items:
-        assert it.result.trace is None
-        assert len(pickle.dumps(it, pickle.HIGHEST_PROTOCOL)) < 2048
-        v_e0, v_o0, d_x0, d_y0 = it.point
-        full = run_closed_loop(
-            replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0), it.model_name
-        )
+    for model, _, point, outcome in entries(sweep(grid, ["rba", "none"], base)):
+        full = run_closed_loop(at_point(base, point), model)
         assert full.trace.t_s
-        assert it.result == replace(full, trace=None)
+        assert outcome == (full.collided, full.min_gap_long_m, full.min_ttc_s,
+                           full.peak_decel_mps2, full.classification)
         assert full.peak_decel_mps2 == max(full.trace.decel_cmd_mps2)
 
 
@@ -368,10 +383,9 @@ def test_a_summary_only_run_keeps_no_step():
 def test_sweep_records_error_rows_instead_of_aborting():
     grid = SweepGrid(v_e0_mps=(20.0,), v_o0_mps=(10.0,), d_x0_m=(20.0,), d_y0_m=(3.75,))
     base = cutin(kind="car_following", d_y0=0.0)  # grid d_y0 3.75 is invalid here
-    items = list(sweep(grid, ["rba"], base).items())
-    assert len(items) == 1
-    assert items[0].result is None
-    assert "d_y0" in items[0].error
+    result = sweep(grid, ["rba"], base)
+    assert list(result.errors) == [(0, 0)]
+    assert "d_y0" in result.errors[0, 0]
 
 
 def test_sweep_rejects_a_repeated_model():
@@ -386,33 +400,6 @@ def test_sweep_rejects_a_repeated_model():
     with pytest.raises(ConfigError) as raised:
         sweep(grid, [], base)
     assert raised.value.key == "models"
-
-
-def at_point(base, point):
-    v_e0, v_o0, d_x0, d_y0 = point
-    return replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
-
-
-def scalar_item(base, model, index, point, params, ttc_crit_s=2.0):
-    """One sweep item through the scalar loop: the reference for the batched sweep."""
-    try:
-        result = run_closed_loop(at_point(base, point), model, params, ttc_crit_s)
-    except Exception as exc:
-        return SweepItem(model, index, point, None, error=f"{type(exc).__name__}: {exc}")
-    return SweepItem(model, index, point, replace(result, trace=None))
-
-
-def scalar_sweep(grid, models, base, params):
-    return [
-        scalar_item(base, model, index, point, params)
-        for model in models
-        for index, point in enumerate(grid.points())
-    ]
-
-
-def reprs(items):
-    # repr shows every field, so -0.0 against 0.0 and error texts count
-    return [repr(item) for item in items]
 
 
 @st.composite
@@ -468,19 +455,18 @@ def valid(base, point):
 @given(sweep_cases(), st.data())
 def test_batched_sweep_equals_the_scalar_loop(case, data):
     grid, base, params = case
-    items = list(sweep(grid, MODEL_NAMES, base, params).items())
-    assert reprs(items) == reprs(scalar_sweep(grid, MODEL_NAMES, base, params))
+    rows = entries(sweep(grid, MODEL_NAMES, base, params))
+    assert reprs(rows) == reprs(scalar_sweep(grid, MODEL_NAMES, base, params))
     # a lane's result does not depend on the batch it runs in
-    ran = [it for it in items if valid(base, it.point)]
+    ran = [row for row in rows if valid(base, row[2])]
     start = data.draw(st.integers(0, len(ran)))
     stop = data.draw(st.integers(start, len(ran)))
     chunk = ran[start:stop]
     alone = engine.SweepResult.empty(grid, MODEL_NAMES, 2.0)
-    model = np.array([MODEL_NAMES.index(it.model_name) for it in chunk], dtype=int)
-    engine._run_lanes(alone, model, np.array([it.grid_index for it in chunk], dtype=int),
-                      base, params)
-    lanes = {(it.model_name, it.grid_index) for it in chunk}
-    assert reprs(it for it in alone.items() if (it.model_name, it.grid_index) in lanes) == reprs(chunk)
+    model = np.array([MODEL_NAMES.index(row[0]) for row in chunk], dtype=int)
+    engine._run_lanes(alone, model, np.array([row[1] for row in chunk], dtype=int), base, params)
+    lanes = {row[:2] for row in chunk}
+    assert reprs(row for row in entries(alone) if row[:2] in lanes) == reprs(chunk)
 
 
 def results_bytes(result):
@@ -512,7 +498,8 @@ def test_chunking_changes_no_byte(case):
         n_valid = sum(valid(base, point) for point in grid.points()) * len(MODEL_NAMES)
         assert sum(sizes) == n_valid
         assert not sizes or (max(sizes) - min(sizes) <= 1 and max(sizes) <= chunk)
-        assert reprs(chunked.items()) == reprs(whole.items())
+        assert reprs(entries(chunked)) == reprs(entries(whole))
+        assert chunked.errors == whole.errors
         assert results_bytes(chunked) == results_bytes(whole)
 
 
@@ -526,16 +513,20 @@ def test_a_sweep_whose_runs_raise_nothing_reruns_no_lane(monkeypatch):
 
     monkeypatch.setattr(engine, "run_closed_loop", counted)
     grid = SweepGrid(v_e0_mps=(0.0, 30.0), v_o0_mps=(10.0,), d_x0_m=(5.0, 40.0), d_y0_m=(3.75,))
-    items = list(sweep(grid, MODEL_NAMES, cutin()).items())
-    assert all(it.error is None for it in items)
-    assert any(it.result.collided for it in items) and not reruns
+    result = sweep(grid, MODEL_NAMES, cutin())
+    assert not result.errors
+    assert result.collided.any() and not reruns
 
 def test_a_sweep_result_survives_pickling():
     grid = SweepGrid(v_e0_mps=(20.0, -1.0), v_o0_mps=(10.0,), d_x0_m=(25.0,), d_y0_m=(3.75,))
     result = sweep(grid, ["rba", "idm"], cutin())
     again = pickle.loads(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
     assert again.errors == result.errors and len(result.errors) == 2
-    assert reprs(again.items()) == reprs(result.items())
+    assert (again.grid, again.models, again.ttc_crit_s) == (result.grid, result.models, result.ttc_crit_s)
+    for name in ("collided", "min_gap_long_m", "min_ttc_s", "peak_decel_mps2"):
+        a, b = getattr(again, name), getattr(result, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert reprs(entries(again)) == reprs(entries(result))
 
 
 def test_sweep_rejects_an_unregistered_model():
@@ -549,12 +540,12 @@ def test_a_point_with_two_rejected_values_keeps_the_first_failing_checks_text():
     # __post_init__ checks every value is finite, then d_x0 > 0, then the
     # speeds are >= 0: the text is that of the first check that fails
     grid = SweepGrid(v_e0_mps=(-1.0, math.nan), v_o0_mps=(10.0,), d_x0_m=(0.0,), d_y0_m=(3.75,))
-    items = list(sweep(grid, ["rba", "none"], cutin()).items())
-    assert [it.error for it in items] == [
+    rows = entries(sweep(grid, ["rba", "none"], cutin()))
+    assert [outcome for *_, outcome in rows] == [
         "ConfigError: scenario.d_x0 must be > 0",
         "ConfigError: scenario.v_e0 must be a finite number, got nan",
     ] * 2
-    assert reprs(items) == reprs(scalar_sweep(grid, ["rba", "none"], cutin(), ModelParams()))
+    assert reprs(rows) == reprs(scalar_sweep(grid, ["rba", "none"], cutin(), ModelParams()))
 
 
 @pytest.mark.parametrize("value", (True, 10**400, math.nan))
@@ -563,13 +554,14 @@ def test_an_axis_value_that_is_no_finite_number_is_an_error_row_for_every_model(
     axes = [(25.0, 30.0), (10.0,), (20.0,), (3.75,)]
     axes[axis] = (axes[axis][0], value)
     grid = SweepGrid(*axes)
-    items = list(sweep(grid, MODEL_NAMES, cutin()).items())
-    assert reprs(items) == reprs(scalar_sweep(grid, MODEL_NAMES, cutin(), ModelParams()))
-    for it in items:
-        bad = it.point[axis] is value
-        assert (it.error is not None) == bad, it
+    rows = entries(sweep(grid, MODEL_NAMES, cutin()))
+    assert reprs(rows) == reprs(scalar_sweep(grid, MODEL_NAMES, cutin(), ModelParams()))
+    for row in rows:
+        point, outcome = row[2:]
+        bad = point[axis] is value
+        assert isinstance(outcome, str) == bad, row
         if bad:
-            assert it.error.startswith("ConfigError: scenario.") and "must be a finite number" in it.error
+            assert outcome.startswith("ConfigError: scenario.") and "must be a finite number" in outcome
 
 
 def test_the_sweeps_memory_grows_by_its_output_columns_not_per_lane(monkeypatch):
@@ -605,16 +597,16 @@ def test_batched_sweep_equals_the_scalar_loop_where_runs_collide_stop_and_raise(
                  profile=((3.0, 0.0),) if kind == "car_following" else ())
     grid = SweepGrid(v_e0_mps=(0.0, 10.0, 30.0, 1e306), v_o0_mps=(10.0, 1e308),
                      d_x0_m=(5.0, 40.0), d_y0_m=(0.0, 3.75))
-    items = list(sweep(grid, MODEL_NAMES, base).items())
-    assert reprs(items) == reprs(scalar_sweep(grid, MODEL_NAMES, base, ModelParams()))
-    errors = [it.error for it in items if it.error]
+    rows = entries(sweep(grid, MODEL_NAMES, base))
+    assert reprs(rows) == reprs(scalar_sweep(grid, MODEL_NAMES, base, ModelParams()))
+    errors = [outcome for *_, outcome in rows if isinstance(outcome, str)]
     for message in (
         "InvalidInputError: pos_long_m must be finite",  # the other vehicle, or the ego
         "InvalidInputError: idm acceleration overflows",
         "InvalidInputError: rss minimum gap overflows",
     ):
         assert any(error.startswith(message) for error in errors), message
-    assert any(it.result and it.result.collided for it in items)
+    assert any(outcome[0] is True for *_, outcome in rows)
     if kind == "car_following":  # the lead stops at 3 s; reg157 brakes the ego to a standstill
         run = run_closed_loop(at_point(base, (10.0, 10.0, 5.0, 0.0)), "reg157")
         assert not run.collided and run.trace.ego_v_mps[-1] == 0.0
@@ -639,12 +631,12 @@ def test_batched_sweep_equals_the_scalar_loop_where_the_ego_position_overflows()
     # before rss sees the other vehicle in its lane; idm's power overflows first
     grid = SweepGrid(v_e0_mps=(20.0, 1.7e308), v_o0_mps=(10.0,), d_x0_m=(25.0,), d_y0_m=(3.75,))
     base = cutin()
-    items = list(sweep(grid, MODEL_NAMES, base).items())
-    assert reprs(items) == reprs(scalar_sweep(grid, MODEL_NAMES, base, ModelParams()))
-    for it in items:
-        assert (it.error is None) == (it.point[0] == 20.0), it
-        if it.error and it.model_name != "idm":
-            assert it.error == "InvalidInputError: pos_long_m must be finite, got inf"
+    rows = entries(sweep(grid, MODEL_NAMES, base))
+    assert reprs(rows) == reprs(scalar_sweep(grid, MODEL_NAMES, base, ModelParams()))
+    for model, _, point, outcome in rows:
+        assert isinstance(outcome, str) == (point[0] != 20.0), (model, point, outcome)
+        if isinstance(outcome, str) and model != "idm":
+            assert outcome == "InvalidInputError: pos_long_m must be finite, got inf"
 
 
 # The braking each model declares as its most: the cap of its peak_decel_mps2.
@@ -668,18 +660,20 @@ def test_no_sweep_run_brakes_harder_than_its_model_declares(kind):
     elif kind == "car_following":  # the lead stops at 2 s and pulls away at 6 s
         grid = replace(grid, d_y0_m=(0.0,))
         base = replace(base, kind=kind, d_y0_m=0.0, other_speed_profile=((2.0, 0.0), (6.0, 15.0)))
-    items = list(sweep(grid, cfg.models, base, cfg.model_params, cfg.ttc_crit_s).items())
-    assert len(items) == len(grid.points()) * len(MODEL_NAMES)
-    for it in items:
-        assert it.error is None, it
-        assert it.result.peak_decel_mps2 <= DECEL_CAPS[it.model_name](cfg.model_params), it
+    result = sweep(grid, cfg.models, base, cfg.model_params, cfg.ttc_crit_s)
+    assert not result.errors
+    rows = entries(result)
+    assert len(rows) == len(grid.points()) * len(MODEL_NAMES)
+    for model, _, point, outcome in rows:
+        peak_decel = outcome[3]
+        assert peak_decel <= DECEL_CAPS[model](cfg.model_params), (model, point, outcome)
         # and no run drives the ego backwards, nor rba under its speed floor
-        run = run_closed_loop(at_point(base, it.point), it.model_name, cfg.model_params,
-                              cfg.ttc_crit_s)
-        assert it.result == replace(run, trace=None)
-        floor = cfg.model_params.rba.v_min_mps if it.model_name == "rba" else 0.0
-        assert min(run.trace.ego_v_mps) >= floor, it
-    assert any(it.result.peak_decel_mps2 > 0.0 for it in items if it.model_name == "idm")
+        run = run_closed_loop(at_point(base, point), model, cfg.model_params, cfg.ttc_crit_s)
+        assert outcome == (run.collided, run.min_gap_long_m, run.min_ttc_s, run.peak_decel_mps2,
+                           run.classification)
+        floor = cfg.model_params.rba.v_min_mps if model == "rba" else 0.0
+        assert min(run.trace.ego_v_mps) >= floor, (model, point)
+    assert (result.peak_decel_mps2[result.models.index("idm")] > 0.0).any()
 
 
 # The models whose step reads only relative motion: gaps, the closing speed
@@ -708,8 +702,8 @@ def test_a_common_speed_offset_leaves_relative_behaviour_unchanged(
                  lc_start=lc_start, kind=kind)
     moved = replace(base, v_e0_mps=v_e0 + c, v_o0_mps=v_o0 + c)
     grid = SweepGrid((v_e0, v_e0 + c), (v_o0, v_o0 + c), (d_x0,), (base.d_y0_m,))
-    items = {(it.model_name, it.point[:2]): it.result
-             for it in sweep(grid, GALILEAN_MODELS, base, ModelParams()).items()}
+    swept = {(model, point[:2]): outcome
+             for model, _, point, outcome in entries(sweep(grid, GALILEAN_MODELS, base, ModelParams()))}
     for model in GALILEAN_MODELS:
         a, b = run_closed_loop(base, model), run_closed_loop(moved, model)
         if min(a.trace.ego_v_mps) < 1e-9:
@@ -719,23 +713,29 @@ def test_a_common_speed_offset_leaves_relative_behaviour_unchanged(
         assert b.collided == a.collided, model
         assert b.trace.decel_cmd_mps2 == pytest.approx(a.trace.decel_cmd_mps2, abs=1e-6), model
         assert b.min_gap_long_m == pytest.approx(a.min_gap_long_m, abs=1e-6), model
-        swept_a, swept_b = items[model, (v_e0, v_o0)], items[model, (v_e0 + c, v_o0 + c)]
-        assert swept_b.collided == swept_a.collided, model
-        assert swept_b.min_gap_long_m == pytest.approx(swept_a.min_gap_long_m, abs=1e-6), model
-        assert swept_b.peak_decel_mps2 == pytest.approx(swept_a.peak_decel_mps2, abs=1e-6), model
+        # (collided, min_gap_long_m, min_ttc_s, peak_decel_mps2, classification)
+        swept_a, swept_b = swept[model, (v_e0, v_o0)], swept[model, (v_e0 + c, v_o0 + c)]
+        assert swept_b[0] == swept_a[0], model
+        assert swept_b[1] == pytest.approx(swept_a[1], abs=1e-6), model
+        assert swept_b[3] == pytest.approx(swept_a[3], abs=1e-6), model
 
 
 def test_classification_rules():
     th = 2.0
 
     def classify_event(r, th):
-        return engine._classify(r.collided, r.min_ttc_s, r.peak_decel_mps2, th)
+        # the one rule, over a run's floats and over one-entry columns alike
+        flag = engine.is_critical(r.collided, r.min_ttc_s, r.peak_decel_mps2, th)
+        columns = engine.is_critical(np.array([r.collided]), np.array([r.min_ttc_s]),
+                                     np.array([r.peak_decel_mps2]), th)
+        assert type(flag) is bool and columns.dtype == bool and columns.tolist() == [flag]
+        return "critical" if flag else "non_critical"
 
     collided = run_closed_loop(cutin(v_e0=30.0, v_o0=10.0, d_x0=20.0, lc_start=0.0, lc_dur=1.0), "none")
-    assert classify_event(collided, th) == "critical"
+    assert classify_event(collided, th) == collided.classification == "critical"
     quiet = run_closed_loop(cutin(v_e0=20.0, v_o0=20.0, d_x0=100.0), "none")
     assert math.isinf(quiet.min_ttc_s)
-    assert classify_event(quiet, th) == "non_critical"
+    assert classify_event(quiet, th) == quiet.classification == "non_critical"
     shaved = SimResult(trace=quiet.trace, collided=False, min_gap_long_m=quiet.min_gap_long_m,
                        min_ttc_s=1.5, peak_decel_mps2=0.0, classification="", model_name="none")
     assert classify_event(shaved, th) == "critical"
@@ -743,6 +743,9 @@ def test_classification_rules():
     hard = SimResult(trace=None, collided=False, min_gap_long_m=quiet.min_gap_long_m,
                      min_ttc_s=math.inf, peak_decel_mps2=3.6, classification="", model_name="rba")
     assert classify_event(hard, th) == "critical"
+    # each term alone makes a run critical: here the collision flag
+    assert classify_event(replace(hard, collided=True, peak_decel_mps2=0.0), th) == "critical"
+    # the ties are non-critical
     assert classify_event(replace(hard, peak_decel_mps2=3.5), th) == "non_critical"
     assert classify_event(replace(shaved, min_ttc_s=2.0), th) == "non_critical"
 

@@ -65,13 +65,22 @@ def test_header_only_file_reads_empty(tmp_path):
     assert read_tracks_csv(path, FPS) == TrackSet(FPS, {})
 
 
-@pytest.mark.parametrize("strict", (True, False))
-def test_blank_lines_are_skipped_without_a_warning(tmp_path, strict):
+def read(path, columnar):
+    """read_tracks_csv on path at FPS: through the columnar parse, or with it
+    turned off, through the row checker alone."""
+    if columnar:
+        return read_tracks_csv(path, FPS)
+    with mock.patch.object(ingest, "_parse_columns", lambda fh: None):
+        return read_tracks_csv(path, FPS)
+
+
+@pytest.mark.parametrize("columnar", (True, False))
+def test_blank_lines_are_skipped_without_a_warning(tmp_path, columnar):
     path = tmp_path / "blank.csv"
     path.write_text(HEADER + "0,1,0.0,0.0,5.0,2.0,20.0,0.0,0\n\n\n1,1,1.0,0.0,5.0,2.0,20.0,0.0,0\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ts = read_tracks_csv(path, FPS, strict=strict)
+        ts = read(path, columnar)
     assert ts.tracks[1].frame.tolist() == [0, 1]
 
 
@@ -122,7 +131,7 @@ MALFORMED_ROWS = (
 )
 
 
-def test_malformed_row_strict_and_lenient(tmp_path):
+def test_a_malformed_row_is_a_parse_error_with_its_line_number(tmp_path):
     path = tmp_path / "rows.csv"
     for bad_row, message in MALFORMED_ROWS:
         path.write_text(
@@ -135,22 +144,14 @@ def test_malformed_row_strict_and_lenient(tmp_path):
             assert read_tracks_csv(path, FPS).tracks[1].frame.tolist() == [0, 1, 2]
             continue
         with pytest.raises(ParseError) as excinfo:
-            read_tracks_csv(path, FPS, strict=True)
+            read_tracks_csv(path, FPS)
         assert (str(excinfo.value), excinfo.value.line_no) == (f"line 3: {message}", 3), bad_row
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ts = read_tracks_csv(path, FPS, strict=False)
-        assert [str(w.message) for w in caught] == [f"skipping malformed row at line 3: {message}"]
-        assert ts.tracks[1].frame.tolist() == [0, 2]
-    # a file of malformed rows only reads leniently as no track, one warning per row
+    # in a file of malformed rows only, the first is reported
     bad = [(row, message) for row, message in MALFORMED_ROWS if message is not None]
     path.write_text(",".join(TRACKS_HEADER) + "\n" + "".join(row + "\n" for row, _ in bad))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert read_tracks_csv(path, FPS, strict=False) == TrackSet(FPS, {})
-    assert [str(w.message) for w in caught] == [
-        f"skipping malformed row at line {line_no}: {message}" for line_no, (_, message) in enumerate(bad, start=2)
-    ]
+    with pytest.raises(ParseError) as excinfo:
+        read_tracks_csv(path, FPS)
+    assert (str(excinfo.value), excinfo.value.line_no) == (f"line 2: {bad[0][1]}", 2)
 
 
 @pytest.mark.parametrize("rate", (0.0, -25.0, math.nan, math.inf))
@@ -324,13 +325,13 @@ def pair(cut, ego_y=0.0, ego_lane=0):
 CUT_IN = [(20.0, 3.75, 1)] * 5 + [(20.0, 0.0, 0)] * 5  # into lane 0 at frame 5
 
 
-@pytest.mark.parametrize("strict", (True, False))
+@pytest.mark.parametrize("columnar", (True, False))
 @pytest.mark.parametrize("frames", ((0, 1, 1), (0, 2, 1)), ids=("repeated", "decreasing"))
-def test_frames_must_strictly_increase(tmp_path, frames, strict):
+def test_frames_must_strictly_increase(tmp_path, frames, columnar):
     path = tmp_path / "order.csv"
     path.write_text(HEADER + "".join(f"{f},1,{f}.0,0.0,5.0,2.0,20.0,0.0,0\n" for f in frames))
     with pytest.raises(SchemaError, match="track 1: frames not strictly increasing"):
-        read_tracks_csv(path, FPS, strict=strict)
+        read(path, columnar)
 
 
 def test_a_malformed_row_is_reported_before_the_frame_order(tmp_path):
@@ -342,14 +343,7 @@ def test_a_malformed_row_is_reported_before_the_frame_order(tmp_path):
         + "2,1,nan,0.0,5.0,2.0,20.0,0.0,0\n"
     )
     with pytest.raises(ParseError, match="line 4"):
-        read_tracks_csv(path, FPS, strict=True)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(SchemaError, match="frames not strictly increasing"):
-            read_tracks_csv(path, FPS, strict=False)
-    assert [str(w.message) for w in caught] == [
-        "skipping malformed row at line 4: non-finite position, size or velocity"
-    ]
+        read_tracks_csv(path, FPS)
 
 
 @pytest.mark.parametrize("length, width", ((0.0, 2.0), (5.0, 0.0)))
@@ -361,10 +355,7 @@ def test_zero_dimensions_are_malformed(tmp_path, length, width):
         + f"1,1,1.0,0.0,{length},{width},20.0,0.0,0\n"
     )
     with pytest.raises(ParseError, match="line 3: vehicle dimensions must be positive"):
-        read_tracks_csv(path, FPS, strict=True)
-    with pytest.warns(UserWarning, match="line 3"):
-        ts = read_tracks_csv(path, FPS, strict=False)
-    assert ts.tracks[1].frame.tolist() == [0]
+        read_tracks_csv(path, FPS)
 
 
 def test_event_needs_two_common_frames_and_ends_at_the_transition(tmp_path):
@@ -694,9 +685,9 @@ def test_tracks_keep_the_order_of_first_appearance_and_the_first_bad_one_is_name
     assert [ts.tracks[t].frame.tolist() for t in (5, 3, 4)] == [[0, 1], [0, 1], [0, 2]]
     # tracks 3 and 5 both repeat a frame; 5 comes first in the file, 3 first by id
     path.write_text(HEADER + "".join(f"{f},{t},0.0,0.0,5.0,2.0,20.0,0.0,0\n" for f, t in rows + [(1, 3), (1, 5)]))
-    for strict in (True, False):
+    for columnar in (True, False):
         with pytest.raises(SchemaError, match="^track 5: frames not strictly increasing$"):
-            read_tracks_csv(path, FPS, strict=strict)
+            read(path, columnar)
 
 
 def test_an_integer_beyond_int64_is_malformed(tmp_path):
@@ -704,15 +695,10 @@ def test_an_integer_beyond_int64_is_malformed(tmp_path):
     path.write_text(HEADER + "0,1,0.0,0.0,5.0,2.0,20.0,0.0,0\n" + "1,1,0.0,0.0,5.0,2.0,20.0,0.0,9223372036854775808\n")
     with pytest.raises(ParseError, match="^line 3: frame, id or laneId outside the int64 range$"):
         read_tracks_csv(path, FPS)
-    # the bounds themselves read, in one parse and, after a malformed row, row by row
-    bounds = "-9223372036854775808,9223372036854775807,0.0,0.0,5.0,2.0,20.0,0.0,-9223372036854775808\n"
-    for name, tail, n_warnings in (("bounds.csv", "", 0), ("bounds_and_a_bad_row.csv", "bad\n", 1)):
-        path = tmp_path / name
-        path.write_text(HEADER + bounds + tail)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            track = read_tracks_csv(path, FPS, strict=False).tracks[2**63 - 1]
-        assert len(caught) == n_warnings
+    # the bounds themselves read, in one parse and row by row
+    path.write_text(HEADER + "-9223372036854775808,9223372036854775807,0.0,0.0,5.0,2.0,20.0,0.0,-9223372036854775808\n")
+    for columnar in (True, False):
+        track = read(path, columnar).tracks[2**63 - 1]
         assert (track.frame.tolist(), track.lane.tolist()) == ([-(2**63)], [-(2**63)])
 
 
@@ -734,13 +720,13 @@ def test_no_numpy_scalar_leaks_out_of_extraction_or_features(tmp_path):
             assert all(type(f) is int for f in flagged)
 
 
-def outcome(path, strict):
+def outcome(path):
     """What read_tracks_csv gives: ("tracks", [(id, column dtypes and bytes)])
     or ("error", type, text, line_no), with the warnings it emits."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            ts = read_tracks_csv(path, FPS, strict=strict)
+            ts = read_tracks_csv(path, FPS)
             result = ("tracks", [
                 (track_id, [(c.dtype.str, c.tobytes()) for c in (
                     t.frame, t.x, t.y, t.width, t.length, t.x_vel, t.y_vel, t.lane)])
@@ -810,8 +796,7 @@ def tracks_files(draw):
 def test_the_columnar_parse_agrees_with_the_row_checker(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("differential") / "tracks.csv"  # new: truncating is slow on some disks
     path.write_bytes(text.encode())
-    for strict in (True, False):
-        columnar = outcome(path, strict)
-        with mock.patch.object(ingest, "_parse_columns", lambda fh: None):
-            checked = outcome(path, strict)
-        assert columnar == checked
+    columnar = outcome(path)
+    with mock.patch.object(ingest, "_parse_columns", lambda fh: None):
+        checked = outcome(path)
+    assert columnar == checked

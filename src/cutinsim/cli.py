@@ -87,11 +87,7 @@ def cmd_comparison(args: argparse.Namespace) -> int:
 
 def cmd_post_process(args: argparse.Namespace) -> int:
     manifest, records = reports.read_comparison_store(args.results)
-    ttc_crit = manifest["config"].get("risk", {}).get("ttc_crit_s", 2.0)
-    engine.check_finite(ttc_crit, "risk.ttc_crit_s")
-    if ttc_crit <= 0.0:
-        raise ConfigError("risk.ttc_crit_s must be positive", key="risk.ttc_crit_s")
-
+    ttc_crit = config_mod.check_ttc_crit(manifest["config"].get("risk", {}).get("ttc_crit_s", 2.0))
     summaries = risk.summarize_models(records, ttc_crit)
     reports.write_summary(args.results, summaries, ttc_crit)
     samples = {model: [r.min_ttc_s for r in rows] for model, rows in records.items()}

@@ -149,6 +149,15 @@ def _check_model_name(name: Any, key: str) -> str:
     return name
 
 
+def check_ttc_crit(value: Any) -> Any:
+    """Return value if it is a finite positive number; otherwise a
+    ConfigError naming risk.ttc_crit_s."""
+    check_finite(value, "risk.ttc_crit_s")
+    if value <= 0.0:
+        raise ConfigError("risk.ttc_crit_s must be positive", key="risk.ttc_crit_s")
+    return value
+
+
 def parse_config(raw: Mapping[str, Any]) -> RunConfig:
     for name in raw:
         if name not in _TOP_LEVEL_KEYS:
@@ -172,13 +181,11 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
     model_params = _parse_model_params(raw.get("model_params", {}), raw.get("rba", {}))
 
     risk_raw = dict(_section(raw.get("risk", {}), "risk"))
-    ttc_crit_s = float(check_finite(risk_raw.pop("ttc_crit_s", 2.0), "risk.ttc_crit_s"))
+    ttc_crit_s = float(check_ttc_crit(risk_raw.pop("ttc_crit_s", 2.0)))
     if risk_raw:
         raise ConfigError(
             f"unknown key risk.{next(iter(risk_raw))!r}", key="risk"
         )
-    if ttc_crit_s <= 0.0:
-        raise ConfigError("risk.ttc_crit_s must be positive", key="risk.ttc_crit_s")
 
     sweep = None
     if "sweep" in raw:

@@ -116,10 +116,6 @@ class ScenarioParams:
             raise ConfigError("scenario.d_x0 must be > 0", key="scenario.d_x0")
         if not self.dt_s > 0.0:
             raise ConfigError("scenario.dt_s must be > 0", key="scenario.dt_s")
-        if math.isinf(1.0 / self.dt_s):  # the models brake at a rate of 1 / dt_s
-            raise ConfigError(
-                f"scenario.dt_s {self.dt_s!r} has no finite inverse", key="scenario.dt_s"
-            )
         if not self.lc_duration_s > 0.0:
             raise ConfigError("scenario.lc_duration_s must be > 0", key="scenario.lc_duration_s")
         if self.lc_start_s < 0.0:

@@ -182,11 +182,11 @@ def control_step(
     Every branch is computed and the taken one selected by xp.where, so both
     forms do the same IEEE operations in the same order. No branch may raise
     where it is not taken: every divisor is a parameter validated positive,
-    dt_s or its inverse, or idm's gap, which is 1.0 where its law does not
-    run; and a square raises only where its mask holds. The step takes no
-    power: rss's reach and idm's interaction term are squares, and idm's
-    free-road term (v / v_desired) ** 4, with the IDM paper's exponent 4, is
-    the square of a square, all products in both forms.
+    dt_s, or idm's gap, which is 1.0 where its law does not run; and a
+    square raises only where its mask holds. The step takes no power: rss's
+    reach and idm's interaction term are squares, and idm's free-road term
+    (v / v_desired) ** 4, with the IDM paper's exponent 4, is the square of a
+    square, all products in both forms.
     """
     where, pick_max, pick_min = xp.where, xp.pick_max, xp.pick_min
     if name == "rba":
@@ -207,26 +207,20 @@ def control_step(
             LATERAL_FAIL,
         )
         safe = code <= MARGIN_PASS
-        # the braking law, once unsafe: a per-step velocity decrement, the
-        # larger normalized distance or TTC shortfall (an infinite TTC gives
-        # -inf) times a_max / step frequency, clamped to [0, a_max / step
-        # frequency] so the deceleration never exceeds a_max
-        step_freq_hz = 1.0 / dt_s
+        # the braking law, once unsafe: the larger normalized distance or TTC
+        # shortfall (an infinite TTC gives -inf) times a_max, clamped to
+        # [0, a_max]
         denom = p.d_safe_m + p.safety_buffer_m
         shortfall = pick_max((denom - gap_long_m) / denom, (p.ttc_safe_s - ttc_s) / p.ttc_safe_s)
-        dv_step = pick_min(
-            pick_max(shortfall * p.a_max_mps2 / step_freq_hz, 0.0), p.a_max_mps2 / step_freq_hz
-        )
-        dv_step = where(safe, 0.0, dv_step)
-        decel = dv_step * step_freq_hz
+        decel = where(safe, 0.0, pick_min(pick_max(shortfall * p.a_max_mps2, 0.0), p.a_max_mps2))
         # braking pinned at the physical limit for several consecutive steps
         # means braking alone is not enough; advise an evasive lane change (a
         # safe step brakes 0, so it resets the count)
-        memory = where(decel >= p.a_max_mps2 * (1.0 - 1e-9), memory + 1, 0)
+        memory = where(decel >= p.a_max_mps2, memory + 1, 0)
         code = where(memory >= RBA_SATURATION_STEPS, LANE_CHANGE_ADVISED, code)
-        # the speed floor never speeds the ego up: below v_min_mps it holds v
-        floor = pick_min(v_ego_mps, p.v_min_mps)
-        accel = (pick_max(v_ego_mps - dv_step, floor) - v_ego_mps) / dt_s
+        # the speed floor never speeds the ego up: below v_min_mps it holds v;
+        # a safe step accelerates 0.0 - 0.0 = +0.0, where -decel is -0.0
+        accel = pick_max(0.0 - decel, (pick_min(v_ego_mps, p.v_min_mps) - v_ego_mps) / dt_s)
         return code, decel, accel, memory
     if name == "none":
         # uncontrolled ego: never brakes; the collision baseline (code 0 is SAFE)

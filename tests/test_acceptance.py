@@ -127,15 +127,14 @@ def test_criterion_02_braking_law_contract():
     inf_mask = rng.random(n) < 0.1
     ttcs[inf_mask] = math.inf
     vels = rng.uniform(0.0, 40.0, size=n)
-    step_freq_hz = 20.0
-    dt = 1.0 / step_freq_hz
+    dt = 0.05
     violations = 0
     for i in range(n):
         p = params[i % len(params)]
         # the other vehicle overlaps laterally, so the check fails and the
-        # braking law sets the step: decel is its decrement times the step
-        # frequency, and accel takes the speed down by it, or to v_min; a
-        # speed already under v_min is held, never raised to it
+        # braking law sets the step: accel takes the speed down by decel over
+        # the step, or to v_min; a speed already under v_min is held, never
+        # raised to it
         code, decel, accel, _ = control_step(
             FLOATS, "rba", ModelParams(rba=p), gaps[i], 0.0, vels[i], vels[i], ttcs[i], dt, 0
         )

@@ -319,22 +319,26 @@ def test_scenario_validation():
     cutin(duration=12.0, dt=12.0 / MAX_STEPS)  # exactly at the step bound
 
 
-def test_a_dt_without_a_finite_inverse_is_a_config_error():
-    # rba brakes at the rate 1 / dt_s: at an infinite rate its per-step
-    # decrement is 0 and its braking 0 * inf = NaN
-    with pytest.raises(ConfigError, match="has no finite inverse") as raised:
-        cutin(v_e0=30.0, v_o0=10.0, d_x0=1.0, lc_start=0.0, lc_dur=1e-310, duration=2e-310,
-              dt=1e-310)
-    assert raised.value.key == "scenario.dt_s"
-    # the finest dt whose inverse is finite runs, and every model's braking is finite
-    dt = 5.56268464626801e-309
-    assert math.isfinite(1.0 / dt) and math.isinf(1.0 / math.nextafter(dt, 0.0))
-    p = cutin(v_e0=30.0, v_o0=10.0, d_x0=1.0, lc_start=0.0, lc_dur=dt, duration=2 * dt, dt=dt)
-    for model in MODEL_NAMES:
-        r = run_closed_loop(p, model)
-        assert all(map(math.isfinite, (*r.trace.decel_cmd_mps2, r.peak_decel_mps2))), model
-    assert run_closed_loop(p, "rba").peak_decel_mps2 > 0.0
-    cutin(duration=12.0, dt=12.0 / MAX_STEPS)  # the finest dt the step bound allows
+def test_every_dt_down_to_the_smallest_subnormal_brakes_finitely():
+    # no model brakes at a rate of 1 / dt_s: at dt_s 1e-310, whose inverse is
+    # inf, and at the smallest subnormal, every model brakes finitely in both
+    # loops, and rba's first step brakes as it does at 0.05 s (a TTC of 1 m
+    # over 20 m/s, 0.05 s, gives the shortfall (6 - 0.05) / 6 of a_max 6)
+    def instant_cut_in(dt):
+        return cutin(v_e0=30.0, v_o0=10.0, d_x0=1.0, lc_start=0.0, lc_dur=dt, duration=2 * dt,
+                     dt=dt)
+
+    assert run_closed_loop(instant_cut_in(0.05), "rba").trace.decel_cmd_mps2[0] == 5.95
+    grid = SweepGrid(v_e0_mps=(30.0,), v_o0_mps=(10.0,), d_x0_m=(1.0,), d_y0_m=(3.75,))
+    for dt in (1e-310, 5e-324):
+        p = instant_cut_in(dt)
+        for model in MODEL_NAMES:
+            r = run_closed_loop(p, model)
+            assert all(map(math.isfinite, (*r.trace.decel_cmd_mps2, r.peak_decel_mps2))), model
+        assert run_closed_loop(p, "rba").trace.decel_cmd_mps2[0] == 5.95
+        result = sweep(grid, MODEL_NAMES, p)
+        assert not result.errors and np.isfinite(result.peak_decel_mps2).all()
+        assert reprs(entries(result)) == reprs(scalar_sweep(grid, MODEL_NAMES, p, ModelParams()))
 
 
 def test_sweep_cardinality_order_and_determinism():

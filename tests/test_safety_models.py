@@ -51,13 +51,11 @@ def step(name, features, memory=0, ttc_s=None, dt=DT, **params):
     return control_step(FLOATS, name, ModelParams(**params), *features, ttc_s, dt, memory)
 
 
-def rba_brake(gap_long, ttc_s, p, step_freq_hz, v_ego=40.0):
+def rba_brake(gap_long, ttc_s, p, dt=DT, v_ego=40.0):
     """The rba braking law on a step the check fails (the other vehicle
-    overlaps laterally): (decel_cmd_mps2, accel_mps2). decel is the per-step
-    velocity decrement times the step frequency."""
+    overlaps laterally): (decel_cmd_mps2, accel_mps2)."""
     code, decel, accel, _ = control_step(
-        FLOATS, "rba", ModelParams(rba=p), gap_long, 0.0, v_ego, v_ego, ttc_s,
-        1.0 / step_freq_hz, 0,
+        FLOATS, "rba", ModelParams(rba=p), gap_long, 0.0, v_ego, v_ego, ttc_s, dt, 0
     )
     assert code > MARGIN_PASS
     return decel, accel
@@ -144,11 +142,11 @@ def test_check_agrees_with_literal_oracle_on_random_states():
         expected = eq1_oracle(ego, cut, big, big, p)
         code, decel, a, _ = step("rba", step_features(ego, cut, big, big), rba=p)
         assert (code <= MARGIN_PASS) == expected
-        # the per-step decrement comes back as an acceleration, never beyond
-        # a_max, and stopping at v_min only shortens it
+        # the braking comes back as an acceleration, never beyond a_max, and
+        # stopping at v_min (0) within the step only shortens it
         assert decel <= p.a_max_mps2
         assert a <= 0.0
-        assert -a == pytest.approx(min(decel, ego.vel_long_mps / DT), abs=1e-9)
+        assert -a == min(decel, ego.vel_long_mps / DT)
 
 
 def test_monotone_in_gaps_and_braking_authority():
@@ -172,31 +170,27 @@ def test_monotone_in_gaps_and_braking_authority():
 
 def test_braking_law_hand_transcription():
     p = RbaParams(d_safe_m=10.0, safety_buffer_m=2.0, ttc_safe_s=3.0, a_max_mps2=6.0)
-    # max((12-6)/12, (3-1.5)/3) * 6 / 10 = 0.3 per step of 0.1 s
-    decel, accel = rba_brake(6.0, 1.5, p, 10.0)
-    assert decel / 10.0 == pytest.approx(0.3)
-    assert -accel / 10.0 == pytest.approx(0.3)
+    # max((12-6)/12, (3-1.5)/3) * 6 = 3 m/s², at any step length
+    for dt in (0.1, 1.0):
+        assert rba_brake(6.0, 1.5, p, dt) == (3.0, -3.0)
 
 
 def test_braking_law_zero_at_boundary_and_saturation():
     p = RbaParams(d_safe_m=10.0, safety_buffer_m=2.0, ttc_safe_s=3.0, a_max_mps2=6.0)
-    assert rba_brake(12.0, 3.0, p, 10.0) == (0.0, 0.0)
+    assert rba_brake(12.0, 3.0, p, 0.1) == (0.0, 0.0)
     assert rba_brake(0.0, 0.0, p, 1.0) == (6.0, -6.0)
-    # a negative gap doubles the distance shortfall; the decrement still stops
-    # at a_max / step frequency
-    decel, accel = rba_brake(-12.0, 0.0, p, 10.0)
-    assert decel / 10.0 == pytest.approx(0.6)
-    assert -accel / 10.0 == pytest.approx(0.6)
+    # a negative gap doubles the distance shortfall; the braking still stops
+    # at a_max
+    assert rba_brake(-12.0, 0.0, p, 0.1) == (6.0, -6.0)
 
 
 def test_braking_law_bounds_and_exact_zero():
     rng = np.random.default_rng(5)
     p = RbaParams()
-    step_freq_hz = 20.0
     for _ in range(2000):
         gap = rng.uniform(-50.0, 300.0)
         ttc = math.inf if rng.random() < 0.1 else rng.uniform(0.0, 20.0)
-        decel, accel = rba_brake(gap, ttc, p, step_freq_hz)
+        decel, accel = rba_brake(gap, ttc, p)
         assert 0.0 <= decel <= p.a_max_mps2
         gap_short = (p.d_safe_m + p.safety_buffer_m - gap)
         ttc_short = (p.ttc_safe_s - ttc) if math.isfinite(ttc) else -math.inf
@@ -215,8 +209,8 @@ def test_velocity_update():
         return advance_axis_xp(FLOATS, 0.0, v, accel, dt)[1]
 
     p = RbaParams(d_safe_m=10.0, safety_buffer_m=2.0, ttc_safe_s=3.0, v_min_mps=0.0)
-    assert next_speed(20.0, 6.0, 1.5, 0.1, p) == 19.7  # a decrement of 0.3
-    assert next_speed(0.2, 0.0, 0.0, 1.0, p) == 0.0  # a decrement of 6 from 0.2 m/s
+    assert next_speed(20.0, 6.0, 1.5, 0.1, p) == 19.7  # braking 3 m/s² for 0.1 s
+    assert next_speed(0.2, 0.0, 0.0, 1.0, p) == 0.0  # braking 6 m/s² for 1 s from 0.2 m/s
     floored = RbaParams(d_safe_m=10.0, safety_buffer_m=2.0, ttc_safe_s=3.0, v_min_mps=2.0)
     assert next_speed(2.5, 0.0, 0.0, 1.0, floored) == 2.0  # stops at v_min
     # a safe step keeps the speed
@@ -477,9 +471,10 @@ def test_control_step_rejects_unknown_model():
 GATES = [
     # rba: the lateral gap must exceed d_lat_safe_m
     ("rba", (20.0, 0.5, 10.0, 10.0), math.inf, 0.05, 0, {}, (LATERAL_FAIL, 0.0, 0)),
-    # rba: the raw gap must exceed d_safe_m; closing at 30 m/s fails the margin
+    # rba: the raw gap must exceed d_safe_m; closing at 30 m/s fails the margin,
+    # and the TTC shortfall (6 - 1/3) / 6 brakes a_max times it
     ("rba", (10.0, 1.0, 30.0, 0.0), math.inf, 0.05, 0, {"rba": RbaParams(safety_buffer_m=0.0)},
-     (LONGITUDINAL_FAIL, 5.666666666666666, 0)),
+     (LONGITUDINAL_FAIL, 17.0 / 3.0, 0)),
     # rba: the TTC must exceed the stopping-time margin, 12/12 + 0.5 + 0.25 s
     ("rba", (21.0, 1.0, 12.0, 0.0), math.inf, 0.05, 0,
      {"rba": RbaParams(d_safe_m=30.0, safety_buffer_m=-9.0, time_margin_s=0.25)},
@@ -488,11 +483,10 @@ GATES = [
     # fails the margin; the distance shortfall then saturates the braking
     ("rba", (-1.0, 1.0, CLOSING_SPEED_FLOOR_MPS, 0.0), math.inf, 0.05, 0, {},
      (LONGITUDINAL_FAIL, 6.0, 1)),
-    # rba: braking at exactly a_max (1 - 1e-9) counts as saturated, and the
-    # fifth such step advises a lane change (a TTC under the closing one, inf
-    # at equal speeds, drives the braking)
+    # rba: braking just under a_max is not saturated and resets the count (a
+    # TTC under the closing one, inf at equal speeds, drives the braking)
     ("rba", (100.0, 0.0, 40.0, 40.0), 1e-9, 1.0, 4, {"rba": RbaParams(ttc_safe_s=1.0)},
-     (LANE_CHANGE_ADVISED, 6.0 * (1.0 - 1e-9), 5)),
+     (LATERAL_FAIL, 5.999999994, 0)),
     # rss: a gap equal to the minimum gap (0.84375 m at standstill) is safe
     ("rss", (0.84375, 0.0, 0.0, 0.0), math.inf, 0.05, 0, {}, (SAFE, 0.0, 0)),
     # the baselines' lateral gate: a lateral gap of 0 is in lane
@@ -514,6 +508,10 @@ GATES = [
     ("idm", (0.0, 0.0, 10.0, 10.0), math.inf, 0.05, 0, {}, (LONGITUDINAL_FAIL, 4.0, 0)),
     # idm: at v_desired_mps on a free road the acceleration is exactly 0: safe
     ("idm", (0.0, 1.0, 30.0, 0.0), math.inf, 0.05, 0, {}, (SAFE, 0.0, 0)),
+    # rba: braking at exactly a_max is saturated, so the fifth such step
+    # advises a lane change
+    ("rba", (100.0, 0.0, 40.0, 40.0), 0.0, 0.05, 4, {"rba": RbaParams(ttc_safe_s=1.0)},
+     (LANE_CHANGE_ADVISED, 6.0, 5)),
 ]
 
 
@@ -634,6 +632,41 @@ def test_no_step_commands_negative_braking_or_brakes_when_safe(name, dt, rows):
         assert not decel < 0.0
         if code <= MARGIN_PASS:
             assert decel == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.builds(RbaParams, d_safe_m=st.floats(-5.0, 30.0), safety_buffer_m=st.floats(6.0, 10.0),
+              a_max_mps2=st.floats(0.1, 12.0), ttc_safe_s=st.floats(0.5, 20.0),
+              v_min_mps=st.floats(0.0, 5.0)),
+    st.lists(feature_rows, min_size=1, max_size=12),
+)
+def test_rba_braking_is_the_same_at_every_dt(p, rows):
+    """rba's decel_cmd_mps2 has the same bits for every dt_s, from the
+    smallest subnormal to 1 s, in both forms; and an unsafe step whose
+    shortfall is at least 1 brakes exactly a_max_mps2 and counts as
+    saturated."""
+    params = ModelParams(rba=p)
+    columns = [np.array(column, dtype=float) for column in zip(*rows)]
+    denom = p.d_safe_m + p.safety_buffer_m
+    seen = set()
+    for dt in (5e-324, 1e-310, 0.01, 0.05, 0.2, 1.0):
+        decels = []
+        for gap_long, gap_lat, v_ego, v_other, ttc_s, memory in rows:
+            code, decel, _, new_memory = control_step(
+                FLOATS, "rba", params, gap_long, gap_lat, v_ego, v_other, ttc_s, dt, memory
+            )
+            shortfall = max((denom - gap_long) / denom, (p.ttc_safe_s - ttc_s) / p.ttc_safe_s)
+            if code > MARGIN_PASS and shortfall >= 1.0:
+                assert (decel, new_memory) == (p.a_max_mps2, memory + 1)
+            decels.append(decel)
+        with np.errstate(all="ignore"):
+            _, array_decels, _, _ = control_step(
+                ARRAYS, "rba", params, *columns[:5], dt, columns[5]
+            )
+        seen.add(repr(decels))
+        seen.add(repr(array_decels.tolist()))
+    assert len(seen) == 1
 
 
 @settings(max_examples=150, deadline=None)

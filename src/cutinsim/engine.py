@@ -256,7 +256,9 @@ def _sense(xp, p: ScenarioParams, t_s: float, x, v, d_x0, v_o0, d_y0):
     alongside = gap_long < 0.0
     collided = alongside & (gap_lat < 0.0)
     closing_ttc = ttc_xp(xp, gap_long, v - ov)
-    ttc = xp.where(alongside != collided, math.inf, closing_ttc)
+    ttc = closing_ttc
+    if xp.count(alongside):
+        ttc = xp.where(alongside != collided, math.inf, closing_ttc)
     return ox, oy, ov, ovy, gap_long, gap_lat, collided, ttc, closing_ttc
 
 
@@ -494,18 +496,25 @@ def _run_lanes(
                     leave[s] = True
             # the model ran on every lane; a collision step brakes 0, as
             # run_closed_loop's skipped model does
-            decel = np.where(collided, 0.0, decel)
+            n_collided = np.count_nonzero(collided)
+            if n_collided:
+                decel = np.where(collided, 0.0, decel)
             state.min_gap, state.min_ttc, state.peak_decel = _summarize(
                 ARRAYS, state.min_gap, state.min_ttc, state.peak_decel, gap_long, ttc, decel
             )
             x, v = advance_axis_xp(ARRAYS, state.x, state.v, accel, dt)
-            done = collided | (i == n_steps)
-            leave |= ~done & ~np.isfinite(accel + x + v)
-            done &= ~leave
             state.x, state.v, state.memory = x, v, memory
-            ended = done | leave
-            if not ended.any():
+            nonfinite = ~np.isfinite(accel + x + v)
+            # short of the last step, a lane finishes only by colliding and
+            # leaves only by raising or going non-finite
+            if i < n_steps and not (
+                n_collided or np.count_nonzero(leave) or np.count_nonzero(nonfinite)
+            ):
                 continue
+            done = collided | (i == n_steps)
+            leave |= ~done & nonfinite
+            done &= ~leave
+            ended = done | leave
             at = state.model[done], state.index[done]
             out.collided[at] = collided[done]
             out.min_gap_long_m[at] = state.min_gap[done]

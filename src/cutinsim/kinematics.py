@@ -69,7 +69,7 @@ def _square(base: np.ndarray, where: np.ndarray) -> np.ndarray:
     under `where` overflows."""
     out = base * base
     overflow = np.isinf(out)
-    if overflow.any() and (overflow & where & np.isfinite(base)).any():
+    if np.count_nonzero(overflow) and (overflow & where & np.isfinite(base)).any():
         raise OverflowError("square out of float range")
     return out
 
@@ -79,9 +79,13 @@ def _square(base: np.ndarray, where: np.ndarray) -> np.ndarray:
 # keep a on a tie, `square(base, where)` is base * base, raising
 # OverflowError where `where` holds and Python's base ** 2 would;
 # `zeros(like, kind)` is a 0 of type kind (int or float) in the shape of
-# like. A formula over them computes every branch and selects the taken one,
-# so that both forms do the same IEEE operations in the same order; no branch
-# may raise where it is not taken, and the array form runs under
+# like; `count(mask)` is how many entries of mask hold, truthy where any does.
+# A formula over them computes every branch that some entry takes and
+# selects the taken one, so that both forms do the same IEEE operations in
+# the same order. A rarely taken branch sits behind `if xp.count(mask):` on
+# the mask of its takers: both forms skip it under the same condition, and
+# only where no entry would select it, so no value changes. No branch may
+# raise where it is not taken, and the array form runs under
 # np.errstate(all="ignore"). The step takes no power: + - * /, comparisons
 # and selections are correctly rounded in both forms, so neither depends on
 # the platform's libm.
@@ -92,6 +96,7 @@ FLOATS = SimpleNamespace(
     pick_min=lambda a, b: b if b < a else a,
     square=_square_float,
     zeros=lambda like, kind: kind(),
+    count=bool,
 )
 ARRAYS = SimpleNamespace(
     where=np.where,
@@ -99,6 +104,7 @@ ARRAYS = SimpleNamespace(
     pick_min=_pick_min,
     square=_square,
     zeros=lambda like, kind: np.zeros(like.shape, kind),
+    count=np.count_nonzero,
 )
 
 
@@ -106,16 +112,17 @@ def advance_axis_xp(xp, pos, vel, accel, dt):
     """One constant-acceleration update of a single axis over the operations
     xp (FLOATS or ARRAYS): (pos, vel) after dt.
 
-    The velocity is floored at 0 and the position update is truncated at the
-    stopping instant, so stopping distance does not depend on dt.
+    The velocity, at least 0, is floored at 0 and the position update is
+    truncated at the stopping instant, so stopping distance does not depend
+    on dt. The stop-time branch runs only where some entry stops.
     """
     v_end = vel + accel * dt
-    braking = accel < 0.0
-    # the time to stop, 0 without braking; the divisor is 1.0 where it is not
-    # taken, so the float form never divides by 0
-    t_stop = xp.where(braking, vel / xp.where(braking, -accel, 1.0), 0.0)
     stopped = v_end < 0.0
-    t = xp.where(stopped, t_stop, dt)
+    if not xp.count(stopped):
+        return pos + vel * dt + 0.5 * accel * dt * dt, v_end
+    # a stopping entry brakes (accel < 0), so the float form never divides
+    # by 0; an array entry that does not stop selects dt whatever it divides
+    t = xp.where(stopped, vel / -accel, dt)
     return pos + vel * t + 0.5 * accel * t * t, xp.where(stopped, 0.0, v_end)
 
 

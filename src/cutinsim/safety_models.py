@@ -179,8 +179,11 @@ def control_step(
     that does not say which entry; engine.sweep reruns every run of the call
     through run_closed_loop for the scalar error.
 
-    Every branch is computed and the taken one selected by xp.where, so both
-    forms do the same IEEE operations in the same order. No branch may raise
+    Every branch that some entry takes is computed and the taken one
+    selected by xp.where, so both forms do the same IEEE operations in the
+    same order; rba's saturation count is updated only where xp.count finds
+    some entry saturating or carrying a count, since otherwise every count
+    stays 0. No branch may raise
     where it is not taken: every divisor is a parameter validated positive,
     dt_s, or idm's gap, which is 1.0 where its law does not run; and a
     square raises only where its mask holds. The step takes no power: rss's
@@ -215,9 +218,13 @@ def control_step(
         decel = where(safe, 0.0, pick_min(pick_max(shortfall * p.a_max_mps2, 0.0), p.a_max_mps2))
         # braking pinned at the physical limit for several consecutive steps
         # means braking alone is not enough; advise an evasive lane change (a
-        # safe step brakes 0, so it resets the count)
-        memory = where(decel >= p.a_max_mps2, memory + 1, 0)
-        code = where(memory >= RBA_SATURATION_STEPS, LANE_CHANGE_ADVISED, code)
+        # safe step brakes 0, so it resets the count). Where no entry
+        # saturates or carries a count, every count stays 0 and no advice is
+        # given, so the update is skipped
+        saturated = decel >= p.a_max_mps2
+        if xp.count(saturated) or xp.count(memory):
+            memory = where(saturated, memory + 1, 0)
+            code = where(memory >= RBA_SATURATION_STEPS, LANE_CHANGE_ADVISED, code)
         # the speed floor never speeds the ego up: below v_min_mps it holds v;
         # a safe step accelerates 0.0 - 0.0 = +0.0, where -decel is -0.0
         accel = pick_max(0.0 - decel, (pick_min(v_ego_mps, p.v_min_mps) - v_ego_mps) / dt_s)

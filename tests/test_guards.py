@@ -1,0 +1,277 @@
+"""The step's guarded branches: a rarely taken branch runs only where
+xp.count finds some entry that takes it. Each property draws batches in
+which the guarded condition holds for no entry, for some and for every
+entry; the array form on the batch equals the float form entry by entry,
+compared by repr so that -0.0 and NaN count. A batch that mixes both takes
+the branch for every entry, while the float form skips it for the entries
+that do not take it, so the skipped branch is shown to change no value."""
+
+import math
+import sys
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from cutinsim import engine
+from cutinsim.engine import ScenarioParams, SweepGrid, sweep
+from cutinsim.kinematics import ARRAYS, FLOATS, advance_axis_xp
+from cutinsim.metrics import ttc_xp
+from cutinsim.safety_models import ModelParams, RbaParams, control_step
+from sweep_entries import entries, reprs, scalar_sweep
+
+TINY = 5e-324
+
+
+def batches(taking, skipping, max_size=8):
+    """Lists of entries in which the guarded condition holds for no entry
+    (all drawn from skipping), for some (both, shuffled) or for every entry
+    (all drawn from taking)."""
+    some = st.tuples(
+        st.lists(taking, min_size=1, max_size=max_size // 2),
+        st.lists(skipping, min_size=1, max_size=max_size // 2),
+    ).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+    return st.one_of(
+        st.lists(skipping, min_size=1, max_size=max_size),
+        some,
+        st.lists(taking, min_size=1, max_size=max_size),
+    )
+
+
+def entry_reprs(columns, n):
+    """repr of each entry of the array form's results; a result shared by
+    every entry (a scalar) counts once for each."""
+    return [repr(entry) for entry in zip(*(np.broadcast_to(c, (n,)).tolist() for c in columns))]
+
+
+# --- advance_axis_xp: the stop-time branch, where some entry's v_end < 0 ---
+
+DTS = (TINY, 0.01, 0.05, 0.2, 1.0)
+positions = st.one_of(st.floats(-1e3, 1e3), st.sampled_from((0.0, -0.0, math.inf, 1e308)))
+speeds = st.one_of(st.floats(0.0, 60.0), st.sampled_from((0.0, -0.0, TINY, math.inf)))
+edge_accels = st.sampled_from((0.0, -0.0, -TINY, -1e308, -math.inf, math.inf, math.nan))
+
+
+@st.composite
+def advance_batches(draw):
+    dt = draw(st.sampled_from(DTS))
+
+    def stops(lane):
+        return lane[1] + lane[2] * dt < 0.0
+
+    def braking(factors):
+        """Lanes braking at a factor times the rate that stops them at dt."""
+        return st.tuples(positions, st.floats(1e-3, 60.0), factors).map(
+            lambda e: (e[0], e[1], -(e[1] / dt) * e[2])
+        )
+
+    other = st.tuples(positions, speeds, st.one_of(st.floats(0.0, 50.0), edge_accels))
+    taking = st.one_of(
+        braking(st.floats(1.01, 3.0)),
+        st.tuples(positions, speeds, st.sampled_from((-1e308, -math.inf))),
+    ).filter(stops)
+    skipping = st.one_of(braking(st.floats(0.0, 0.99)), other).filter(lambda lane: not stops(lane))
+    return dt, draw(batches(taking, skipping))
+
+
+@settings(max_examples=200, deadline=None)
+@given(advance_batches())
+def test_advance_skips_the_stop_branch_with_no_value_changed(case):
+    dt, lanes = case
+    pos, vel, accel = (np.array(column) for column in zip(*lanes))
+    with np.errstate(all="ignore"):
+        columns = advance_axis_xp(ARRAYS, pos, vel, accel, dt)
+    assert entry_reprs(columns, len(lanes)) == [
+        repr(advance_axis_xp(FLOATS, *lane, dt)) for lane in lanes
+    ]
+
+
+# --- engine._sense: the recorded TTC's selection, where some lane is alongside
+
+KINDS = (
+    ScenarioParams("cut_in", 25.0, 20.0, 30.0, 3.75),
+    ScenarioParams("cut_out", 25.0, 20.0, 30.0, 3.75),
+    ScenarioParams("car_following", 25.0, 20.0, 30.0, 0.0,
+                   other_speed_profile=((1.0, 10.0), (2.0, 30.0))),
+)
+
+
+@st.composite
+def sense_batches(draw):
+    p = draw(st.sampled_from(KINDS))
+    t = draw(st.sampled_from((0.0, 1.5, 2.5, 4.0)))
+    def lanes(offsets):
+        """Lanes whose ego center is an offset from the other vehicle's; both
+        are 5 m long, so within 5 m of it the pair is alongside."""
+        return st.tuples(
+            offsets,
+            st.one_of(st.floats(0.0, 60.0), st.sampled_from((-0.0, math.inf))),
+            st.one_of(st.floats(TINY, 100.0), st.sampled_from((TINY, 30.0))),
+            st.one_of(st.floats(0.0, 40.0), st.just(-0.0)),
+            st.sampled_from((0.0, -0.0, 1.0, 2.0, 3.75) if p.kind != "car_following" else (0.0,)),
+        ).map(lambda e: (engine._other_motion(p, t, e[2], e[3], e[4])[0] + e[0], *e[1:]))
+
+    def alongside(e):
+        return engine._sense(FLOATS, p, t, *e)[4] < 0.0
+
+    taking = lanes(st.floats(-4.9, 4.9)).filter(alongside)
+    skipping = lanes(
+        st.one_of(st.floats(-12.0, -5.0), st.floats(5.0, 12.0),
+                  st.sampled_from((-5.0, 5.0, math.inf, math.nan)))
+    ).filter(lambda e: not alongside(e))
+    return p, t, draw(batches(taking, skipping))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sense_batches())
+def test_sense_skips_the_alongside_selection_with_no_value_changed(case):
+    p, t, lanes = case
+    with np.errstate(all="ignore"):
+        columns = engine._sense(ARRAYS, p, t, *(np.array(column) for column in zip(*lanes)))
+    assert entry_reprs(columns, len(lanes)) == [
+        repr(engine._sense(FLOATS, p, t, *lane)) for lane in lanes
+    ]
+
+
+# --- kinematics' square: the overflow check, where some square is infinite
+
+ROOT_MAX = math.sqrt(sys.float_info.max)
+overflowing = st.tuples(
+    st.one_of(
+        st.floats(math.nextafter(ROOT_MAX, math.inf), math.inf),
+        st.floats(-math.inf, -math.nextafter(ROOT_MAX, math.inf)),
+    ),
+    st.booleans(),
+)
+in_range = st.tuples(
+    st.one_of(st.floats(-ROOT_MAX, ROOT_MAX), st.sampled_from((-0.0, TINY, math.nan))),
+    st.booleans(),
+)
+
+
+def square_or_raise(xp, base, where):
+    try:
+        return xp.square(base, where)
+    except OverflowError:
+        return "OverflowError"
+
+
+@given(batches(overflowing, in_range))
+def test_square_skips_the_overflow_check_with_no_value_changed(entries):
+    bases, masks = (np.array(column) for column in zip(*entries))
+    expected = [square_or_raise(FLOATS, *entry) for entry in entries]
+    with np.errstate(all="ignore"):
+        out = square_or_raise(ARRAYS, bases, masks)
+    if "OverflowError" in expected:
+        assert out == "OverflowError"
+    else:
+        assert [repr(value) for value in out.tolist()] == [repr(value) for value in expected]
+
+
+# --- rba's saturation count, where some entry saturates or carries a count
+
+RBA = ModelParams(rba=RbaParams())
+
+
+def rba_rows(gap_long, gap_lat, memory, ttc=st.one_of(st.floats(0.0, 20.0), st.just(math.inf))):
+    """Step features and a count, as an rba call takes them."""
+    return st.tuples(
+        gap_long,
+        gap_lat,
+        st.one_of(st.floats(0.0, 45.0), st.sampled_from((0.0, -0.0))),
+        st.floats(0.0, 35.0),
+        ttc,
+        memory,  # an int in the float form, as in run_closed_loop
+    )
+
+
+gaps_long = st.one_of(st.floats(-20.0, 80.0), st.sampled_from((0.0, -0.0, 10.0, 12.0)))
+gaps_lat = st.one_of(st.floats(-3.0, 5.0), st.sampled_from((0.0, -0.0, 0.5)))
+
+
+def rba_float(row, dt):
+    code, decel, accel, memory = control_step(FLOATS, "rba", RBA, *row[:5], dt, row[5])
+    return repr((code, decel, accel, float(memory)))
+
+
+def counting(row):
+    """Whether the row saturates (at any dt_s, braking has the same bits)
+    or carries a count."""
+    decel = control_step(FLOATS, "rba", RBA, *row[:5], 0.05, row[5])[1]
+    return decel >= RBA.rba.a_max_mps2 or row[5] != 0
+
+
+# a row with a count, or one that fails the lateral check at a gap of at most
+# 0, where the distance shortfall is at least 1 and rba brakes at a_max
+counting_rows = st.one_of(
+    rba_rows(gaps_long, gaps_lat, st.integers(1, 7)),
+    rba_rows(st.floats(-20.0, 0.0), st.floats(-3.0, 0.5), st.just(0)),
+).filter(counting)
+quiet_rows = rba_rows(
+    st.one_of(st.floats(0.5, 80.0), st.sampled_from((10.0, 12.0))),
+    gaps_lat,
+    st.just(0),
+    st.one_of(st.floats(0.5, 20.0), st.just(math.inf)),
+).filter(lambda row: not counting(row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((0.025, 0.05, 0.2)), batches(counting_rows, quiet_rows))
+def test_rba_skips_its_count_update_with_no_value_changed(dt, rows):
+    columns = [np.array(column, dtype=float) for column in zip(*rows)]
+    with np.errstate(all="ignore"):
+        out = control_step(ARRAYS, "rba", RBA, *columns[:5], dt, columns[5])
+    assert entry_reprs(out, len(rows)) == [rba_float(row, dt) for row in rows]
+
+
+# --- a quiet batch makes no selection for a guarded branch -----------------
+
+
+def spying():
+    """ARRAYS with a where that records each call, and the list of calls."""
+    calls = []
+
+    def where(c, a, b):
+        calls.append(c)
+        return np.where(c, a, b)
+
+    return SimpleNamespace(**{**vars(ARRAYS), "where": where}), calls
+
+
+def test_a_batch_that_takes_no_guarded_branch_makes_no_selection_for_one():
+    # five lanes braking at 6 m/s², none of which stops within the step, and
+    # the other vehicle 5 to 100 m ahead in the adjacent lane at t = 0, so
+    # none is alongside
+    p = ScenarioParams("cut_in", 25.0, 20.0, 30.0, 3.75)
+    x, v = np.zeros(5), np.array([0.5, 10.0, 20.0, 30.0, 40.0])
+    d_x0, v_o0, d_y0 = np.array([5.0, 20.0, 40.0, 70.0, 100.0]), np.full(5, 20.0), np.full(5, 3.75)
+    spy, calls = spying()
+    with np.errstate(all="ignore"):
+        advance_axis_xp(spy, x, v, np.full(5, -6.0), 0.05)
+        assert calls == []
+        gap_long = engine._sense(spy, p, 0.0, x, v, d_x0, v_o0, d_y0)[4]
+        assert not ARRAYS.count(gap_long < 0.0)
+        n_sense = len(calls)
+        calls.clear()
+        ttc_xp(spy, gap_long, v - v_o0)
+        assert n_sense == len(calls)  # only the closing TTC's own
+
+        # a lane that stops, and a lane alongside, take the guarded branches
+        calls.clear()
+        advance_axis_xp(spy, x, v, np.full(5, -20.0), 0.05)
+        assert len(calls) == 2
+        calls.clear()
+        engine._sense(spy, p, 0.0, np.array([0.0, 0.0, 0.0, 0.0, 103.0]), v, d_x0, v_o0, d_y0)
+        assert len(calls) == n_sense + 1
+
+
+def test_a_lane_that_goes_non_finite_leaves_on_that_step_when_no_other_lane_ends():
+    # one `none` lane at 1.7e308 m/s, whose position passes float range
+    # within the run on steps where no lane collides, leaves or reaches the
+    # end, so only its own non-finite state takes the sweep into its
+    # bookkeeping: the lane leaves and takes the scalar loop's error text
+    grid = SweepGrid(v_e0_mps=(1.7e308,), v_o0_mps=(10.0,), d_x0_m=(25.0,), d_y0_m=(3.75,))
+    base = ScenarioParams("cut_in", 25.0, 20.0, 30.0, 3.75)
+    rows = entries(sweep(grid, ("none",), base))
+    assert reprs(rows) == reprs(scalar_sweep(grid, ("none",), base, ModelParams()))
+    assert rows[0][3] == "InvalidInputError: pos_long_m must be finite, got inf"

@@ -1,5 +1,6 @@
 """tools/mutate_operators.py makes one flip to its twin per comparison operator
-and per & or | of a binary operation or augmented assignment."""
+and per & or | of a binary operation or augmented assignment, and replaces
+each guard's count by 0 and by 1."""
 
 import ast
 import importlib.util
@@ -33,5 +34,29 @@ def test_each_mutant_flips_one_operator_of_the_source_to_its_boundary_twin():
         (5, "Eq -> NotEq", SOURCE.replace("x == y", "x != y")),
     ]
     assert list(mutate_operators.mutants(SOURCE)) == [
+        (line, flip, ast.unparse(ast.parse(source))) for line, flip, source in expected
+    ]
+
+
+GUARDED = """\
+def f(xp, np, stopped, leave, a):
+    if xp.count(stopped):
+        a = xp.where(stopped, 0.0, a)
+    if not np.count_nonzero(leave):
+        return a
+    return -a
+"""
+
+
+def test_each_guards_count_becomes_an_always_fast_and_a_never_fast_constant():
+    # each count in source order, by 0 then by 1; the source has no
+    # comparison, & or | to flip
+    expected = [
+        (2, "count -> 0 (always fast)", GUARDED.replace("xp.count(stopped)", "0")),
+        (2, "count -> 1 (never fast)", GUARDED.replace("xp.count(stopped)", "1")),
+        (4, "count_nonzero -> 0 (always fast)", GUARDED.replace("np.count_nonzero(leave)", "0")),
+        (4, "count_nonzero -> 1 (never fast)", GUARDED.replace("np.count_nonzero(leave)", "1")),
+    ]
+    assert list(mutate_operators.mutants(GUARDED)) == [
         (line, flip, ast.unparse(ast.parse(source))) for line, flip, source in expected
     ]

@@ -1,4 +1,4 @@
-"""Operator-flip mutation check for one source file.
+"""Operator-flip and guard mutation check for one source file.
 
 Each comparison operator in the file is flipped once to its twin: the
 boundary twins < and <=, > and >=, and the negations == and !=, in and
@@ -6,11 +6,17 @@ not in, is and is not. So is each & and | of a binary operation or an
 augmented assignment, to the other: the array code writes its logical
 and/or that way (collided = alongside & ..., done &= ~leave). Annotations
 are skipped: under `from __future__ import annotations` an `X | None` is
-never evaluated. For every such mutant a copy of the repository's
+never evaluated. Then each guard's count, a call of `count` or
+`count_nonzero` (how many entries take a rarely taken branch), is replaced
+once by 0, so that the guard always takes the fast path, and once by 1, so
+that it never does. A "never fast" mutant runs the guarded branch where no
+entry takes it, which changes no value by design: it survives unless a test
+pins the fast path itself. For every mutant a copy of the repository's
 src/, tests/ and configs/ is made under a temporary directory, the mutant
-replaces the file there, and the kinematics, metrics, risk, model, engine,
-config, report, CLI, ingest, writer and golden tests run against it.
-A mutant the tests still pass is a survivor: a decision boundary no test pins.
+replaces the file there, and the kinematics, guard, metrics, risk, model,
+engine, config, report, CLI, ingest, writer and golden tests run against it.
+A mutant the tests still pass is a survivor: a decision boundary or a
+guarded branch that no test pins.
 
     python tools/mutate_operators.py src/cutinsim/safety_models.py
 
@@ -37,11 +43,14 @@ FLIPS = {
     ast.Is: ast.IsNot, ast.IsNot: ast.Is,
     ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd,
 }
-TESTS = ("tests/test_kinematics.py", "tests/test_metrics.py", "tests/test_risk.py",
-         "tests/test_safety_models.py", "tests/test_engine.py", "tests/test_config.py",
-         "tests/test_reports.py", "tests/test_cli.py", "tests/test_cli_one_process.py",
-         "tests/test_ingest.py", "tests/test_write_lines.py", "tests/test_golden.py",
-         "tests/test_golden_ingest.py")
+TESTS = ("tests/test_kinematics.py", "tests/test_guards.py", "tests/test_metrics.py",
+         "tests/test_risk.py", "tests/test_safety_models.py", "tests/test_engine.py",
+         "tests/test_config.py", "tests/test_reports.py", "tests/test_cli.py",
+         "tests/test_cli_one_process.py", "tests/test_ingest.py", "tests/test_write_lines.py",
+         "tests/test_golden.py", "tests/test_golden_ingest.py")
+# a guard's count, and the constants it is replaced by
+COUNTS = ("count", "count_nonzero")
+GUARD_CONSTANTS = ((0, "always fast"), (1, "never fast"))
 COPIED = ("src", "tests", "configs")
 TIMEOUT_S = 600.0  # a mutant's test run that takes longer counts as killed
 
@@ -74,8 +83,32 @@ def _sites(tree: ast.AST) -> list[tuple[ast.AST, int | None]]:
     return sorted(sites, key=lambda s: (s[0].lineno, s[0].col_offset, s[1] or 0))
 
 
+def _called(call: ast.Call) -> str | None:
+    """The name of the function a call calls, whatever it is called on."""
+    return getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+
+
+def _counts(tree: ast.AST) -> list[ast.Call]:
+    """Every guard's count call, in source order."""
+    calls = [
+        node for node in ast.walk(tree) if isinstance(node, ast.Call) and _called(node) in COUNTS
+    ]
+    return sorted(calls, key=lambda node: (node.lineno, node.col_offset))
+
+
+class _Replace(ast.NodeTransformer):
+    """Replaces one node of a tree by another."""
+
+    def __init__(self, old: ast.AST, new: ast.AST) -> None:
+        self.old, self.new = old, new
+
+    def visit(self, node: ast.AST) -> ast.AST:
+        return self.new if node is self.old else self.generic_visit(node)
+
+
 def mutants(source: str):
-    """(line, description, mutated source) for each flippable operator."""
+    """(line, description, mutated source) for each flippable operator, then
+    for each guard's count and each of GUARD_CONSTANTS."""
     for i in range(len(_sites(ast.parse(source)))):
         tree = ast.parse(source)  # a fresh tree per mutant, so flips never accumulate
         node, k = _sites(tree)[i]
@@ -86,6 +119,12 @@ def mutants(source: str):
         else:
             node.ops[k] = new()
         yield node.lineno, f"{old.__name__} -> {new.__name__}", ast.unparse(tree)
+    for i in range(len(_counts(ast.parse(source)))):
+        for value, path in GUARD_CONSTANTS:
+            tree = ast.parse(source)
+            call = _counts(tree)[i]
+            mutated = _Replace(call, ast.Constant(value)).visit(tree)
+            yield call.lineno, f"{_called(call)} -> {value} ({path})", ast.unparse(mutated)
 
 
 def run_tests(root: str) -> bool:

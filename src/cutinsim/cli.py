@@ -52,16 +52,18 @@ def cmd_one_case(args: argparse.Namespace) -> int:
     out_dir = _out_dir(cfg, args.out)
     os.makedirs(out_dir, exist_ok=True)
 
-    result = engine.run_closed_loop(cfg.scenario, cfg.model, cfg.model_params, cfg.ttc_crit_s)
+    result = engine.run_closed_loop(cfg.scenario, cfg.model, cfg.model_params)
+    critical = risk.is_critical(result.collided, result.min_ttc_s, result.peak_decel_mps2, cfg.ttc_crit_s)
+    classification = reports.CRITICAL if critical else reports.NON_CRITICAL
     trace_path = os.path.join(out_dir, "trace.csv")
     verdict_path = os.path.join(out_dir, "verdict.json")
     reports.write_trace_csv(trace_path, result)
-    reports.write_verdict_json(verdict_path, result)
+    reports.write_verdict_json(verdict_path, result, classification, cfg.model)
     print(f"wrote {trace_path}")
     print(f"wrote {verdict_path}")
     print(
         f"model={cfg.model} collided={result.collided} "
-        f"min_ttc={reports.fmt_float(result.min_ttc_s)} classification={result.classification}"
+        f"min_ttc={reports.fmt_float(result.min_ttc_s)} classification={classification}"
     )
     return EXIT_COLLISION if result.collided else EXIT_OK
 
@@ -76,8 +78,8 @@ def cmd_comparison(args: argparse.Namespace) -> int:
     cfg_hash = config_mod.config_hash(resolved)
     out_dir = _out_dir(cfg, args.out)
 
-    result = engine.sweep(cfg.sweep, cfg.models, cfg.scenario, cfg.model_params, cfg.ttc_crit_s)
-    reports.write_comparison_store(out_dir, result, resolved, cfg_hash, cfg.seed)
+    result = engine.sweep(cfg.sweep, cfg.models, cfg.scenario, cfg.model_params)
+    reports.write_comparison_store(out_dir, result, cfg.ttc_crit_s, resolved, cfg_hash, cfg.seed)
     n_errors = len(result.errors)
     print(f"wrote {len(cfg.models)} results files to {out_dir} (config {cfg_hash})")
     if n_errors:
@@ -87,10 +89,11 @@ def cmd_comparison(args: argparse.Namespace) -> int:
 
 def cmd_post_process(args: argparse.Namespace) -> int:
     manifest, records = reports.read_comparison_store(args.results)
-    ttc_crit = config_mod.check_ttc_crit(manifest["config"].get("risk", {}).get("ttc_crit_s", 2.0))
+    risk_section = manifest["config"].get("risk", {})
+    ttc_crit = config_mod.check_ttc_crit(risk_section.get("ttc_crit_s", risk.DEFAULT_TTC_CRIT_S))
     summaries = risk.summarize_models(records, ttc_crit)
     reports.write_summary(args.results, summaries, ttc_crit)
-    samples = {model: [r.min_ttc_s for r in rows] for model, rows in records.items()}
+    samples = {model: min_ttc for model, (min_ttc, _) in records.items()}
     written = reports.write_plot_data(args.results, samples, summaries)
     print(f"wrote summary.csv, summary.json and {len(written)} plot-data files to {args.results}")
     for row in summaries:

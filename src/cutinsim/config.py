@@ -11,6 +11,7 @@ from typing import Any, Mapping
 from .engine import ScenarioParams, SweepGrid, check_finite, check_models
 from .errors import ConfigError
 from .kinematics import VehicleDims
+from .risk import DEFAULT_TTC_CRIT_S
 from .safety_models import MODEL_NAMES, ModelParams, RbaParams
 
 SCHEMA_VERSION = 1
@@ -181,7 +182,7 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
     model_params = _parse_model_params(raw.get("model_params", {}), raw.get("rba", {}))
 
     risk_raw = dict(_section(raw.get("risk", {}), "risk"))
-    ttc_crit_s = float(check_ttc_crit(risk_raw.pop("ttc_crit_s", 2.0)))
+    ttc_crit_s = float(check_ttc_crit(risk_raw.pop("ttc_crit_s", DEFAULT_TTC_CRIT_S)))
     if risk_raw:
         raise ConfigError(
             f"unknown key risk.{next(iter(risk_raw))!r}", key="risk"

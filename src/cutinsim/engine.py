@@ -1,4 +1,8 @@
-"""Scenario records, closed-loop simulation, parameter sweeps, classification."""
+"""Scenario records, closed-loop simulation and parameter sweeps.
+
+The engine measures each run: whether it collided, its minimum gap and TTC,
+and its peak braking. Judging a run critical is risk's (risk.is_critical).
+"""
 
 from __future__ import annotations
 
@@ -25,9 +29,6 @@ from .metrics import ttc_xp
 from .safety_models import MARGIN_PASS, MODEL_NAMES, ModelParams, control_step
 
 SCENARIO_KINDS = ("cut_in", "cut_out", "car_following")
-CRITICAL = "critical"
-NON_CRITICAL = "non_critical"
-COMFORT_DECEL_MPS2 = 3.5  # braking harder than this makes a run critical
 
 DEFAULT_DIMS = VehicleDims(width_m=2.0, length_m=5.0)
 
@@ -194,8 +195,6 @@ class SimResult:
     min_gap_long_m: float
     min_ttc_s: float  # math.inf when the pair never closes
     peak_decel_mps2: float
-    classification: str
-    model_name: str
 
 
 # The other vehicle's plan under p's kind, lane change, speed profile and
@@ -270,18 +269,10 @@ def _summarize(xp, min_gap, min_ttc, peak_decel, gap_long, ttc, decel):
     return xp.pick_min(min_gap, gap_long), xp.pick_min(min_ttc, ttc), xp.pick_max(peak_decel, decel)
 
 
-def is_critical(collided, min_ttc_s, peak_decel_mps2, ttc_crit_s: float):
-    """Whether a run is critical: it collided, its minimum TTC dipped under
-    ttc_crit_s, or it braked harder than COMFORT_DECEL_MPS2. Over a run's
-    floats a bool, over summary columns a bool array."""
-    return collided | (min_ttc_s < ttc_crit_s) | (peak_decel_mps2 > COMFORT_DECEL_MPS2)
-
-
 def run_closed_loop(
     p: ScenarioParams,
     model_name: str,
     params: ModelParams = ModelParams(),
-    ttc_crit_s: float = 2.0,
     *,
     record: bool = True,
 ) -> SimResult:
@@ -328,15 +319,12 @@ def run_closed_loop(
         if not math.isfinite(accel + x + v):
             require_finite(accel_long_mps2=accel, pos_long_m=x, vel_long_mps=v)
 
-    critical = is_critical(collided, min_ttc, peak_decel, ttc_crit_s)
     return SimResult(
         trace=Trace(*zip(*rows)) if record else None,
         collided=collided,
         min_gap_long_m=min_gap,
         min_ttc_s=min_ttc,
         peak_decel_mps2=peak_decel,
-        classification=CRITICAL if critical else NON_CRITICAL,
-        model_name=model_name,
     )
 
 
@@ -376,12 +364,10 @@ class SweepResult:
     """A sweep's outcomes as columns: entry [m, i] of each summary array
     belongs to models[m] at grid index i. A (model index, grid index) in
     errors is an error row, whose text is recorded there and whose column
-    entries mean nothing. The classification is not stored: is_critical
-    derives it from the columns and ttc_crit_s."""
+    entries mean nothing."""
 
     grid: SweepGrid
     models: tuple[str, ...]
-    ttc_crit_s: float
     collided: np.ndarray  # bool
     min_gap_long_m: np.ndarray  # float64, as are the two below
     min_ttc_s: np.ndarray
@@ -389,10 +375,10 @@ class SweepResult:
     errors: dict[tuple[int, int], str]
 
     @classmethod
-    def empty(cls, grid: SweepGrid, models: Sequence[str], ttc_crit_s: float) -> SweepResult:
+    def empty(cls, grid: SweepGrid, models: Sequence[str]) -> SweepResult:
         """Columns for every (model, grid point), no entry written yet."""
         shape = (len(models), math.prod(grid.shape))
-        return cls(grid, tuple(models), ttc_crit_s, np.zeros(shape, dtype=bool),
+        return cls(grid, tuple(models), np.zeros(shape, dtype=bool),
                    *(np.full(shape, math.nan) for _ in range(3)), {})
 
 
@@ -423,7 +409,7 @@ def _rerun(out: SweepResult, m: int, index: int, base: ScenarioParams, params: M
     try:
         v_e0, v_o0, d_x0, d_y0 = out.grid.point(index)
         p = replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
-        r = run_closed_loop(p, out.models[m], params, out.ttc_crit_s, record=False)
+        r = run_closed_loop(p, out.models[m], params, record=False)
     except Exception as exc:  # recorded as an error row, never aborts the sweep
         out.errors[m, index] = f"{type(exc).__name__}: {exc}"
         return
@@ -549,7 +535,6 @@ def sweep(
     models: Sequence[str],
     base: ScenarioParams,
     params: ModelParams = ModelParams(),
-    ttc_crit_s: float = 2.0,
 ) -> SweepResult:
     """Simulate the full grid for every model (each registered and named
     once), all runs stepped in this process in chunks of at most LANE_CHUNK
@@ -560,7 +545,7 @@ def sweep(
     point's text comes from replace on the whole point, as for every model.
     """
     check_models(models)  # _run_lanes slices its lanes by model
-    out = SweepResult.empty(grid, models, ttc_crit_s)
+    out = SweepResult.empty(grid, models)
     valid = _valid_points(grid, base)
     for index in np.flatnonzero(~valid).tolist():
         for m in range(len(models)):

@@ -22,21 +22,23 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
 from typing import Any, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .config import config_hash
-from .engine import CRITICAL, NON_CRITICAL, SimResult, SweepResult, as_float, is_critical
+from .engine import SimResult, SweepResult, as_float
 from .errors import ConfigError
-from .risk import ModelSummary
+from .risk import ModelSummary, is_critical
 from .safety_models import MODEL_NAMES
 
 TRACE_HEADER = "t,ego_x,ego_y,ego_v,cut_x,cut_y,cut_v,gap_long,gap_lat,ttc,safe,decel_cmd"
 RESULTS_HEADER = "index,v_e0,v_o0,d_x0,d_y0,collided,min_ttc,min_gap,peak_decel,classification,error"
 SUMMARY_HEADER = "model,mean_ttc,std_ttc,prob_below,critical_fraction,n,n_excluded"
 MANIFEST_NAME = "manifest.json"
+# the classification column's two labels, and verdict.json's
+CRITICAL = "critical"
+NON_CRITICAL = "non_critical"
 
 HIST_BINS = 30
 DENSITY_POINTS = 200
@@ -107,14 +109,14 @@ def write_trace_csv(path: str, result: SimResult) -> None:
     write_lines(path, [TRACE_HEADER + "\n"], (TRACE_ROW % row for row in zip(*columns)))
 
 
-def write_verdict_json(path: str, result: SimResult) -> None:
+def write_verdict_json(path: str, result: SimResult, classification: str, model: str) -> None:
     _dump_json(
         path,
         {
             "collided": result.collided,
             "min_ttc": _json_number(result.min_ttc_s),
-            "classification": result.classification,
-            "model": result.model_name,
+            "classification": classification,
+            "model": model,
         },
     )
 
@@ -123,16 +125,17 @@ def results_filename(model: str) -> str:
     return f"results_{model}.csv"
 
 
-def _result_rows(result: SweepResult, m: int):
+def _result_rows(result: SweepResult, m: int, ttc_crit_s: float):
     """One results CSV row per grid point of result.models[m], in grid order,
-    from row m of each summary column. An error row's point may hold a value
-    that FLOAT_FORMAT cannot write (an integer beyond float range, a string),
-    so each of its values is written as the float the sweep read it as, NaN
-    where no float holds it; the row's error text names the value."""
+    from row m of each summary column, classified at ttc_crit_s. An error
+    row's point may hold a value that FLOAT_FORMAT cannot write (an integer
+    beyond float range, a string), so each of its values is written as the
+    float the sweep read it as, NaN where no float holds it; the row's error
+    text names the value."""
     collided, min_ttc, min_gap, peak_decel = (
         a[m] for a in (result.collided, result.min_ttc_s, result.min_gap_long_m, result.peak_decel_mps2)
     )
-    critical = is_critical(collided, min_ttc, peak_decel, result.ttc_crit_s)
+    critical = is_critical(collided, min_ttc, peak_decel, ttc_crit_s)
     classes = np.where(critical, CRITICAL, NON_CRITICAL)
     columns = (c.tolist() for c in (collided, min_ttc, min_gap, peak_decel, classes))
     points = itertools.product(*result.grid.axes)
@@ -148,17 +151,20 @@ def _result_rows(result: SweepResult, m: int):
 def write_comparison_store(
     out_dir: str,
     result: SweepResult,
+    ttc_crit_s: float,
     resolved_config: Mapping[str, Any],
     cfg_hash: str,
     seed: int,
 ) -> None:
-    """One results CSV per model of the sweep result plus a manifest
-    describing the run. The results CSV of a registered model that this run
-    does not write, left by an earlier run, is removed."""
+    """One results CSV per model of the sweep result, each run classified at
+    ttc_crit_s, plus a manifest describing the run. The results CSV of a
+    registered model that this run does not write, left by an earlier run, is
+    removed."""
     os.makedirs(out_dir, exist_ok=True)
     files = {model: results_filename(model) for model in result.models}
     for m, name in enumerate(files.values()):
-        write_lines(os.path.join(out_dir, name), [RESULTS_HEADER + "\n"], _result_rows(result, m))
+        rows = _result_rows(result, m, ttc_crit_s)
+        write_lines(os.path.join(out_dir, name), [RESULTS_HEADER + "\n"], rows)
     _remove_stale(out_dir, ["results"], files.values())
     manifest = {
         "schema_version": 1,
@@ -169,14 +175,6 @@ def write_comparison_store(
         "config": dict(resolved_config),
     }
     _dump_json(os.path.join(out_dir, MANIFEST_NAME), manifest)
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One grid-point outcome as reloaded from a results CSV."""
-
-    min_ttc_s: float
-    classification: str
 
 
 def read_manifest(results_dir: str) -> dict[str, Any]:
@@ -216,12 +214,19 @@ def read_manifest(results_dir: str) -> dict[str, Any]:
     return manifest
 
 
-def read_comparison_store(results_dir: str) -> tuple[dict[str, Any], dict[str, list[RunRecord]]]:
+def read_comparison_store(
+    results_dir: str,
+) -> tuple[dict[str, Any], dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """The store's manifest and, per model, the columns of its result rows
+    (error rows left out): the minimum TTC (float) and whether the run was
+    classified critical (bool). A malformed results line is a ConfigError
+    with key "results" naming its file and line."""
     manifest = read_manifest(results_dir)
     n_fields = len(RESULTS_HEADER.split(","))
-    records: dict[str, list[RunRecord]] = {}
+    records: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for model, filename in manifest["files"].items():
-        rows: list[RunRecord] = []
+        min_ttcs: list[float] = []
+        critical: list[bool] = []
         with open(os.path.join(results_dir, filename)) as fh:
             header = fh.readline().rstrip("\n")
             if header != RESULTS_HEADER:
@@ -246,8 +251,9 @@ def read_comparison_store(results_dir: str) -> tuple[dict[str, Any], dict[str, l
                     raise ConfigError(f"{where}: min_ttc {fields[6]!r} is not a number", key="results")
                 if fields[9] not in (CRITICAL, NON_CRITICAL):
                     raise ConfigError(f"{where}: unknown classification {fields[9]!r}", key="results")
-                rows.append(RunRecord(min_ttc_s=min_ttc, classification=fields[9]))
-        records[model] = rows
+                min_ttcs.append(min_ttc)
+                critical.append(fields[9] == CRITICAL)
+        records[model] = (np.array(min_ttcs, dtype=float), np.array(critical, dtype=bool))
     return manifest, records
 
 
@@ -286,7 +292,7 @@ def write_summary(out_dir: str, summaries: Sequence[ModelSummary], ttc_crit_s: f
 
 def write_plot_data(
     out_dir: str,
-    samples_by_model: Mapping[str, Sequence[float]],
+    samples_by_model: Mapping[str, np.ndarray],
     summaries: Sequence[ModelSummary],
 ) -> list[str]:
     """Histogram and fitted-curve files, directly plottable by external tools.
@@ -298,13 +304,10 @@ def write_plot_data(
     Returns the filenames written.
     """
     written: list[str] = []
-    finite_by_model = {
-        model: [s for s in samples if math.isfinite(s)]
-        for model, samples in samples_by_model.items()
-    }
-    pooled = [s for samples in finite_by_model.values() for s in samples]
-    if pooled:
-        lo, hi = min(pooled), max(pooled)
+    finite_by_model = {model: s[np.isfinite(s)] for model, s in samples_by_model.items()}
+    pooled = np.concatenate([np.empty(0), *finite_by_model.values()])
+    if pooled.size:
+        lo, hi = float(pooled.min()), float(pooled.max())
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
         edges = np.linspace(lo, hi, HIST_BINS + 1)

@@ -1,4 +1,10 @@
-"""Gaussian TTC risk: distribution fit, tail probability, per-model summaries.
+"""Risk judgements on simulated outcomes: the critical-run rule, the Gaussian
+TTC fit, its tail probability, and per-model summaries.
+
+The engine only measures a run (collision, minimum TTC, peak braking); this
+module holds the policy that judges it: is_critical, with the default critical
+TTC DEFAULT_TTC_CRIT_S and the comfort deceleration COMFORT_DECEL_MPS2, and
+the tail probability P(TTC < ttc_crit_s) of the fitted Gaussian.
 
 The normal CDF is computed from a self-contained port of W. J. Cody's rational
 Chebyshev approximation of erf/erfc (Math. Comp. 23, 1969; the scheme most
@@ -11,12 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .engine import CRITICAL
 from .errors import DegenerateDistributionError, InsufficientDataError
+
+DEFAULT_TTC_CRIT_S = 2.0  # risk.ttc_crit_s when a config or manifest gives none
+COMFORT_DECEL_MPS2 = 3.5  # braking harder than this makes a run critical
 
 _THRESH = 0.46875
 _XSMALL = 1.11e-16
@@ -129,13 +137,20 @@ def normal_cdf(z: float) -> float:
     return 0.5 * erfc(-z * math.sqrt(0.5))
 
 
-def fit_gaussian(ttc_samples: Iterable[float]) -> tuple[float, float]:
+def is_critical(collided, min_ttc_s, peak_decel_mps2, ttc_crit_s: float):
+    """Whether a run is critical: it collided, its minimum TTC dipped under
+    ttc_crit_s, or it braked harder than COMFORT_DECEL_MPS2. Over a run's
+    floats a bool, over summary columns a bool array."""
+    return collided | (min_ttc_s < ttc_crit_s) | (peak_decel_mps2 > COMFORT_DECEL_MPS2)
+
+
+def fit_gaussian(ttc_samples: np.typing.ArrayLike) -> tuple[float, float]:
     """Sample mean and standard deviation (n-1 denominator) over finite samples.
 
     Infinite (non-closing) samples are excluded; fewer than two finite samples,
     zero spread, or a mean or spread that overflows to inf raise.
     """
-    values = np.asarray(list(ttc_samples), dtype=float)
+    values = np.asarray(ttc_samples, dtype=float)
     finite = values[np.isfinite(values)]
     if finite.size < 2:
         raise InsufficientDataError(
@@ -158,11 +173,6 @@ def prob_below_threshold(mean_s: float, std_s: float, crit_s: float) -> float:
     return normal_cdf((crit_s - mean_s) / std_s)
 
 
-class RunLike(Protocol):
-    min_ttc_s: float
-    classification: str
-
-
 @dataclass(frozen=True)
 class ModelSummary:
     """One summary row: Gaussian fit of per-run minimum TTC plus event rates.
@@ -183,22 +193,18 @@ class ModelSummary:
 
 
 def summarize_models(
-    results: Mapping[str, Sequence[RunLike]], ttc_crit_s: float
+    results: Mapping[str, tuple[np.ndarray, np.ndarray]], ttc_crit_s: float
 ) -> list[ModelSummary]:
-    """One row per model over its runs' minimum finite TTC values, ordered by name."""
+    """One row per model, ordered by name, from its runs' columns: the
+    minimum TTC (float) and whether the run is critical (bool), one entry per
+    run. The fit is over the finite minimum TTCs."""
     rows: list[ModelSummary] = []
     for model in sorted(results):
-        runs = results[model]
-        samples = [r.min_ttc_s for r in runs]
-        n_excluded = sum(1 for s in samples if not math.isfinite(s))
-        n_finite = len(samples) - n_excluded
-        critical_fraction = (
-            sum(1 for r in runs if r.classification == CRITICAL) / len(runs)
-            if runs
-            else None
-        )
+        min_ttc, critical = results[model]
+        n_finite = int(np.count_nonzero(np.isfinite(min_ttc)))
+        critical_fraction = int(np.count_nonzero(critical)) / critical.size if critical.size else None
         try:
-            mean, std = fit_gaussian(samples)
+            mean, std = fit_gaussian(min_ttc)
             prob_below, note = prob_below_threshold(mean, std, ttc_crit_s), ""
         except (InsufficientDataError, DegenerateDistributionError) as exc:
             mean = std = prob_below = None
@@ -212,7 +218,7 @@ def summarize_models(
                 prob_below=prob_below,
                 critical_fraction=critical_fraction,
                 n_finite=n_finite,
-                n_excluded=n_excluded,
+                n_excluded=min_ttc.size - n_finite,
                 note=note,
             )
         )

@@ -15,6 +15,7 @@ from cutinsim.engine import run_closed_loop
 from cutinsim.errors import ConfigError, InvalidInputError
 from cutinsim.kinematics import VehicleDims
 from cutinsim.reports import fmt_float, read_comparison_store
+from sweep_entries import classification
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -266,6 +267,34 @@ def test_classification_and_the_gaussian_tail_read_one_ttc_crit(tmp_path):
     assert fractions["fsm"] == 24 / 27
 
 
+def test_post_process_of_a_store_with_only_error_rows(tmp_path, capsys):
+    # every grid point is invalid, so each model has no result row: its
+    # columns are empty, and its summary row is kept with nothing counted
+    with open(os.path.join(CONFIGS, "comparison.json")) as fh:
+        raw = json.load(fh)
+    raw["sweep"]["d_x0"] = [0, -1]
+    path = tmp_path / "cmp.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "cmp"
+    assert main(["comparison", "--config", str(path), "--out", str(out)]) == 0
+    assert "126 grid points recorded errors" in capsys.readouterr().out
+    assert main(["post-process", "--results", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "wrote summary.csv, summary.json and 0 plot-data files" in printed
+    rows = json.loads((out / "summary.json").read_text())["models"]
+    assert [row["model"] for row in rows] == sorted(raw["models"])
+    for row in rows:
+        assert (row["n"], row["n_excluded"], row["critical_fraction"], row["available"]) == (
+            0, 0, None, False
+        ), row
+        assert (row["mean_ttc"], row["std_ttc"], row["prob_below"]) == (None, None, None)
+        assert row["note"] == "need >= 2 finite TTC samples, got 0"
+        assert f"{row['model']}: unavailable (need >= 2 finite TTC samples, got 0)" in printed
+    csv_lines = (out / "summary.csv").read_text().splitlines()[1:]
+    assert csv_lines == [f"{model},,,,,0,0" for model in sorted(raw["models"])]
+    assert not [name for name in os.listdir(out) if name.startswith(("hist_", "density_"))]
+
+
 def test_post_process_missing_manifest(tmp_path, capsys):
     code = main(["post-process", "--results", str(tmp_path)])
     assert code == 1
@@ -375,9 +404,9 @@ def test_comparison_uses_the_configured_footprints(tmp_path):
             fields = row.split(",")
             v_e0, v_o0, d_x0, d_y0 = points[int(fields[0])]
             p = replace(cfg.scenario, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
-            r = run_closed_loop(p, model, cfg.model_params, cfg.ttc_crit_s)
+            r = run_closed_loop(p, model, cfg.model_params)
             assert (fields[5], fields[6], fields[9]) == (
-                "1" if r.collided else "0", fmt_float(r.min_ttc_s), r.classification
+                "1" if r.collided else "0", fmt_float(r.min_ttc_s), classification(r, cfg.ttc_crit_s)
             ), (model, fields[0])
 
 

@@ -146,8 +146,8 @@ def test_integer_model_parameters_give_the_sweep_and_the_scalar_loop_equal_items
     cfg = parse_config(raw)
     assert type(cfg.model_params.rss.ego_brake_min_mps2) is float
     models = ("rss", "reg157")
-    result = sweep(cfg.sweep, models, cfg.scenario, cfg.model_params, cfg.ttc_crit_s)
-    rows = entries(result)
+    result = sweep(cfg.sweep, models, cfg.scenario, cfg.model_params)
+    rows = entries(result, cfg.ttc_crit_s)
     assert len(rows) == 54
     # repr tells 4 from 4.0
     assert reprs(rows) == reprs(

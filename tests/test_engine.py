@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cutinsim.engine as engine
+import cutinsim.risk as risk
 from cutinsim.config import load_config, parse_config
 from cutinsim.engine import (
     MAX_STEPS,
@@ -39,7 +40,7 @@ from cutinsim.safety_models import (
     RbaParams,
     control_step,
 )
-from sweep_entries import at_point, entries, reprs, scalar_sweep
+from sweep_entries import at_point, classification, entries, reprs, scalar_sweep
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -364,7 +365,7 @@ def test_sweep_columns_hold_the_summary_of_the_recorded_run():
         full = run_closed_loop(at_point(base, point), model)
         assert full.trace.t_s
         assert outcome == (full.collided, full.min_gap_long_m, full.min_ttc_s,
-                           full.peak_decel_mps2, full.classification)
+                           full.peak_decel_mps2, classification(full))
         assert full.peak_decel_mps2 == max(full.trace.decel_cmd_mps2)
 
 
@@ -466,7 +467,7 @@ def test_batched_sweep_equals_the_scalar_loop(case, data):
     start = data.draw(st.integers(0, len(ran)))
     stop = data.draw(st.integers(start, len(ran)))
     chunk = ran[start:stop]
-    alone = engine.SweepResult.empty(grid, MODEL_NAMES, 2.0)
+    alone = engine.SweepResult.empty(grid, MODEL_NAMES)
     model = np.array([MODEL_NAMES.index(row[0]) for row in chunk], dtype=int)
     engine._run_lanes(alone, model, np.array([row[1] for row in chunk], dtype=int), base, params)
     lanes = {row[:2] for row in chunk}
@@ -476,7 +477,7 @@ def test_batched_sweep_equals_the_scalar_loop(case, data):
 def results_bytes(result):
     """Every results_<model>.csv the comparison store writes for result."""
     with tempfile.TemporaryDirectory() as out:
-        write_comparison_store(out, result, {}, "", 0)
+        write_comparison_store(out, result, 2.0, {}, "", 0)
         return {name: open(os.path.join(out, name), "rb").read()
                 for name in sorted(os.listdir(out)) if name.startswith("results_")}
 
@@ -526,7 +527,7 @@ def test_a_sweep_result_survives_pickling():
     result = sweep(grid, ["rba", "idm"], cutin())
     again = pickle.loads(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
     assert again.errors == result.errors and len(result.errors) == 2
-    assert (again.grid, again.models, again.ttc_crit_s) == (result.grid, result.models, result.ttc_crit_s)
+    assert (again.grid, again.models) == (result.grid, result.models)
     for name in ("collided", "min_gap_long_m", "min_ttc_s", "peak_decel_mps2"):
         a, b = getattr(again, name), getattr(result, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
@@ -664,17 +665,17 @@ def test_no_sweep_run_brakes_harder_than_its_model_declares(kind):
     elif kind == "car_following":  # the lead stops at 2 s and pulls away at 6 s
         grid = replace(grid, d_y0_m=(0.0,))
         base = replace(base, kind=kind, d_y0_m=0.0, other_speed_profile=((2.0, 0.0), (6.0, 15.0)))
-    result = sweep(grid, cfg.models, base, cfg.model_params, cfg.ttc_crit_s)
+    result = sweep(grid, cfg.models, base, cfg.model_params)
     assert not result.errors
-    rows = entries(result)
+    rows = entries(result, cfg.ttc_crit_s)
     assert len(rows) == len(grid.points()) * len(MODEL_NAMES)
     for model, _, point, outcome in rows:
         peak_decel = outcome[3]
         assert peak_decel <= DECEL_CAPS[model](cfg.model_params), (model, point, outcome)
         # and no run drives the ego backwards, nor rba under its speed floor
-        run = run_closed_loop(at_point(base, point), model, cfg.model_params, cfg.ttc_crit_s)
+        run = run_closed_loop(at_point(base, point), model, cfg.model_params)
         assert outcome == (run.collided, run.min_gap_long_m, run.min_ttc_s, run.peak_decel_mps2,
-                           run.classification)
+                           classification(run, cfg.ttc_crit_s))
         floor = cfg.model_params.rba.v_min_mps if model == "rba" else 0.0
         assert min(run.trace.ego_v_mps) >= floor, (model, point)
     assert (result.peak_decel_mps2[result.models.index("idm")] > 0.0).any()
@@ -729,23 +730,23 @@ def test_classification_rules():
 
     def classify_event(r, th):
         # the one rule, over a run's floats and over one-entry columns alike
-        flag = engine.is_critical(r.collided, r.min_ttc_s, r.peak_decel_mps2, th)
-        columns = engine.is_critical(np.array([r.collided]), np.array([r.min_ttc_s]),
+        flag = risk.is_critical(r.collided, r.min_ttc_s, r.peak_decel_mps2, th)
+        columns = risk.is_critical(np.array([r.collided]), np.array([r.min_ttc_s]),
                                      np.array([r.peak_decel_mps2]), th)
         assert type(flag) is bool and columns.dtype == bool and columns.tolist() == [flag]
         return "critical" if flag else "non_critical"
 
     collided = run_closed_loop(cutin(v_e0=30.0, v_o0=10.0, d_x0=20.0, lc_start=0.0, lc_dur=1.0), "none")
-    assert classify_event(collided, th) == collided.classification == "critical"
+    assert classify_event(collided, th) == classification(collided, th) == "critical"
     quiet = run_closed_loop(cutin(v_e0=20.0, v_o0=20.0, d_x0=100.0), "none")
     assert math.isinf(quiet.min_ttc_s)
-    assert classify_event(quiet, th) == quiet.classification == "non_critical"
+    assert classify_event(quiet, th) == classification(quiet, th) == "non_critical"
     shaved = SimResult(trace=quiet.trace, collided=False, min_gap_long_m=quiet.min_gap_long_m,
-                       min_ttc_s=1.5, peak_decel_mps2=0.0, classification="", model_name="none")
+                       min_ttc_s=1.5, peak_decel_mps2=0.0)
     assert classify_event(shaved, th) == "critical"
     # the peak braking is read from the result, not rescanned from a trace
     hard = SimResult(trace=None, collided=False, min_gap_long_m=quiet.min_gap_long_m,
-                     min_ttc_s=math.inf, peak_decel_mps2=3.6, classification="", model_name="rba")
+                     min_ttc_s=math.inf, peak_decel_mps2=3.6)
     assert classify_event(hard, th) == "critical"
     # each term alone makes a run critical: here the collision flag
     assert classify_event(replace(hard, collided=True, peak_decel_mps2=0.0), th) == "critical"

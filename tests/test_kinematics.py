@@ -306,6 +306,76 @@ def test_no_safety_model_computes_a_ttc():
     ]
 
 
+# --- the engine measures, risk classifies ------------------------------------
+
+# the critical-run rule, its thresholds and its labels, which risk and reports hold
+POLICY_NAMES = {"ttc_crit_s", "is_critical", "COMFORT_DECEL_MPS2", "CRITICAL", "NON_CRITICAL"}
+
+
+def names_in(source, names):
+    """(line, name) for each identifier in source that is one of names: a
+    variable, attribute, parameter, keyword argument, definition or import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            candidates = {node.id}
+        elif isinstance(node, ast.Attribute):
+            candidates = {node.attr}
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            candidates = {node.arg}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            candidates = {node.name}
+        elif isinstance(node, ast.alias):
+            candidates = {node.name, node.asname}
+        else:
+            continue
+        found += [(node.lineno, name) for name in candidates & names]
+    return sorted(found)
+
+
+def engine_imports(source):
+    """The line of each import in source that reaches cutinsim.engine."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = {alias.name for alias in getattr(node, "names", ())}
+        if isinstance(node, ast.ImportFrom):
+            hit = node.module in ("engine", "cutinsim.engine") or (
+                node.module in (None, "cutinsim") and "engine" in names
+            )
+        else:
+            hit = isinstance(node, ast.Import) and "cutinsim.engine" in names
+        if hit:
+            found.append(node.lineno)
+    return found
+
+
+def test_the_engine_measures_and_risk_classifies():
+    # the engine reports what a run measured; judging it critical is risk's,
+    # and risk reads the engine's numbers without importing the engine
+    with open(os.path.join(SRC, "engine.py")) as fh:
+        assert names_in(fh.read(), POLICY_NAMES) == []
+    with open(os.path.join(SRC, "risk.py")) as fh:
+        assert engine_imports(fh.read()) == []
+
+
+def test_the_policy_checks_see_each_spelling():
+    source = """\
+from .engine import CRITICAL
+from . import engine, metrics
+import cutinsim.engine as eng
+COMFORT_DECEL_MPS2 = 3.5
+def is_critical(r, ttc_crit_s=2.0):
+    return run(r, ttc_crit_s=risk.NON_CRITICAL)
+from .metrics import ttc
+import cutinsim.metrics
+"""
+    assert names_in(source, POLICY_NAMES) == [
+        (1, "CRITICAL"), (4, "COMFORT_DECEL_MPS2"), (5, "is_critical"), (5, "ttc_crit_s"),
+        (6, "NON_CRITICAL"), (6, "ttc_crit_s"),
+    ]
+    assert engine_imports(source) == [1, 2, 3]
+
+
 def test_the_source_check_sees_each_libm_operation():
     source = """\
 def f(x, xp, **kw):

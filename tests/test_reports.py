@@ -66,7 +66,7 @@ def test_trace_csv_bytes_of_a_hand_built_trace(tmp_path):
     )
     result = SimResult(
         trace=trace, collided=True, min_gap_long_m=-5.4987654321, min_ttc_s=0.0,
-        peak_decel_mps2=3.5, classification="critical", model_name="rba",
+        peak_decel_mps2=3.5,
     )
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), result)
@@ -81,7 +81,7 @@ def test_trace_csv_bytes_of_a_hand_built_trace(tmp_path):
 # four rba grid points, all at one point: min TTC 1 (critical against
 # ttc_crit_s 2), an error row, 3 and inf
 RESULT = SweepResult(
-    SweepGrid((25.0,) * 4, (20.0,), (30.0,), (3.75,)), ("rba",), 2.0,
+    SweepGrid((25.0,) * 4, (20.0,), (30.0,), (3.75,)), ("rba",),
     collided=np.zeros((1, 4), dtype=bool), min_gap_long_m=np.full((1, 4), 10.0),
     min_ttc_s=np.array([[1.0, math.nan, 3.0, math.inf]]), peak_decel_mps2=np.zeros((1, 4)),
     errors={(0, 1): "InvalidInputError: overflow"},
@@ -91,7 +91,7 @@ RESULT = SweepResult(
 def store(tmp_path, result=RESULT):
     out = tmp_path / "store"
     config = {"risk": {"ttc_crit_s": 2.0}}
-    write_comparison_store(str(out), result, config, config_hash(config), 0)
+    write_comparison_store(str(out), result, 2.0, config, config_hash(config), 0)
     return out
 
 
@@ -132,7 +132,9 @@ def test_a_malformed_store_is_a_config_error(tmp_path, corrupt, message):
 def test_post_process_summarizes_a_store_with_error_rows(tmp_path):
     out = store(tmp_path)
     _, records = read_comparison_store(str(out))
-    assert [r.min_ttc_s for r in records["rba"]] == [1.0, 3.0, math.inf]
+    min_ttc, critical = records["rba"]
+    assert min_ttc.tolist() == [1.0, 3.0, math.inf]
+    assert critical.tolist() == [True, False, False]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["post-process", "--results", str(out)]) == 0
     (row,) = json.loads((out / "summary.json").read_text())["models"]
@@ -143,7 +145,7 @@ def test_post_process_summarizes_a_store_with_error_rows(tmp_path):
 
 def test_plot_data_when_every_pooled_sample_is_equal(tmp_path):
     # the histogram range widens to 1 around the common value
-    assert write_plot_data(str(tmp_path), {"rba": [2.0, 2.0, math.inf]}, []) == ["hist_rba.csv"]
+    assert write_plot_data(str(tmp_path), {"rba": np.array([2.0, 2.0, math.inf])}, []) == ["hist_rba.csv"]
     rows = [line.split(",") for line in (tmp_path / "hist_rba.csv").read_text().splitlines()[1:]]
     assert (len(rows), rows[0][0], rows[-1][1]) == (30, "1.5", "2.5")
     assert [int(r[2]) for r in rows] == [0] * 15 + [2] + [0] * 14

@@ -24,10 +24,11 @@ def erf_series(x: float, terms: int = 80) -> float:
     return 2.0 / math.sqrt(math.pi) * math.fsum(parts)
 
 
-class Run:
-    def __init__(self, min_ttc_s, classification="non_critical"):
-        self.min_ttc_s = min_ttc_s
-        self.classification = classification
+def runs(min_ttc_s, critical=None):
+    """One model's columns for summarize_models: the runs' minimum TTCs, and
+    whether each is critical (none, by default)."""
+    critical = [False] * len(min_ttc_s) if critical is None else critical
+    return np.array(min_ttc_s, dtype=float), np.array(critical, dtype=bool)
 
 
 def test_two_point_fit():
@@ -38,8 +39,7 @@ def test_two_point_fit():
 
 def test_infinite_samples_are_excluded():
     assert fit_gaussian([2.0, 4.0, math.inf, 6.0]) == fit_gaussian([2.0, 4.0, 6.0])
-    runs = [Run(2.0), Run(4.0), Run(math.inf), Run(6.0)]
-    (row,) = summarize_models({"m": runs}, 2.0)
+    (row,) = summarize_models({"m": runs([2.0, 4.0, math.inf, 6.0])}, 2.0)
     assert row.mean_ttc_s == 4.0
     assert row.std_ttc_s == pytest.approx(2.0)
     assert row.n_finite == 3
@@ -60,7 +60,7 @@ def test_a_fit_that_is_not_finite_is_unavailable():
     for samples in ([1e308, 1.5e308], [0.0, 1e308]):
         with pytest.raises(DegenerateDistributionError, match="not finite"):
             fit_gaussian(samples)
-    (row,) = summarize_models({"m": [Run(1e308), Run(1.5e308)]}, 2.0)
+    (row,) = summarize_models({"m": runs([1e308, 1.5e308])}, 2.0)
     assert not row.available and "not finite" in row.note
     assert (row.mean_ttc_s, row.std_ttc_s, row.prob_below) == (None, None, None)
     assert math.isnan(normal_cdf(math.nan)) and math.isnan(erfc(math.nan))
@@ -144,7 +144,7 @@ def test_empirical_tail_fraction_matches_cdf():
 
 def test_summarize_models_composition():
     rows = summarize_models(
-        {"rba": [Run(3.0), Run(5.0, "critical")]},
+        {"rba": runs([3.0, 5.0], [False, True])},
         ttc_crit_s=2.0,
     )
     assert len(rows) == 1
@@ -158,8 +158,7 @@ def test_summarize_models_composition():
 
 
 def test_summarize_models_identical_samples_identical_rows():
-    runs = [Run(2.5), Run(3.5), Run(6.0)]
-    rows = summarize_models({"a": runs, "b": list(runs)}, ttc_crit_s=2.0)
+    rows = summarize_models({"a": runs([2.5, 3.5, 6.0]), "b": runs([2.5, 3.5, 6.0])}, ttc_crit_s=2.0)
     a, b = rows
     assert (a.mean_ttc_s, a.std_ttc_s, a.prob_below) == (b.mean_ttc_s, b.std_ttc_s, b.prob_below)
     assert [r.model for r in rows] == ["a", "b"]  # ordered by name
@@ -167,7 +166,7 @@ def test_summarize_models_identical_samples_identical_rows():
 
 def test_summarize_models_marks_unavailable_rows():
     rows = summarize_models(
-        {"stuck": [Run(math.inf), Run(math.inf)], "ok": [Run(3.0), Run(5.0)]},
+        {"stuck": runs([math.inf, math.inf]), "ok": runs([3.0, 5.0])},
         ttc_crit_s=2.0,
     )
     by_name = {r.model: r for r in rows}

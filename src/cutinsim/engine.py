@@ -393,13 +393,22 @@ def as_float(value: Any) -> float:
 
 class _Lanes:
     """Per-run state of a batched sweep, one array entry per run still
-    stepping. keep(mask) drops the finished runs from every array at once."""
+    stepping, or one float that every run shares. keep(mask) drops the
+    finished runs from every array at once."""
 
-    def __init__(self, **arrays: np.ndarray) -> None:
-        self.__dict__.update(arrays)
+    def __init__(self, **columns: np.ndarray | float) -> None:
+        self.__dict__.update(columns)
 
     def keep(self, mask: np.ndarray) -> None:
-        self.__dict__.update({name: a[mask] for name, a in vars(self).items()})
+        self.__dict__.update(
+            {name: c[mask] for name, c in vars(self).items() if isinstance(c, np.ndarray)}
+        )
+
+
+def _lanes_of(column: np.ndarray | float, s: slice) -> np.ndarray | float:
+    """The entries of a model's slice s of the lanes; a float that every lane
+    shares is its own."""
+    return column[s] if isinstance(column, np.ndarray) else column
 
 
 def _rerun(out: SweepResult, m: int, index: int, base: ScenarioParams, params: ModelParams) -> None:
@@ -431,26 +440,31 @@ def _run_lanes(
     The lanes come sorted by model, at grid points valid over base. Each
     lane's summary is scattered into out's columns at [model[k], index[k]].
 
-    Each step runs run_closed_loop's step helpers over arrays, so every
-    summary equals the scalar loop's. All lanes are sensed and advanced
-    together; each model steps its own contiguous slice through
-    control_step on ARRAYS. A lane whose step may raise leaves the arrays,
-    and _rerun writes its summary or error text from run_closed_loop on its
-    grid point: one whose other vehicle's plan is non-finite, every lane of a
-    model slice whose control step raised, and one whose next state is
-    non-finite. A lane that collides or reaches the end finishes. Only on a
-    step where some lanes finish or leave are their entries written, the
-    lanes compacted and the model slices found again.
+    Each step runs run_closed_loop's step helpers over ARRAYS, so every
+    summary equals the scalar loop's. The start value of an axis with one
+    value is one float that every lane shares, so the other vehicle's plan
+    and what depends on it alone (its lateral gap on a one-value d_y0 axis)
+    are computed once per step, as in the scalar loop. All lanes are sensed
+    and advanced together; each model steps its own contiguous slice through
+    control_step. A lane whose step may raise leaves the arrays, and _rerun
+    writes its summary or error text from run_closed_loop on its grid point:
+    one whose other vehicle's plan is non-finite, every lane of a model slice
+    whose control step raised, and one whose next state is non-finite. A
+    lane that collides or reaches the end finishes. Only on a step where
+    some lane finishes or may leave (a slice raised, or the one finite
+    screen of the plan and the next state fails) are the lanes that leave
+    found, the entries written, the lanes compacted and the model slices
+    found again.
     """
     n = len(index)
     v_e0, v_o0, d_x0, d_y0 = (
-        np.array([as_float(v) for v in axis])[pos]
+        as_float(axis[0]) if len(axis) == 1 else np.array([as_float(v) for v in axis])[pos]
         for axis, pos in zip(out.grid.axes, np.unravel_index(index, out.grid.shape))
     )
     state = _Lanes(
-        model=model, index=index, v_o0=v_o0, d_x0=d_x0, d_y0=d_y0, x=np.zeros(n), v=v_e0,
-        memory=np.zeros(n), min_gap=np.full(n, math.inf), min_ttc=np.full(n, math.inf),
-        peak_decel=np.full(n, -math.inf),
+        model=model, index=index, v_o0=v_o0, d_x0=d_x0, d_y0=d_y0, x=np.zeros(n),
+        v=np.full(n, v_e0), memory=np.zeros(n), min_gap=np.full(n, math.inf),
+        min_ttc=np.full(n, math.inf), peak_decel=np.full(n, -math.inf),
     )
     models = range(len(out.models))
     bounds = np.searchsorted(state.model, models[1:]).tolist()
@@ -463,23 +477,23 @@ def _run_lanes(
             ox, oy, ov, ovy, gap_long, gap_lat, collided, ttc, closing_ttc = _sense(
                 ARRAYS, base, i * dt, state.x, state.v, state.d_x0, state.v_o0, state.d_y0
             )
-            leave = ~np.isfinite(ox + oy + ov + ovy)
             shape = state.index.shape
-            gap_lat, ov = (  # a value shared by every lane becomes one entry each
-                c if isinstance(c, np.ndarray) else np.full(shape, c) for c in (gap_lat, ov)
-            )
             decel, accel, memory = np.zeros(shape), np.zeros(shape), state.memory.copy()
+            raised = []  # the model slices whose control step raised
             for m, start, stop in zip(models, [0, *bounds], [*bounds, shape[0]]):
                 if start == stop:  # a chunk may hold no lane of this model
                     continue
                 s = slice(start, stop)
-                features = (gap_long[s], gap_lat[s], state.v[s], ov[s], closing_ttc[s])
+                features = (
+                    gap_long[s], _lanes_of(gap_lat, s), state.v[s], _lanes_of(ov, s),
+                    closing_ttc[s],
+                )
                 try:
                     _, decel[s], accel[s], memory[s] = control_step(
                         ARRAYS, out.models[m], params, *features, dt, state.memory[s]
                     )
                 except (CutinSimError, ArithmeticError):
-                    leave[s] = True
+                    raised.append(s)
             # the model ran on every lane; a collision step brakes 0, as
             # run_closed_loop's skipped model does
             n_collided = np.count_nonzero(collided)
@@ -490,13 +504,17 @@ def _run_lanes(
             )
             x, v = advance_axis_xp(ARRAYS, state.x, state.v, accel, dt)
             state.x, state.v, state.memory = x, v, memory
-            nonfinite = ~np.isfinite(accel + x + v)
             # short of the last step, a lane finishes only by colliding and
-            # leaves only by raising or going non-finite
-            if i < n_steps and not (
-                n_collided or np.count_nonzero(leave) or np.count_nonzero(nonfinite)
-            ):
+            # leaves only by raising or going non-finite. One screen covers
+            # both sums: theirs is finite only where each of them is
+            plan, ahead = ox + oy + ov + ovy, accel + x + v
+            n_nonfinite = np.count_nonzero(~np.isfinite(ahead + plan))
+            if i < n_steps and not (n_collided or raised or n_nonfinite):
                 continue
+            leave = np.full(shape, ~np.isfinite(plan))
+            for s in raised:
+                leave[s] = True
+            nonfinite = ~np.isfinite(ahead)
             done = collided | (i == n_steps)
             leave |= ~done & nonfinite
             done &= ~leave

@@ -55,6 +55,14 @@ def _pick_min(a, b):
     return np.where(b < a, b, a)
 
 
+def _where(c, a, b):
+    """np.where(c, a, b); on one bool condition, the operand it selects, as
+    it is: no broadcast, no type promotion."""
+    if type(c) is bool:
+        return a if c else b
+    return np.where(c, a, b)
+
+
 def _square_float(base: float, where: bool) -> float:
     """base * base; an OverflowError where `where` holds and the square of a
     finite base is infinite, as Python's base ** 2 raises."""
@@ -80,6 +88,10 @@ def _square(base: np.ndarray, where: np.ndarray) -> np.ndarray:
 # OverflowError where `where` holds and Python's base ** 2 would;
 # `zeros(like, kind)` is a 0 of type kind (int or float) in the shape of
 # like; `count(mask)` is how many entries of mask hold, truthy where any does.
+# An ARRAYS operand may also be a float that every entry shares, such as a
+# lateral gap that depends only on the time and one start offset: each
+# operation on it is the float form's, and its comparisons give one bool,
+# on which ARRAYS' where selects a or b as it is, as FLOATS' does.
 # A formula over them computes every branch that some entry takes and
 # selects the taken one, so that both forms do the same IEEE operations in
 # the same order. A rarely taken branch sits behind `if xp.count(mask):` on
@@ -99,7 +111,7 @@ FLOATS = SimpleNamespace(
     count=bool,
 )
 ARRAYS = SimpleNamespace(
-    where=np.where,
+    where=_where,
     pick_max=_pick_max,
     pick_min=_pick_min,
     square=_square,

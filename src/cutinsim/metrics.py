@@ -29,7 +29,11 @@ def ttc_xp(xp, gap_long_m, closing_mps):
     closing = closing_mps > CLOSING_SPEED_FLOOR_MPS
     # the divisor is 1.0 where it is not taken, so the float form never divides by 0
     ratio = gap_long_m / xp.where(closing, closing_mps, 1.0)
-    return xp.where(gap_long_m < 0.0, 0.0, xp.where(closing, ratio, math.inf))
+    ttc_s = xp.where(closing, ratio, math.inf)
+    overlapping = gap_long_m < 0.0
+    if xp.count(overlapping):  # where no gap is negative, no 0 is selected
+        ttc_s = xp.where(overlapping, 0.0, ttc_s)
+    return ttc_s
 
 
 def ttc(gap_long_m: float, closing_mps: float) -> float:

@@ -174,16 +174,21 @@ def control_step(
     With kinematics.FLOATS the features, memory and results are Python
     numbers. With kinematics.ARRAYS the features and memory are float64 arrays,
     one entry per run, dt_s a float, and each entry equals the float form's
-    values bit for bit; run it under np.errstate(all="ignore"). Where the
+    values bit for bit; run it under np.errstate(all="ignore"). gap_lat_m
+    and v_other_mps may also be one float that every run shares, as the
+    engine passes them where they depend only on the time and one-value
+    start axes; a result that depends on them alone (rba's code where no
+    run clears its lateral gate) is then one value for every run. Where the
     float form raises for some entry the array form raises a CutinSimError
     that does not say which entry; engine.sweep reruns every run of the call
     through run_closed_loop for the scalar error.
 
     Every branch that some entry takes is computed and the taken one
     selected by xp.where, so both forms do the same IEEE operations in the
-    same order; rba's saturation count is updated only where xp.count finds
-    some entry saturating or carrying a count, since otherwise every count
-    stays 0. No branch may raise
+    same order; rba's longitudinal tests run only where xp.count finds some
+    entry clearing the lateral gate, since otherwise no entry selects them,
+    and its saturation count is updated only where some entry saturates or
+    carries a count, since otherwise every count stays 0. No branch may raise
     where it is not taken: every divisor is a parameter validated positive,
     dt_s, or idm's gap, which is 1.0 where its law does not run; and a
     square raises only where its mask holds. The step takes no power: rss's
@@ -196,19 +201,21 @@ def control_step(
         p = params.rba
         # the check: lateral clearance AND (a gap over the speed-adjusted safe
         # distance OR a stopping-time margin: gap / dv over dv / (2 a_max) +
-        # reaction time + time margin); a non-closing pair passes the margin
-        dv = v_ego_mps - v_other_mps
-        margin_s = dv / (2.0 * p.a_max_mps2) + p.t_react_s + p.time_margin_s
-        margin_pass = (dv < CLOSING_SPEED_FLOOR_MPS) | (ttc_s > margin_s)
-        code = where(
-            gap_lat_m > p.d_lat_safe_m,
-            where(
+        # reaction time + time margin); a non-closing pair passes the margin.
+        # Where no entry clears laterally, none selects the longitudinal
+        # code, so its tests are skipped
+        lateral_ok = gap_lat_m > p.d_lat_safe_m
+        longitudinal = LATERAL_FAIL
+        if xp.count(lateral_ok):
+            dv = v_ego_mps - v_other_mps
+            margin_s = dv / (2.0 * p.a_max_mps2) + p.t_react_s + p.time_margin_s
+            margin_pass = (dv < CLOSING_SPEED_FLOOR_MPS) | (ttc_s > margin_s)
+            longitudinal = where(
                 gap_long_m > p.d_safe_m + p.headway_gain_s * v_ego_mps,
                 SAFE,
                 where(margin_pass, MARGIN_PASS, LONGITUDINAL_FAIL),
-            ),
-            LATERAL_FAIL,
-        )
+            )
+        code = where(lateral_ok, longitudinal, LATERAL_FAIL)
         safe = code <= MARGIN_PASS
         # the braking law, once unsafe: the larger normalized distance or TTC
         # shortfall (an infinite TTC gives -inf) times a_max, clamped to

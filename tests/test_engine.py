@@ -508,6 +508,48 @@ def test_chunking_changes_no_byte(case):
         assert results_bytes(chunked) == results_bytes(whole)
 
 
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+@pytest.mark.parametrize("axis", range(4))
+def test_a_one_value_axis_steps_each_lane_as_the_value_repeated_does(kind, axis, monkeypatch):
+    # one value on a start axis is a float that every lane shares; the same
+    # value twice is an array entry per lane. Each lane gets the same bits,
+    # also where lanes collide, stop, leave and raise
+    following = kind == "car_following"
+    base = cutin(kind=kind, d_y0=0.0 if following else 3.75, lc_start=0.0, lc_dur=1.0,
+                 duration=6.0, profile=((3.0, 0.0),) if following else ())
+    axes = [(10.0, 30.0), (10.0, 25.0), (5.0, 40.0), (0.0, -0.0) if following else (0.0, 3.75)]
+    values = [(0.0, 30.0, 1e306), (10.0, 1e308), (5.0, 40.0, 0.0),
+              (0.0,) if following else (0.0, 3.75, 1e308)][axis]
+    sense = engine._sense
+    plan_inputs = []
+
+    def spy(xp, p, t, x, v, d_x0, v_o0, d_y0):
+        if xp is ARRAYS:  # the batch, not a rerun's scalar loop
+            plan_inputs.append((None, type(v_o0), type(d_x0), type(d_y0)))  # in axis order
+        return sense(xp, p, t, x, v, d_x0, v_o0, d_y0)
+
+    monkeypatch.setattr(engine, "_sense", spy)
+
+    def outcomes(repeat):
+        """Each (model, point)'s outcome reprs, and the types of the plan's
+        start inputs."""
+        plan_inputs.clear()
+        grid = SweepGrid(*(axes[:axis] + [(value,) * repeat] + axes[axis + 1:]))
+        rows = entries(sweep(grid, MODEL_NAMES, base))
+        by_lane = {}
+        for model, _, point, outcome in rows:
+            by_lane.setdefault((model, point), set()).add(repr(outcome))
+        return by_lane, set(plan_inputs)
+
+    for value in values:
+        shared, shared_types = outcomes(1)
+        repeated, repeated_types = outcomes(2)
+        assert shared == repeated, value
+        if axis and shared_types:  # v_e0 starts the ego's state, one entry per lane
+            assert {types[axis] for types in shared_types} == {float}
+            assert {types[axis] for types in repeated_types} == {np.ndarray}
+
+
 def test_a_sweep_whose_runs_raise_nothing_reruns_no_lane(monkeypatch):
     # the scalar loop is only the fallback for a lane whose step may raise
     reruns = []

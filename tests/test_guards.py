@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from cutinsim import engine
 from cutinsim.engine import ScenarioParams, SweepGrid, sweep
+from cutinsim.errors import CutinSimError
 from cutinsim.kinematics import ARRAYS, FLOATS, advance_axis_xp
-from cutinsim.metrics import ttc_xp
-from cutinsim.safety_models import ModelParams, RbaParams, control_step
+from cutinsim.metrics import CLOSING_SPEED_FLOOR_MPS, ttc_xp
+from cutinsim.safety_models import MODEL_NAMES, ModelParams, RbaParams, control_step
 from sweep_entries import entries, reprs, scalar_sweep
 
 TINY = 5e-324
@@ -133,6 +134,32 @@ def test_sense_skips_the_alongside_selection_with_no_value_changed(case):
     ]
 
 
+# --- metrics.ttc_xp: the 0 of a negative gap, where some gap is negative
+
+closing_speeds = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.sampled_from((0.0, -0.0, TINY, CLOSING_SPEED_FLOOR_MPS, math.inf, math.nan)),
+)
+negative_gaps = st.tuples(
+    st.one_of(st.floats(-1e3, -TINY), st.sampled_from((-TINY, -math.inf))), closing_speeds
+)
+other_gaps = st.tuples(
+    st.one_of(st.floats(0.0, 1e3), st.sampled_from((0.0, -0.0, TINY, math.inf, math.nan))),
+    closing_speeds,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches(negative_gaps, other_gaps))
+def test_ttc_skips_the_negative_gap_selection_with_no_value_changed(pairs):
+    gaps, closing = (np.array(column) for column in zip(*pairs))
+    with np.errstate(all="ignore"):
+        out = ttc_xp(ARRAYS, gaps, closing)
+    assert [repr(value) for value in out.tolist()] == [
+        repr(ttc_xp(FLOATS, *pair)) for pair in pairs
+    ]
+
+
 # --- kinematics' square: the overflow check, where some square is infinite
 
 ROOT_MAX = math.sqrt(sys.float_info.max)
@@ -224,6 +251,59 @@ def test_rba_skips_its_count_update_with_no_value_changed(dt, rows):
     assert entry_reprs(out, len(rows)) == [rba_float(row, dt) for row in rows]
 
 
+# --- rba's longitudinal tests, where some entry clears the lateral gate
+
+clearing = st.floats(RBA.rba.d_lat_safe_m, 5.0, exclude_min=True)
+not_clearing = st.one_of(
+    st.floats(-3.0, RBA.rba.d_lat_safe_m),
+    st.sampled_from((RBA.rba.d_lat_safe_m, 0.0, -0.0, math.nan)),
+)
+steps_between = st.sampled_from((0.025, 0.05, 0.2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps_between,
+    batches(rba_rows(gaps_long, clearing, st.integers(0, 7)),
+            rba_rows(gaps_long, not_clearing, st.integers(0, 7))),
+)
+def test_rba_skips_its_longitudinal_tests_with_no_value_changed(dt, rows):
+    columns = [np.array(column, dtype=float) for column in zip(*rows)]
+    with np.errstate(all="ignore"):
+        out = control_step(ARRAYS, "rba", RBA, *columns[:5], dt, columns[5])
+    assert entry_reprs(out, len(rows)) == [rba_float(row, dt) for row in rows]
+
+
+def step_or_raise(name, gap_long, gap_lat, v_ego, v_other, ttc, dt, memory):
+    """control_step on ARRAYS as entry reprs, or the name of what it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = control_step(ARRAYS, name, RBA, gap_long, gap_lat, v_ego, v_other, ttc, dt,
+                               memory)
+    except CutinSimError as exc:
+        return type(exc).__name__
+    return entry_reprs(out, len(memory))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    steps_between,
+    st.one_of(clearing, not_clearing),
+    st.floats(0.0, 35.0),
+    st.lists(rba_rows(gaps_long, st.just(0.0), st.integers(0, 7)), min_size=1, max_size=8),
+)
+def test_a_shared_lateral_gap_and_speed_as_floats_step_as_full_arrays(dt, gap_lat, v_other, rows):
+    # the engine hands every law the lateral gap, and the other vehicle's
+    # speed, as one float where every lane shares it
+    gap_long, _, v_ego, _, ttc, memory = (np.array(c, dtype=float) for c in zip(*rows))
+    n = len(rows)
+    for name in MODEL_NAMES:
+        shared = step_or_raise(name, gap_long, gap_lat, v_ego, v_other, ttc, dt, memory)
+        full = step_or_raise(name, gap_long, np.full(n, gap_lat), v_ego, np.full(n, v_other),
+                             ttc, dt, memory)
+        assert shared == full, name
+
+
 # --- a quiet batch makes no selection for a guarded branch -----------------
 
 
@@ -256,13 +336,14 @@ def test_a_batch_that_takes_no_guarded_branch_makes_no_selection_for_one():
         ttc_xp(spy, gap_long, v - v_o0)
         assert n_sense == len(calls)  # only the closing TTC's own
 
-        # a lane that stops, and a lane alongside, take the guarded branches
+        # a lane that stops, and a lane alongside, take the guarded branches:
+        # alongside, ttc_xp's 0 of a negative gap and _sense's recorded TTC
         calls.clear()
         advance_axis_xp(spy, x, v, np.full(5, -20.0), 0.05)
         assert len(calls) == 2
         calls.clear()
         engine._sense(spy, p, 0.0, np.array([0.0, 0.0, 0.0, 0.0, 103.0]), v, d_x0, v_o0, d_y0)
-        assert len(calls) == n_sense + 1
+        assert len(calls) == n_sense + 2
 
 
 def test_a_lane_that_goes_non_finite_leaves_on_that_step_when_no_other_lane_ends():

@@ -94,6 +94,18 @@ def test_float_and_array_advance_agree_bit_for_bit(lanes, dt):
     assert repr(list(zip(pos.tolist(), vel.tolist()))) == repr(expected)  # -0.0 counts
 
 
+@pytest.mark.parametrize("c", (True, False))
+def test_arrays_where_on_one_bool_selects_the_operand_np_where_would(c):
+    # a condition that every entry shares selects its operand as it is
+    a, b = np.array([1.5, -0.0, math.nan]), np.array([0.0, math.inf, -2.0])
+    for x, y in ((a, b), (a, 2.5), (-0.0, b), (math.nan, -0.0)):
+        got = ARRAYS.where(c, x, y)
+        assert got is (x if c else y)
+        assert repr(np.broadcast_to(got, (3,)).tolist()) == repr(
+            np.broadcast_to(np.where(c, x, y), (3,)).tolist()
+        )
+
+
 # Where a square reaches float range: sqrt(max) and two neighbours on each side
 ROOT_MAX = math.sqrt(sys.float_info.max)
 _UP, _DOWN = math.nextafter(ROOT_MAX, math.inf), math.nextafter(ROOT_MAX, 0.0)

@@ -32,9 +32,8 @@ EXIT_COLLISION = 2
 def _load(path: str, model_override: str | None = None) -> config_mod.RunConfig:
     cfg = config_mod.load_config(path)
     if model_override is not None:
-        cfg = dataclasses.replace(
-            cfg, model=config_mod._check_model_name(model_override, "model")
-        )
+        engine.check_models([model_override], "model")
+        cfg = dataclasses.replace(cfg, model=model_override)
     return cfg
 
 

@@ -12,7 +12,7 @@ from .engine import ScenarioParams, SweepGrid, check_finite, check_models
 from .errors import ConfigError
 from .kinematics import VehicleDims
 from .risk import DEFAULT_TTC_CRIT_S
-from .safety_models import MODEL_NAMES, ModelParams, RbaParams
+from .safety_models import ModelParams, RbaParams
 
 SCHEMA_VERSION = 1
 
@@ -141,15 +141,6 @@ def _parse_model_params(data: Any, rba_overrides: Any) -> ModelParams:
     return ModelParams(**kwargs)
 
 
-def _check_model_name(name: Any, key: str) -> str:
-    if name not in MODEL_NAMES:
-        raise ConfigError(
-            f"{key}: {name!r} is not a registered model (choose from {MODEL_NAMES})",
-            key=key,
-        )
-    return name
-
-
 def check_ttc_crit(value: Any) -> Any:
     """Return value if it is a finite positive number; otherwise a
     ConfigError naming risk.ttc_crit_s."""
@@ -172,7 +163,8 @@ def parse_config(raw: Mapping[str, Any]) -> RunConfig:
         raise ConfigError("missing required key 'scenario'", key="scenario")
     scenario = _parse_scenario(raw["scenario"], raw.get("dims", {}))
 
-    model = _check_model_name(raw.get("model", "rba"), "model")
+    model = raw.get("model", "rba")
+    check_models([model], "model")
     models_raw = raw.get("models", [model])
     if not isinstance(models_raw, (list, tuple)):
         raise ConfigError("models must be a nonempty list", key="models")

@@ -16,7 +16,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, CutinSimError
+from .errors import ConfigError
 from .kinematics import (
     ARRAYS,
     FLOATS,
@@ -57,20 +57,20 @@ def check_finite(value: Any, key: str) -> Any:
     return value
 
 
-def check_models(models: Sequence[str]) -> None:
-    """A ConfigError on key models unless models names at least one
-    registered model, each once."""
+def check_models(models: Sequence[str], key: str = "models") -> None:
+    """A ConfigError on key unless models names at least one registered
+    model, each once."""
     for name in models:
         if name not in MODEL_NAMES:
             raise ConfigError(
-                f"models: {name!r} is not a registered model (choose from {MODEL_NAMES})",
-                key="models",
+                f"{key}: {name!r} is not a registered model (choose from {MODEL_NAMES})",
+                key=key,
             )
     if not models:
-        raise ConfigError("models must be a nonempty list", key="models")
+        raise ConfigError(f"{key} must be a nonempty list", key=key)
     for i, name in enumerate(models):
         if name in models[:i]:
-            raise ConfigError(f"models lists {name!r} more than once", key="models")
+            raise ConfigError(f"{key} lists {name!r} more than once", key=key)
 
 
 @dataclass(frozen=True)
@@ -446,15 +446,14 @@ def _run_lanes(
     and what depends on it alone (its lateral gap on a one-value d_y0 axis)
     are computed once per step, as in the scalar loop. All lanes are sensed
     and advanced together; each model steps its own contiguous slice through
-    control_step. A lane whose step may raise leaves the arrays, and _rerun
-    writes its summary or error text from run_closed_loop on its grid point:
-    one whose other vehicle's plan is non-finite, every lane of a model slice
-    whose control step raised, and one whose next state is non-finite. A
-    lane that collides or reaches the end finishes. Only on a step where
-    some lane finishes or may leave (a slice raised, or the one finite
-    screen of the plan and the next state fails) are the lanes that leave
-    found, the entries written, the lanes compacted and the model slices
-    found again.
+    control_step, whose step never raises. A lane leaves the arrays where
+    run_closed_loop's require_finite would stop it: where its other
+    vehicle's plan or its next state is non-finite. _rerun then writes its
+    summary or error text from run_closed_loop on its grid point. A lane
+    that collides or reaches the end finishes. Only on a step where some
+    lane finishes or may leave (the one finite screen of the plan and the
+    next state fails) are the lanes that leave found, the entries written,
+    the lanes compacted and the model slices found again.
     """
     n = len(index)
     v_e0, v_o0, d_x0, d_y0 = (
@@ -479,21 +478,14 @@ def _run_lanes(
             )
             shape = state.index.shape
             decel, accel, memory = np.zeros(shape), np.zeros(shape), state.memory.copy()
-            raised = []  # the model slices whose control step raised
             for m, start, stop in zip(models, [0, *bounds], [*bounds, shape[0]]):
                 if start == stop:  # a chunk may hold no lane of this model
                     continue
                 s = slice(start, stop)
-                features = (
-                    gap_long[s], _lanes_of(gap_lat, s), state.v[s], _lanes_of(ov, s),
-                    closing_ttc[s],
+                _, decel[s], accel[s], memory[s] = control_step(
+                    ARRAYS, out.models[m], params, gap_long[s], _lanes_of(gap_lat, s), state.v[s],
+                    _lanes_of(ov, s), closing_ttc[s], dt, state.memory[s],
                 )
-                try:
-                    _, decel[s], accel[s], memory[s] = control_step(
-                        ARRAYS, out.models[m], params, *features, dt, state.memory[s]
-                    )
-                except (CutinSimError, ArithmeticError):
-                    raised.append(s)
             # the model ran on every lane; a collision step brakes 0, as
             # run_closed_loop's skipped model does
             n_collided = np.count_nonzero(collided)
@@ -505,18 +497,14 @@ def _run_lanes(
             x, v = advance_axis_xp(ARRAYS, state.x, state.v, accel, dt)
             state.x, state.v, state.memory = x, v, memory
             # short of the last step, a lane finishes only by colliding and
-            # leaves only by raising or going non-finite. One screen covers
-            # both sums: theirs is finite only where each of them is
+            # leaves only by going non-finite. One screen covers both sums:
+            # theirs is finite only where each of them is
             plan, ahead = ox + oy + ov + ovy, accel + x + v
             n_nonfinite = np.count_nonzero(~np.isfinite(ahead + plan))
-            if i < n_steps and not (n_collided or raised or n_nonfinite):
+            if i < n_steps and not (n_collided or n_nonfinite):
                 continue
-            leave = np.full(shape, ~np.isfinite(plan))
-            for s in raised:
-                leave[s] = True
-            nonfinite = ~np.isfinite(ahead)
             done = collided | (i == n_steps)
-            leave |= ~done & nonfinite
+            leave = ~np.isfinite(plan) | (~done & ~np.isfinite(ahead))
             done &= ~leave
             ended = done | leave
             at = state.model[done], state.index[done]
@@ -562,7 +550,8 @@ def sweep(
     columns, or an error row when its scenario or run raises: an invalid
     point's text comes from replace on the whole point, as for every model.
     """
-    check_models(models)  # _run_lanes slices its lanes by model
+    # _run_lanes slices its lanes by model, and a registered model's step never raises
+    check_models(models)
     out = SweepResult.empty(grid, models)
     valid = _valid_points(grid, base)
     for index in np.flatnonzero(~valid).tolist():

@@ -63,31 +63,10 @@ def _where(c, a, b):
     return np.where(c, a, b)
 
 
-def _square_float(base: float, where: bool) -> float:
-    """base * base; an OverflowError where `where` holds and the square of a
-    finite base is infinite, as Python's base ** 2 raises."""
-    out = base * base
-    if out == math.inf and where and math.isfinite(base):
-        raise OverflowError("square out of float range")
-    return out
-
-
-def _square(base: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """_square_float entry by entry: base * base, raising where any entry
-    under `where` overflows."""
-    out = base * base
-    overflow = np.isinf(out)
-    if np.count_nonzero(overflow) and (overflow & where & np.isfinite(base)).any():
-        raise OverflowError("square out of float range")
-    return out
-
-
 # The operations the step is written in: `where(c, a, b)` selects,
 # `pick_max(a, b)` and `pick_min(a, b)` are max(a, b) and min(a, b), which
-# keep a on a tie, `square(base, where)` is base * base, raising
-# OverflowError where `where` holds and Python's base ** 2 would;
-# `zeros(like, kind)` is a 0 of type kind (int or float) in the shape of
-# like; `count(mask)` is how many entries of mask hold, truthy where any does.
+# keep a on a tie, `zeros(like, kind)` is a 0 of type kind (int or float) in
+# the shape of like; `count(mask)` is how many entries of mask hold, truthy where any does.
 # An ARRAYS operand may also be a float that every entry shares, such as a
 # lateral gap that depends only on the time and one start offset: each
 # operation on it is the float form's, and its comparisons give one bool,
@@ -96,17 +75,17 @@ def _square(base: np.ndarray, where: np.ndarray) -> np.ndarray:
 # selects the taken one, so that both forms do the same IEEE operations in
 # the same order. A rarely taken branch sits behind `if xp.count(mask):` on
 # the mask of its takers: both forms skip it under the same condition, and
-# only where no entry would select it, so no value changes. No branch may
-# raise where it is not taken, and the array form runs under
-# np.errstate(all="ignore"). The step takes no power: + - * /, comparisons
-# and selections are correctly rounded in both forms, so neither depends on
-# the platform's libm.
+# only where no entry would select it, so no value changes. Nothing in the
+# step raises: no float-form division is by 0, a value past float range is
+# inf or nan in both forms, and the array form runs under
+# np.errstate(all="ignore"). The step takes no power:
+# + - * /, comparisons and selections are correctly rounded in both forms,
+# so neither depends on the platform's libm.
 FLOATS = SimpleNamespace(
     where=lambda c, a, b: a if c else b,
     # max and min without the builtins' call cost
     pick_max=lambda a, b: b if b > a else a,
     pick_min=lambda a, b: b if b < a else a,
-    square=_square_float,
     zeros=lambda like, kind: kind(),
     count=bool,
 )
@@ -114,7 +93,6 @@ ARRAYS = SimpleNamespace(
     where=_where,
     pick_max=_pick_max,
     pick_min=_pick_min,
-    square=_square,
     zeros=lambda like, kind: np.zeros(like.shape, kind),
     count=np.count_nonzero,
 )

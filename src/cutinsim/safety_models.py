@@ -178,23 +178,20 @@ def control_step(
     and v_other_mps may also be one float that every run shares, as the
     engine passes them where they depend only on the time and one-value
     start axes; a result that depends on them alone (rba's code where no
-    run clears its lateral gate) is then one value for every run. Where the
-    float form raises for some entry the array form raises a CutinSimError
-    that does not say which entry; engine.sweep reruns every run of the call
-    through run_closed_loop for the scalar error.
+    run clears its lateral gate) is then one value for every run.
 
     Every branch that some entry takes is computed and the taken one
     selected by xp.where, so both forms do the same IEEE operations in the
     same order; rba's longitudinal tests run only where xp.count finds some
     entry clearing the lateral gate, since otherwise no entry selects them,
     and its saturation count is updated only where some entry saturates or
-    carries a count, since otherwise every count stays 0. No branch may raise
-    where it is not taken: every divisor is a parameter validated positive,
-    dt_s, or idm's gap, which is 1.0 where its law does not run; and a
-    square raises only where its mask holds. The step takes no power: rss's
-    reach and idm's interaction term are squares, and idm's free-road term
-    (v / v_desired) ** 4, with the IDM paper's exponent 4, is the square of a
-    square, all products in both forms.
+    carries a count, since otherwise every count stays 0. A registered
+    model's step never raises: every divisor is a parameter validated
+    positive, dt_s, or idm's gap, which is 1.0 where its law does not run,
+    and a value past float range is inf or nan in both forms. The step takes
+    no power: rss's reach and idm's interaction term are squares, and idm's
+    free-road term (v / v_desired) ** 4, with the IDM paper's exponent 4, is
+    the square of a square, all products in both forms.
     """
     where, pick_max, pick_min = xp.where, xp.pick_max, xp.pick_min
     if name == "rba":
@@ -249,16 +246,11 @@ def control_step(
         p = params.rss
         in_lane = where(lateral_clear, False, True)
         rho = p.response_time_s
-        try:
-            reach = xp.square(v_ego_mps + rho * p.accel_max_response_mps2, in_lane)
-        except OverflowError:
-            raise InvalidInputError(
-                f"rss minimum gap overflows at v_ego_mps={v_ego_mps!r}"
-            ) from None
+        r = v_ego_mps + rho * p.accel_max_response_mps2
         min_gap = (
             v_ego_mps * rho
             + 0.5 * p.accel_max_response_mps2 * rho * rho
-            + reach / (2.0 * p.ego_brake_min_mps2)
+            + r * r / (2.0 * p.ego_brake_min_mps2)
             - v_other_mps * v_other_mps / (2.0 * p.other_brake_max_mps2)
         )
         unsafe = in_lane & (gap_long_m < pick_max(min_gap, 0.0))
@@ -303,14 +295,10 @@ def control_step(
             + v_ego_mps * p.time_headway_s
             + v_ego_mps * rel / (2.0 * math.sqrt(p.a_max_mps2 * p.b_comfort_mps2))
         )
-        try:
-            free_road = xp.square(xp.square(v_ego_mps / p.v_desired_mps, law), law)
-            interaction = xp.square(s_star / gap, law)
-        except OverflowError:
-            raise InvalidInputError(
-                f"idm acceleration overflows at v_mps={v_ego_mps!r}, gap_m={gap!r}"
-            ) from None
-        a = p.a_max_mps2 * (1.0 - free_road - interaction)
+        x = v_ego_mps / p.v_desired_mps
+        x2 = x * x
+        q = s_star / gap
+        a = p.a_max_mps2 * (1.0 - x2 * x2 - q * q)
         accel = where(law, pick_max(a, floor), floor)
         coasting = accel >= 0.0
         return (

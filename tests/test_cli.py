@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -9,10 +10,11 @@ from dataclasses import replace
 
 import pytest
 
+from cutinsim import cli
 from cutinsim.cli import main
 from cutinsim.config import config_hash, load_config, parse_config, resolved_dict
 from cutinsim.engine import run_closed_loop
-from cutinsim.errors import ConfigError, InvalidInputError
+from cutinsim.errors import ConfigError
 from cutinsim.kinematics import VehicleDims
 from cutinsim.reports import fmt_float, read_comparison_store
 from sweep_entries import classification
@@ -78,6 +80,23 @@ def test_unknown_model_names_the_offender(tmp_path, capsys):
     code = main(["one-case", "--config", cfg, "--model", "bogus", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_one_case_with_an_unregistered_model_override_is_a_config_error_on_key_model(
+    tmp_path, capsys
+):
+    cfg = write_config(tmp_path, model="rba")
+    code = main(["one-case", "--config", cfg, "--model", "bogus", "--out", str(tmp_path / "o")])
+    message = (
+        "model: 'bogus' is not a registered model (choose from "
+        "('rba', 'rss', 'reg157', 'cc_human', 'fsm', 'idm', 'none'))"
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(ConfigError) as exc:
+        cli._load(cfg, "bogus")
+    assert (str(exc.value), exc.value.key) == (message, "model")
 
 
 def test_bad_config_key_names_the_offender(tmp_path, capsys):
@@ -448,35 +467,36 @@ def test_sweep_point_with_a_non_finite_state_is_an_error_row(tmp_path, capsys):
                 assert row[10] == "" and "nan" not in row, row
 
 
-# A speed at which a model's power overflows: idm's (v / v_desired) ** 4,
-# rss's (v + rho a) ** 2.
-OVERFLOWING_STEP = {"idm": "v_mps=1e+306", "rss": "v_ego_mps=1e+306"}
+# A speed at which a model's square overflows to inf: idm's (v / v_desired) ** 4,
+# rss's (v + rho a) ** 2. Each model still brakes at its 4.0 m/s².
+OVERFLOWING_SQUARE = ("idm", "rss")
 
 
-@pytest.mark.parametrize("model", OVERFLOWING_STEP)
-def test_one_case_with_an_overflowing_model_step_is_an_input_error(tmp_path, capsys, model):
+@pytest.mark.parametrize("model", OVERFLOWING_SQUARE)
+def test_one_case_where_a_models_square_overflows_is_a_result(tmp_path, capsys, model):
     cfg = write_config(tmp_path, scenario={**SCENARIO, "v_e0": 1e306}, model=model)
-    code = main(["one-case", "--config", cfg, "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "overflows" in err and OVERFLOWING_STEP[model] in err
-    assert "Traceback" not in err
+    out = tmp_path / "o"
+    assert main(["one-case", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "trace.csv", newline="") as fh:
+        assert max(float(row["decel_cmd"]) for row in csv.DictReader(fh)) == 4.0
 
 
-def test_sweep_point_with_an_overflowing_model_step_is_the_scalar_error_row(tmp_path):
+def test_sweep_point_where_a_models_square_overflows_is_the_scalar_result_row(tmp_path):
     cfg = write_config(
-        tmp_path, models=list(OVERFLOWING_STEP),
+        tmp_path, models=list(OVERFLOWING_SQUARE),
         sweep={"v_e0": [1e306, 25.0], "v_o0": [20.0], "d_x0": [30.0], "d_y0": [3.75]},
     )
     out = tmp_path / "cmp"
     assert main(["comparison", "--config", cfg, "--out", str(out)]) == 0
     run_cfg = parse_config(json.loads(open(cfg).read()))
-    for model in OVERFLOWING_STEP:
+    for model in OVERFLOWING_SQUARE:
         rows = [line.split(",") for line in (out / f"results_{model}.csv").read_text().splitlines()[1:]]
-        with pytest.raises(InvalidInputError) as exc:
-            run_closed_loop(replace(run_cfg.scenario, v_e0_mps=1e306), model)
-        scalar = f"InvalidInputError: {exc.value}".replace(",", ";")
-        assert rows[0][10] == scalar and OVERFLOWING_STEP[model] in scalar
+        r = run_closed_loop(replace(run_cfg.scenario, v_e0_mps=1e306), model)
+        assert r.peak_decel_mps2 == 4.0
+        assert (rows[0][5], rows[0][6], rows[0][9], rows[0][10]) == (
+            "1" if r.collided else "0", fmt_float(r.min_ttc_s), classification(r), ""
+        )
         assert rows[1][10] == ""
 
 

@@ -62,6 +62,16 @@ def test_each_config_check_names_its_key(tmp_path, text, key, message):
     assert exc.value.key == key
 
 
+def test_an_unregistered_model_name_is_a_config_error_on_key_model():
+    with pytest.raises(ConfigError) as exc:
+        parse_config({**BASE, "model": "bogus"})
+    assert str(exc.value) == (
+        "model: 'bogus' is not a registered model (choose from "
+        "('rba', 'rss', 'reg157', 'cc_human', 'fsm', 'idm', 'none'))"
+    )
+    assert exc.value.key == "model"
+
+
 def _key_paths(node, prefix=()):
     for key, value in node.items():
         yield prefix + (key,)

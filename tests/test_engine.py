@@ -647,12 +647,12 @@ def test_batched_sweep_equals_the_scalar_loop_where_runs_collide_stop_and_raise(
     rows = entries(sweep(grid, MODEL_NAMES, base))
     assert reprs(rows) == reprs(scalar_sweep(grid, MODEL_NAMES, base, ModelParams()))
     errors = [outcome for *_, outcome in rows if isinstance(outcome, str)]
-    for message in (
-        "InvalidInputError: pos_long_m must be finite",  # the other vehicle, or the ego
-        "InvalidInputError: idm acceleration overflows",
-        "InvalidInputError: rss minimum gap overflows",
-    ):
-        assert any(error.startswith(message) for error in errors), message
+    message = "InvalidInputError: pos_long_m must be finite"  # the other vehicle, or the ego
+    assert any(error.startswith(message) for error in errors), message
+    # no step raises: where idm's and rss's squares overflow, both brake at 4.0 m/s²
+    huge = [outcome for model, _, point, outcome in rows
+            if model in ("idm", "rss") and point[:2] == (1e306, 10.0) and valid(base, point)]
+    assert huge and all(not isinstance(outcome, str) and outcome[3] == 4.0 for outcome in huge)
     assert any(outcome[0] is True for *_, outcome in rows)
     if kind == "car_following":  # the lead stops at 3 s; reg157 brakes the ego to a standstill
         run = run_closed_loop(at_point(base, (10.0, 10.0, 5.0, 0.0)), "reg157")
@@ -673,9 +673,34 @@ def test_idm_params_reject_an_acceleration_product_that_underflows():
     assert raised.value.key == "model_params.idm"
 
 
+# Two ego speeds on each side of the one where a model's square first
+# overflows to inf: idm's free-road term ((v / v_desired)²)², rss's reach
+# (v + rho a)².
+def _square(x):
+    return x * x
+
+
+SQUARE_EDGES = {
+    "idm": ((3e78, 1e79), lambda v: _square(_square(v / 30.0))),
+    "rss": ((1.3e154, 1.4e154), lambda v: _square(v + 1.5)),
+}
+
+
+@pytest.mark.parametrize("model", SQUARE_EDGES)
+def test_braking_is_continuous_where_a_models_square_overflows(model):
+    speeds, square = SQUARE_EDGES[model]
+    assert [math.isinf(square(v)) for v in speeds] == [False, True]
+    base = load_config(os.path.join(CONFIGS, "cutin.json")).scenario
+    grid = SweepGrid(v_e0_mps=speeds, v_o0_mps=(20.0,), d_x0_m=(30.0,), d_y0_m=(3.75,))
+    rows = entries(sweep(grid, [model], base))
+    assert reprs(rows) == reprs(scalar_sweep(grid, [model], base, ModelParams()))
+    for *_, outcome in rows:  # both loops give a result braking at the model's 4.0 m/s²
+        assert not isinstance(outcome, str) and outcome[3] == 4.0, outcome
+
+
 def test_batched_sweep_equals_the_scalar_loop_where_the_ego_position_overflows():
     # at 1.7e308 m/s the ego's position passes float range within the run,
-    # before rss sees the other vehicle in its lane; idm's power overflows first
+    # before rss sees the other vehicle in its lane; idm's acceleration is nan first
     grid = SweepGrid(v_e0_mps=(20.0, 1.7e308), v_o0_mps=(10.0,), d_x0_m=(25.0,), d_y0_m=(3.75,))
     base = cutin()
     rows = entries(sweep(grid, MODEL_NAMES, base))
@@ -765,6 +790,87 @@ def test_a_common_speed_offset_leaves_relative_behaviour_unchanged(
         assert swept_b[0] == swept_a[0], model
         assert swept_b[1] == pytest.approx(swept_a[1], abs=1e-6), model
         assert swept_b[3] == pytest.approx(swept_a[3], abs=1e-6), model
+
+
+# A scenario start for the metamorphic properties below: every kind, a lane
+# change at any time, and starts that collide, brake and pass.
+def metamorphic_base(draw):
+    kind = draw(st.sampled_from(SCENARIO_KINDS))
+    return cutin(v_e0=draw(st.floats(0.0, 40.0)), v_o0=draw(st.floats(0.0, 30.0)),
+                 d_x0=draw(st.floats(0.5, 60.0)), d_y0=0.0 if kind == "car_following" else 3.75,
+                 lc_start=draw(st.floats(0.0, 3.0)), kind=kind)
+
+
+def grid_around(base):
+    """Four grid points from base's start, for the batch loop."""
+    return SweepGrid((base.v_e0_mps, base.v_e0_mps + 7.0), (base.v_o0_mps,),
+                     (base.d_x0_m, base.d_x0_m + 15.0), (base.d_y0_m,))
+
+
+# a motorcycle, a car, a van and a truck
+footprints = st.sampled_from((VehicleDims(0.8, 2.2), VehicleDims(1.8, 4.5), VehicleDims(2.0, 5.0),
+                              VehicleDims(2.5, 16.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), footprints, footprints)
+def test_exchanging_the_footprints_changes_no_gap_and_no_summary(data, a, b):
+    # a gap reads the two footprints only through their sum on each axis, so
+    # which vehicle has which footprint changes no bit of any run
+    base = replace(metamorphic_base(data.draw), ego_dims=a, other_dims=b)
+    swapped = replace(base, ego_dims=b, other_dims=a)
+    for model in MODEL_NAMES:
+        assert repr(run_closed_loop(swapped, model)) == repr(run_closed_loop(base, model)), model
+    grid = grid_around(base)
+    assert reprs(entries(sweep(grid, MODEL_NAMES, swapped))) == reprs(
+        entries(sweep(grid, MODEL_NAMES, base))
+    )
+
+
+def batch_ego_positions(grid, models, base, params):
+    """The ego's x after each step of each lane of sweep's batch loop, by
+    (model, grid index)."""
+    positions = {}
+    states = []
+    init, advance = engine._Lanes.__init__, engine.advance_axis_xp
+
+    def spy_init(self, **columns):
+        init(self, **columns)
+        states.append(self)
+
+    def spy_advance(xp, pos, vel, accel, dt):
+        x, v = advance(xp, pos, vel, accel, dt)
+        if xp is ARRAYS:  # the lanes, before the step drops those that end
+            lanes = zip(states[-1].model.tolist(), states[-1].index.tolist(), x.tolist())
+            for m, k, x_k in lanes:
+                positions.setdefault((models[m], k), []).append(x_k)
+        return x, v
+
+    with mock.patch.object(engine._Lanes, "__init__", spy_init), \
+            mock.patch.object(engine, "advance_axis_xp", spy_advance):
+        sweep(grid, models, base, params)
+    return positions
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from((0.0, 3.0)))
+def test_braking_never_puts_the_ego_ahead_of_the_uncontrolled_ego(data, v_min):
+    # every model but idm only brakes, so at each step its ego is at most
+    # where none's is from the same start, over the steps both run
+    base = metamorphic_base(data.draw)
+    params = ModelParams(rba=RbaParams(v_min_mps=v_min))
+    grid = grid_around(base)
+    batch = batch_ego_positions(grid, MODEL_NAMES, base, params)
+    for k, point in enumerate(grid.points()):
+        free = run_closed_loop(at_point(base, point), "none", params).trace.ego_x_m
+        for model in MODEL_NAMES:
+            if model == "idm":
+                continue
+            ego = run_closed_loop(at_point(base, point), model, params).trace.ego_x_m
+            assert all(x <= x_free for x, x_free in zip(ego, free)), (model, point)
+            assert batch[model, k] and all(
+                x <= x_free for x, x_free in zip(batch[model, k], batch.get(("none", k), ()))
+            ), (model, point)
 
 
 def test_classification_rules():

@@ -7,7 +7,6 @@ the branch for every entry, while the float form skips it for the entries
 that do not take it, so the skipped branch is shown to change no value."""
 
 import math
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -158,41 +157,6 @@ def test_ttc_skips_the_negative_gap_selection_with_no_value_changed(pairs):
     assert [repr(value) for value in out.tolist()] == [
         repr(ttc_xp(FLOATS, *pair)) for pair in pairs
     ]
-
-
-# --- kinematics' square: the overflow check, where some square is infinite
-
-ROOT_MAX = math.sqrt(sys.float_info.max)
-overflowing = st.tuples(
-    st.one_of(
-        st.floats(math.nextafter(ROOT_MAX, math.inf), math.inf),
-        st.floats(-math.inf, -math.nextafter(ROOT_MAX, math.inf)),
-    ),
-    st.booleans(),
-)
-in_range = st.tuples(
-    st.one_of(st.floats(-ROOT_MAX, ROOT_MAX), st.sampled_from((-0.0, TINY, math.nan))),
-    st.booleans(),
-)
-
-
-def square_or_raise(xp, base, where):
-    try:
-        return xp.square(base, where)
-    except OverflowError:
-        return "OverflowError"
-
-
-@given(batches(overflowing, in_range))
-def test_square_skips_the_overflow_check_with_no_value_changed(entries):
-    bases, masks = (np.array(column) for column in zip(*entries))
-    expected = [square_or_raise(FLOATS, *entry) for entry in entries]
-    with np.errstate(all="ignore"):
-        out = square_or_raise(ARRAYS, bases, masks)
-    if "OverflowError" in expected:
-        assert out == "OverflowError"
-    else:
-        assert [repr(value) for value in out.tolist()] == [repr(value) for value in expected]
 
 
 # --- rba's saturation count, where some entry saturates or carries a count

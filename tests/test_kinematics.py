@@ -106,77 +106,15 @@ def test_arrays_where_on_one_bool_selects_the_operand_np_where_would(c):
         )
 
 
-# Where a square reaches float range: sqrt(max) and two neighbours on each side
-ROOT_MAX = math.sqrt(sys.float_info.max)
-_UP, _DOWN = math.nextafter(ROOT_MAX, math.inf), math.nextafter(ROOT_MAX, 0.0)
-SQUARE_EDGE = [ROOT_MAX, _UP, math.nextafter(_UP, math.inf), _DOWN, math.nextafter(_DOWN, 0.0)]
-SQUARE_CASES = SQUARE_EDGE + [-x for x in SQUARE_EDGE] + [math.inf, -math.inf, math.nan]
-
-
-def python_square_raises(base):
-    try:
-        base ** 2
-    except OverflowError:
-        return True
-    return False
-
-
 def bits(values):
     """The float64 bit patterns of values, so that -0.0 and NaNs count."""
     return np.array(values, dtype=float).view(np.int64).tolist()
 
 
-@given(
-    entries=st.lists(
-        st.tuples(
-            st.one_of(
-                st.floats(),  # finite, infinite and NaN
-                st.floats(-1.7e308, 1.7e308),
-                st.sampled_from(SQUARE_CASES),
-            ),
-            st.booleans(),
-        ),
-        min_size=1, max_size=8,
-    )
-)
-def test_square_is_the_product_and_raises_where_python_power_does(entries):
-    bases, masks = (list(column) for column in zip(*entries))
-    raises = [mask and python_square_raises(b) for b, mask in entries]
-    for (b, mask), expected in zip(entries, raises):
-        if expected:
-            with pytest.raises(OverflowError):
-                FLOATS.square(b, mask)
-        else:
-            assert bits([FLOATS.square(b, mask)]) == bits([b * b])
-    with np.errstate(all="ignore"):
-        if any(raises):
-            with pytest.raises(OverflowError):
-                ARRAYS.square(np.array(bases), np.array(masks))
-        else:
-            out = ARRAYS.square(np.array(bases), np.array(masks))
-            assert bits(out) == bits([b * b for b in bases])
-
-
-def test_square_overflows_just_past_the_root_of_the_largest_float():
-    assert [python_square_raises(x) for x in SQUARE_EDGE] == [False, True, True, False, False]
-    with np.errstate(all="ignore"):
-        for b in SQUARE_CASES:
-            if python_square_raises(b):
-                with pytest.raises(OverflowError):
-                    FLOATS.square(b, True)
-                with pytest.raises(OverflowError):
-                    ARRAYS.square(np.array([1.0, b]), np.array([False, True]))
-            else:
-                assert bits([FLOATS.square(b, True)]) == bits([b * b])
-                assert bits(ARRAYS.square(np.array([b]), np.array([True]))) == bits([b * b])
-            # off the mask the product is returned, never raised
-            assert bits([FLOATS.square(b, False)]) == bits([b * b])
-            assert bits(ARRAYS.square(np.array([b]), np.array([False]))) == bits([b * b])
-
-
-# idm's free-road term (v / v_desired) ** 4 is square(square(x)): within 2
-# ulp of Python's x ** 4.0, raising where it does. Its overflow edge is the
-# fourth root of the largest float, scanned 60 steps each way.
+# idm's free-road term (v / v_desired) ** 4 is (x * x) * (x * x): within 2
+# ulp of Python's x ** 4.0, and inf exactly where that power raises
+# OverflowError. Its overflow edge is the fourth root of the largest float,
+# scanned 60 steps each way.
 ROOT4_MAX = sys.float_info.max ** 0.25
 
 
@@ -197,24 +135,20 @@ def python_fourth(x):
         return None
 
 
-def fourth(xp, x):
-    """square(square(x)) over xp, or None where it raises OverflowError."""
-    try:
-        return xp.square(xp.square(x, True), True)
-    except OverflowError:
-        return None
+def fourth(x):
+    """The square of the square of x, as idm's step computes it."""
+    x2 = x * x
+    return x2 * x2
 
 
 def assert_fourth_power(x):
     expected = python_fourth(x)
     with np.errstate(all="ignore"):
-        array = fourth(ARRAYS, np.array([x]))
-    ours = fourth(FLOATS, x)
-    if expected is None:
-        assert ours is None and array is None, x
-        return
+        array = fourth(np.array([x]))
+    ours = fourth(x)
     assert bits(array) == bits([ours]), x
-    if expected >= sys.float_info.min:  # a normal result
+    assert (ours == math.inf) == (expected is None), x
+    if expected is not None and expected >= sys.float_info.min:  # a normal result
         assert abs(ours - expected) <= 2.0 * math.ulp(expected), x
 
 

@@ -567,19 +567,15 @@ feature_rows = st.tuples(
        st.lists(feature_rows, min_size=1, max_size=12))
 def test_array_step_equals_the_scalar_step_entry_by_entry(name, dt, rows):
     """control_step on ARRAYS is control_step on FLOATS entry by entry: the
-    same rationale code, decel, accel and memory bit for bit, or an error
-    where any entry's float step raises. Each float step also keeps the step
-    contract: the baselines accelerate by minus their braking, only rba and
-    cc_human change memory, and none never brakes."""
-    scalar, raised = [], False
+    same rationale code, decel, accel and memory bit for bit; neither form
+    raises. Each float step also keeps the step contract: the baselines
+    accelerate by minus their braking, only rba and cc_human change memory,
+    and none never brakes."""
+    scalar = []
     for gap_long, gap_lat, v_ego, v_other, ttc_s, memory in rows:
-        try:
-            code, decel, accel, new_memory = control_step(
-                FLOATS, name, ModelParams(), gap_long, gap_lat, v_ego, v_other, ttc_s, dt, memory
-            )
-        except InvalidInputError:
-            raised = True
-            continue
+        code, decel, accel, new_memory = control_step(
+            FLOATS, name, ModelParams(), gap_long, gap_lat, v_ego, v_other, ttc_s, dt, memory
+        )
         if name in ("rss", "reg157", "cc_human", "fsm"):
             assert repr(accel) == repr(-decel)
         if name not in ("rba", "cc_human"):
@@ -589,10 +585,6 @@ def test_array_step_equals_the_scalar_step_entry_by_entry(name, dt, rows):
         scalar.append(repr((code, float(decel), float(accel), float(new_memory))))
     columns = [np.array(column, dtype=float) for column in zip(*rows)]
     with np.errstate(all="ignore"):
-        if raised:
-            with pytest.raises((InvalidInputError, ArithmeticError)):
-                control_step(ARRAYS, name, ModelParams(), *columns[:5], dt, columns[5])
-            return
         code, decel, accel, memory = control_step(
             ARRAYS, name, ModelParams(), *columns[:5], dt, columns[5]
         )
@@ -600,6 +592,39 @@ def test_array_step_equals_the_scalar_step_entry_by_entry(name, dt, rows):
         repr(entry)
         for entry in zip(code.tolist(), decel.tolist(), accel.tolist(), memory.tolist())
     ] == scalar
+
+
+# A finite feature of either sign whose magnitude runs from the smallest
+# subnormal to 1.7e308, with the edges of that range and of a square's
+# overflow (1e154, 1e306) drawn often.
+finite_features = st.tuples(
+    st.sampled_from((1.0, -1.0)),
+    st.one_of(st.floats(5e-324, 1.7e308),
+              st.sampled_from((0.0, 5e-324, 1e-310, 1e154, 1.4e154, 1e79, 1e306, 1.7e308))),
+).map(lambda sign_magnitude: sign_magnitude[0] * sign_magnitude[1])
+wide_rows = st.tuples(
+    finite_features, finite_features, finite_features, finite_features,
+    st.one_of(finite_features, st.just(math.inf)),
+    st.one_of(st.integers(0, 7).map(float), st.floats(0.0, 2.0)),  # memory: a count or a timer
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MODEL_NAMES), st.sampled_from((5e-324, 0.05, 1.0)),
+       st.lists(wide_rows, min_size=1, max_size=8))
+def test_no_models_step_raises_at_any_finite_feature(name, dt, rows):
+    """control_step on FLOATS raises nothing, for every registered model,
+    over finite features whose magnitudes run from 5e-324 to 1.7e308 (ttc_s
+    also inf); ARRAYS gives the same values entry by entry, bit for bit."""
+    scalar = [
+        repr(tuple(map(float, control_step(FLOATS, name, ModelParams(), *row[:5], dt, row[5]))))
+        for row in rows
+    ]
+    columns = [np.array(column, dtype=float) for column in zip(*rows)]
+    with np.errstate(all="ignore"):
+        out = control_step(ARRAYS, name, ModelParams(), *columns[:5], dt, columns[5])
+    arrays = zip(*(np.broadcast_to(column, (len(rows),)).tolist() for column in out))
+    assert [repr(tuple(map(float, entry))) for entry in arrays] == scalar
 
 
 @settings(max_examples=150, deadline=None)

@@ -265,7 +265,9 @@ def _summarize(xp, min_gap, min_ttc, peak_decel, gap_long, ttc, decel):
     """The running (min gap, min TTC, peak deceleration) over xp after one
     more step, from (inf, inf, -inf) before the first, with min's and max's
     tie rules. A recorded TTC is never NaN or negative, so its minimum from
-    inf is the minimum of its finite values, inf when there are none."""
+    inf is the minimum of its finite values, inf when there are none. A
+    NaN decel is skipped on FLOATS and taken on ARRAYS; _run_lanes keeps no
+    summary that saw one."""
     return xp.pick_min(min_gap, gap_long), xp.pick_min(min_ttc, ttc), xp.pick_max(peak_decel, decel)
 
 
@@ -447,9 +449,15 @@ def _run_lanes(
     are computed once per step, as in the scalar loop. All lanes are sensed
     and advanced together; each model steps its own contiguous slice through
     control_step, whose step never raises. A lane leaves the arrays where
-    run_closed_loop's require_finite would stop it: where its other
-    vehicle's plan or its next state is non-finite. _rerun then writes its
-    summary or error text from run_closed_loop on its grid point. A lane
+    its other vehicle's plan or its next state is non-finite, and _rerun
+    then writes its summary or error text from run_closed_loop on its grid
+    point. That is where run_closed_loop's require_finite stops a run, and
+    also a step on which the lane collides or reaches the end, where
+    run_closed_loop stops without that check: there a non-finite command
+    may have reached the summary's pick_max as a NaN second operand, where
+    ARRAYS' np.maximum gives NaN and max keeps the first. So every summary
+    written here comes from steps on the domain where both forms agree
+    (finite features, no memory of -0.0: control_step). Any other lane
     that collides or reaches the end finishes. Only on a step where some
     lane finishes or may leave (the one finite screen of the plan and the
     next state fails) are the lanes that leave found, the entries written,
@@ -503,9 +511,8 @@ def _run_lanes(
             n_nonfinite = np.count_nonzero(~np.isfinite(ahead + plan))
             if i < n_steps and not (n_collided or n_nonfinite):
                 continue
-            done = collided | (i == n_steps)
-            leave = ~np.isfinite(plan) | (~done & ~np.isfinite(ahead))
-            done &= ~leave
+            leave = ~np.isfinite(plan) | ~np.isfinite(ahead)
+            done = (collided | (i == n_steps)) & ~leave
             ended = done | leave
             at = state.model[done], state.index[done]
             out.collided[at] = collided[done]

@@ -3,7 +3,8 @@
 The closed-loop step (the engine's and every safety model's) is written once
 over the operations namespace `xp` defined here: `FLOATS` for one run on
 plain floats, `ARRAYS` for many runs as float64 arrays, one entry per run,
-with the same values bit for bit. `advance_axis_xp` is the one axis update;
+with the same values bit for bit on the domain that the comment on the
+operations below states. `advance_axis_xp` is the one axis update;
 `axis_gap` takes floats or arrays.
 
 Conventions: longitudinal x grows in the travel direction, lateral y grows
@@ -44,17 +45,6 @@ class VehicleDims:
             raise InvalidInputError("vehicle dimensions must be positive")
 
 
-def _pick_max(a, b):
-    """Python's max(a, b) entry by entry: a unless b > a, so of equal values
-    (0.0 and -0.0) the first is kept, as it is by max."""
-    return np.where(b > a, b, a)
-
-
-def _pick_min(a, b):
-    """Python's min(a, b) entry by entry: a unless b < a."""
-    return np.where(b < a, b, a)
-
-
 def _where(c, a, b):
     """np.where(c, a, b); on one bool condition, the operand it selects, as
     it is: no broadcast, no type promotion."""
@@ -67,6 +57,12 @@ def _where(c, a, b):
 # `pick_max(a, b)` and `pick_min(a, b)` are max(a, b) and min(a, b), which
 # keep a on a tie, `zeros(like, kind)` is a 0 of type kind (int or float) in
 # the shape of like; `count(mask)` is how many entries of mask hold, truthy where any does.
+# ARRAYS' pick_max and pick_min are np.maximum(b, a) and np.minimum(b, a),
+# equal to max and min, ties included, wherever b is not NaN. Where b is
+# NaN and a is not, max(a, b) and min(a, b) give a and the ufuncs NaN, so
+# both forms agree only where no pick gets a NaN b: in control_step, for
+# finite features (the TTC may be inf), and in the engine's summary, for
+# the lanes that stay in the batch (engine._run_lanes says why).
 # An ARRAYS operand may also be a float that every entry shares, such as a
 # lateral gap that depends only on the time and one start offset: each
 # operation on it is the float form's, and its comparisons give one bool,
@@ -91,8 +87,10 @@ FLOATS = SimpleNamespace(
 )
 ARRAYS = SimpleNamespace(
     where=_where,
-    pick_max=_pick_max,
-    pick_min=_pick_min,
+    # one ufunc call each; numpy returns the second operand of a tie (0.0
+    # and -0.0), so a goes second to be kept, as max and min keep it
+    pick_max=lambda a, b: np.maximum(b, a),
+    pick_min=lambda a, b: np.minimum(b, a),
     zeros=lambda like, kind: np.zeros(like.shape, kind),
     count=np.count_nonzero,
 )

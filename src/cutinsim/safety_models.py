@@ -173,8 +173,18 @@ def control_step(
 
     With kinematics.FLOATS the features, memory and results are Python
     numbers. With kinematics.ARRAYS the features and memory are float64 arrays,
-    one entry per run, dt_s a float, and each entry equals the float form's
-    values bit for bit; run it under np.errstate(all="ignore"). gap_lat_m
+    one entry per run, dt_s a float; run it under np.errstate(all="ignore").
+    Where the features are finite (ttc_s may also be inf) and no memory is
+    -0.0, each entry equals the float form's values bit for bit. On finite
+    features no pick_max or pick_min of the step gets a NaN second operand,
+    the one case where ARRAYS' np.maximum and np.minimum differ from max and
+    min. The engine keeps no result of other features: a lane whose plan
+    or next state goes non-finite leaves its batch, on its last step too,
+    and takes its summary from run_closed_loop. rba's saturation count
+    differs at -0.0: the float form skips its update (bool(-0.0) is False)
+    and keeps -0.0, while a batch where another entry carries a count
+    updates it to +0.0; the engine passes no -0.0, since a count starts at
+    0 and only grows. gap_lat_m
     and v_other_mps may also be one float that every run shares, as the
     engine passes them where they depend only on the time and one-value
     start axes; a result that depends on them alone (rba's code where no

@@ -711,6 +711,20 @@ def test_batched_sweep_equals_the_scalar_loop_where_the_ego_position_overflows()
             assert outcome == "InvalidInputError: pos_long_m must be finite, got inf"
 
 
+@pytest.mark.parametrize("v_e0", [(1.5e308,), (1.5e308, 10.0)], ids=("one-lane", "two-lane"))
+def test_batched_sweep_equals_the_scalar_loop_where_the_last_step_commands_nan(v_e0):
+    # one step, which is also the last: at 1.5e308 m/s behind 1.7e308 m/s
+    # idm's s_star is inf - inf, so it commands a NaN deceleration. max keeps
+    # its first argument there and np.maximum gives NaN, so the lane must
+    # take its summary from the scalar loop although it is done
+    base = cutin(d_x0=20.0, d_y0=0.0, dt=100.0)
+    grid = SweepGrid(v_e0_mps=v_e0, v_o0_mps=(1.7e308,), d_x0_m=(20.0,), d_y0_m=(0.0,))
+    run = run_closed_loop(at_point(base, grid.point(0)), "idm")
+    assert len(run.trace.t_s) == 1 and math.isnan(run.trace.decel_cmd_mps2[0])
+    rows = entries(sweep(grid, MODEL_NAMES, base))
+    assert reprs(rows) == reprs(scalar_sweep(grid, MODEL_NAMES, base, ModelParams()))
+
+
 # The braking each model declares as its most: the cap of its peak_decel_mps2.
 DECEL_CAPS = {
     "rba": lambda p: p.rba.a_max_mps2,

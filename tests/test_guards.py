@@ -8,6 +8,7 @@ that do not take it, so the skipped branch is shown to change no value."""
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -314,9 +315,26 @@ def test_a_lane_that_goes_non_finite_leaves_on_that_step_when_no_other_lane_ends
     # one `none` lane at 1.7e308 m/s, whose position passes float range
     # within the run on steps where no lane collides, leaves or reaches the
     # end, so only its own non-finite state takes the sweep into its
-    # bookkeeping: the lane leaves and takes the scalar loop's error text
+    # bookkeeping: the lane leaves and takes the scalar loop's error text.
+    # It leaves by the step on which its position passes float range (the
+    # 22nd), not on the last step, where a non-finite lane leaves too
     grid = SweepGrid(v_e0_mps=(1.7e308,), v_o0_mps=(10.0,), d_x0_m=(25.0,), d_y0_m=(3.75,))
     base = ScenarioParams("cut_in", 25.0, 20.0, 30.0, 3.75)
-    rows = entries(sweep(grid, ("none",), base))
+    batch_steps, left_after = 0, []
+    sense, rerun = engine._sense, engine._rerun
+
+    def counting_sense(xp, *args):
+        nonlocal batch_steps
+        batch_steps += xp is ARRAYS
+        return sense(xp, *args)
+
+    def noting_rerun(*args):
+        left_after.append(batch_steps)
+        rerun(*args)
+
+    with mock.patch.object(engine, "_sense", counting_sense), \
+            mock.patch.object(engine, "_rerun", noting_rerun):
+        rows = entries(sweep(grid, ("none",), base))
+    assert len(left_after) == 1 and left_after[0] <= 22
     assert reprs(rows) == reprs(scalar_sweep(grid, ("none",), base, ModelParams()))
     assert rows[0][3] == "InvalidInputError: pos_long_m must be finite, got inf"

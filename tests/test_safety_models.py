@@ -529,14 +529,59 @@ def test_each_gate_at_its_boundary(name, features, ttc_s, dt, memory, params, ex
     assert (code[0], decel[0], new_memory[0]) == expected
 
 
+# (a, b) operand pairs of max and min: zeros of both signs in both orders,
+# infinities, and a NaN in a, which both forms keep
+PICK_PAIRS = (
+    (-0.0, 0.0), (0.0, -0.0), (1.0, 2.0), (2.0, 1.0), (-0.0, -0.0), (0.0, 0.0),
+    (math.inf, 0.0), (0.0, math.inf), (-math.inf, -0.0), (-0.0, -math.inf),
+    (math.inf, -math.inf), (-math.inf, math.inf), (math.inf, math.inf),
+    (math.nan, 0.0), (math.nan, -0.0), (math.nan, math.inf), (math.nan, -math.inf),
+)
+# numpy's maximum and minimum run a SIMD body and a scalar tail for the
+# entries left over; these lengths reach both
+PICK_LENGTHS = (1, 3, 8, 17, 144, 1008)
+
+
 def test_max_and_min_of_both_forms_keep_the_first_of_equal_values():
     # max and min keep their first argument on a tie, so the sign of a zero
-    # survives them; both forms of the step must keep the same one
-    for a, b in ((-0.0, 0.0), (0.0, -0.0), (1.0, 2.0), (2.0, 1.0)):
-        assert repr(ARRAYS.pick_max(np.array([a]), b).tolist()) == repr([max(a, b)])
-        assert repr(ARRAYS.pick_min(np.array([a]), b).tolist()) == repr([min(a, b)])
+    # survives them; both forms of the step must keep the same one, with an
+    # array or one float in either position. A NaN in b is outside the rule
+    # (max(a, nan) is a, np.maximum gives nan); the engine never lets a
+    # summary read one
+    def picks(a, b):
+        return list(map(repr, ARRAYS.pick_max(a, b).tolist() + ARRAYS.pick_min(a, b).tolist()))
+
+    for a, b in PICK_PAIRS:
         assert repr(FLOATS.pick_max(a, b)) == repr(max(a, b))
         assert repr(FLOATS.pick_min(a, b)) == repr(min(a, b))
+        for n in PICK_LENGTHS:
+            expected = [repr(max(a, b))] * n + [repr(min(a, b))] * n
+            for a_n, b_n in ((np.full(n, a), np.full(n, b)), (np.full(n, a), b), (a, np.full(n, b))):
+                assert picks(a_n, b_n) == expected
+    for n in PICK_LENGTHS:  # every pair in one array, at each offset of the SIMD body
+        for shift in range(len(PICK_PAIRS)):
+            pairs = [PICK_PAIRS[(shift + k) % len(PICK_PAIRS)] for k in range(n)]
+            expected = [repr(max(*p)) for p in pairs] + [repr(min(*p)) for p in pairs]
+            assert picks(*(np.array(column) for column in zip(*pairs))) == expected
+
+
+no_nan = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(no_nan, st.just(math.nan)), no_nan), min_size=1, max_size=40),
+       st.booleans())
+def test_array_max_and_min_equal_the_float_forms_where_b_holds_no_nan(pairs, b_shared):
+    """ARRAYS.pick_max and pick_min equal FLOATS' entry by entry, by repr,
+    wherever b holds no NaN, with b an array or one float shared by every
+    entry: the tie rule that the step's bit equality rests on."""
+    if b_shared:
+        pairs = [(a, pairs[0][1]) for a, _ in pairs]
+    a = np.array([a for a, _ in pairs])
+    b = pairs[0][1] if b_shared else np.array([b for _, b in pairs])
+    for name in ("pick_max", "pick_min"):
+        expected = [repr(getattr(FLOATS, name)(x, y)) for x, y in pairs]
+        assert list(map(repr, getattr(ARRAYS, name)(a, b).tolist())) == expected
 
 
 # Step features around every gate: exact zeros of both signs, overlaps,
@@ -636,23 +681,14 @@ def test_no_step_commands_negative_braking_or_brakes_when_safe(name, dt, rows):
     row by row, the array form on the batch of rows."""
     outcomes = []
     for gap_long, gap_lat, v_ego, v_other, ttc_s, memory in rows:
-        try:
-            code, decel, _, _ = control_step(
-                FLOATS, name, ModelParams(), gap_long, gap_lat, v_ego, v_other, ttc_s, dt, memory
-            )
-        except InvalidInputError:
-            continue
+        code, decel, _, _ = control_step(
+            FLOATS, name, ModelParams(), gap_long, gap_lat, v_ego, v_other, ttc_s, dt, memory
+        )
         outcomes.append((code, decel))
     columns = [np.array(column, dtype=float) for column in zip(*rows)]
     with np.errstate(all="ignore"):
-        try:
-            code, decel, _, _ = control_step(
-                ARRAYS, name, ModelParams(), *columns[:5], dt, columns[5]
-            )
-        except (InvalidInputError, ArithmeticError):
-            pass
-        else:
-            outcomes += zip(code.tolist(), decel.tolist())
+        code, decel, _, _ = control_step(ARRAYS, name, ModelParams(), *columns[:5], dt, columns[5])
+    outcomes += zip(code.tolist(), decel.tolist())
     for code, decel in outcomes:
         assert not decel < 0.0
         if code <= MARGIN_PASS:

@@ -6,7 +6,6 @@ and its peak braking. Judging a run critical is risk's (risk.is_critical).
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -16,7 +15,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .kinematics import (
     ARRAYS,
     FLOATS,
@@ -190,7 +189,7 @@ class Trace:
 
 @dataclass(frozen=True)
 class SimResult:
-    trace: Trace | None  # None with record=False
+    trace: Trace
     collided: bool
     min_gap_long_m: float
     min_ttc_s: float  # math.inf when the pair never closes
@@ -266,46 +265,45 @@ def _summarize(xp, min_gap, min_ttc, peak_decel, gap_long, ttc, decel):
     more step, from (inf, inf, -inf) before the first, with min's and max's
     tie rules. A recorded TTC is never NaN or negative, so its minimum from
     inf is the minimum of its finite values, inf when there are none. A
-    NaN decel is skipped on FLOATS and taken on ARRAYS; _run_lanes keeps no
-    summary that saw one."""
+    NaN decel is skipped on FLOATS and taken on ARRAYS, but it comes only
+    with a non-finite accel, so _check_step ends that run in both loops and
+    no summary that saw one is kept."""
     return xp.pick_min(min_gap, gap_long), xp.pick_min(min_ttc, ttc), xp.pick_max(peak_decel, decel)
 
 
+def _check_step(ox, oy, ov, ovy, accel, x, v) -> None:
+    """The rule that ends a run, in both loops: InvalidInputError naming the
+    first non-finite value of a step's other-vehicle plan (ox, oy, ov, ovy),
+    then of its command and the ego's next state (accel, x, v)."""
+    require_finite(pos_long_m=ox, pos_lat_m=oy, vel_long_mps=ov, vel_lat_mps=ovy)
+    require_finite(accel_long_mps2=accel, pos_long_m=x, vel_long_mps=v)
+
+
 def run_closed_loop(
-    p: ScenarioParams,
-    model_name: str,
-    params: ModelParams = ModelParams(),
-    *,
-    record: bool = True,
+    p: ScenarioParams, model_name: str, params: ModelParams = ModelParams()
 ) -> SimResult:
     """Simulate one scenario under one safety model.
 
     Each step: compute gaps and the closing TTC, run the model's control
-    step on them, apply its acceleration to the ego, advance both vehicles.
-    Stepping stops (and the collision flag latches) as soon as the
-    footprints overlap. With record=False the result's trace is None and no
-    step is kept.
+    step on them, apply its acceleration to the ego, advance both vehicles,
+    and end the run with _check_step's error if any of its values is
+    non-finite. Stepping stops (and the collision flag latches) as soon as
+    the footprints overlap.
     """
     dt = p.dt_s
     x, v = 0.0, p.v_e0_mps  # the ego, at the origin of its lane
     memory = 0
     min_gap, min_ttc, peak_decel = math.inf, math.inf, -math.inf
     n_steps = round(p.duration_s / dt)
-    # one tuple per step, in Trace's field order; a deque that keeps none
-    # when not recording, so that the step does not branch on it
-    rows = [] if record else collections.deque(maxlen=0)
+    rows = []  # one tuple per step, in Trace's field order
 
     for i in range(n_steps + 1):
         t = i * dt
         ox, oy, ov, ovy, gap_long, gap_lat, collided, ttc, closing_ttc = _sense(
             FLOATS, p, t, x, v, p.d_x0_m, p.v_o0_mps, p.d_y0_m
         )
-        # one sum screens all four values; only a non-finite one (or an
-        # overflowing sum) pays for the named check
-        if not math.isfinite(ox + oy + ov + ovy):
-            require_finite(pos_long_m=ox, pos_lat_m=oy, vel_long_mps=ov, vel_lat_mps=ovy)
         if collided:  # the model is skipped: unsafe, no braking
-            safe, decel = False, 0.0
+            safe, decel, accel = False, 0.0, 0.0
         else:
             code, decel, accel, memory = control_step(
                 FLOATS, model_name, params, gap_long, gap_lat, v, ov, closing_ttc, dt, memory
@@ -315,14 +313,16 @@ def run_closed_loop(
             FLOATS, min_gap, min_ttc, peak_decel, gap_long, ttc, decel
         )
         rows.append((t, x, v, ox, oy, ov, ovy, gap_long, gap_lat, ttc, safe, decel))
+        x, v = advance_axis_xp(FLOATS, x, v, accel, dt)
+        # one sum screens all seven values; only a non-finite one (or an
+        # overflowing sum) pays for the named check
+        if not math.isfinite(ox + oy + ov + ovy + accel + x + v):
+            _check_step(ox, oy, ov, ovy, accel, x, v)
         if collided or i == n_steps:
             break
-        x, v = advance_axis_xp(FLOATS, x, v, accel, dt)
-        if not math.isfinite(accel + x + v):
-            require_finite(accel_long_mps2=accel, pos_long_m=x, vel_long_mps=v)
 
     return SimResult(
-        trace=Trace(*zip(*rows)) if record else None,
+        trace=Trace(*zip(*rows)),
         collided=collided,
         min_gap_long_m=min_gap,
         min_ttc_s=min_ttc,
@@ -407,27 +407,10 @@ class _Lanes:
         )
 
 
-def _lanes_of(column: np.ndarray | float, s: slice) -> np.ndarray | float:
-    """The entries of a model's slice s of the lanes; a float that every lane
-    shares is its own."""
+def _lanes_of(column: np.ndarray | float, s: slice | int) -> np.ndarray | float:
+    """The entries of lanes s, a model's slice or one lane; a float that
+    every lane shares is its own."""
     return column[s] if isinstance(column, np.ndarray) else column
-
-
-def _rerun(out: SweepResult, m: int, index: int, base: ScenarioParams, params: ModelParams) -> None:
-    """Write entry (m, index) from run_closed_loop on its grid point: its
-    summary into out's columns, or the text of what the point's scenario or
-    run raises into out.errors."""
-    try:
-        v_e0, v_o0, d_x0, d_y0 = out.grid.point(index)
-        p = replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
-        r = run_closed_loop(p, out.models[m], params, record=False)
-    except Exception as exc:  # recorded as an error row, never aborts the sweep
-        out.errors[m, index] = f"{type(exc).__name__}: {exc}"
-        return
-    out.collided[m, index] = r.collided
-    out.min_gap_long_m[m, index] = r.min_gap_long_m
-    out.min_ttc_s[m, index] = r.min_ttc_s
-    out.peak_decel_mps2[m, index] = r.peak_decel_mps2
 
 
 def _run_lanes(
@@ -448,20 +431,24 @@ def _run_lanes(
     and what depends on it alone (its lateral gap on a one-value d_y0 axis)
     are computed once per step, as in the scalar loop. All lanes are sensed
     and advanced together; each model steps its own contiguous slice through
-    control_step, whose step never raises. A lane leaves the arrays where
-    its other vehicle's plan or its next state is non-finite, and _rerun
-    then writes its summary or error text from run_closed_loop on its grid
-    point. That is where run_closed_loop's require_finite stops a run, and
-    also a step on which the lane collides or reaches the end, where
-    run_closed_loop stops without that check: there a non-finite command
-    may have reached the summary's pick_max as a NaN second operand, where
-    ARRAYS' np.maximum gives NaN and max keeps the first. So every summary
-    written here comes from steps on the domain where both forms agree
-    (finite features, no memory of -0.0: control_step). Any other lane
-    that collides or reaches the end finishes. Only on a step where some
-    lane finishes or may leave (the one finite screen of the plan and the
-    next state fails) are the lanes that leave found, the entries written,
-    the lanes compacted and the model slices found again.
+    control_step, whose step never raises. A collided lane brakes and
+    accelerates 0, as run_closed_loop's skipped model does.
+
+    One rule ends a run in both loops: _check_step on the step's plan,
+    command and next state, on every step. The sum of those seven values
+    only screens for it: each lane whose sum is non-finite runs
+    _check_step on its own values as floats. Where it raises, its text is
+    the lane's error row and the lane fails; where it returns, the sum
+    overflowed on finite values and the lane stays. A step that passes
+    had finite features: its state passed the check a step before, its
+    plan passes now, and no gap or closing speed of positions and speeds
+    >= 0 overflows. There control_step and the advance give both forms the
+    same bits (no memory of -0.0: control_step), and a NaN decel, which
+    comes with a NaN accel, does not pass. A non-finite plan depends only
+    on t and the start values, so both loops name the same value first. A
+    lane that collides or reaches the end and passes its check finishes.
+    Only on a step where some lane may finish or fail are the entries
+    written, the lanes compacted and the model slices found again.
     """
     n = len(index)
     v_e0, v_o0, d_x0, d_y0 = (
@@ -494,34 +481,39 @@ def _run_lanes(
                     ARRAYS, out.models[m], params, gap_long[s], _lanes_of(gap_lat, s), state.v[s],
                     _lanes_of(ov, s), closing_ttc[s], dt, state.memory[s],
                 )
-            # the model ran on every lane; a collision step brakes 0, as
-            # run_closed_loop's skipped model does
+            # the model ran on every lane; a collision step brakes 0 and
+            # accelerates 0, as run_closed_loop's skipped model does
             n_collided = np.count_nonzero(collided)
             if n_collided:
-                decel = np.where(collided, 0.0, decel)
+                decel[collided] = accel[collided] = 0.0
             state.min_gap, state.min_ttc, state.peak_decel = _summarize(
                 ARRAYS, state.min_gap, state.min_ttc, state.peak_decel, gap_long, ttc, decel
             )
             x, v = advance_axis_xp(ARRAYS, state.x, state.v, accel, dt)
             state.x, state.v, state.memory = x, v, memory
             # short of the last step, a lane finishes only by colliding and
-            # leaves only by going non-finite. One screen covers both sums:
-            # theirs is finite only where each of them is
-            plan, ahead = ox + oy + ov + ovy, accel + x + v
-            n_nonfinite = np.count_nonzero(~np.isfinite(ahead + plan))
-            if i < n_steps and not (n_collided or n_nonfinite):
+            # fails only on _check_step, which the sum screens for as in
+            # run_closed_loop
+            screened = ~np.isfinite(ox + oy + ov + ovy + accel + x + v)
+            n_screened = np.count_nonzero(screened)
+            if i < n_steps and not (n_collided or n_screened):
                 continue
-            leave = ~np.isfinite(plan) | ~np.isfinite(ahead)
-            done = (collided | (i == n_steps)) & ~leave
-            ended = done | leave
+            failed = np.zeros(shape, dtype=bool)
+            for k in np.flatnonzero(screened).tolist():
+                try:
+                    _check_step(*(float(_lanes_of(c, k)) for c in (ox, oy, ov, ovy, accel, x, v)))
+                except InvalidInputError as exc:  # the lane's error row
+                    out.errors[state.model[k].item(), state.index[k].item()] = (
+                        f"{type(exc).__name__}: {exc}"
+                    )
+                    failed[k] = True
+            done = (collided | (i == n_steps)) & ~failed
             at = state.model[done], state.index[done]
             out.collided[at] = collided[done]
             out.min_gap_long_m[at] = state.min_gap[done]
             out.min_ttc_s[at] = state.min_ttc[done]
             out.peak_decel_mps2[at] = state.peak_decel[done]
-            for m, k in zip(state.model[leave].tolist(), state.index[leave].tolist()):
-                _rerun(out, m, k, base, params)
-            state.keep(~ended)
+            state.keep(~(done | failed))
             bounds = np.searchsorted(state.model, models[1:]).tolist()
 
 
@@ -562,8 +554,12 @@ def sweep(
     out = SweepResult.empty(grid, models)
     valid = _valid_points(grid, base)
     for index in np.flatnonzero(~valid).tolist():
-        for m in range(len(models)):
-            _rerun(out, m, index, base, params)
+        v_e0, v_o0, d_x0, d_y0 = grid.point(index)
+        try:  # some value of the point fails its check alone, so this raises
+            replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
+        except Exception as exc:  # recorded as an error row, never aborts the sweep
+            for m in range(len(models)):
+                out.errors[m, index] = f"{type(exc).__name__}: {exc}"
     runs = np.flatnonzero(valid)
     n = len(models) * len(runs)
     n_chunks = -(-n // LANE_CHUNK)

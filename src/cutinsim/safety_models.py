@@ -178,9 +178,9 @@ def control_step(
     -0.0, each entry equals the float form's values bit for bit. On finite
     features no pick_max or pick_min of the step gets a NaN second operand,
     the one case where ARRAYS' np.maximum and np.minimum differ from max and
-    min. The engine keeps no result of other features: a lane whose plan
-    or next state goes non-finite leaves its batch, on its last step too,
-    and takes its summary from run_closed_loop. rba's saturation count
+    min. The engine keeps no result of other features: in both loops,
+    engine._check_step ends a run whose plan, command or next state is
+    non-finite, on every step, its last too. rba's saturation count
     differs at -0.0: the float form skips its update (bool(-0.0) is False)
     and keeps -0.0, while a batch where another entry carries a count
     updates it to +0.0; the engine passes no -0.0, since a count starts at

@@ -369,22 +369,6 @@ def test_sweep_columns_hold_the_summary_of_the_recorded_run():
         assert full.peak_decel_mps2 == max(full.trace.decel_cmd_mps2)
 
 
-def test_a_summary_only_run_keeps_no_step():
-    # 20,001 steps, whose recorded trace would take megabytes; the summary
-    # alone is the recorded run's
-    p = cutin(dt=6e-4)
-    full = run_closed_loop(p, "idm")
-    assert len(full.trace.t_s) == 20_001 and not full.collided
-    tracemalloc.start()
-    try:
-        summary = run_closed_loop(p, "idm", record=False)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
-    assert repr(summary) == repr(replace(full, trace=None))
-
-
 def test_sweep_records_error_rows_instead_of_aborting():
     grid = SweepGrid(v_e0_mps=(20.0,), v_o0_mps=(10.0,), d_x0_m=(20.0,), d_y0_m=(3.75,))
     base = cutin(kind="car_following", d_y0=0.0)  # grid d_y0 3.75 is invalid here
@@ -550,20 +534,6 @@ def test_a_one_value_axis_steps_each_lane_as_the_value_repeated_does(kind, axis,
             assert {types[axis] for types in repeated_types} == {np.ndarray}
 
 
-def test_a_sweep_whose_runs_raise_nothing_reruns_no_lane(monkeypatch):
-    # the scalar loop is only the fallback for a lane whose step may raise
-    reruns = []
-
-    def counted(*args, **kwargs):
-        reruns.append(args)
-        return run_closed_loop(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "run_closed_loop", counted)
-    grid = SweepGrid(v_e0_mps=(0.0, 30.0), v_o0_mps=(10.0,), d_x0_m=(5.0, 40.0), d_y0_m=(3.75,))
-    result = sweep(grid, MODEL_NAMES, cutin())
-    assert not result.errors
-    assert result.collided.any() and not reruns
-
 def test_a_sweep_result_survives_pickling():
     grid = SweepGrid(v_e0_mps=(20.0, -1.0), v_o0_mps=(10.0,), d_x0_m=(25.0,), d_y0_m=(3.75,))
     result = sweep(grid, ["rba", "idm"], cutin())
@@ -714,13 +684,14 @@ def test_batched_sweep_equals_the_scalar_loop_where_the_ego_position_overflows()
 @pytest.mark.parametrize("v_e0", [(1.5e308,), (1.5e308, 10.0)], ids=("one-lane", "two-lane"))
 def test_batched_sweep_equals_the_scalar_loop_where_the_last_step_commands_nan(v_e0):
     # one step, which is also the last: at 1.5e308 m/s behind 1.7e308 m/s
-    # idm's s_star is inf - inf, so it commands a NaN deceleration. max keeps
-    # its first argument there and np.maximum gives NaN, so the lane must
-    # take its summary from the scalar loop although it is done
+    # idm's s_star is inf - inf, so it commands a NaN deceleration and
+    # acceleration. The step's check ends the run on its last step too, so
+    # no summary takes the NaN, which max skips and np.maximum keeps
     base = cutin(d_x0=20.0, d_y0=0.0, dt=100.0)
     grid = SweepGrid(v_e0_mps=v_e0, v_o0_mps=(1.7e308,), d_x0_m=(20.0,), d_y0_m=(0.0,))
-    run = run_closed_loop(at_point(base, grid.point(0)), "idm")
-    assert len(run.trace.t_s) == 1 and math.isnan(run.trace.decel_cmd_mps2[0])
+    with pytest.raises(InvalidInputError) as raised:
+        run_closed_loop(at_point(base, grid.point(0)), "idm")
+    assert str(raised.value) == "accel_long_mps2 must be finite, got nan"
     rows = entries(sweep(grid, MODEL_NAMES, base))
     assert reprs(rows) == reprs(scalar_sweep(grid, MODEL_NAMES, base, ModelParams()))
 

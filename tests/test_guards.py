@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from cutinsim import engine
 from cutinsim.engine import ScenarioParams, SweepGrid, sweep
-from cutinsim.errors import CutinSimError
+from cutinsim.errors import CutinSimError, InvalidInputError
 from cutinsim.kinematics import ARRAYS, FLOATS, advance_axis_xp
 from cutinsim.metrics import CLOSING_SPEED_FLOOR_MPS, ttc_xp
 from cutinsim.safety_models import MODEL_NAMES, ModelParams, RbaParams, control_step
@@ -312,29 +312,36 @@ def test_a_batch_that_takes_no_guarded_branch_makes_no_selection_for_one():
 
 
 def test_a_lane_that_goes_non_finite_leaves_on_that_step_when_no_other_lane_ends():
-    # one `none` lane at 1.7e308 m/s, whose position passes float range
-    # within the run on steps where no lane collides, leaves or reaches the
-    # end, so only its own non-finite state takes the sweep into its
-    # bookkeeping: the lane leaves and takes the scalar loop's error text.
-    # It leaves by the step on which its position passes float range (the
-    # 22nd), not on the last step, where a non-finite lane leaves too
-    grid = SweepGrid(v_e0_mps=(1.7e308,), v_o0_mps=(10.0,), d_x0_m=(25.0,), d_y0_m=(3.75,))
-    base = ScenarioParams("cut_in", 25.0, 20.0, 30.0, 3.75)
-    batch_steps, left_after = 0, []
-    sense, rerun = engine._sense, engine._rerun
+    # one `none` lane at 1.7e308 m/s. From its 2nd step, x + v overflows
+    # while x and v are finite: the screen sum trips, the lane's check
+    # passes and the lane stays. Its position passes float range on the
+    # 22nd step, where no lane collides or reaches the end, so only its own
+    # check takes the sweep into its bookkeeping. The lane fails there, on
+    # the step and with the text of run_closed_loop's error
+    x, v, dt = 0.0, 1.7e308, 0.05
+    for step in range(1, 23):
+        x, v = advance_axis_xp(FLOATS, x, v, 0.0, dt)
+        assert math.isfinite(x) == (step < 22) and math.isinf(x + v) == (step >= 2), step
+    grid = SweepGrid(v_e0_mps=(v,), v_o0_mps=(10.0,), d_x0_m=(25.0,), d_y0_m=(3.75,))
+    base = ScenarioParams("cut_in", 25.0, 20.0, 30.0, 3.75, dt_s=dt)
+    steps, failed_on = {"batch": 0, "scalar": 0}, []
+    sense, check = engine._sense, engine._check_step
 
     def counting_sense(xp, *args):
-        nonlocal batch_steps
-        batch_steps += xp is ARRAYS
+        steps["batch" if xp is ARRAYS else "scalar"] += 1
         return sense(xp, *args)
 
-    def noting_rerun(*args):
-        left_after.append(batch_steps)
-        rerun(*args)
+    def noting_check(*values):
+        try:
+            check(*values)
+        except InvalidInputError:
+            failed_on.append(dict(steps))
+            raise
 
     with mock.patch.object(engine, "_sense", counting_sense), \
-            mock.patch.object(engine, "_rerun", noting_rerun):
+            mock.patch.object(engine, "_check_step", noting_check):
         rows = entries(sweep(grid, ("none",), base))
-    assert len(left_after) == 1 and left_after[0] <= 22
-    assert reprs(rows) == reprs(scalar_sweep(grid, ("none",), base, ModelParams()))
+        assert failed_on == [{"batch": 22, "scalar": 0}]
+        assert reprs(rows) == reprs(scalar_sweep(grid, ("none",), base, ModelParams()))
+        assert failed_on[1:] == [{"batch": 22, "scalar": 22}]
     assert rows[0][3] == "InvalidInputError: pos_long_m must be finite, got inf"

@@ -14,11 +14,19 @@ prints one line per output, `<name> <sha256> <facts>`:
   x d_y0 {0, 3.75}) over configs/cutin.json's scenario as each kind, all 7
   models: the results CSVs that the comparison store writes, in file name
   order. Its fact is the error row count.
+- `edge-<kind>-<axis>=<value>`, both kinds: the edge grid with one axis held
+  at one edge value (`v_o0` 1e308, `d_x0` 1e308, `d_y0` 1e308, `d_y0` 0,
+  `v_e0` 1e306), digested as the edge grid is. A one-value axis reaches
+  the batch as one float that every lane shares, so these take that path
+  through lanes that fail.
 - `bench-seed7`, `bench-seed11`: `comparison` then `post-process` on the
   bench sweep config of that seed (bench/inputs.sweep_config, size full):
   every file of the output tree in path order, each as its relative path
   and bytes, then both commands' exit codes and stdout, with the output
   directory's path written as `OUT`.
+
+tests/golden/digests.json holds the edge grid and variant lines' digests,
+and tests/test_golden_digests.py recomputes them with edge_lines.
 
 It imports cutinsim from the src/ of the checkout it sits in. Everything
 is written under one temporary directory, removed at exit. Run it at two
@@ -67,6 +75,9 @@ EDGE_GRID = SweepGrid(
     d_x0_m=(-1.0, 0.0, 1e-300, 2.0, 20.0, 60.0, 119.0),
     d_y0_m=(0.0, 3.75),
 )
+# (axis field, value): the edge grid with that axis holding the value alone
+EDGE_VARIANTS = (("v_o0_mps", 1e308), ("d_x0_m", 1e308), ("d_y0_m", 1e308), ("d_y0_m", 0.0),
+                 ("v_e0_mps", 1e306))
 BENCH_SEEDS = (7, 11)
 
 
@@ -83,17 +94,39 @@ def dense() -> tuple[str, str]:
     return h.hexdigest(), f"errors={len(result.errors)} collisions: {collisions}"
 
 
-def edge(kind: str, work: str) -> tuple[str, str]:
-    base = replace(load_config(os.path.join(ROOT, "configs", "cutin.json")).scenario, kind=kind)
-    result = sweep(EDGE_GRID, MODEL_NAMES, base)
-    out = os.path.join(work, f"edge-{kind}")
+def edge_base(kind: str) -> ScenarioParams:
+    """configs/cutin.json's scenario as kind: the base of every edge grid."""
+    return replace(load_config(os.path.join(ROOT, "configs", "cutin.json")).scenario, kind=kind)
+
+
+def edge_grids() -> list[tuple[str, SweepGrid]]:
+    """(name suffix, grid) of the edge grid and of each variant."""
+    return [("", EDGE_GRID)] + [
+        (f"-{field.rsplit('_', 1)[0]}={value!r}", replace(EDGE_GRID, **{field: (value,)}))
+        for field, value in EDGE_VARIANTS
+    ]
+
+
+def edge(kind: str, grid: SweepGrid, name: str, work: str) -> tuple[str, str]:
+    result = sweep(grid, MODEL_NAMES, edge_base(kind))
+    out = os.path.join(work, name)
     write_comparison_store(out, result, DEFAULT_TTC_CRIT_S, {}, "", 0)
     h = hashlib.sha256()
-    for name in sorted(os.listdir(out)):
-        if name.startswith("results_"):
-            with open(os.path.join(out, name), "rb") as fh:
+    for file_name in sorted(os.listdir(out)):
+        if file_name.startswith("results_"):
+            with open(os.path.join(out, file_name), "rb") as fh:
                 h.update(fh.read())
     return h.hexdigest(), f"errors={len(result.errors)}"
+
+
+def edge_lines(work: str) -> list[tuple[str, str, str]]:
+    """(name, digest, facts) of the edge grid and of each variant, as each kind."""
+    lines = []
+    for suffix, grid in edge_grids():
+        for kind in ("cut_in", "cut_out"):
+            name = f"edge-{kind}{suffix}"
+            lines.append((name, *edge(kind, grid, name, work)))
+    return lines
 
 
 def bench_tree(seed: int, work: str) -> tuple[str, str]:
@@ -119,7 +152,7 @@ def bench_tree(seed: int, work: str) -> tuple[str, str]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         lines = [("dense", *dense())]
-        lines += [(f"edge-{kind}", *edge(kind, work)) for kind in ("cut_in", "cut_out")]
+        lines += edge_lines(work)
         lines += [(f"bench-seed{seed}", *bench_tree(seed, work)) for seed in BENCH_SEEDS]
     for name, digest, facts in lines:
         print(f"{name} {digest} {facts}")

@@ -12,9 +12,11 @@ once by 0, so that the guard always takes the fast path, and once by 1, so
 that it never does. A "never fast" mutant runs the guarded branch where no
 entry takes it, which changes no value by design: it survives unless a test
 pins the fast path itself. For every mutant a copy of the repository's
-src/, tests/ and configs/ is made under a temporary directory, the mutant
-replaces the file there, and the kinematics, guard, metrics, risk, model,
-engine, config, report, CLI, ingest, writer and golden tests run against it.
+src/, tests/, configs/, tools/ and bench/ is made under a temporary
+directory (the edge-grid digest test runs tools/digests.py, which reads
+bench/inputs.py), the mutant replaces the file there, and the kinematics,
+guard, metrics, risk, model, engine, config, report, CLI, ingest, writer
+and golden tests run against it.
 A mutant the tests still pass is a survivor: a decision boundary or a
 guarded branch that no test pins.
 
@@ -47,11 +49,11 @@ TESTS = ("tests/test_kinematics.py", "tests/test_guards.py", "tests/test_metrics
          "tests/test_risk.py", "tests/test_safety_models.py", "tests/test_engine.py",
          "tests/test_config.py", "tests/test_reports.py", "tests/test_cli.py",
          "tests/test_cli_one_process.py", "tests/test_ingest.py", "tests/test_write_lines.py",
-         "tests/test_golden.py", "tests/test_golden_ingest.py")
+         "tests/test_golden.py", "tests/test_golden_digests.py", "tests/test_golden_ingest.py")
 # a guard's count, and the constants it is replaced by
 COUNTS = ("count", "count_nonzero")
 GUARD_CONSTANTS = ((0, "always fast"), (1, "never fast"))
-COPIED = ("src", "tests", "configs")
+COPIED = ("src", "tests", "configs", "tools", "bench")
 TIMEOUT_S = 600.0  # a mutant's test run that takes longer counts as killed
 
 
@@ -149,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutate-") as root:
         for name in COPIED:
             shutil.copytree(name, os.path.join(root, name),
-                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", ".bench_out"))
         target = os.path.join(root, args.path)
         if not run_tests(root):
             print("the tests fail on the unmutated copy", file=sys.stderr)

@@ -4,8 +4,8 @@
     cutinsim comparison  --config cfg.json [--out DIR] [--jobs N]
     cutinsim post-process --results DIR
 
-Exit codes: 0 success, 1 configuration or I/O error, 2 collision detected
-(one-case only, as a scriptable signal). Underscore spellings of the
+Exit codes: 0 success, 1 configuration, usage or I/O error, 2 collision
+detected (one-case only, as a scriptable signal). Underscore spellings of the
 subcommands are accepted as aliases. Every sweep runs in this process:
 comparison accepts any --jobs N of at least 1 and writes the same bytes.
 The config's risk.ttc_crit_s is the one critical TTC: one-case and comparison
@@ -27,6 +27,12 @@ from .errors import ConfigError, CutinSimError
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_COLLISION = 2
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error exits 1: argparse's 2 means a collision here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def _load(path: str, model_override: str | None = None) -> config_mod.RunConfig:
@@ -110,7 +116,7 @@ def cmd_post_process(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused by every later
     main() in the process (parse_args leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cutinsim",
         description="Cut-in collision avoidance simulation toolkit",
     )

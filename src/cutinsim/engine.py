@@ -260,17 +260,6 @@ def _sense(xp, p: ScenarioParams, t_s: float, x, v, d_x0, v_o0, d_y0):
     return ox, oy, ov, ovy, gap_long, gap_lat, collided, ttc, closing_ttc
 
 
-def _summarize(xp, min_gap, min_ttc, peak_decel, gap_long, ttc, decel):
-    """The running (min gap, min TTC, peak deceleration) over xp after one
-    more step, from (inf, inf, -inf) before the first, with min's and max's
-    tie rules. A recorded TTC is never NaN or negative, so its minimum from
-    inf is the minimum of its finite values, inf when there are none. A
-    NaN decel is skipped on FLOATS and taken on ARRAYS, but it comes only
-    with a non-finite accel, so _check_step ends that run in both loops and
-    no summary that saw one is kept."""
-    return xp.pick_min(min_gap, gap_long), xp.pick_min(min_ttc, ttc), xp.pick_max(peak_decel, decel)
-
-
 def _check_step(ox, oy, ov, ovy, accel, x, v) -> None:
     """The rule that ends a run, in both loops: InvalidInputError naming the
     first non-finite value of a step's other-vehicle plan (ox, oy, ov, ovy),
@@ -288,12 +277,12 @@ def run_closed_loop(
     step on them, apply its acceleration to the ego, advance both vehicles,
     and end the run with _check_step's error if any of its values is
     non-finite. Stepping stops (and the collision flag latches) as soon as
-    the footprints overlap.
+    the footprints overlap. The summary is read off the trace: the minimum
+    of its gaps and of its TTCs and the maximum of its braking commands.
     """
     dt = p.dt_s
     x, v = 0.0, p.v_e0_mps  # the ego, at the origin of its lane
     memory = 0
-    min_gap, min_ttc, peak_decel = math.inf, math.inf, -math.inf
     n_steps = round(p.duration_s / dt)
     rows = []  # one tuple per step, in Trace's field order
 
@@ -309,9 +298,6 @@ def run_closed_loop(
                 FLOATS, model_name, params, gap_long, gap_lat, v, ov, closing_ttc, dt, memory
             )
             safe = code <= MARGIN_PASS
-        min_gap, min_ttc, peak_decel = _summarize(
-            FLOATS, min_gap, min_ttc, peak_decel, gap_long, ttc, decel
-        )
         rows.append((t, x, v, ox, oy, ov, ovy, gap_long, gap_lat, ttc, safe, decel))
         x, v = advance_axis_xp(FLOATS, x, v, accel, dt)
         # one sum screens all seven values; only a non-finite one (or an
@@ -321,12 +307,13 @@ def run_closed_loop(
         if collided or i == n_steps:
             break
 
+    trace = Trace(*zip(*rows))
     return SimResult(
-        trace=Trace(*zip(*rows)),
+        trace=trace,
         collided=collided,
-        min_gap_long_m=min_gap,
-        min_ttc_s=min_ttc,
-        peak_decel_mps2=peak_decel,
+        min_gap_long_m=min(trace.gap_long_m),
+        min_ttc_s=min(trace.ttc_s),
+        peak_decel_mps2=max(trace.decel_cmd_mps2),
     )
 
 
@@ -425,8 +412,11 @@ def _run_lanes(
     The lanes come sorted by model, at grid points valid over base. Each
     lane's summary is scattered into out's columns at [model[k], index[k]].
 
-    Each step runs run_closed_loop's step helpers over ARRAYS, so every
-    summary equals the scalar loop's. The start value of an axis with one
+    Each step runs run_closed_loop's step helpers over ARRAYS and folds
+    each lane's summary from (inf, inf, -inf) with ARRAYS' pick_min and
+    pick_max, which keep the first of tied values as min and max over the
+    scalar loop's trace do, so every summary equals the scalar loop's. A
+    recorded TTC is never NaN. The start value of an axis with one
     value is one float that every lane shares, so the other vehicle's plan
     and what depends on it alone (its lateral gap on a one-value d_y0 axis)
     are computed once per step, as in the scalar loop. All lanes are sensed
@@ -436,10 +426,10 @@ def _run_lanes(
 
     One rule ends a run in both loops: _check_step on the step's plan,
     command and next state, on every step. The sum of those seven values
-    only screens for it: each lane whose sum is non-finite runs
-    _check_step on its own values as floats. Where it raises, its text is
-    the lane's error row and the lane fails; where it returns, the sum
-    overflowed on finite values and the lane stays. A step that passes
+    only screens for it, since a sum also overflows on finite values: on a
+    step where some lane's sum is non-finite, each lane that holds a
+    non-finite value runs _check_step on its own values as floats, and
+    its text is the lane's error row. A step that passes
     had finite features: its state passed the check a step before, its
     plan passes now, and no gap or closing speed of positions and speeds
     >= 0 overflows. There control_step and the advance give both forms the
@@ -486,27 +476,29 @@ def _run_lanes(
             n_collided = np.count_nonzero(collided)
             if n_collided:
                 decel[collided] = accel[collided] = 0.0
-            state.min_gap, state.min_ttc, state.peak_decel = _summarize(
-                ARRAYS, state.min_gap, state.min_ttc, state.peak_decel, gap_long, ttc, decel
-            )
+            state.min_gap = ARRAYS.pick_min(state.min_gap, gap_long)
+            state.min_ttc = ARRAYS.pick_min(state.min_ttc, ttc)
+            state.peak_decel = ARRAYS.pick_max(state.peak_decel, decel)
             x, v = advance_axis_xp(ARRAYS, state.x, state.v, accel, dt)
             state.x, state.v, state.memory = x, v, memory
             # short of the last step, a lane finishes only by colliding and
-            # fails only on _check_step, which the sum screens for as in
-            # run_closed_loop
-            screened = ~np.isfinite(ox + oy + ov + ovy + accel + x + v)
-            n_screened = np.count_nonzero(screened)
-            if i < n_steps and not (n_collided or n_screened):
+            # fails only on _check_step, where one of its seven values is
+            # non-finite; their sum screens for that, as in run_closed_loop
+            values = (ox, oy, ov, ovy, accel, x, v)
+            failed = ~np.isfinite(ox + oy + ov + ovy + accel + x + v)
+            n_failed = np.count_nonzero(failed)
+            if n_failed:  # a sum also overflows on finite values
+                failed = ~np.isfinite(np.broadcast_arrays(*values)).all(axis=0)
+                n_failed = np.count_nonzero(failed)
+            if i < n_steps and not (n_collided or n_failed):
                 continue
-            failed = np.zeros(shape, dtype=bool)
-            for k in np.flatnonzero(screened).tolist():
+            for k in np.flatnonzero(failed).tolist():
                 try:
-                    _check_step(*(float(_lanes_of(c, k)) for c in (ox, oy, ov, ovy, accel, x, v)))
+                    _check_step(*(float(_lanes_of(c, k)) for c in values))
                 except InvalidInputError as exc:  # the lane's error row
                     out.errors[state.model[k].item(), state.index[k].item()] = (
                         f"{type(exc).__name__}: {exc}"
                     )
-                    failed[k] = True
             done = (collided | (i == n_steps)) & ~failed
             at = state.model[done], state.index[done]
             out.collided[at] = collided[done]

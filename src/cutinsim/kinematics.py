@@ -61,7 +61,7 @@ def _where(c, a, b):
 # equal to max and min, ties included, wherever b is not NaN. Where b is
 # NaN and a is not, max(a, b) and min(a, b) give a and the ufuncs NaN, so
 # both forms agree only where no pick gets a NaN b: in control_step, for
-# finite features (the TTC may be inf), and in the engine's summary, for
+# finite features (the TTC may be inf), and in the sweep's summary, for
 # the steps that pass engine._check_step (engine._run_lanes says why).
 # An ARRAYS operand may also be a float that every entry shares, such as a
 # lateral gap that depends only on the time and one start offset: each

@@ -43,7 +43,7 @@ def test_every_command_in_one_process_builds_the_parser_once(tmp_path):
         assert main(["post-process", "--results", cmp_out]) == EXIT_OK
         with pytest.raises(SystemExit) as exc:
             main(["one-case", "--model", "rba"])  # --config is required
-        assert exc.value.code == 2
+        assert exc.value.code == EXIT_CONFIG
         intercept = ["one-case", "--config", os.path.join(CONFIGS, "intercept.json"), "--out", case]
         assert main(intercept) == EXIT_COLLISION
         assert main(cutin) == EXIT_OK

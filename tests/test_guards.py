@@ -313,11 +313,12 @@ def test_a_batch_that_takes_no_guarded_branch_makes_no_selection_for_one():
 
 def test_a_lane_that_goes_non_finite_leaves_on_that_step_when_no_other_lane_ends():
     # one `none` lane at 1.7e308 m/s. From its 2nd step, x + v overflows
-    # while x and v are finite: the screen sum trips, the lane's check
-    # passes and the lane stays. Its position passes float range on the
-    # 22nd step, where no lane collides or reaches the end, so only its own
-    # check takes the sweep into its bookkeeping. The lane fails there, on
-    # the step and with the text of run_closed_loop's error
+    # while x and v are finite: the screen sum trips, but the lane holds no
+    # non-finite value, so it is not checked and stays. Its position passes
+    # float range on the 22nd step, where no lane collides or reaches the
+    # end, so only its own check takes the sweep into its bookkeeping. The
+    # lane fails there, on the step and with the text of run_closed_loop's
+    # error
     x, v, dt = 0.0, 1.7e308, 0.05
     for step in range(1, 23):
         x, v = advance_axis_xp(FLOATS, x, v, 0.0, dt)
@@ -345,3 +346,32 @@ def test_a_lane_that_goes_non_finite_leaves_on_that_step_when_no_other_lane_ends
         assert reprs(rows) == reprs(scalar_sweep(grid, ("none",), base, ModelParams()))
         assert failed_on[1:] == [{"batch": 22, "scalar": 22}]
     assert rows[0][3] == "InvalidInputError: pos_long_m must be finite, got inf"
+
+
+def test_a_sweep_checks_only_the_lanes_that_hold_a_non_finite_value():
+    # 200 `none` lanes from 9e307 to 1.7e308 m/s: each one's screen sum
+    # overflows for many steps on finite values before its position passes
+    # float range. Only that step checks the lane, once, and fails it; the
+    # 1.7e308 m/s lane alone does the sweep's bookkeeping on that step only
+    base = ScenarioParams("cut_in", 25.0, 20.0, 30.0, 3.75)
+    check, keep = engine._check_step, engine._Lanes.keep
+    calls = {"check": 0, "keep": 0}
+
+    def counting_check(*values):
+        calls["check"] += 1
+        check(*values)
+
+    def counting_keep(self, mask):
+        calls["keep"] += 1
+        keep(self, mask)
+
+    with mock.patch.object(engine, "_check_step", counting_check), \
+            mock.patch.object(engine._Lanes, "keep", counting_keep):
+        for speeds, n_calls in ((np.linspace(9e307, 1.7e308, 200), 200), ((1.7e308,), 1)):
+            calls.update(check=0, keep=0)
+            grid = SweepGrid(v_e0_mps=tuple(speeds), v_o0_mps=(10.0,), d_x0_m=(25.0,),
+                             d_y0_m=(3.75,))
+            result = sweep(grid, ("none",), base)
+            assert len(result.errors) == n_calls
+            assert calls["check"] == n_calls
+        assert calls["keep"] == 1

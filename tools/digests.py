@@ -9,6 +9,8 @@ prints one line per output, `<name> <sha256> <facts>`:
   steps of 1, all 7 models): the bytes of the four SweepResult columns,
   then the repr of each (key, text) of the error map in key order. Its
   facts are the error count and each model's collisions.
+- `far`: the far grid, digested as the dense grid is: the dense grid with
+  d_x0 5-400 m in steps of 5 and a 40 s horizon.
 - `edge-cut_in`, `edge-cut_out`: the edge grid (v_e0 {0, 10, 20, 30, 40,
   1e306} x v_o0 {0, 10, 25, 1e308} x d_x0 {-1, 0, 1e-300, 2, 20, 60, 119}
   x d_y0 {0, 3.75}) over configs/cutin.json's scenario as each kind, all 7
@@ -25,8 +27,9 @@ prints one line per output, `<name> <sha256> <facts>`:
   and bytes, then both commands' exit codes and stdout, with the output
   directory's path written as `OUT`.
 
-tests/golden/digests.json holds the edge grid and variant lines' digests,
-and tests/test_golden_digests.py recomputes them with edge_lines.
+tests/golden/digests.json holds the dense, edge grid and variant lines'
+digests, and tests/test_golden_digests.py recomputes them with sweep_digest
+and edge_lines.
 
 It imports cutinsim from the src/ of the checkout it sits in. Everything
 is written under one temporary directory, removed at exit. Run it at two
@@ -69,6 +72,8 @@ DENSE_BASE = ScenarioParams(
     kind="cut_in", v_e0_mps=25.0, v_o0_mps=20.0, d_x0_m=30.0, d_y0_m=3.75,
     lc_start_s=0.0, lc_duration_s=1.0, duration_s=12.0, dt_s=0.05,
 )
+FAR_GRID = replace(DENSE_GRID, d_x0_m=tuple(float(d) for d in range(5, 401, 5)))
+FAR_BASE = replace(DENSE_BASE, duration_s=40.0)
 EDGE_GRID = SweepGrid(
     v_e0_mps=(0.0, 10.0, 20.0, 30.0, 40.0, 1e306),
     v_o0_mps=(0.0, 10.0, 25.0, 1e308),
@@ -81,8 +86,9 @@ EDGE_VARIANTS = (("v_o0_mps", 1e308), ("d_x0_m", 1e308), ("d_y0_m", 1e308), ("d_
 BENCH_SEEDS = (7, 11)
 
 
-def dense() -> tuple[str, str]:
-    result = sweep(DENSE_GRID, MODEL_NAMES, DENSE_BASE)
+def sweep_digest(grid: SweepGrid, base: ScenarioParams) -> tuple[str, str]:
+    """The digest and facts of the sweep of grid over base, all 7 models."""
+    result = sweep(grid, MODEL_NAMES, base)
     h = hashlib.sha256()
     for column in (result.collided, result.min_gap_long_m, result.min_ttc_s,
                    result.peak_decel_mps2):
@@ -151,7 +157,8 @@ def bench_tree(seed: int, work: str) -> tuple[str, str]:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
-        lines = [("dense", *dense())]
+        lines = [("dense", *sweep_digest(DENSE_GRID, DENSE_BASE)),
+                 ("far", *sweep_digest(FAR_GRID, FAR_BASE))]
         lines += edge_lines(work)
         lines += [(f"bench-seed{seed}", *bench_tree(seed, work)) for seed in BENCH_SEEDS]
     for name, digest, facts in lines:

@@ -84,7 +84,7 @@ def cmd_comparison(args: argparse.Namespace) -> int:
     out_dir = _out_dir(cfg, args.out)
 
     result = engine.sweep(cfg.sweep, cfg.models, cfg.scenario, cfg.model_params)
-    reports.write_comparison_store(out_dir, result, cfg.ttc_crit_s, resolved, cfg_hash, cfg.seed)
+    reports.write_comparison_store(out_dir, result, resolved)
     n_errors = len(result.errors)
     print(f"wrote {len(cfg.models)} results files to {out_dir} (config {cfg_hash})")
     if n_errors:
@@ -153,10 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CutinSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (CutinSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -363,27 +363,12 @@ class SweepResult:
     peak_decel_mps2: np.ndarray
     errors: dict[tuple[int, int], str]
 
-    @classmethod
-    def empty(cls, grid: SweepGrid, models: Sequence[str]) -> SweepResult:
-        """Columns for every (model, grid point), no entry written yet."""
-        shape = (len(models), math.prod(grid.shape))
-        return cls(grid, tuple(models), np.zeros(shape, dtype=bool),
-                   *(np.full(shape, math.nan) for _ in range(3)), {})
-
-
-def as_float(value: Any) -> float:
-    """value as a float, NaN where no float holds it: such a value is no
-    finite real, so its grid points are invalid and no lane reads it."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
-
 
 class _Lanes:
-    """Per-run state of a batched sweep, one array entry per run still
-    stepping, or one float that every run shares. keep(mask) drops the
-    finished runs from every array at once."""
+    """Per-lane state of _run_lanes, one array entry per lane still
+    stepping, or one float that every lane shares. lane is each entry's
+    position in the call. keep(mask) drops the finished lanes from every
+    array at once."""
 
     def __init__(self, **columns: np.ndarray | float) -> None:
         self.__dict__.update(columns)
@@ -401,35 +386,39 @@ def _lanes_of(column: np.ndarray | float, s: slice | int) -> np.ndarray | float:
 
 
 def _run_lanes(
-    out: SweepResult,
+    models: Sequence[str],
     model: np.ndarray,
-    index: np.ndarray,
+    starts: Sequence[np.ndarray | float],
     base: ScenarioParams,
     params: ModelParams,
-) -> None:
-    """run_closed_loop for many runs at once, summaries only: one float64
-    array entry (lane) per (out.models[model[k]], grid index index[k]).
-    The lanes come sorted by model, at grid points valid over base. Each
-    lane's summary is scattered into out's columns at [model[k], index[k]].
+) -> tuple[tuple[np.ndarray, ...], dict[int, str]]:
+    """run_closed_loop for many runs at once, summaries only: lane k runs
+    models[model[k]] on base with its start values starts = (v_e0, v_o0,
+    d_x0, d_y0), each an array with one entry per lane or one float that
+    every lane shares. It reads no grid: the caller sorts the lanes by model
+    (each model steps its own slice) and passes only starts that are valid
+    over base. Returns the summary columns (collided, min_gap_long_m,
+    min_ttc_s, peak_decel_mps2) in lane order, and {lane: error text} for
+    each lane that fails; a failing lane's column entries mean nothing.
 
     Each step runs run_closed_loop's step helpers over ARRAYS and folds
     each lane's summary from (inf, inf, -inf) with ARRAYS' pick_min and
     pick_max, which keep the first of tied values as min and max over the
     scalar loop's trace do, so every summary equals the scalar loop's. A
-    recorded TTC is never NaN. The start value of an axis with one
-    value is one float that every lane shares, so the other vehicle's plan
-    and what depends on it alone (its lateral gap on a one-value d_y0 axis)
-    are computed once per step, as in the scalar loop. All lanes are sensed
-    and advanced together; each model steps its own contiguous slice through
-    control_step, whose step never raises. A collided lane brakes and
-    accelerates 0, as run_closed_loop's skipped model does.
+    recorded TTC is never NaN. Where a start column is one float, the
+    other vehicle's plan on it and what depends on it alone (its lateral
+    gap on a shared d_y0) are computed once per step, as in the scalar
+    loop. All lanes are sensed and advanced together; each model steps its
+    own contiguous slice through control_step, whose step never raises. A
+    collided lane brakes and accelerates 0, as run_closed_loop's skipped
+    model does.
 
     One rule ends a run in both loops: _check_step on the step's plan,
     command and next state, on every step. The sum of those seven values
     only screens for it, since a sum also overflows on finite values: on a
     step where some lane's sum is non-finite, each lane that holds a
     non-finite value runs _check_step on its own values as floats, and
-    its text is the lane's error row. A step that passes
+    its text is the lane's error. A step that passes
     had finite features: its state passed the check a step before, its
     plan passes now, and no gap or closing speed of positions and speeds
     >= 0 overflows. There control_step and the advance give both forms the
@@ -437,38 +426,37 @@ def _run_lanes(
     comes with a NaN accel, does not pass. A non-finite plan depends only
     on t and the start values, so both loops name the same value first. A
     lane that collides or reaches the end and passes its check finishes.
-    Only on a step where some lane may finish or fail are the entries
+    Only on a step where some lane may finish or fail are the lane columns
     written, the lanes compacted and the model slices found again.
     """
-    n = len(index)
-    v_e0, v_o0, d_x0, d_y0 = (
-        as_float(axis[0]) if len(axis) == 1 else np.array([as_float(v) for v in axis])[pos]
-        for axis, pos in zip(out.grid.axes, np.unravel_index(index, out.grid.shape))
-    )
+    n = len(model)
+    v_e0, v_o0, d_x0, d_y0 = starts
     state = _Lanes(
-        model=model, index=index, v_o0=v_o0, d_x0=d_x0, d_y0=d_y0, x=np.zeros(n),
+        model=model, lane=np.arange(n), v_o0=v_o0, d_x0=d_x0, d_y0=d_y0, x=np.zeros(n),
         v=np.full(n, v_e0), memory=np.zeros(n), min_gap=np.full(n, math.inf),
         min_ttc=np.full(n, math.inf), peak_decel=np.full(n, -math.inf),
     )
-    models = range(len(out.models))
-    bounds = np.searchsorted(state.model, models[1:]).tolist()
+    summary = (np.zeros(n, dtype=bool), *(np.full(n, math.nan) for _ in range(3)))
+    errors: dict[int, str] = {}
+    indices = range(len(models))
+    bounds = np.searchsorted(state.model, indices[1:]).tolist()
     dt = base.dt_s
     n_steps = round(base.duration_s / dt)
     with np.errstate(all="ignore"):
         for i in range(n_steps + 1):
-            if not state.index.size:
+            if not state.lane.size:
                 break
             ox, oy, ov, ovy, gap_long, gap_lat, collided, ttc, closing_ttc = _sense(
                 ARRAYS, base, i * dt, state.x, state.v, state.d_x0, state.v_o0, state.d_y0
             )
-            shape = state.index.shape
+            shape = state.lane.shape
             decel, accel, memory = np.zeros(shape), np.zeros(shape), state.memory.copy()
-            for m, start, stop in zip(models, [0, *bounds], [*bounds, shape[0]]):
+            for m, start, stop in zip(indices, [0, *bounds], [*bounds, shape[0]]):
                 if start == stop:  # a chunk may hold no lane of this model
                     continue
                 s = slice(start, stop)
                 _, decel[s], accel[s], memory[s] = control_step(
-                    ARRAYS, out.models[m], params, gap_long[s], _lanes_of(gap_lat, s), state.v[s],
+                    ARRAYS, models[m], params, gap_long[s], _lanes_of(gap_lat, s), state.v[s],
                     _lanes_of(ov, s), closing_ttc[s], dt, state.memory[s],
                 )
             # the model ran on every lane; a collision step brakes 0 and
@@ -495,18 +483,17 @@ def _run_lanes(
             for k in np.flatnonzero(failed).tolist():
                 try:
                     _check_step(*(float(_lanes_of(c, k)) for c in values))
-                except InvalidInputError as exc:  # the lane's error row
-                    out.errors[state.model[k].item(), state.index[k].item()] = (
-                        f"{type(exc).__name__}: {exc}"
-                    )
+                except InvalidInputError as exc:  # the lane's error text
+                    errors[state.lane[k].item()] = f"{type(exc).__name__}: {exc}"
             done = (collided | (i == n_steps)) & ~failed
-            at = state.model[done], state.index[done]
-            out.collided[at] = collided[done]
-            out.min_gap_long_m[at] = state.min_gap[done]
-            out.min_ttc_s[at] = state.min_ttc[done]
-            out.peak_decel_mps2[at] = state.peak_decel[done]
+            at = state.lane[done]
+            for column, values in zip(
+                summary, (collided, state.min_gap, state.min_ttc, state.peak_decel)
+            ):
+                column[at] = values[done]
             state.keep(~(done | failed))
-            bounds = np.searchsorted(state.model, models[1:]).tolist()
+            bounds = np.searchsorted(state.model, indices[1:]).tolist()
+    return summary, errors
 
 
 def _field_passes(base: ScenarioParams, field: str, value: Any) -> bool:
@@ -515,16 +502,6 @@ def _field_passes(base: ScenarioParams, field: str, value: Any) -> bool:
     except Exception:  # the point's own replace records what it raises
         return False
     return True
-
-
-def _valid_points(grid: SweepGrid, base: ScenarioParams) -> np.ndarray:
-    """Whether each grid point's scenario is valid over base, flat in grid
-    order. Every check of ScenarioParams on v_e0, v_o0, d_x0 or d_y0 reads
-    that one value, so a point is valid exactly when each of its four values
-    passes set alone into base: one replace per axis value, not per point."""
-    fields = ("v_e0_mps", "v_o0_mps", "d_x0_m", "d_y0_m")
-    ok = (np.array([_field_passes(base, f, v) for v in axis]) for f, axis in zip(fields, grid.axes))
-    return functools.reduce(np.logical_and.outer, ok).ravel()
 
 
 def sweep(
@@ -540,25 +517,46 @@ def sweep(
     Every (model, grid point) gets run_closed_loop's summary in the result's
     columns, or an error row when its scenario or run raises: an invalid
     point's text comes from replace on the whole point, as for every model.
+
+    sweep alone reads the grid. Every check of ScenarioParams on v_e0, v_o0,
+    d_x0 or d_y0 reads that one value, so each axis becomes a float64 column
+    once, NaN where its value fails set alone into base, and a point is valid
+    exactly when none of its four values is NaN: one replace per axis value,
+    not per point. Each chunk's (model, grid index) lanes, sorted by model,
+    go to _run_lanes as start columns, a one-value axis as one float that
+    every lane shares, and the lane columns and errors it returns are
+    scattered into the result.
     """
     # _run_lanes slices its lanes by model, and a registered model's step never raises
     check_models(models)
-    out = SweepResult.empty(grid, models)
-    valid = _valid_points(grid, base)
+    fields = ("v_e0_mps", "v_o0_mps", "d_x0_m", "d_y0_m")
+    columns = [np.array([float(v) if _field_passes(base, f, v) else math.nan for v in axis])
+               for f, axis in zip(fields, grid.axes)]
+    valid = functools.reduce(np.logical_and.outer, [~np.isnan(c) for c in columns]).ravel()
+    shape = (len(models), valid.size)
+    summary = (np.zeros(shape, dtype=bool), *(np.full(shape, math.nan) for _ in range(3)))
+    errors: dict[tuple[int, int], str] = {}
     for index in np.flatnonzero(~valid).tolist():
         v_e0, v_o0, d_x0, d_y0 = grid.point(index)
         try:  # some value of the point fails its check alone, so this raises
             replace(base, v_e0_mps=v_e0, v_o0_mps=v_o0, d_x0_m=d_x0, d_y0_m=d_y0)
         except Exception as exc:  # recorded as an error row, never aborts the sweep
             for m in range(len(models)):
-                out.errors[m, index] = f"{type(exc).__name__}: {exc}"
+                errors[m, index] = f"{type(exc).__name__}: {exc}"
     runs = np.flatnonzero(valid)
     n = len(models) * len(runs)
     n_chunks = -(-n // LANE_CHUNK)
     for c in range(n_chunks):
         lane = np.arange(n * c // n_chunks, n * (c + 1) // n_chunks)
-        _run_lanes(out, lane // len(runs), runs[lane % len(runs)], base, params)
-    return out
+        model, index = lane // len(runs), runs[lane % len(runs)]
+        starts = [float(col[0]) if col.size == 1 else col[pos]
+                  for col, pos in zip(columns, np.unravel_index(index, grid.shape))]
+        lanes, lane_errors = _run_lanes(models, model, starts, base, params)
+        for column, values in zip(summary, lanes):
+            column[model, index] = values
+        for k, text in lane_errors.items():
+            errors[model[k].item(), index[k].item()] = text
+    return SweepResult(grid, tuple(models), *summary, errors)
 
 
 def feasibility_bound(

@@ -27,7 +27,7 @@ from typing import Any, Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import config_hash
-from .engine import SimResult, SweepResult, as_float
+from .engine import SimResult, SweepResult
 from .errors import ConfigError
 from .risk import ModelSummary, is_critical
 from .safety_models import MODEL_NAMES
@@ -125,13 +125,21 @@ def results_filename(model: str) -> str:
     return f"results_{model}.csv"
 
 
+def as_float(value: Any) -> float:
+    """value as a float, NaN where no float holds it (a string, an integer
+    beyond float range)."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 def _result_rows(result: SweepResult, m: int, ttc_crit_s: float):
     """One results CSV row per grid point of result.models[m], in grid order,
     from row m of each summary column, classified at ttc_crit_s. An error
     row's point may hold a value that FLOAT_FORMAT cannot write (an integer
-    beyond float range, a string), so each of its values is written as the
-    float the sweep read it as, NaN where no float holds it; the row's error
-    text names the value."""
+    beyond float range, a string), so each of its values is written as
+    as_float gives it; the row's error text names the value."""
     collided, min_ttc, min_gap, peak_decel = (
         a[m] for a in (result.collided, result.min_ttc_s, result.min_gap_long_m, result.peak_decel_mps2)
     )
@@ -149,27 +157,23 @@ def _result_rows(result: SweepResult, m: int, ttc_crit_s: float):
 
 
 def write_comparison_store(
-    out_dir: str,
-    result: SweepResult,
-    ttc_crit_s: float,
-    resolved_config: Mapping[str, Any],
-    cfg_hash: str,
-    seed: int,
+    out_dir: str, result: SweepResult, resolved_config: Mapping[str, Any]
 ) -> None:
-    """One results CSV per model of the sweep result, each run classified at
-    ttc_crit_s, plus a manifest describing the run. The results CSV of a
-    registered model that this run does not write, left by an earlier run, is
-    removed."""
+    """One results CSV per model of the sweep result, plus a manifest that
+    holds resolved_config, its config_hash and its seed. Each run is
+    classified at the config's risk.ttc_crit_s, the threshold post-process
+    reads back from the manifest. The results CSV of a registered model that
+    this run does not write, left by an earlier run, is removed."""
     os.makedirs(out_dir, exist_ok=True)
     files = {model: results_filename(model) for model in result.models}
     for m, name in enumerate(files.values()):
-        rows = _result_rows(result, m, ttc_crit_s)
+        rows = _result_rows(result, m, resolved_config["risk"]["ttc_crit_s"])
         write_lines(os.path.join(out_dir, name), [RESULTS_HEADER + "\n"], rows)
     _remove_stale(out_dir, ["results"], files.values())
     manifest = {
         "schema_version": 1,
-        "config_hash": cfg_hash,
-        "seed": seed,
+        "config_hash": config_hash(resolved_config),
+        "seed": resolved_config["seed"],
         "models": sorted(files),
         "files": files,
         "config": dict(resolved_config),

@@ -40,7 +40,7 @@ from cutinsim.safety_models import (
     RbaParams,
     control_step,
 )
-from sweep_entries import at_point, classification, entries, reprs, scalar_sweep
+from sweep_entries import at_point, classification, entries, reprs, scalar_entry, scalar_sweep
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -446,22 +446,29 @@ def test_batched_sweep_equals_the_scalar_loop(case, data):
     grid, base, params = case
     rows = entries(sweep(grid, MODEL_NAMES, base, params))
     assert reprs(rows) == reprs(scalar_sweep(grid, MODEL_NAMES, base, params))
-    # a lane's result does not depend on the batch it runs in
+    # a lane's result depends neither on the other lanes of its batch nor on
+    # its place there: any subset of the valid lanes, in any order sorted
+    # stably by model, split into any chunks, gives each lane the scalar
+    # loop's entry. A one-value axis is one float, as in sweep
     ran = [row for row in rows if valid(base, row[2])]
-    start = data.draw(st.integers(0, len(ran)))
-    stop = data.draw(st.integers(start, len(ran)))
-    chunk = ran[start:stop]
-    alone = engine.SweepResult.empty(grid, MODEL_NAMES)
-    model = np.array([MODEL_NAMES.index(row[0]) for row in chunk], dtype=int)
-    engine._run_lanes(alone, model, np.array([row[1] for row in chunk], dtype=int), base, params)
-    lanes = {row[:2] for row in chunk}
-    assert reprs(row for row in entries(alone) if row[:2] in lanes) == reprs(chunk)
+    lanes = data.draw(st.permutations(ran))[:data.draw(st.integers(0, len(ran)))]
+    lanes.sort(key=lambda row: MODEL_NAMES.index(row[0]))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(lanes)), max_size=3)))
+    for chunk in (lanes[a:b] for a, b in zip([0, *cuts], [*cuts, len(lanes)])):
+        model = np.array([MODEL_NAMES.index(row[0]) for row in chunk], dtype=int)
+        starts = [axis[0] if len(axis) == 1 else np.array([row[2][j] for row in chunk])
+                  for j, axis in enumerate(grid.axes)]
+        summary, errors = engine._run_lanes(MODEL_NAMES, model, starts, base, params)
+        got = [errors[k] if k in errors else tuple(c[k].item() for c in summary)
+               for k in range(len(chunk))]
+        want = (scalar_entry(base, *row[:3], params)[3] for row in chunk)
+        assert reprs(got) == reprs(w if isinstance(w, str) else w[:4] for w in want)
 
 
 def results_bytes(result):
     """Every results_<model>.csv the comparison store writes for result."""
     with tempfile.TemporaryDirectory() as out:
-        write_comparison_store(out, result, 2.0, {}, "", 0)
+        write_comparison_store(out, result, {"risk": {"ttc_crit_s": 2.0}, "seed": 0})
         return {name: open(os.path.join(out, name), "rb").read()
                 for name in sorted(os.listdir(out)) if name.startswith("results_")}
 
@@ -476,9 +483,9 @@ def test_chunking_changes_no_byte(case):
     for chunk in (1, 2, 5, 64):
         sizes = []
 
-        def spy(out, model, index, *rest):
-            sizes.append(len(index))
-            run_lanes(out, model, index, *rest)
+        def spy(models, model, *rest):
+            sizes.append(len(model))
+            return run_lanes(models, model, *rest)
 
         with mock.patch.object(engine, "LANE_CHUNK", chunk), \
                 mock.patch.object(engine, "_run_lanes", spy):
@@ -816,8 +823,15 @@ def batch_ego_positions(grid, models, base, params):
     """The ego's x after each step of each lane of sweep's batch loop, by
     (model, grid index)."""
     positions = {}
-    states = []
-    init, advance = engine._Lanes.__init__, engine.advance_axis_xp
+    states, calls = [], []
+    init, advance, run_lanes = engine._Lanes.__init__, engine.advance_axis_xp, engine._run_lanes
+    index_of = {point: k for k, point in enumerate(grid.points())}
+
+    def spy_run_lanes(names, model, starts, *rest):
+        # each lane's (model, grid index), found from its start values
+        points = zip(*(c.tolist() for c in np.broadcast_arrays(*starts)))
+        calls.append([(names[m], index_of[p]) for m, p in zip(model.tolist(), points)])
+        return run_lanes(names, model, starts, *rest)
 
     def spy_init(self, **columns):
         init(self, **columns)
@@ -826,12 +840,12 @@ def batch_ego_positions(grid, models, base, params):
     def spy_advance(xp, pos, vel, accel, dt):
         x, v = advance(xp, pos, vel, accel, dt)
         if xp is ARRAYS:  # the lanes, before the step drops those that end
-            lanes = zip(states[-1].model.tolist(), states[-1].index.tolist(), x.tolist())
-            for m, k, x_k in lanes:
-                positions.setdefault((models[m], k), []).append(x_k)
+            for lane, x_k in zip(states[-1].lane.tolist(), x.tolist()):
+                positions.setdefault(calls[-1][lane], []).append(x_k)
         return x, v
 
-    with mock.patch.object(engine._Lanes, "__init__", spy_init), \
+    with mock.patch.object(engine, "_run_lanes", spy_run_lanes), \
+            mock.patch.object(engine._Lanes, "__init__", spy_init), \
             mock.patch.object(engine, "advance_axis_xp", spy_advance):
         sweep(grid, models, base, params)
     return positions

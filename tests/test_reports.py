@@ -90,9 +90,30 @@ RESULT = SweepResult(
 
 def store(tmp_path, result=RESULT):
     out = tmp_path / "store"
-    config = {"risk": {"ttc_crit_s": 2.0}}
-    write_comparison_store(str(out), result, 2.0, config, config_hash(config), 0)
+    write_comparison_store(str(out), result, {"risk": {"ttc_crit_s": 2.0}, "seed": 0})
     return out
+
+
+def test_the_store_takes_its_threshold_hash_and_seed_from_the_config_it_writes(tmp_path):
+    # one config sets the labels, the manifest and post-process's threshold:
+    # at 3.0 the run with min TTC 1 and the one with min TTC 2.5 are critical
+    result = SweepResult(
+        RESULT.grid, ("rba",), collided=np.zeros((1, 4), dtype=bool),
+        min_gap_long_m=np.full((1, 4), 10.0), min_ttc_s=np.array([[1.0, 2.5, 3.0, math.inf]]),
+        peak_decel_mps2=np.zeros((1, 4)), errors={},
+    )
+    config = {"risk": {"ttc_crit_s": 3.0}, "seed": 5}
+    out = tmp_path / "store"
+    write_comparison_store(str(out), result, config)
+    rows = [line.split(",") for line in (out / "results_rba.csv").read_text().splitlines()[1:]]
+    assert [row[9] for row in rows] == ["critical", "critical", "non_critical", "non_critical"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["config_hash"], manifest["seed"]) == (config_hash(config), 5)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["post-process", "--results", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["ttc_crit_s"] == 3.0
+    assert summary["models"][0]["critical_fraction"] == pytest.approx(2 / 4)
 
 
 def _without(key):

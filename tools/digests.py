@@ -116,7 +116,7 @@ def edge_grids() -> list[tuple[str, SweepGrid]]:
 def edge(kind: str, grid: SweepGrid, name: str, work: str) -> tuple[str, str]:
     result = sweep(grid, MODEL_NAMES, edge_base(kind))
     out = os.path.join(work, name)
-    write_comparison_store(out, result, DEFAULT_TTC_CRIT_S, {}, "", 0)
+    write_comparison_store(out, result, {"risk": {"ttc_crit_s": DEFAULT_TTC_CRIT_S}, "seed": 0})
     h = hashlib.sha256()
     for file_name in sorted(os.listdir(out)):
         if file_name.startswith("results_"):
